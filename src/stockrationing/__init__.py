@@ -7,6 +7,7 @@ from .model import (
     BadThreshold,
     CapExceeded,
     DifferenceSet,
+    InvalidParameter,
     InvalidOrder,
     LengthMismatch,
     NonPositiveRate,
@@ -44,7 +45,6 @@ from .poisson import (
     realization_factors_recurrence,
     solve_poisson,
     solve_poisson_normalized,
-    thomas_solve,
 )
 from .sensitivity import (
     ClassPropertyReport,
@@ -63,12 +63,8 @@ from .optimizer import (
     TransformPlan,
     brute_force_optimal,
     classify_region,
-    closed_form_profit_high,
-    closed_form_profit_low,
     global_optimal,
     monotone_chain_check,
-    optimal_high_penalty,
-    optimal_low_penalty,
     restore_threshold,
     transform_plan,
 )

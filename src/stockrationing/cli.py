@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .chain import average_profit, profit_linear_form, stationary_distribution
-from .model import CapExceeded, Policy, StockRationingError, SystemParams
+from .model import Policy, StockRationingError, SystemParams
 from .optimizer import global_optimal
 from .poisson import realization_factors_from_potential, solve_poisson
 from .sensitivity import penalty_roots
@@ -57,40 +57,52 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _params_from_config(config: dict) -> SystemParams:
+def _params_from_config(config: dict, penalty: float | None = None) -> SystemParams:
+    """Validated parameters from the config, with an optional penalty override."""
     raw = config.get("params", config)
     if not isinstance(raw, dict) or "lambda" not in raw:
         raise UsageError('config needs a "params" object with a "lambda" key')
+    if penalty is not None:
+        raw = {**raw, "penalty_p": penalty}
     return SystemParams.from_json_dict(raw)
 
 
 def _parse_policy(literal: str | list | None, k: int) -> Policy | None:
     if literal is None:
         return None
-    if isinstance(literal, list):
-        return Policy.from_json_list(literal)
-    text = literal.strip()
-    if text == "zeros":
-        return Policy.all_zeros(k)
-    if text == "ones":
-        return Policy.all_ones(k)
-    if text.startswith("["):
-        return Policy.from_json_list(json.loads(text))
-    return Policy.from_json_list([int(tok) for tok in text.split(",") if tok.strip()])
+    try:
+        if isinstance(literal, list):
+            return Policy.from_json_list(literal)
+        text = literal.strip()
+        if text == "zeros":
+            return Policy.all_zeros(k)
+        if text == "ones":
+            return Policy.all_ones(k)
+        if text.startswith("["):
+            return Policy.from_json_list(json.loads(text))
+        return Policy.from_json_list([int(tok) for tok in text.split(",") if tok.strip()])
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed policy {literal!r}: {exc}") from None
 
 
 def _parse_grid(spec: str) -> list[float]:
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"grid must be start:stop:count or a comma list, got {spec!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise EmptyGrid(f"grid count must be >= 1, got {count}")
-        return list(np.linspace(start, stop, count))
-    values = [float(tok) for tok in spec.split(",") if tok.strip()]
+    try:
+        if ":" in spec:
+            parts = spec.split(":")
+            if len(parts) != 3:
+                raise UsageError(f"grid must be start:stop:count or a comma list, got {spec!r}")
+            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            if count < 1:
+                raise EmptyGrid(f"grid count must be >= 1, got {count}")
+            values = list(np.linspace(start, stop, count))
+        else:
+            values = [float(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise UsageError(f"malformed grid {spec!r}: {exc}") from None
     if not values:
         raise EmptyGrid(f"empty grid: {spec!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"grid values must be finite, got {spec!r}")
     return values
 
 
@@ -125,9 +137,7 @@ def _emit_csv(args, header: list[str], rows: list[tuple]) -> None:
 
 def cmd_solve(args) -> int:
     config = _load_config(args.config)
-    params = _params_from_config(config)
-    if args.penalty is not None:
-        params = params.with_penalty(args.penalty)
+    params = _params_from_config(config, args.penalty)
     policy = _parse_policy(args.policy or config.get("policy"), params.threshold)
     if policy is None:
         raise UsageError("solve needs a policy (--policy or config key)")
@@ -179,14 +189,10 @@ def cmd_solve(args) -> int:
 
 def cmd_optimize(args) -> int:
     config = _load_config(args.config)
-    params = _params_from_config(config)
-    if args.penalty is not None:
-        params = params.with_penalty(args.penalty)
+    params = _params_from_config(config, args.penalty)
     result = global_optimal(params, check_oracle=args.oracle)
     payload = result.to_json_dict()
-    payload["cycle_without_improvement"] = result.cycle_without_improvement
     payload["iterations"] = result.iterations
-    payload["candidates_tried"] = result.candidates_tried
     _emit_json(args, payload)
     if result.oracle_confirmed is False:
         return 1
@@ -195,9 +201,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    params = _params_from_config(config)
-    if args.penalty is not None:
-        params = params.with_penalty(args.penalty)
+    params = _params_from_config(config, args.penalty)
     var = args.var
     if var == "theta":
         if args.grid:
@@ -234,9 +238,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    params = _params_from_config(config)
-    if args.penalty is not None:
-        params = params.with_penalty(args.penalty)
+    params = _params_from_config(config, args.penalty)
     policy = _parse_policy(args.policy or config.get("policy"), params.threshold)
     if policy is None:
         raise UsageError("simulate needs a policy")
@@ -274,12 +276,6 @@ def cmd_simulate(args) -> int:
 # Reproduction harness
 
 
-def _policy_from_fixture(spec, k: int) -> Policy:
-    parsed = _parse_policy(spec, k)
-    assert parsed is not None
-    return parsed
-
-
 def reproduce_example1() -> tuple[bool, list[str], list[str], list[tuple]]:
     fx = _load_fixture("example1")
     base = SystemParams.from_json_dict(fx["params"])
@@ -287,7 +283,7 @@ def reproduce_example1() -> tuple[bool, list[str], list[str], list[tuple]]:
     lines, rows, ok = [], [], True
     for case in fx["cases"]:
         params = base.with_penalty(case["penalty"])
-        policy = _policy_from_fixture(case["policy"], params.threshold)
+        policy = _parse_policy(case["policy"], params.threshold)
         eta = average_profit(params, policy)
         passed = abs(eta - case["expected_eta"]) <= tol
         ok &= passed
@@ -339,7 +335,7 @@ def reproduce_example3() -> tuple[bool, list[str], list[str], list[tuple]]:
             for lam in case["lambda_grid"]:
                 raw["lambda"] = lam
                 params = SystemParams.from_json_dict(raw)
-                policy = _policy_from_fixture(case["policy"], params.threshold)
+                policy = _parse_policy(case["policy"], params.threshold)
                 eta = average_profit(params, policy)
                 etas.append(eta)
                 rows.append((case["penalty"], k, lam, eta))
@@ -357,7 +353,7 @@ def reproduce_example4() -> tuple[bool, list[str], list[str], list[tuple]]:
     fx = _load_fixture("example4")
     base = SystemParams.from_json_dict(fx["params"])
     lines, rows, ok = [], [], True
-    policy = _policy_from_fixture(fx["policy"], base.threshold)
+    policy = _parse_policy(fx["policy"], base.threshold)
     grid = fx["penalty_grid"]
     etas = [average_profit(base.with_penalty(p), policy) for p in grid]
     rows = list(zip(grid, etas))
@@ -398,7 +394,7 @@ def _table2_error(params: SystemParams, fx: dict) -> tuple[float, list[tuple]]:
     worst = 0.0
     rows = []
     for name, spec in fx["policies"].items():
-        policy = _policy_from_fixture(spec, params.threshold)
+        policy = _parse_policy(spec, params.threshold)
         profile_roots = [
             _table2_entry(params, policy, i) for i in range(len(fx["reference"][name]))
         ]
@@ -523,13 +519,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, CapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except StockRationingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,8 +12,10 @@ structural and never stored.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -31,6 +33,10 @@ class NonPositiveRate(StockRationingError):
 
 class BadThreshold(StockRationingError):
     pass
+
+
+class InvalidParameter(StockRationingError):
+    """A parameter is not a finite number, or N or K is not an integer."""
 
 
 class PriorityViolation(UserWarning):
@@ -116,18 +122,27 @@ class SystemParams:
         missing = [k for k, a in PARAM_JSON_KEYS[:5] if a not in kwargs]
         if missing:
             raise StockRationingError(f"missing required parameter keys: {missing}")
-        kwargs["capacity"] = int(kwargs["capacity"])
-        kwargs["threshold"] = int(kwargs["threshold"])
+        for attr in ("capacity", "threshold"):
+            if isinstance(kwargs[attr], float) and kwargs[attr].is_integer():
+                kwargs[attr] = int(kwargs[attr])
         return validate_params(cls(**kwargs))
 
 
 def validate_params(raw: SystemParams) -> SystemParams:
     """Check model invariants and return the validated parameter set.
 
-    Raises NonPositiveRate or BadThreshold on hard violations; a reversed
-    cost priority (c_lost1 <= c_lost2) only emits a PriorityViolation
-    warning because the analysis never divides by that assumption.
+    Raises InvalidParameter, NonPositiveRate or BadThreshold on hard
+    violations; a reversed cost priority (c_lost1 <= c_lost2) only emits a
+    PriorityViolation warning because the analysis never divides by that
+    assumption.
     """
+    for field in fields(raw):
+        value = getattr(raw, field.name)
+        integral = field.name in ("capacity", "threshold")
+        kind = numbers.Integral if integral else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+            what = "an integer" if integral else "a finite number"
+            raise InvalidParameter(f"{field.name} must be {what}, got {value!r}")
     for name in ("lam", "mu1", "mu2"):
         if not getattr(raw, name) > 0:
             raise NonPositiveRate(f"{name} must be strictly positive, got {getattr(raw, name)!r}")

@@ -3,15 +3,13 @@
 High penalties make withholding optimal everywhere below the threshold, low
 penalties make serving optimal everywhere, and in between the optimum is a
 threshold policy only after permuting positions by ascending penalty root.
-The gates for the two pure regimes are checked on the all-zeros and
-all-ones policies; the middle regime is searched by iterating the
-transformational-threshold construction to a fixed point, with a brute-force
-enumeration available as the ground-truth oracle at small K.
+The regime gates are checked on the all-zeros and all-ones policies; the
+optimum itself comes from Howard policy iteration on the flip margins, with
+a brute-force enumeration available as the ground-truth oracle at small K.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +22,7 @@ from .model import (
     SystemParams,
     check_policy,
 )
-from .sensitivity import classify_sign, penalty_roots
-from .staticpol import optimal_static_threshold, build_static, static_profit_closed_form
+from .sensitivity import penalty_roots
 
 BRUTE_FORCE_TIE_BAND = 1e-12
 ORACLE_MATCH_TOL = 1e-9
@@ -54,26 +51,6 @@ def classify_region(params: SystemParams, policy: Policy) -> RegionClassificatio
     return RegionClassification(
         region=region, policy=policy, p_low=profile.p_low, p_high=profile.p_high, n0=n0
     )
-
-
-def optimal_high_penalty(params: SystemParams) -> Policy:
-    """Never serve Class 2 at low stock."""
-    return Policy.all_zeros(params.threshold)
-
-
-def optimal_low_penalty(params: SystemParams) -> Policy:
-    """Always serve Class 2 at low stock."""
-    return Policy.all_ones(params.threshold)
-
-
-def closed_form_profit_high(params: SystemParams) -> float:
-    """Profit of the all-zeros policy via the geometric-sum closed form."""
-    return static_profit_closed_form(params, params.threshold + 1)
-
-
-def closed_form_profit_low(params: SystemParams) -> float:
-    """Profit of the all-ones policy via the geometric-sum closed form."""
-    return static_profit_closed_form(params, 1)
 
 
 @dataclass(frozen=True)
@@ -114,17 +91,6 @@ def transform_plan(params: SystemParams, policy: Policy) -> TransformPlan:
     )
 
 
-def _transfer(params: SystemParams, policy: Policy) -> Policy:
-    """One improvement sweep: serve wherever the flip margin G(i) + b is >= 0.
-
-    Matches the root-comparison construction whenever every P-coefficient
-    is positive (the generic case) and stays improvement-aligned when one
-    is not.
-    """
-    labels = classify_sign(params, policy, params.penalty)
-    return Policy(tuple(1 if lab >= 0 else 0 for lab in labels))
-
-
 @dataclass(frozen=True)
 class OptimizerResult:
     policy: Policy
@@ -133,9 +99,7 @@ class OptimizerResult:
     n0: int | None
     sort_perm: tuple[int, ...]
     oracle_confirmed: bool | None
-    cycle_without_improvement: bool
-    iterations: int
-    candidates_tried: int
+    iterations: int             # policy-improvement steps taken
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,100 +112,57 @@ class OptimizerResult:
         }
 
 
-def _better(eta: float, policy: Policy, best_eta: float, best_policy: Policy | None) -> bool:
-    if best_policy is None:
-        return True
-    band = BRUTE_FORCE_TIE_BAND * max(1.0, abs(best_eta))
-    if eta > best_eta + band:
-        return True
-    if eta >= best_eta - band and policy.decisions < best_policy.decisions:
-        return True
-    return False
+def global_optimal(params: SystemParams, check_oracle: bool = False) -> OptimizerResult:
+    """Optimal dynamic policy for the configured penalty cost, by policy iteration.
 
-
-def global_optimal(
-    params: SystemParams, check_oracle: bool = False, cap: int = ENUMERATION_CAP
-) -> OptimizerResult:
-    """Optimal dynamic policy for the configured penalty cost.
-
-    The two pure-regime gates are decided on the all-zeros / all-ones
-    profiles; in the middle regime the transformational-threshold map is
-    iterated from the all-zeros, all-ones and best-static seeds until the
-    policy repeats, keeping the best candidate seen.  The iteration is a
-    heuristic for the middle regime (the theory guarantees the optimum is a
-    fixed point but not that iteration reaches it), so `check_oracle`
-    cross-checks against full enumeration whenever K is within `cap`.
+    The region is HighPenalty when P reaches p_high of the all-zeros
+    profile, LowPenalty when P is at most a positive p_low of the all-ones
+    profile, and Middle otherwise.  Iteration starts from the all-ones
+    policy in the LowPenalty region and from all-zeros otherwise.  Each
+    step serves where the flip margin G(i) + b is positive, withholds where
+    it is negative and keeps the decision inside the zero band.  The new
+    eta minus the old sums mu2 * pi'(i) * (d'_i - d_i) * (G(i) + b) over the
+    flipped positions, each term positive, so every step raises eta strictly
+    and the loop ends at a gain-optimal policy (Howard's algorithm: Puterman,
+    Markov Decision Processes, 1994, 8.6; Cao, Stochastic Learning and
+    Optimization, 2007).  `check_oracle` cross-checks against enumeration.
     """
     k = params.threshold
     p = params.penalty
-    d_zeros = optimal_high_penalty(params)
-    d_ones = optimal_low_penalty(params)
-
-    profile_zeros = penalty_roots(params, d_zeros)
-    profile_ones = penalty_roots(params, d_ones)
-
-    cycle_flag = False
-    iterations = 0
-
-    if p >= profile_zeros.p_high:
-        best_policy, region, gate_profile = d_zeros, "HighPenalty", profile_zeros
-        best_eta = average_profit(params, best_policy)
-        candidates = 1
-    elif profile_ones.p_low > 0 and p <= profile_ones.p_low:
-        best_policy, region, gate_profile = d_ones, "LowPenalty", profile_ones
-        best_eta = average_profit(params, best_policy)
-        candidates = 1
-    else:
+    policy = Policy.all_zeros(k)
+    profile = penalty_roots(params, policy)
+    region = "HighPenalty"
+    if p < profile.p_high:
+        ones_profile = penalty_roots(params, Policy.all_ones(k))
         region = "Middle"
-        theta_star, _ = optimal_static_threshold(params)
-        seeds = [d_zeros, d_ones, build_static(params, theta_star).policy]
-        eta_cache: dict[tuple[int, ...], float] = {}
-        best_policy, best_eta = None, -math.inf
-        explored: set[tuple[int, ...]] = set()
-        for seed in seeds:
-            current = seed
-            path: list[tuple[int, ...]] = []
-            while True:
-                key = current.decisions
-                eta = eta_cache.get(key)
-                if eta is None:
-                    eta = average_profit(params, current)
-                    eta_cache[key] = eta
-                if _better(eta, current, best_eta, best_policy):
-                    best_policy, best_eta = current, eta
-                if key in explored:
-                    break
-                explored.add(key)
-                path.append(key)
-                iterations += 1
-                nxt = _transfer(params, current)
-                if nxt.decisions == key:
-                    break
-                if nxt.decisions in path:
-                    cycle_flag = True
-                    break
-                current = nxt
-        candidates = len(eta_cache)
-        gate_profile = penalty_roots(params, best_policy)
+        if ones_profile.p_low > 0 and p <= ones_profile.p_low:
+            region, policy, profile = "LowPenalty", Policy.all_ones(k), ones_profile
 
-    n0 = (
-        int(np.sum(gate_profile.roots < p)) if region == "Middle" else None
-    )
+    iterations = 0
+    while True:
+        labels = profile.signs(p)
+        improved = Policy(
+            tuple(d if lab == 0 else int(lab > 0) for d, lab in zip(policy.decisions, labels))
+        )
+        if improved == policy:
+            break
+        policy, profile = improved, penalty_roots(params, improved)
+        iterations += 1
+
+    eta = average_profit(params, policy)
     oracle_confirmed: bool | None = None
     if check_oracle:
-        _, bf_eta = brute_force_optimal(params, cap=cap)
-        oracle_confirmed = abs(bf_eta - best_eta) <= ORACLE_MATCH_TOL * max(1.0, abs(bf_eta))
+        _, bf_eta = brute_force_optimal(params)
+        oracle_confirmed = abs(bf_eta - eta) <= ORACLE_MATCH_TOL * max(1.0, abs(bf_eta))
 
     return OptimizerResult(
-        policy=best_policy,
-        eta=best_eta,
+        policy=policy,
+        eta=eta,
         region=region,
-        n0=n0,
-        sort_perm=gate_profile.sort_perm,
+        n0=int(np.sum(profile.roots < p)) if region == "Middle" else None,
+        sort_perm=profile.sort_perm,
         oracle_confirmed=oracle_confirmed,
-        cycle_without_improvement=cycle_flag,
         iterations=iterations,
-        candidates_tried=candidates,
     )
 
 

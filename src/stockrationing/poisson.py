@@ -75,93 +75,11 @@ class RealizationFactors:
         return float(self.g_diff[i - 1])
 
 
-def thomas_solve(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system by elimination without pivoting.
-
-    Safe for the systems built here because they are irreducibly diagonally
-    dominant M-matrices.  One caveat: under a strong upward drift (arrival
-    rate far above every service rate) the exact trailing pivot is a ratio
-    of rate products that can underflow to zero in float64 even though the
-    matrix is nonsingular; such degenerate pivots trigger a partial-pivoting
-    re-solve instead of an error.
-    """
-    n = len(diag)
-    if n == 1:
-        if diag[0] == 0.0:
-            raise SingularSystem("singular 1x1 system")
-        return rhs / diag[0]
-    scale = float(np.max(np.abs(diag)))
-    c = np.empty(n - 1)
-    d = np.empty(n)
-    beta = diag[0]
-    if abs(beta) <= 1e-10 * scale:
-        return _pivoted_tridiag_solve(sub, diag, sup, rhs)
-    c[0] = sup[0] / beta
-    d[0] = rhs[0] / beta
-    for i in range(1, n):
-        beta = diag[i] - sub[i - 1] * c[i - 1]
-        if abs(beta) <= 1e-10 * scale or not np.isfinite(beta):
-            return _pivoted_tridiag_solve(sub, diag, sup, rhs)
-        if i < n - 1:
-            c[i] = sup[i] / beta
-        d[i] = (rhs[i] - sub[i - 1] * d[i - 1]) / beta
-    x = np.empty(n)
-    x[n - 1] = d[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
-
-
-def _pivoted_tridiag_solve(sub, diag, sup, rhs) -> np.ndarray:
-    """Tridiagonal LU with partial pivoting (one superdiagonal of fill-in)."""
-    n = len(diag)
-    a = np.asarray(sub, dtype=float).copy()
-    d = np.asarray(diag, dtype=float).copy()
-    c = np.zeros(n)
-    c[: n - 1] = sup
-    e = np.zeros(n)  # second superdiagonal created by row swaps
-    x = np.asarray(rhs, dtype=float).copy()
-    for i in range(n - 1):
-        if abs(a[i]) > abs(d[i]):
-            d[i], a[i] = a[i], d[i]
-            c[i], d[i + 1] = d[i + 1], c[i]
-            if i + 1 < n - 1:
-                e[i], c[i + 1] = c[i + 1], e[i]
-            x[i], x[i + 1] = x[i + 1], x[i]
-        if d[i] == 0.0:
-            raise SingularSystem(f"zero pivot at row {i} even with pivoting")
-        m = a[i] / d[i]
-        d[i + 1] -= m * c[i]
-        if i + 1 < n - 1:
-            c[i + 1] -= m * e[i]
-        x[i + 1] -= m * x[i]
-    if d[n - 1] == 0.0:
-        raise SingularSystem("zero pivot in final row even with pivoting")
-    x[n - 1] /= d[n - 1]
-    if n >= 2:
-        x[n - 2] = (x[n - 2] - c[n - 2] * x[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - c[i] * x[i + 1] - e[i] * x[i + 2]) / d[i]
-    return x
-
-
 def _tridiag_matvec(sub, diag, sup, x):
     y = diag * x
     y[1:] += sub * x[:-1]
     y[:-1] += sup * x[1:]
     return y
-
-
-def _reduced_system(params: SystemParams, policy: Policy):
-    """Negated generator with state 0 removed: the invertible core of the equation."""
-    v = service_rates(params, policy)
-    n = params.capacity
-    diag = np.empty(n)
-    diag[: n - 1] = params.lam + v[: n - 1]
-    diag[n - 1] = v[n - 1]
-    sub = -v[1:]
-    sup = np.full(n - 1, -params.lam)
-    return sub, diag, sup
 
 
 def _poisson_residual(params, policy, g, f_values, eta) -> float:

@@ -51,6 +51,10 @@ class PenaltyProfile:
     num: np.ndarray
     den: np.ndarray
 
+    def signs(self, penalty: float) -> np.ndarray:
+        """classify_sign labels of this profile's margins at the given penalty."""
+        return _sign_labels(self.num, self.den, penalty)
+
     def csv_rows(self) -> list[tuple[int, float, int]]:
         """(position, root, sorted_rank) rows for export."""
         rank = {pos: j + 1 for j, pos in enumerate(self.sort_perm)}
@@ -130,16 +134,17 @@ def penalty_roots(params: SystemParams, policy: Policy) -> PenaltyProfile:
 def classify_sign(params: SystemParams, policy: Policy, penalty: float) -> np.ndarray:
     """Labels in {-1, 0, +1} for the sign of G(i) + b at the given penalty.
 
-    A value inside the zero band counts as zero; with a positive
+    A value inside the zero band (or a NaN) counts as zero; with a positive
     P-coefficient the sign is positive exactly below the root, and reversed
     when the coefficient is negative.
     """
-    num, den = _affine_g_plus_b(params, policy)
+    return _sign_labels(*_affine_g_plus_b(params, policy), penalty)
+
+
+def _sign_labels(num: np.ndarray, den: np.ndarray, penalty: float) -> np.ndarray:
     value = num - penalty * den
-    scale = np.maximum(1.0, np.abs(num) + np.abs(penalty * den))
-    labels = np.sign(value).astype(int)
-    labels[np.abs(value) <= SIGN_ZERO_BAND * scale] = 0
-    return labels
+    band = SIGN_ZERO_BAND * np.maximum(1.0, np.abs(num) + np.abs(penalty * den))
+    return np.where(value > band, 1, np.where(value < -band, -1, 0))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from stockrationing import cli
 from stockrationing.cli import main
 
 EX1 = {
@@ -107,6 +108,38 @@ class TestOptimize:
         code, _, err = run_cli(["optimize", "--config", config_path(cfg), "--oracle"], capsys)
         assert code == 2
         assert "cap" in err.lower()
+
+
+class TestErrorMapping:
+    def test_nan_penalty_in_config_is_usage_error(self, config_path, capsys):
+        cfg = dict(SMALL, params=dict(SMALL["params"], penalty_p=float("nan")))
+        code, _, err = run_cli(["optimize", "--config", config_path(cfg)], capsys)
+        assert code == 2
+        assert "penalty" in err
+
+    @pytest.mark.parametrize("grid", ["1,x", "0:1:two"])
+    def test_malformed_grid_is_usage_error(self, config_path, capsys, grid):
+        code, _, err = run_cli(
+            ["sweep", "--config", config_path(SMALL), "--var", "penalty",
+             "--grid", grid, "--policy", "ones"], capsys
+        )
+        assert code == 2
+        assert "grid" in err
+
+    def test_malformed_policy_is_usage_error(self, config_path, capsys):
+        code, _, err = run_cli(
+            ["solve", "--config", config_path(SMALL), "--policy", "1,x"], capsys
+        )
+        assert code == 2
+        assert "policy" in err
+
+    def test_library_value_error_propagates(self, config_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "global_optimal", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["optimize", "--config", config_path(SMALL)])
 
 
 class TestSweep:

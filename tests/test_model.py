@@ -10,6 +10,7 @@ from stockrationing import (
     BadThreshold,
     CapExceeded,
     InvalidOrder,
+    InvalidParameter,
     LengthMismatch,
     NonPositiveRate,
     Policy,
@@ -57,6 +58,22 @@ class TestValidation:
     def test_json_round_trip(self, example1_params):
         data = json.loads(json.dumps(example1_params.to_json_dict()))
         assert SystemParams.from_json_dict(data) == example1_params
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("penalty_p", float("nan")),
+            ("c_hold", float("nan")),
+            ("price_r", float("inf")),
+            ("lambda", float("inf")),
+            ("capacity_n", 3.7),
+            ("lambda", "3"),
+        ],
+    )
+    def test_non_finite_non_numeric_or_fractional_rejected(self, example1_params, key, value):
+        data = dict(example1_params.to_json_dict(), **{key: value})
+        with pytest.raises(InvalidParameter):
+            SystemParams.from_json_dict(data)
 
 
 class TestRewardStructure:

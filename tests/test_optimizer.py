@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 
 from stockrationing import (
+    ENUMERATION_CAP,
     CapExceeded,
     Policy,
+    SystemParams,
     adjacent_chain,
     average_profit,
     brute_force_optimal,
     classify_region,
-    closed_form_profit_high,
-    closed_form_profit_low,
+    classify_sign,
     difference_set,
     global_optimal,
     monotone_chain_check,
-    optimal_high_penalty,
-    optimal_low_penalty,
     penalty_roots,
     restore_threshold,
+    static_profit_closed_form,
     transform_plan,
 )
 
@@ -60,10 +60,6 @@ class TestClassifyRegion:
 
 
 class TestExtremePolicies:
-    def test_shapes(self, example1_params):
-        assert optimal_high_penalty(example1_params) == Policy.all_zeros(15)
-        assert optimal_low_penalty(example1_params) == Policy.all_ones(15)
-
     def test_high_gate_confirmed_by_enumeration(self):
         rng = np.random.default_rng(51)
         confirmed = 0
@@ -95,14 +91,14 @@ class TestExtremePolicies:
 
 class TestClosedFormProfits:
     def test_degenerate_ratio_unit_instance(self, unit_params):
-        assert closed_form_profit_high(unit_params) == pytest.approx(4.6, abs=1e-12)
+        assert static_profit_closed_form(unit_params, unit_params.threshold + 1) == pytest.approx(4.6, abs=1e-12)
 
     def test_dual_route_agreement(self):
         rng = np.random.default_rng(53)
         for _ in range(20):
             p = random_params(rng, k_max=10, n_max=40)
-            hi = closed_form_profit_high(p)
-            lo = closed_form_profit_low(p)
+            hi = static_profit_closed_form(p, p.threshold + 1)
+            lo = static_profit_closed_form(p, 1)
             assert hi == pytest.approx(
                 average_profit(p, Policy.all_zeros(p.threshold)), rel=1e-9
             )
@@ -209,8 +205,6 @@ class TestGlobalOptimal:
     def test_middle_region_fixed_point_property(self):
         # the returned policy is consistent with its own penalty profile:
         # serving exactly where the flip margin is nonnegative
-        from stockrationing import classify_sign
-
         rng = np.random.default_rng(59)
         middles = 0
         while middles < 15:
@@ -233,6 +227,25 @@ class TestGlobalOptimal:
                     assert d == 1
                 elif labels[i] < 0:
                     assert d == 0
+
+    @pytest.mark.parametrize(
+        "penalty, region", [(0.1, "LowPenalty"), (10.0, "Middle"), (40.0, "HighPenalty")]
+    )
+    def test_beyond_enumeration_cap(self, penalty, region):
+        # example-1 rates at K=40, out of the oracle's reach; a Class-1
+        # lost-sales cost of 1.2 gives the all-ones profile a positive p_low
+        p = SystemParams(lam=3.0, mu1=4.0, mu2=2.0, capacity=200, threshold=40,
+                         c_hold=1, c_lost1=1.2, c_lost2=1, c_buy=5, c_opp=1, price=15,
+                         penalty=penalty)
+        assert p.threshold > ENUMERATION_CAP
+        res = global_optimal(p)
+        assert res.region == region
+        labels = classify_sign(p, res.policy, penalty)
+        for lab, d in zip(labels, res.policy.decisions):
+            assert lab == 0 or d == int(lab > 0)
+        for i in range(1, p.threshold + 1):
+            gain = average_profit(p, res.policy.flip(i)) - res.eta
+            assert gain <= 1e-9 * max(1.0, abs(res.eta)), i
 
     def test_report_serialization(self):
         rng = np.random.default_rng(60)

@@ -15,9 +15,7 @@ from stockrationing import (
     solve_poisson,
     solve_poisson_normalized,
     stationary_distribution,
-    thomas_solve,
 )
-from stockrationing.poisson import _reduced_system
 
 from conftest import dense_potential, random_params, random_policy
 
@@ -28,37 +26,6 @@ def stable_random_params(rng, **kw):
         p = random_params(rng, **kw)
         if p.lam >= p.mu1 + p.mu2:
             return p
-
-
-class TestThomasSolve:
-    def test_against_dense_solve(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            p = random_params(rng, k_max=8, n_max=30)
-            pol = random_policy(rng, p.threshold)
-            sub, diag, sup = _reduced_system(p, pol)
-            n = len(diag)
-            dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-            rhs = rng.normal(size=n)
-            np.testing.assert_allclose(
-                thomas_solve(sub, diag, sup, rhs), np.linalg.solve(dense, rhs),
-                rtol=1e-8, atol=1e-10,
-            )
-
-    def test_pivoting_fallback_on_degenerate_elimination(self):
-        # strong upward drift: the plain elimination pivots collapse to zero
-        from stockrationing import SystemParams
-
-        p = SystemParams(lam=7.26, mu1=0.23, mu2=0.5, capacity=25, threshold=12,
-                         c_hold=3, c_lost1=4, c_lost2=1, c_buy=3, c_opp=4, price=2,
-                         penalty=1)
-        pol = Policy((1, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0))
-        sub, diag, sup = _reduced_system(p, pol)
-        rhs = np.ones(len(diag))
-        x = thomas_solve(sub, diag, sup, rhs)
-        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-        resid = dense @ x - rhs
-        assert np.max(np.abs(resid)) < 1e-7 * max(1.0, np.max(np.abs(x)))
 
 
 class TestSolvePoisson:
