@@ -9,6 +9,7 @@ law itself does not depend on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,21 +69,26 @@ def build_generator(params: SystemParams, policy: Policy) -> Generator:
     return Generator(sub=v, diag=diag, sup=sup)
 
 
-def stationary_distribution(params: SystemParams, policy: Policy) -> StationaryDistribution:
-    """Product-form stationary law, built by recursive ratio multiplication.
+def _stationary_weights(params: SystemParams, policy: Policy) -> np.ndarray:
+    """Unnormalized product-form weights xi_0..xi_N with xi_0 = 1.
 
-    xi_i = xi_{i-1} * lam / v_i avoids the raw powers of the textbook
-    formula, which overflow long before the ratios do.
+    xi_i = xi_{i-1} * lam / v_i as one running product of the rate ratios,
+    which avoids the raw powers of the textbook formula; those overflow long
+    before the ratios do.
     """
-    v = service_rates(params, policy)
-    n = params.capacity
-    xi = np.empty(n + 1)
+    xi = np.empty(params.capacity + 1)
     xi[0] = 1.0
     with np.errstate(over="ignore"):
-        for i in range(1, n + 1):
-            xi[i] = xi[i - 1] * (params.lam / v[i - 1])
-    if not np.all(np.isfinite(xi)):
+        (params.lam / service_rates(params, policy)).cumprod(out=xi[1:])
+    # A non-finite product stays non-finite, so the last weight decides.
+    if not math.isfinite(xi[-1]):
         raise NumericalOverflow("stationary weights overflowed float64")
+    return xi
+
+
+def stationary_distribution(params: SystemParams, policy: Policy) -> StationaryDistribution:
+    """Product-form stationary law: the weights xi normalized by h = sum(xi)."""
+    xi = _stationary_weights(params, policy)
     h = 1.0 + xi[1:].sum()
     if not np.isfinite(h):
         raise NumericalOverflow("stationary normalizer overflowed float64")

@@ -108,7 +108,11 @@ class SystemParams:
     penalty: float = 0.0
 
     def with_penalty(self, penalty: float) -> "SystemParams":
-        return replace(self, penalty=float(penalty))
+        """Copy with another penalty cost, which must be finite and nonnegative."""
+        penalty = float(penalty)
+        if not (math.isfinite(penalty) and penalty >= 0):
+            raise InvalidParameter(f"penalty must be finite and nonnegative, got {penalty!r}")
+        return replace(self, penalty=penalty)
 
     def to_json_dict(self) -> dict:
         return {key: getattr(self, attr) for key, attr in PARAM_JSON_KEYS}
@@ -238,32 +242,23 @@ def reward_structure(params: SystemParams, policy: Policy) -> RewardStructure:
     check_policy(params, policy)
     p = params
     n, k = p.capacity, p.threshold
+    # States 1..N share one formula with d = 1 above K (the Class-2 loss term
+    # then vanishes exactly); the top state swaps the purchase price for the
+    # opportunity cost of rejected inbound stock, also when K = N.
+    d = np.ones(n)
+    d[:k] = policy.as_array()
+    served2 = p.mu2 * d
     a = np.zeros(n + 1)
-    b = np.zeros(n + 1)
+    a[1 : k + 1] = served2[:k]
+    b = np.empty(n + 1)
     b[0] = -p.c_lost1 * p.mu1 - p.c_lost2 * p.mu2 - p.c_buy * p.lam
-    for i in range(1, k + 1):
-        d = policy[i - 1]
-        a[i] = p.mu2 * d
-        b[i] = (
-            p.price * (p.mu1 + p.mu2 * d)
-            - p.c_hold * i
-            - p.c_lost2 * p.mu2 * (1 - d)
-            - p.c_buy * p.lam
-        )
-    for i in range(k + 1, n + 1):
-        b[i] = p.price * (p.mu1 + p.mu2) - p.c_hold * i - p.c_buy * p.lam
-    if n > k:
-        b[n] = p.price * (p.mu1 + p.mu2) - p.c_hold * n - p.c_opp * p.lam
-    else:
-        # K = N: the top state is still the rationed one, but purchase cost
-        # is replaced by the opportunity cost exactly as at any full stock.
-        d = policy[n - 1]
-        b[n] = (
-            p.price * (p.mu1 + p.mu2 * d)
-            - p.c_hold * n
-            - p.c_lost2 * p.mu2 * (1 - d)
-            - p.c_opp * p.lam
-        )
+    b[1:] = (
+        p.price * (p.mu1 + served2)
+        - p.c_hold * np.arange(1.0, n + 1)
+        - p.c_lost2 * p.mu2 * (1 - d)
+    )
+    b[1:n] -= p.c_buy * p.lam
+    b[n] -= p.c_opp * p.lam
     f = b - p.penalty * a
     return RewardStructure(a_coeffs=a, b_coeffs=b, f_values=f)
 

@@ -182,20 +182,15 @@ def brute_force_optimal(
         raise CapExceeded(f"K={k} exceeds enumeration cap {cap}")
     shifts = np.arange(k - 1, -1, -1, dtype=np.uint64)  # d_1 is the most significant bit
     b_margin = (p.price + p.c_lost2 - p.penalty) * p.mu2
-    base = np.array(
-        [
-            p.price * p.mu1 - p.c_hold * i - p.c_lost2 * p.mu2 - p.c_buy * p.lam
-            for i in range(1, k + 1)
-        ]
+    base = (
+        p.price * p.mu1 - p.c_hold * np.arange(1.0, k + 1) - p.c_lost2 * p.mu2 - p.c_buy * p.lam
     )
     f0 = -p.c_lost1 * p.mu1 - p.c_lost2 * p.mu2 - p.c_buy * p.lam
     beta = p.lam / (p.mu1 + p.mu2)
     # Tail above the threshold is policy-free: precompute its weight and reward sums
     # relative to the weight at state K.
-    tail_w = np.array([beta ** (i - k) for i in range(k + 1, n + 1)])
-    tail_f = np.array(
-        [p.price * (p.mu1 + p.mu2) - p.c_hold * i - p.c_buy * p.lam for i in range(k + 1, n + 1)]
-    )
+    tail_w = beta ** np.arange(1.0, n - k + 1)
+    tail_f = p.price * (p.mu1 + p.mu2) - p.c_hold * np.arange(k + 1.0, n + 1) - p.c_buy * p.lam
     if n > k:
         tail_f[-1] = p.price * (p.mu1 + p.mu2) - p.c_hold * n - p.c_opp * p.lam
     tail_weight = tail_w.sum()

@@ -10,7 +10,8 @@ consumes, and they are invariant to both constants.
 Three mutually checking routes compute G:
 
 * differences of a solved potential (the cut-flow form of the equation,
-  the stable production path),
+  the stable production path, computed with whole-array compensated prefix
+  sums and no per-state loop),
 * the first-order forward recurrence read off the equation rows,
 * the unrolled closed-form sum of that recurrence.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Policy, StockRationingError, SystemParams, reward_structure, service_rates
-from .chain import average_profit, stationary_distribution, build_generator
+from .chain import _stationary_weights, average_profit, build_generator, stationary_distribution
 
 
 class SingularSystem(StockRationingError):
@@ -89,7 +90,7 @@ def _poisson_residual(params, policy, g, f_values, eta) -> float:
 
 
 def potential_for_reward(
-    params: SystemParams, policy: Policy, reward: np.ndarray, average: float
+    params: SystemParams, policy: Policy, reward: np.ndarray, average: float | tuple[float, ...]
 ) -> np.ndarray:
     """Special potential (first entry zero) of -B g = reward - average*e.
 
@@ -103,46 +104,49 @@ def potential_for_reward(
     tridiagonal system is equivalent algebra but its pivots underflow once
     the arrival rate dominates the service rates over many states, which is
     why the elimination route is not used here.  Each edge takes the deficit
-    sum from whichever end of the chain carries less absolute mass.
+    sum from whichever end of the chain carries less absolute mass; both
+    ends come from one compensated prefix-sum pass over the whole array.
+
+    `reward` is one vector over states 0..N with a scalar `average`, or a
+    stack of m such vectors, shape (m, N+1), with m averages; the result has
+    the shape of `reward`, and all rows share one set of weights.
     """
-    n = params.capacity
-    v = service_rates(params, policy)
-    xi = np.empty(n + 1)
-    xi[0] = 1.0
-    for i in range(1, n + 1):
-        xi[i] = xi[i - 1] * (params.lam / v[i - 1])
-    w = xi * (reward - average)
+    xi = _stationary_weights(params, policy)
+    w = xi * (reward.reshape(-1, len(xi)) - np.asarray(average).reshape(-1, 1))
     # Re-center so the deficits sum to zero exactly up to second-order
-    # rounding; keeps prefix and suffix cuts mutually consistent.
-    w = w - xi * (math.fsum(w) / math.fsum(xi))
-    prefix = _compensated_cumsum(w)
-    suffix = _compensated_cumsum(w[::-1])[::-1]
-    prefix_abs = np.cumsum(np.abs(w))
-    suffix_abs = np.cumsum(np.abs(w)[::-1])[::-1]
-    g = np.empty(n + 1)
-    g[0] = 0.0
-    for i in range(1, n + 1):
-        if prefix_abs[i - 1] <= suffix_abs[i]:
-            cut = prefix[i - 1]
-        else:
-            cut = -suffix[i]
-        g[i] = g[i - 1] - cut / (params.lam * xi[i - 1])
-    return g
+    # rounding; keeps prefix and suffix cuts mutually consistent.  The
+    # weights are positive, so their plain sum is already accurate.
+    w -= xi * (_compensated_cumsum(w)[:, -1:] / xi.sum())
+    # The prefix below state i carries less absolute mass than the suffix
+    # from i exactly when it holds at most half of the total.  The first m
+    # runs sum -w, the negated prefix cuts; the last m run from state N
+    # down, and their entries -2::-1 are the suffix sums from i = 1..N.
+    m = len(w)
+    mass = np.abs(w).cumsum(axis=1)
+    runs = _compensated_cumsum(np.concatenate((-w, w[:, ::-1])))
+    neg_cut = runs[m:, -2::-1]
+    np.copyto(neg_cut, runs[:m, :-1], where=mass[:, :-1] <= 0.5 * mass[:, -1:])
+    g = np.zeros(w.shape)
+    (neg_cut / (params.lam * xi[:-1])).cumsum(axis=1, out=g[:, 1:])
+    return g.reshape(reward.shape)
 
 
 def _compensated_cumsum(a: np.ndarray) -> np.ndarray:
-    """Kahan-compensated running sums; keeps the rounding of long prefixes
-    at a few ulps instead of growing with the length."""
-    out = np.empty(len(a))
-    total = 0.0
-    carry = 0.0
-    for j, x in enumerate(a.tolist()):
-        y = x - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-        out[j] = total
-    return out
+    """Compensated running sums along the last axis.
+
+    A plain running sum s = cumsum(a) rounds once per step.  TwoSum (Knuth;
+    Ogita, Rump and Oishi, Accurate Sum and Dot Product, 2005) recovers each
+    step's rounding error (s_{j-1} + a_j) - s_j exactly from s and a, and
+    adding the running sum of those errors back to s keeps every prefix
+    within a few ulps of its absolute sum instead of an error that grows
+    with the length.  All of it is whole-array arithmetic.
+    """
+    s = a.cumsum(axis=-1)
+    prev, t = s[..., :-1], s[..., 1:]
+    z = t - prev
+    err = (prev - (t - z)) + (a[..., 1:] - z)
+    t += err.cumsum(axis=-1)
+    return s
 
 
 def solve_poisson(

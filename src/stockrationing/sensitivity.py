@@ -99,16 +99,16 @@ def _affine_g_plus_b(params: SystemParams, policy: Policy) -> tuple[np.ndarray, 
 
     Both parts reuse the potential machinery: the penalty-free reward split
     f = B - P*A carries through the linear Poisson solve, so G splits the
-    same way and only two solves are needed regardless of K.
+    same way and one stacked solve gives both parts regardless of K.
     """
     k = params.threshold
     rewards = reward_structure(params, policy)
     form = profit_linear_form(params, policy)
-    g_b = potential_for_reward(params, policy, rewards.b_coeffs, form.d_coef)
-    g_a = potential_for_reward(params, policy, rewards.a_coeffs, form.f_coef)
-    num = (params.price + params.c_lost2) + (g_b[:k] - g_b[1 : k + 1])
-    den = 1.0 + (g_a[:k] - g_a[1 : k + 1])
-    return num, den
+    g = potential_for_reward(
+        params, policy, np.vstack((rewards.b_coeffs, rewards.a_coeffs)), (form.d_coef, form.f_coef)
+    )
+    g_diff = g[:, :k] - g[:, 1 : k + 1]  # G(i) of the B part and of the A part
+    return (params.price + params.c_lost2) + g_diff[0], 1.0 + g_diff[1]
 
 
 def penalty_roots(params: SystemParams, policy: Policy) -> PenaltyProfile:

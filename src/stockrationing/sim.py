@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Policy, StockRationingError, SystemParams, reward_structure, service_rates
+from .chain import build_generator
+from .model import Policy, StockRationingError, SystemParams, reward_structure
 
 CHUNK = 1 << 15
 
@@ -100,14 +101,12 @@ def simulate(
         raise StockRationingError(
             f"need at least 2 replications for a standard error, got {replications}"
         )
-    v = service_rates(params, policy)
+    gen = build_generator(params, policy)
     f = reward_structure(params, policy).f_values
     n = params.capacity
-    rate = np.empty(n + 1)
-    rate[0] = params.lam
-    rate[1:n] = params.lam + v[: n - 1]
-    rate[n] = v[n - 1]
-    pup = [1.0] + [params.lam / rate[i] for i in range(1, n)] + [0.0]
+    rate = -gen.diag
+    # up-rate over total rate; the full state N never moves up
+    pup = np.append(gen.sup / rate[:-1], 0.0).tolist()
     inv_rate = 1.0 / rate
 
     warmup = warmup_fraction * horizon

@@ -75,6 +75,11 @@ class TestValidation:
         with pytest.raises(InvalidParameter):
             SystemParams.from_json_dict(data)
 
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_with_penalty_rejects_non_finite_or_negative(self, example1_params, penalty):
+        with pytest.raises(InvalidParameter):
+            example1_params.with_penalty(penalty)
+
 
 class TestRewardStructure:
     def test_empty_state_profit_rate(self, example1_params):
