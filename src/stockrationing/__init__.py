@@ -29,6 +29,7 @@ from .chain import (
     ProfitLinearForm,
     StationaryDistribution,
     average_profit,
+    average_profits,
     build_generator,
     profit_linear_form,
     stationary_distribution,

@@ -4,7 +4,9 @@ The chain moves up at the supply rate and down at the aggregate service rate
 of the states's active demand classes, so the stationary weights have the
 usual product form.  Long-run average profit is the stationary expectation
 of the reward rate and is affine in the penalty cost because the stationary
-law itself does not depend on it.
+law itself does not depend on it.  `average_profits` scores a whole stack
+of policies at once: the policy moves only states 1..K, and above K the
+chain is one policy-free geometric segment.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    LengthMismatch,
     Policy,
     StockRationingError,
     SystemParams,
@@ -101,6 +104,34 @@ def average_profit(params: SystemParams, policy: Policy) -> float:
     dist = stationary_distribution(params, policy)
     rewards = reward_structure(params, policy)
     return float(dist.pi @ rewards.f_values)
+
+
+def average_profits(params: SystemParams, decisions: np.ndarray) -> np.ndarray:
+    """Average profit of every row of a (m, K) stack of 0/1 decision vectors.
+
+    A row's weights on states 1..K are one running product of its rate
+    ratios, and its rewards there are those of the all-zeros policy plus d
+    times the serving increment, both read off `reward_structure`.  States
+    above K do not depend on the policy: their weights relative to state K
+    are powers of lam/(mu1 + mu2), and the segment's weight and reward mass
+    are computed once per call.  A non-finite normalizer raises
+    NumericalOverflow.
+    """
+    k = params.threshold
+    d = np.asarray(decisions)
+    if d.ndim != 2 or d.shape[1] != k:
+        raise LengthMismatch(f"decisions of shape {d.shape} need shape (m, K={k})")
+    f0 = reward_structure(params, Policy.all_zeros(k)).f_values
+    served = reward_structure(params, Policy.all_ones(k)).f_values[1 : k + 1] - f0[1 : k + 1]
+    with np.errstate(over="ignore"):
+        tail = (params.lam / (params.mu1 + params.mu2)) ** np.arange(1.0, params.capacity - k + 1)
+        xi = (params.lam / (params.mu1 + params.mu2 * d)).cumprod(axis=1)
+    xi_k = xi[:, -1]
+    h = 1.0 + xi.sum(axis=1) + xi_k * tail.sum()
+    if not np.isfinite(h).all():
+        raise NumericalOverflow("stationary normalizer overflowed float64")
+    total = f0[0] + xi @ f0[1 : k + 1] + (xi * d) @ served + xi_k * (tail @ f0[k + 1 :])
+    return total / h
 
 
 def profit_linear_form(params: SystemParams, policy: Policy) -> ProfitLinearForm:

@@ -143,7 +143,7 @@ def cmd_solve(args) -> int:
         raise UsageError("solve needs a policy (--policy or config key)")
     dist = stationary_distribution(params, policy)
     form = profit_linear_form(params, policy)
-    sol = solve_poisson(params, policy, im=args.im, xi_shift=args.xi_shift)
+    sol = solve_poisson(params, policy, shift=args.shift)
     factors = realization_factors_from_potential(sol)
     profile = penalty_roots(params, policy)
     if args.format == "csv":
@@ -173,8 +173,7 @@ def cmd_solve(args) -> int:
                 "f_coef": form.f_coef,
                 "pi": dist.pi,
                 "g": sol.g,
-                "free_im": sol.free_im,
-                "free_xi": sol.free_xi,
+                "shift": sol.shift,
                 "poisson_residual": sol.residual,
                 "g_diff": factors.g_diff,
                 "offset_b": factors.offset_b,
@@ -205,7 +204,10 @@ def cmd_sweep(args) -> int:
     var = args.var
     if var == "theta":
         if args.grid:
-            thetas = [int(x) for x in _parse_grid(args.grid)]
+            grid = _parse_grid(args.grid)
+            if not all(float(x).is_integer() for x in grid):
+                raise UsageError(f"theta grid values must be integers, got {args.grid!r}")
+            thetas = [int(x) for x in grid]
         else:
             thetas = list(range(1, params.threshold + 2))
         if not thetas:
@@ -475,40 +477,44 @@ def build_parser() -> argparse.ArgumentParser:
         "policy optimization, threshold sweeps and simulation checks.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config with params and options")
-    common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--format", choices=["json", "csv"], default="json")
-    common.add_argument("--oracle", action="store_true", help="cross-check with enumeration")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--penalty", type=float, default=None, help="override penalty cost")
+    # Every command that loads a config shares these; the rest are declared
+    # only on the commands that read them.
+    loaded = argparse.ArgumentParser(add_help=False)
+    loaded.add_argument("--config", help="JSON config with params and options")
+    loaded.add_argument("--out", help="write output to this path instead of stdout")
+    loaded.add_argument("--penalty", type=float, default=None, help="override penalty cost")
+    policy_help = '"zeros", "ones", comma list or JSON array'
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[common], help="solve one policy end to end")
-    p_solve.add_argument("--policy", help='"zeros", "ones", comma list or JSON array')
-    p_solve.add_argument("--im", type=float, default=0.0, help="potential value at state 0")
-    p_solve.add_argument("--xi-shift", type=float, default=0.0, help="uniform potential shift")
+    p_solve = sub.add_parser("solve", parents=[loaded], help="solve one policy end to end")
+    p_solve.add_argument("--format", choices=["json", "csv"], default="json")
+    p_solve.add_argument("--policy", help=policy_help)
+    p_solve.add_argument("--shift", type=float, default=0.0, help="uniform potential shift")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_opt = sub.add_parser("optimize", parents=[common], help="find the optimal policy")
+    p_opt = sub.add_parser("optimize", parents=[loaded], help="find the optimal policy")
+    p_opt.add_argument("--oracle", action="store_true", help="cross-check with enumeration")
     p_opt.set_defaults(func=cmd_optimize)
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="grid sweeps to CSV")
+    p_sweep = sub.add_parser("sweep", parents=[loaded], help="grid sweeps to CSV")
     p_sweep.add_argument("--var", choices=["theta", "lambda", "penalty"], required=True)
     p_sweep.add_argument("--grid", help="start:stop:count or comma list")
-    p_sweep.add_argument("--policy")
+    p_sweep.add_argument("--policy", help=policy_help)
     p_sweep.add_argument("--with-theta-star", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="simulation estimate of eta")
-    p_sim.add_argument("--policy")
+    p_sim = sub.add_parser("simulate", parents=[loaded], help="simulation estimate of eta")
+    p_sim.add_argument("--format", choices=["json", "csv"], default="json")
+    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--policy", help=policy_help)
     p_sim.add_argument("--horizon", type=float, default=1e5)
     p_sim.add_argument("--replications", type=int, default=20)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_rep = sub.add_parser("reproduce", parents=[common], help="rerun a packaged experiment")
+    p_rep = sub.add_parser("reproduce", help="rerun a packaged experiment")
     p_rep.add_argument("target", choices=sorted(REPRODUCE_TARGETS))
+    p_rep.add_argument("--out", help="write the result rows as CSV to this path")
     p_rep.set_defaults(func=cmd_reproduce)
 
     return parser

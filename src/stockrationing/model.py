@@ -196,7 +196,9 @@ class Policy:
 
     @classmethod
     def from_json_list(cls, data: Sequence[int]) -> "Policy":
-        return cls(tuple(int(d) for d in data))
+        """Policy from a JSON list of 0/1 values; an integral float such as 1.0
+        is accepted, and any other value raises instead of being truncated."""
+        return cls(tuple(data))
 
     def to_json_list(self) -> list[int]:
         return list(self.decisions)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import average_profit
+from .chain import average_profit, average_profits
 from .model import (
     ENUMERATION_CAP,
     CapExceeded,
@@ -171,52 +171,21 @@ def brute_force_optimal(
 ) -> tuple[Policy, float]:
     """Exact argmax of the average profit over all 2^K policies.
 
-    Enumerates in lexicographic order of the decision vector with the
-    stationary law vectorized over policies; near-ties inside the
+    Enumerates in lexicographic order of the decision vector, scoring each
+    chunk of policies in one `average_profits` call; near-ties inside the
     comparison band resolve to the lexicographically smallest vector by
     keeping the first maximizer.
     """
-    p = params
-    k, n = p.threshold, p.capacity
+    k = params.threshold
     if k > cap:
         raise CapExceeded(f"K={k} exceeds enumeration cap {cap}")
     shifts = np.arange(k - 1, -1, -1, dtype=np.uint64)  # d_1 is the most significant bit
-    b_margin = (p.price + p.c_lost2 - p.penalty) * p.mu2
-    base = (
-        p.price * p.mu1 - p.c_hold * np.arange(1.0, k + 1) - p.c_lost2 * p.mu2 - p.c_buy * p.lam
-    )
-    f0 = -p.c_lost1 * p.mu1 - p.c_lost2 * p.mu2 - p.c_buy * p.lam
-    beta = p.lam / (p.mu1 + p.mu2)
-    # Tail above the threshold is policy-free: precompute its weight and reward sums
-    # relative to the weight at state K.
-    tail_w = beta ** np.arange(1.0, n - k + 1)
-    tail_f = p.price * (p.mu1 + p.mu2) - p.c_hold * np.arange(k + 1.0, n + 1) - p.c_buy * p.lam
-    if n > k:
-        tail_f[-1] = p.price * (p.mu1 + p.mu2) - p.c_hold * n - p.c_opp * p.lam
-    tail_weight = tail_w.sum()
-    tail_reward = float(tail_w @ tail_f)
-
-    def eta_block(idx: np.ndarray) -> np.ndarray:
-        d = ((idx[:, None] >> shifts) & 1).astype(np.float64)
-        v = p.mu1 + p.mu2 * d
-        xi = np.cumprod(p.lam / v, axis=1)  # states 1..K
-        f_low = base + b_margin * d
-        if k == n:
-            # no tail; state N is the last rationed state with the
-            # opportunity-cost swap
-            f_low[:, -1] += (p.c_buy - p.c_opp) * p.lam
-            h = 1.0 + xi.sum(axis=1)
-            return (f0 + (xi * f_low).sum(axis=1)) / h
-        h = 1.0 + xi.sum(axis=1) + xi[:, -1] * tail_weight
-        total = f0 + (xi * f_low).sum(axis=1) + xi[:, -1] * tail_reward
-        return total / h
-
     best_eta = 0.0
     best_idx = None
     count = 1 << k
     for start in range(0, count, chunk):
         idx = np.arange(start, min(start + chunk, count), dtype=np.uint64)
-        etas = eta_block(idx)
+        etas = average_profits(params, (idx[:, None] >> shifts) & 1)
         block_max = float(np.max(etas))
         if best_idx is None or block_max > best_eta + BRUTE_FORCE_TIE_BAND * max(
             1.0, abs(best_eta)
@@ -227,8 +196,7 @@ def brute_force_optimal(
             best_idx = int(idx[first])
             best_eta = float(etas[first])
     bits = tuple(int((best_idx >> int(s)) & 1) for s in shifts)
-    policy = Policy(bits)
-    return policy, average_profit(params, policy)
+    return Policy(bits), best_eta
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 The Poisson equation -B g = f - eta*e fixes the potential vector g only up
 to additive structure: drop the first row and column and the remaining
 tridiagonal block is invertible, which yields a special solution with
-g(0) = 0 plus two free constants (the choice of g(0) and a uniform shift).
-Realization factors G(i) = g(i-1) - g(i) are what every downstream formula
-consumes, and they are invariant to both constants.
+g(0) = 0 plus one free constant: the g(0)-direction vector is the all-ones
+vector, so choosing g(0) is a uniform shift.  Realization factors
+G(i) = g(i-1) - g(i) are what every downstream formula consumes, and they
+are invariant to the shift.
 
 Three mutually checking routes compute G:
 
@@ -48,7 +49,7 @@ TERMINAL_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class PoissonSolution:
-    """Potential vector with the two free constants it was built with.
+    """Potential vector with the free uniform shift it was built with.
 
     residual is the infinity norm of (-B g) - (f - eta*e); offset_b is the
     reward margin R + c_lost2 - P that accompanies G in every comparison
@@ -56,8 +57,7 @@ class PoissonSolution:
     """
 
     g: np.ndarray
-    free_im: float
-    free_xi: float
+    shift: float
     residual: float
     eta: float
     offset_b: float
@@ -149,14 +149,12 @@ def _compensated_cumsum(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def solve_poisson(
-    params: SystemParams, policy: Policy, im: float = 0.0, xi_shift: float = 0.0
-) -> PoissonSolution:
+def solve_poisson(params: SystemParams, policy: Policy, shift: float = 0.0) -> PoissonSolution:
     """General solution of the policy-based Poisson equation.
 
-    Returns the special solution (zero first entry) plus im times the
-    g(0)-direction vector plus a uniform xi_shift.  Both free constants move
-    every entry of g equally, so no realization factor depends on them.
+    Returns the special solution (zero first entry) plus a uniform shift,
+    which is g(0); it moves every entry of g equally, so no realization
+    factor depends on it.
     """
     rewards = reward_structure(params, policy)
     dist = stationary_distribution(params, policy)
@@ -165,15 +163,12 @@ def solve_poisson(
     # The g(0)-direction vector (1, v(d_1) * inv(-reduced B) @ e_1) is the
     # all-ones vector identically: the reduced matrix maps ones to
     # v(d_1) * e_1 because all other row sums vanish.
-    if im != 0.0:
-        g = g + im
-    if xi_shift != 0.0:
-        g = g + xi_shift
+    if shift != 0.0:
+        g = g + shift
     residual = _poisson_residual(params, policy, g, rewards.f_values, eta)
     return PoissonSolution(
         g=g,
-        free_im=im,
-        free_xi=xi_shift,
+        shift=shift,
         residual=residual,
         eta=eta,
         offset_b=params.price + params.c_lost2 - params.penalty,
@@ -199,8 +194,7 @@ def solve_poisson_normalized(params: SystemParams, policy: Policy) -> PoissonSol
     residual = _poisson_residual(params, policy, g, rewards.f_values, eta)
     return PoissonSolution(
         g=g,
-        free_im=float(g[0]),
-        free_xi=0.0,
+        shift=float(g[0]),
         residual=residual,
         eta=eta,
         offset_b=params.price + params.c_lost2 - params.penalty,

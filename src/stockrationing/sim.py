@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import build_generator
-from .model import Policy, StockRationingError, SystemParams, reward_structure
+from .model import InvalidParameter, Policy, StockRationingError, SystemParams, reward_structure
 
 CHUNK = 1 << 15
 
@@ -95,8 +95,8 @@ def simulate(
     reported standard error is the sample standard deviation of the
     per-replication means divided by sqrt(replications).
     """
-    if horizon <= 0:
-        raise StockRationingError(f"horizon must be positive, got {horizon}")
+    if not 0 < horizon < np.inf:
+        raise InvalidParameter(f"horizon must be positive and finite, got {horizon}")
     if replications < 2:
         raise StockRationingError(
             f"need at least 2 replications for a standard error, got {replications}"

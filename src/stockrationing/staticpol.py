@@ -1,25 +1,20 @@
-"""Static (pure threshold) rationing policies and their closed-form profit.
+"""Static (pure threshold) rationing policies and their profit.
 
 A static policy refuses Class 2 strictly below a level theta and serves it
 from theta up to the rationing threshold K; theta = K + 1 therefore encodes
-"never serve at low stock" and theta = 1 "always serve".  The stationary
-weights collapse to two geometric segments, so the average profit has a
-closed form in the supply/service rate ratios.
+"never serve at low stock" and theta = 1 "always serve".  Their profits come
+from the chain's batched evaluator, one decision row per threshold.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .chain import average_profit, stationary_distribution
-from .model import Policy, StockRationingError, SystemParams, reward_structure
-from .poisson import potential_for_reward
+import numpy as np
 
-DEGENERATE_RATIO_TOL = 1e-9
-# Below this distance from ratio 1 the closed-form geometric sums lose
-# digits to cancellation; plain summation is exact and just as fast here.
-GEOM_LOOP_BAND = 1e-6
+from .chain import average_profits
+from .model import Policy, StockRationingError, SystemParams
+from .sensitivity import penalty_roots
 
 
 class ThetaOutOfRange(StockRationingError):
@@ -32,72 +27,28 @@ class StaticPolicy:
     policy: Policy
 
 
-def build_static(params: SystemParams, theta: int) -> StaticPolicy:
+def _threshold_rows(params: SystemParams, thetas: int | range) -> np.ndarray:
+    """One decision row per theta: withhold below theta, serve from theta to K."""
     k = params.threshold
-    if not 1 <= theta <= k + 1:
-        raise ThetaOutOfRange(f"theta must lie in 1..{k + 1}, got {theta}")
-    decisions = tuple(0 if i < theta else 1 for i in range(1, k + 1))
-    return StaticPolicy(theta=theta, policy=Policy(decisions))
+    thetas = np.asarray(thetas).reshape(-1, 1)
+    bad = thetas[(thetas < 1) | (thetas > k + 1)]
+    if bad.size:
+        raise ThetaOutOfRange(f"theta must lie in 1..{k + 1}, got {bad[0]}")
+    return (np.arange(1, k + 1) >= thetas).astype(int)
 
 
-def geom_sum(x: float, a: int, b: int) -> float:
-    """Sum of x**i over i = a..b inclusive (0 for an empty range)."""
-    if a > b:
-        return 0.0
-    if abs(x - 1.0) < GEOM_LOOP_BAND:
-        return math.fsum(x**i for i in range(a, b + 1))
-    return (x**a - x ** (b + 1)) / (1.0 - x)
-
-
-def geom_weighted_sum(x: float, a: int, b: int) -> float:
-    """Sum of i * x**i over i = a..b inclusive (0 for an empty range)."""
-    if a > b:
-        return 0.0
-    if abs(x - 1.0) < GEOM_LOOP_BAND:
-        return math.fsum(i * x**i for i in range(a, b + 1))
-    one_minus = 1.0 - x
-    return (a * x**a - (b + 1) * x ** (b + 1)) / one_minus + (
-        x ** (a + 1) - x ** (b + 2)
-    ) / one_minus**2
+def build_static(params: SystemParams, theta: int) -> StaticPolicy:
+    return StaticPolicy(theta=theta, policy=Policy(tuple(_threshold_rows(params, theta)[0])))
 
 
 def static_profit_closed_form(params: SystemParams, theta: int) -> float:
-    """Average profit of the threshold-theta policy via geometric sums.
+    """Average profit of the threshold-theta policy.
 
-    The two stationary segments are geometric in alpha = lam/mu1 and
-    beta = lam/(mu1 + mu2); the state-N reward differs from the pattern of
-    its segment by the purchase-vs-opportunity cost swap, which enters as a
-    single boundary term.  Ratios within DEGENERATE_RATIO_TOL of one have no
-    closed form and fall back to the generic stationary-expectation route.
+    The threshold policy is one row for `chain.average_profits`, whose
+    states above K form the policy-free geometric segment in
+    lam/(mu1 + mu2); any rate ratio, one included, takes the same route.
     """
-    p = params
-    k, n = p.threshold, p.capacity
-    static = build_static(p, theta)
-    alpha = p.lam / p.mu1
-    beta = p.lam / (p.mu1 + p.mu2)
-    if abs(alpha - 1.0) < DEGENERATE_RATIO_TOL or abs(beta - 1.0) < DEGENERATE_RATIO_TOL:
-        return average_profit(p, static.policy)
-
-    gamma1 = p.c_lost1 * p.mu1 + p.c_lost2 * p.mu2 + p.c_buy * p.lam
-    gamma2 = p.price * p.mu1 - p.c_lost2 * p.mu2 - p.c_buy * p.lam
-    gamma3 = p.price * (p.mu1 + p.mu2) - p.c_buy * p.lam
-    gamma4 = p.price * (p.mu1 + p.mu2) - p.c_buy * p.lam - p.penalty * p.mu2
-
-    w = (alpha / beta) ** (theta - 1)
-    h = 1.0 + geom_sum(alpha, 1, theta - 1) + w * geom_sum(beta, theta, n)
-    total = (
-        -gamma1
-        + gamma2 * geom_sum(alpha, 1, theta - 1)
-        - p.c_hold * geom_weighted_sum(alpha, 1, theta - 1)
-        + w
-        * (
-            gamma4 * geom_sum(beta, theta, k)
-            + gamma3 * geom_sum(beta, k + 1, n)
-            - p.c_hold * geom_weighted_sum(beta, theta, n)
-            + (p.c_buy - p.c_opp) * p.lam * beta**n
-        )
-    )
-    return total / h
+    return float(average_profits(params, _threshold_rows(params, theta))[0])
 
 
 def optimal_static_threshold(
@@ -106,14 +57,14 @@ def optimal_static_threshold(
     """Best threshold over the swept range (default 1..K+1), ties to the smaller theta."""
     if thetas is None:
         thetas = range(1, params.threshold + 2)
-    best_theta, best_eta = None, -math.inf
-    for theta in thetas:
-        eta = static_profit_closed_form(params, theta)
-        if best_theta is None or eta > best_eta + 1e-12 * max(1.0, abs(best_eta)):
-            best_theta, best_eta = theta, eta
-    if best_theta is None:
+    if len(thetas) == 0:
         raise StockRationingError("empty theta range")
-    return best_theta, best_eta
+    etas = average_profits(params, _threshold_rows(params, thetas)).tolist()
+    best = 0
+    for j, eta in enumerate(etas):
+        if eta > etas[best] + 1e-12 * max(1.0, abs(etas[best])):
+            best = j
+    return thetas[best], etas[best]
 
 
 @dataclass(frozen=True)
@@ -135,12 +86,8 @@ class ThresholdOptimalityReport:
 
 
 def _g_plus_b(params: SystemParams, policy: Policy, i: int) -> float:
-    rewards = reward_structure(params, policy)
-    dist = stationary_distribution(params, policy)
-    eta = float(dist.pi @ rewards.f_values)
-    g = potential_for_reward(params, policy, rewards.f_values, eta)
-    b = params.price + params.c_lost2 - params.penalty
-    return float(g[i - 1] - g[i] + b)
+    profile = penalty_roots(params, policy)
+    return float(profile.num[i - 1] - params.penalty * profile.den[i - 1])
 
 
 def threshold_optimality_check(

@@ -252,8 +252,7 @@ def test_criterion_05_poisson_residual():
     while solved < 150:
         p = random_params(rng, k_max=200, n_max=200)
         pol = random_policy(rng, p.threshold)
-        sol = solve_poisson(p, pol, im=float(rng.uniform(-3, 3)),
-                            xi_shift=float(rng.uniform(-3, 3)))
+        sol = solve_poisson(p, pol, shift=float(rng.uniform(-3, 3)) + float(rng.uniform(-3, 3)))
         g_scale = float(np.max(np.abs(sol.g)))
         rate = p.lam + p.mu1 + p.mu2
         # supplementary scale-aware bound on every instance: evaluating the

@@ -64,6 +64,15 @@ class TestSolve:
         assert code == 2
         assert "JSON" in err
 
+    def test_shift_moves_potential_only(self, config_path, capsys):
+        base_args = ["solve", "--config", config_path(SMALL), "--policy", "zeros"]
+        _, out, _ = run_cli(base_args, capsys)
+        _, shifted_out, _ = run_cli(base_args + ["--shift", "2.5"], capsys)
+        base, shifted = json.loads(out), json.loads(shifted_out)
+        assert shifted["shift"] == 2.5
+        assert shifted["g"] == pytest.approx([g + 2.5 for g in base["g"]], abs=1e-12)
+        assert shifted["g_diff"] == pytest.approx(base["g_diff"], abs=1e-12)
+
     def test_csv_format(self, config_path, capsys):
         code, out, _ = run_cli(
             ["solve", "--config", config_path(SMALL), "--policy", "zeros",
@@ -133,6 +142,35 @@ class TestErrorMapping:
         assert code == 2
         assert "policy" in err
 
+    @pytest.mark.parametrize(
+        "source,policy,code",
+        [("flag", "[0.9,1]", 2), ("config", [0.9, 1], 2), ("flag", "[1.0,0]", 0),
+         ("config", [1.0, 0], 0)],
+    )
+    def test_fractional_policy_is_usage_error(self, config_path, capsys, source, policy, code):
+        config = {"params": {**SMALL["params"], "threshold_k": 2}}
+        args = ["solve", "--format", "csv"]
+        if source == "flag":
+            args += ["--policy", policy]
+        else:
+            config["policy"] = policy
+        got, _, err = run_cli(args + ["--config", config_path(config)], capsys)
+        assert got == code
+        if code:
+            assert "0.9" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["reproduce", "example4", "--penalty", "3", "--oracle", "--format", "json",
+          "--config", "missing.json"],
+         ["optimize", "--config", "missing.json", "--format", "csv"]],
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_library_value_error_propagates(self, config_path, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("internal fault")
@@ -151,6 +189,20 @@ class TestSweep:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["theta", "eta"]
         assert len(rows) == 17  # header + theta = 1..16
+
+    @pytest.mark.parametrize(
+        "grid,thetas", [("1.9,2.5", None), ("1,2.0", ["1", "2"]), ("1:3:3", ["1", "2", "3"])]
+    )
+    def test_theta_grid_rejects_fractional_values(self, config_path, capsys, grid, thetas):
+        code, out, err = run_cli(
+            ["sweep", "--config", config_path(EX1), "--var", "theta", "--grid", grid], capsys
+        )
+        if thetas is None:
+            assert code == 2
+            assert "integers" in err
+        else:
+            assert code == 0
+            assert [row[0] for row in csv.reader(io.StringIO(out))][1:] == thetas
 
     def test_penalty_sweep_is_affine(self, config_path, capsys):
         code, out, _ = run_cli(
@@ -214,6 +266,15 @@ class TestSimulate:
              "--replications", "1"], capsys
         )
         assert code == 2
+
+    def test_nan_horizon_is_usage_error(self, config_path, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--config", config_path(SMALL), "--policy", "zeros",
+             "--horizon", "nan", "--replications", "3"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "horizon" in err
 
     def test_per_rep_csv(self, config_path, capsys):
         code, out, _ = run_cli(

@@ -48,7 +48,7 @@ class TestSolvePoisson:
                          price=5, penalty=2)
         pol = Policy(tuple(bits))
         base = realization_factors_from_potential(solve_poisson(p, pol))
-        moved = realization_factors_from_potential(solve_poisson(p, pol, im=im, xi_shift=xi))
+        moved = realization_factors_from_potential(solve_poisson(p, pol, shift=im + xi))
         np.testing.assert_allclose(moved.g_diff, base.g_diff, atol=1e-9)
 
     def test_special_solution_starts_at_zero(self):
@@ -78,7 +78,7 @@ class TestSolvePoisson:
         p = random_params(rng)
         pol = random_policy(rng, p.threshold)
         base = solve_poisson(p, pol)
-        shifted = solve_poisson(p, pol, xi_shift=2.5)
+        shifted = solve_poisson(p, pol, shift=2.5)
         np.testing.assert_allclose(shifted.g - base.g, 2.5, atol=1e-12)
 
     def test_g0_direction_is_uniform(self):
@@ -87,7 +87,7 @@ class TestSolvePoisson:
         p = random_params(rng)
         pol = random_policy(rng, p.threshold)
         base = solve_poisson(p, pol)
-        moved = solve_poisson(p, pol, im=-3.0)
+        moved = solve_poisson(p, pol, shift=-3.0)
         np.testing.assert_allclose(moved.g - base.g, -3.0, atol=1e-12)
 
     def test_residual_small_at_n200(self):
@@ -132,7 +132,7 @@ class TestSolvePoissonNormalized:
 class TestRealizationFactors:
     def test_from_potential_shape_and_shift_invariance(self, unit_params):
         sol0 = solve_poisson(unit_params, Policy((0,)))
-        sol1 = solve_poisson(unit_params, Policy((0,)), im=4.0, xi_shift=-2.0)
+        sol1 = solve_poisson(unit_params, Policy((0,)), shift=4.0 - 2.0)
         f0 = realization_factors_from_potential(sol0)
         f1 = realization_factors_from_potential(sol1)
         assert len(f0.g_diff) == unit_params.capacity

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stockrationing import (
+    InvalidParameter,
     Policy,
     StockRationingError,
     SystemParams,
@@ -35,6 +36,12 @@ def test_replication_count_guard(unit_params):
         simulate(unit_params, Policy((0,)), horizon=100.0, replications=1, seed=0)
     with pytest.raises(StockRationingError):
         simulate(unit_params, Policy((0,)), horizon=0.0, replications=4, seed=0)
+
+
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+def test_non_finite_horizon_rejected(unit_params, horizon):
+    with pytest.raises(InvalidParameter):
+        simulate(unit_params, Policy((0,)), horizon=horizon, replications=4, seed=0)
 
 
 def test_unit_instance_estimate_brackets_analytic(unit_params):

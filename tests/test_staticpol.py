@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,24 +8,45 @@ from stockrationing import (
     SystemParams,
     ThetaOutOfRange,
     average_profit,
+    average_profits,
     build_static,
+    enumerate_policies,
     optimal_static_threshold,
+    reward_structure,
     static_profit_closed_form,
     threshold_optimality_check,
 )
-from stockrationing.staticpol import geom_sum, geom_weighted_sum
 
 from conftest import random_params
 
 
 class TestGeomSums:
+    """Above K the weights are geometric in x = lam/(mu1 + mu2).
+
+    The tail holds the b - a + 1 states after K = max(a, 1) (none when
+    b < a, which makes K = N).  Every policy of that K is one row of a
+    single evaluator call, checked against the weights summed term by term,
+    also at ratios on and within 1e-6 of one, where closed-form geometric
+    sums cancel.
+    """
+
     @pytest.mark.parametrize("x", [0.3, 0.9999993, 1.0, 1.0000004, 2.5])
     @pytest.mark.parametrize("a,b", [(0, 0), (1, 15), (3, 40), (5, 4)])
     def test_against_direct_summation(self, x, a, b):
-        want = sum(x**i for i in range(a, b + 1))
-        want_w = sum(i * x**i for i in range(a, b + 1))
-        assert geom_sum(x, a, b) == pytest.approx(want, rel=1e-12, abs=1e-14)
-        assert geom_weighted_sum(x, a, b) == pytest.approx(want_w, rel=1e-12, abs=1e-14)
+        k = max(a, 1)
+        p = SystemParams(lam=2.0 * x, mu1=1.5, mu2=0.5, capacity=k + max(b - a + 1, 0),
+                         threshold=k, c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1,
+                         price=15, penalty=3)
+        policies = list(enumerate_policies(k))
+        got = average_profits(p, np.array([pol.decisions for pol in policies]))
+        for pol, eta in zip(policies, got):
+            f = reward_structure(p, pol).f_values
+            xi = [1.0]
+            for d in pol.decisions:
+                xi.append(xi[-1] * p.lam / (p.mu1 + p.mu2 * d))
+            xi += [xi[-1] * x**j for j in range(1, p.capacity - k + 1)]
+            want = math.fsum(w * r for w, r in zip(xi, f)) / math.fsum(xi)
+            assert eta == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 class TestBuildStatic:
