@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Time the solver's layers across capacities and print a Markdown table.
+"""Time the solver's layers across capacities and drifts; print a Markdown table.
 
 Each cell is the best of 3 wall-clock timings (time.perf_counter) of one
-call at example-1 rates (lam=3, mu1=4, mu2=2) and costs, K=15, P=5; the
-first three layers use the all-ones policy.  Run from the repository root:
+call at example-1 service rates (mu1=4, mu2=2) and costs, K=15, P=5; the
+layers that take a policy use the all-ones policy.  The first four columns
+use example 1's supply rate, lam=3, so lam/(mu1+mu2) = 0.5; the last three
+take N=1e5 at lam/(mu1+mu2) = 0.8, 1 and 1.2.  A cell reads "raises" when
+the call raises StockRationingError.  Run from the repository root:
 
     PYTHONPATH=src python scripts/time_layers.py
 
-At N=1e4 and above these rates underflow the stationary weights, so the
-potential has a non-finite tail (a known defect); the timings still stand
-for the work done.  BLAS runs on one thread, as in perfbench: on a 2-vCPU
-VM a threaded OpenBLAS dot product at N >= 1e4 took several milliseconds
-of thread hand-off in some processes and none in others.
+BLAS runs on one thread, as in perfbench: on a 2-vCPU VM a threaded
+OpenBLAS dot product at N >= 1e4 took several milliseconds of thread
+hand-off in some processes and none in others.
 """
 
 import os
@@ -23,14 +24,19 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from stockrationing import (  # noqa: E402
     Policy,
+    StockRationingError,
     SystemParams,
     average_profit,
     global_optimal,
+    optimal_static_threshold,
     penalty_roots,
+    profit_linear_form,
     solve_poisson,
 )
 
-CAPACITIES = (100, 1_000, 10_000, 100_000)
+COLUMNS = [(0.5, n) for n in (100, 1_000, 10_000, 100_000)] + [
+    (beta, 100_000) for beta in (0.8, 1.0, 1.2)
+]
 REPEATS = 3
 
 
@@ -50,24 +56,33 @@ def fmt(seconds: float) -> str:
     return f"{ms:.2f} ms" if ms < 1 else f"{ms:.3g} ms"
 
 
+def cell(call) -> str:
+    try:
+        return fmt(best_time(call))
+    except StockRationingError:
+        return "raises"
+
+
 def main():
     warnings.simplefilter("ignore", RuntimeWarning)
     layers = {
         "average_profit": lambda p, pol: average_profit(p, pol),
+        "profit_linear_form": lambda p, pol: profit_linear_form(p, pol),
         "solve_poisson": lambda p, pol: solve_poisson(p, pol),
         "penalty_roots": lambda p, pol: penalty_roots(p, pol),
+        "optimal_static_threshold": lambda p, pol: optimal_static_threshold(p),
         "global_optimal": lambda p, pol: global_optimal(p),
     }
-    print("| layer | " + " | ".join(f"N={n:,}" for n in CAPACITIES) + " |")
-    print("|---" * (len(CAPACITIES) + 1) + "|")
+    print("| layer | " + " | ".join(f"β={b:g} N={n:,}" for b, n in COLUMNS) + " |")
+    print("|---" * (len(COLUMNS) + 1) + "|")
     for name, call in layers.items():
         cells = []
-        for n in CAPACITIES:
-            p = SystemParams(lam=3.0, mu1=4.0, mu2=2.0, capacity=n, threshold=15,
+        for beta, n in COLUMNS:
+            p = SystemParams(lam=6.0 * beta, mu1=4.0, mu2=2.0, capacity=n, threshold=15,
                              c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1,
                              price=15, penalty=5.0)
             pol = Policy.all_ones(15)
-            cells.append(fmt(best_time(lambda: call(p, pol))))
+            cells.append(cell(lambda: call(p, pol)))
         print(f"| `{name}` | " + " | ".join(cells) + " |")
 
 

@@ -24,6 +24,7 @@ from .model import (
     validate_params,
 )
 from .chain import (
+    ChainRecord,
     Generator,
     NumericalOverflow,
     ProfitLinearForm,
@@ -31,29 +32,22 @@ from .chain import (
     average_profit,
     average_profits,
     build_generator,
+    chain_record,
     profit_linear_form,
     stationary_distribution,
 )
 from .poisson import (
-    InconsistentTermination,
     IndexOutOfRange,
     PoissonSolution,
     RealizationFactors,
-    SingularSystem,
     potential_for_reward,
-    realization_factor_closed_form,
     realization_factors_from_potential,
-    realization_factors_recurrence,
     solve_poisson,
-    solve_poisson_normalized,
 )
 from .sensitivity import (
-    ClassPropertyReport,
     NotSingleFlip,
     PenaltyProfile,
-    class_property_check,
     classify_sign,
-    difference_general,
     difference_one_position,
     penalty_roots,
 )

@@ -2,17 +2,21 @@
 
 The chain moves up at the supply rate and down at the aggregate service rate
 of the states's active demand classes, so the stationary weights have the
-usual product form.  Long-run average profit is the stationary expectation
-of the reward rate and is affine in the penalty cost because the stationary
-law itself does not depend on it.  `average_profits` scores a whole stack
-of policies at once: the policy moves only states 1..K, and above K the
-chain is one policy-free geometric segment.
+usual product form.  The policy moves only states 1..K; above K the chain is
+one policy-free geometric segment in beta = lam/(mu1 + mu2).  So one policy
+is solved once, in `chain_record`, in ratio form and in O(K): weights on
+states 0..K on a scale that cannot overflow, and closed-form sums for the
+segment, taken relative to its heavier end, so no weight overflows or
+underflows at any N.  The record gives the profit split eta = D - P*F, the
+realization factors behind the flip margins G(i) + b on 1..K, and pi.
+`average_profits` scores a whole stack of policies with the same pieces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,14 +25,21 @@ from .model import (
     Policy,
     StockRationingError,
     SystemParams,
+    _rewards,
     check_policy,
     reward_structure,
     service_rates,
 )
 
+# Below this z the difference 1/expm1(z) - 1/z loses more to cancellation,
+# about 4 eps / z, than its series loses to its first omitted term,
+# z**9 / 47900160.
+SERIES_BAND = 0.15
+TINY = 2.2250738585072014e-308     # the smallest normal float64
+
 
 class NumericalOverflow(StockRationingError):
-    pass
+    """The weights on states 0..K span more than float64's exponent range."""
 
 
 @dataclass(frozen=True)
@@ -46,8 +57,6 @@ class Generator:
 @dataclass(frozen=True)
 class StationaryDistribution:
     pi: np.ndarray
-    xi: np.ndarray
-    h: float
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,99 @@ class ProfitLinearForm:
         return self.d_coef - penalty * self.f_coef
 
 
+@dataclass(frozen=True)
+class ChainRecord:
+    """One policy's chain, solved once in ratio form.
+
+    `weights` are the stationary weights on states 0..K, the largest of
+    them between 1 and e**600.  The segment above K enters through its
+    reference state, K when beta <= 1 and N when beta > 1: `tail_log` is the
+    log of its weight on the chain's scale, and `tail` holds its _tail_sums
+    and weighted B.  `scales` map the head's and the reference's weights to
+    the chain's scale, and `norm` is the total weight there.  The rewards
+    and the profit split are computed on first use.
+    """
+
+    params: SystemParams
+    decisions: np.ndarray
+    weights: np.ndarray
+    scales: tuple[float, float]
+    tail_log: float
+    tail: tuple
+    norm: float
+
+    @cached_property
+    def rewards(self) -> np.ndarray:
+        """Rows B and A of the reward f = B - P*A on states 0..K."""
+        return _rewards(self.params, self.decisions)
+
+    @cached_property
+    def form(self) -> ProfitLinearForm:
+        """eta = D - P*F, D and F the stationary means of B and A."""
+        head_scale, tail_scale = self.scales
+        d_head, f_head = self.rewards @ self.weights * (head_scale / self.norm)
+        return ProfitLinearForm(d_coef=float(d_head + tail_scale * self.tail[1] / self.norm),
+                                f_coef=float(f_head))
+
+    def stationary(self) -> np.ndarray:
+        """pi on states 0..N; above K the weights are powers of beta."""
+        p = self.params
+        k = p.threshold
+        pi = np.empty(p.capacity + 1)
+        pi[: k + 1] = self.weights * (self.scales[0] / self.norm)
+        offsets = np.arange(1.0, p.capacity - k + 1)
+        if _log_beta(p) > 0:
+            offsets -= p.capacity - k
+        pi[k + 1 :] = _exp(offsets * _log_beta(p) + self.tail_log) / self.norm
+        return pi
+
+    def cut_factors(self) -> np.ndarray:
+        """Rows G_B and G_A of G(i) = g(i-1) - g(i) = G_B - P*G_A at positions
+        1..min(K+1, N); the margin at i <= K is (R + c_lost2 + G_B) - P(1 + G_A).
+
+        The cut-flow identity of the birth-death equation, summed over rows
+        0..i-1, gives
+
+            lam * xi_{i-1} * G(i) = sum_{j<i} xi_j * (f_j - eta),
+
+        and the sum from i up is its negative, so each G(i) is a ratio of
+        weight sums over states 0..K, where the sum from i up adds the
+        segment's closed form.  Each cut is taken from the end with less
+        mass, which bounds its rounding.
+        """
+        p = self.params
+        k = p.threshold
+        w, (head_scale, tail_scale) = self.weights, self.scales
+        n_cuts = min(k + 1, p.capacity)
+        if w[:n_cuts].min() < TINY:
+            raise NumericalOverflow(
+                "weights on states 0..K span more than float64's range: "
+                f"{int(np.sum(w[:n_cuts] < TINY))} cuts would divide by a flushed weight")
+        (w_sum, m_sum, top), seg = self.tail
+        d_coef, f_coef = self.form.d_coef, self.form.f_coef
+        coef = np.array([[d_coef], [f_coef]])
+        b_head, a_head = self.rewards @ w
+        dev = np.empty((2, k + 2))
+        np.multiply(w, self.rewards - coef, out=dev[:, :-1])
+        # The segment's deficit on the head's scale, from its own closed form.
+        dev[0, -1] = tail_scale * (seg * w.sum() - b_head * w_sum) / self.norm
+        dev[1, -1] = -tail_scale * a_head * w_sum / self.norm
+        # A state's deviation f_j - eta rounds at eps (|f_j| + |eta|), so
+        # that, weighted, is the mass an end's sum carries.
+        level = p.price * (p.mu1 + p.mu2) - p.c_hold * k - p.c_buy * p.lam
+        tail_mass = tail_scale * np.array([
+            [(abs(level) + abs(d_coef)) * w_sum + p.c_hold * m_sum
+             + abs(p.c_buy - p.c_opp) * p.lam * top],
+            [f_coef * w_sum],
+        ])
+        mass = head_scale * (w * (np.abs(self.rewards) + np.abs(coef))).cumsum(axis=1)
+        # Rows 0-1 run up from state 0; rows 2-3 run down from the segment,
+        # so their entries reversed are the sums from state i = 1..K+1 up.
+        runs = _compensated_cumsum(np.concatenate((dev[:, :-1], dev[:, :0:-1])))
+        cut = np.where(mass <= 0.5 * (mass[:, -1:] + tail_mass), runs[:2], -runs[2:, ::-1])
+        return cut[:, :n_cuts] / (p.lam * w[:n_cuts])
+
+
 def build_generator(params: SystemParams, policy: Policy) -> Generator:
     n = params.capacity
     v = service_rates(params, policy)
@@ -72,30 +174,148 @@ def build_generator(params: SystemParams, policy: Policy) -> Generator:
     return Generator(sub=v, diag=diag, sup=sup)
 
 
-def _stationary_weights(params: SystemParams, policy: Policy) -> np.ndarray:
-    """Unnormalized product-form weights xi_0..xi_N with xi_0 = 1.
+def _exp(z: np.ndarray) -> np.ndarray:
+    """exp(z), zero where it underflows; numpy's exp is slow on those."""
+    return np.exp(z, out=np.zeros(z.shape), where=z > -746.0)
 
-    xi_i = xi_{i-1} * lam / v_i as one running product of the rate ratios,
-    which avoids the raw powers of the textbook formula; those overflow long
-    before the ratios do.
+
+def _log_beta(params: SystemParams) -> float:
+    return math.log(params.lam / (params.mu1 + params.mu2))
+
+
+def _h(z):
+    """1/expm1(z) - 1/z for z >= 0, by its series where the difference cancels."""
+    def series(z):
+        z2 = z * z
+        return -0.5 + z * (1 / 12 - z2 * (1 / 720 - z2 * (1 / 30240 - z2 / 1209600)))
+
+    if isinstance(z, float):
+        return series(z) if z < SERIES_BAND else 1.0 / math.expm1(min(z, 700.0)) - 1.0 / z
+    big = np.maximum(z, SERIES_BAND)
+    h = 1.0 / np.expm1(np.minimum(big, 700.0)) - 1.0 / big
+    small = z < SERIES_BAND
+    if small.any():
+        h[small] = series(z[small])
+    return h
+
+
+def _tail_sums(params: SystemParams, n):
+    """Weight sum, offset-weighted sum and top weight of n states above a base.
+
+    Above K every state serves both classes, so along a segment of n states
+    above a base state the weights are powers of beta.  They are taken
+    relative to the base when beta <= 1 and to the segment's top state when
+    beta > 1, so none exceeds one; the offsets run 1..n from the base, and
+    an empty segment has no top.  With q = min(beta, 1/beta) = exp(x), the
+    sum of q**t over t < n is expm1(n x) / expm1(x), and the mean of t
+    under those weights is h(-x) - n h(-n x) for h(z) = 1/expm1(z) - 1/z,
+    which never cancels; near beta = 1, where h itself would, its series
+    takes over.  `n` is a count or an array of counts.
     """
-    xi = np.empty(params.capacity + 1)
-    xi[0] = 1.0
-    with np.errstate(over="ignore"):
-        (params.lam / service_rates(params, policy)).cumprod(out=xi[1:])
-    # A non-finite product stays non-finite, so the last weight decides.
-    if not math.isfinite(xi[-1]):
-        raise NumericalOverflow("stationary weights overflowed float64")
-    return xi
+    x = -abs(_log_beta(params))
+    scalar = isinstance(n, int)
+    nx = n * x
+    e0 = n * 1.0 if x == 0.0 else (math if scalar else np).expm1(nx) / math.expm1(x)
+    e1 = e0 * (_h(-x) - n * _h(-nx))
+    if _log_beta(params) > 0:
+        return e0, n * e0 - e1, (n > 0) * 1.0
+    beta = math.exp(x)
+    top = math.exp(nx) if scalar else _exp(nx)
+    return beta * e0, beta * (e0 + e1), top * (n > 0)
+
+
+def _segment_reward(params: SystemParams, base, sums, reaches_top: bool):
+    """Weighted penalty-free reward of a segment above `base` from its _tail_sums.
+
+    The reward at offset m is R(mu1 + mu2) - c_hold (base + m) - c_buy lam,
+    and the top state N, if the segment reaches it, swaps c_buy for c_opp.
+    """
+    p = params
+    w_sum, m_sum, top = sums
+    level = (p.price * (p.mu1 + p.mu2) - p.c_buy * p.lam) - p.c_hold * base
+    total = level * w_sum - p.c_hold * m_sum
+    return total + (p.c_buy - p.c_opp) * p.lam * top if reaches_top else total
+
+
+def _head_weights(params: SystemParams, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights on states 0..K of each row of d, and the log of state K's.
+
+    Their scale puts each row's largest weight between 1 and e**600.  While
+    K rate ratios cannot grow past that, the weights are relative to state
+    0, one running product of the ratios; otherwise they come from summed
+    log-ratios, relative to the row's largest.  Either way a stack of 2**16
+    policies makes one array of its size, updated in place.
+    """
+    r_hold = params.lam / params.mu1
+    r_serve = params.lam / (params.mu1 + params.mu2)
+    w = np.empty(d.shape[:-1] + (d.shape[-1] + 1,))
+    w[..., 0] = 1.0
+    steps = w[..., 1:]
+    if d.shape[-1] * math.log(max(r_hold, 1.0)) < 600.0:
+        np.multiply(d, r_serve - r_hold, out=steps)
+        steps += r_hold
+        np.cumprod(steps, axis=-1, out=steps)
+        # An underflowed state K outweighs no state; its log is floored.
+        return w, np.log(np.maximum(w[..., -1], TINY))
+    np.multiply(d, math.log(r_serve / r_hold), out=steps)
+    steps += math.log(r_hold)
+    np.cumsum(steps, axis=-1, out=steps)
+    w[..., 0] = 0.0
+    w -= w.max(axis=-1, keepdims=True)
+    log_k = w[..., -1].copy()
+    return np.exp(w, out=w), log_k
+
+
+def _tail(params: SystemParams, log_k):
+    """The segment above K against the head: (the log of its reference
+    weight on the chain's scale, head scale, tail scale, _tail_sums, reward).
+
+    The segment's reference weight (state K when beta <= 1, state N when
+    beta > 1) sits at log_k + max((N-K) log(beta), 0) on the head's scale;
+    the chain's scale shifts it down to one when it is larger than one, and
+    otherwise keeps the head's, so both scales are at most one.
+    """
+    m = params.capacity - params.threshold
+    sums = _tail_sums(params, m)
+    tail_log = log_k + max(m * _log_beta(params), 0.0)
+    shift = np.maximum(tail_log, 0.0)
+    return (tail_log - shift, np.exp(-shift), np.exp(tail_log - shift), sums,
+            _segment_reward(params, params.threshold, sums, True))
+
+
+def chain_record(params: SystemParams, policy: Policy) -> ChainRecord:
+    """Solve one policy: the weights on states 0..K and the segment above."""
+    check_policy(params, policy)
+    d = policy.as_array()
+    w, log_k = _head_weights(params, d)
+    tail_log, head_scale, tail_scale, sums, seg = _tail(params, float(log_k))
+    return ChainRecord(
+        params=params, decisions=d, weights=w, scales=(head_scale, tail_scale),
+        tail_log=tail_log, tail=(sums, seg), norm=head_scale * w.sum() + tail_scale * sums[0],
+    )
+
+
+def _compensated_cumsum(a: np.ndarray) -> np.ndarray:
+    """Compensated running sums along the last axis.
+
+    A plain running sum s = cumsum(a) rounds once per step.  TwoSum (Knuth;
+    Ogita, Rump and Oishi, Accurate Sum and Dot Product, 2005) recovers each
+    step's rounding error (s_{j-1} + a_j) - s_j exactly from s and a, and
+    adding the running sum of those errors back to s keeps every prefix
+    within a few ulps of its absolute sum instead of an error that grows
+    with the length.  All of it is whole-array arithmetic.
+    """
+    s = a.cumsum(axis=-1)
+    prev, t = s[..., :-1], s[..., 1:]
+    z = t - prev
+    err = (prev - (t - z)) + (a[..., 1:] - z)
+    t += err.cumsum(axis=-1)
+    return s
 
 
 def stationary_distribution(params: SystemParams, policy: Policy) -> StationaryDistribution:
-    """Product-form stationary law: the weights xi normalized by h = sum(xi)."""
-    xi = _stationary_weights(params, policy)
-    h = 1.0 + xi[1:].sum()
-    if not np.isfinite(h):
-        raise NumericalOverflow("stationary normalizer overflowed float64")
-    return StationaryDistribution(pi=xi / h, xi=xi, h=h)
+    """Product-form stationary law, normalized relative to its largest weight."""
+    return StationaryDistribution(pi=chain_record(params, policy).stationary())
 
 
 def average_profit(params: SystemParams, policy: Policy) -> float:
@@ -109,36 +329,29 @@ def average_profit(params: SystemParams, policy: Policy) -> float:
 def average_profits(params: SystemParams, decisions: np.ndarray) -> np.ndarray:
     """Average profit of every row of a (m, K) stack of 0/1 decision vectors.
 
-    A row's weights on states 1..K are one running product of its rate
-    ratios, and its rewards there are those of the all-zeros policy plus d
-    times the serving increment, both read off `reward_structure`.  States
-    above K do not depend on the policy: their weights relative to state K
-    are powers of lam/(mu1 + mu2), and the segment's weight and reward mass
-    are computed once per call.  A non-finite normalizer raises
-    NumericalOverflow.
+    A row's rewards on states 0..K are those of the all-zeros policy plus d
+    times the serving increment, and its weights there come from
+    `_head_weights`; the segment above K is the same closed form for every
+    row, computed once per call.
     """
     k = params.threshold
     d = np.asarray(decisions)
     if d.ndim != 2 or d.shape[1] != k:
         raise LengthMismatch(f"decisions of shape {d.shape} need shape (m, K={k})")
-    f0 = reward_structure(params, Policy.all_zeros(k)).f_values
-    served = reward_structure(params, Policy.all_ones(k)).f_values[1 : k + 1] - f0[1 : k + 1]
-    with np.errstate(over="ignore"):
-        tail = (params.lam / (params.mu1 + params.mu2)) ** np.arange(1.0, params.capacity - k + 1)
-        xi = (params.lam / (params.mu1 + params.mu2 * d)).cumprod(axis=1)
-    xi_k = xi[:, -1]
-    h = 1.0 + xi.sum(axis=1) + xi_k * tail.sum()
-    if not np.isfinite(h).all():
-        raise NumericalOverflow("stationary normalizer overflowed float64")
-    total = f0[0] + xi @ f0[1 : k + 1] + (xi * d) @ served + xi_k * (tail @ f0[k + 1 :])
-    return total / h
+    b0 = _rewards(params, np.zeros(k))[0]
+    served = np.zeros((2, k + 1))
+    served[0, 1:] = _rewards(params, np.ones(k))[0][1:] - b0[1:]
+    served[1, 1:] = params.mu2
+    w, log_k = _head_weights(params, d)
+    w_sum, w_b = np.stack((np.ones(k + 1), b0)) @ w.T
+    w[:, 1:] *= d                      # now the weights of the served states
+    served_b, served_a = served @ w.T
+    _, head_scale, tail_scale, (t_sum, _, _), seg = _tail(params, log_k)
+    norm = head_scale * w_sum + tail_scale * t_sum
+    d_coef = (head_scale * (w_b + served_b) + tail_scale * seg) / norm
+    return d_coef - params.penalty * head_scale * served_a / norm
 
 
 def profit_linear_form(params: SystemParams, policy: Policy) -> ProfitLinearForm:
     """Split eta into its penalty-free part and the coefficient of -P."""
-    dist = stationary_distribution(params, policy)
-    rewards = reward_structure(params, policy)
-    return ProfitLinearForm(
-        d_coef=float(dist.pi @ rewards.b_coeffs),
-        f_coef=float(dist.pi @ rewards.a_coeffs),
-    )
+    return chain_record(params, policy).form

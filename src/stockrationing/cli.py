@@ -383,24 +383,20 @@ def _sigfig_tolerance(value: float, sig_figs: int) -> float:
     return 0.5 * 10 ** (math.floor(math.log10(abs(value))) - (sig_figs - 1))
 
 
-def _table2_entry(params: SystemParams, policy: Policy, i: int) -> float:
-    """Column i of the root table; the boundary column 0 is the bare margin
-    R + c_lost2, the root of the offset alone where no decision exists."""
-    if i == 0:
-        return params.price + params.c_lost2
-    return float(penalty_roots(params, policy).roots[i - 1])
-
-
 def _table2_error(params: SystemParams, fx: dict) -> tuple[float, list[tuple]]:
-    """Worst tolerance-scaled deviation against the reference table."""
+    """Worst tolerance-scaled deviation against the reference table.
+
+    Column 0 is the boundary margin R + c_lost2, the root of the offset
+    alone where no decision exists; column i is penalty root i of one
+    profile per policy.
+    """
     worst = 0.0
     rows = []
     for name, spec in fx["policies"].items():
         policy = _parse_policy(spec, params.threshold)
-        profile_roots = [
-            _table2_entry(params, policy, i) for i in range(len(fx["reference"][name]))
-        ]
-        for i, (got, want) in enumerate(zip(profile_roots, fx["reference"][name])):
+        roots = penalty_roots(params, policy).roots
+        for i, want in enumerate(fx["reference"][name]):
+            got = params.price + params.c_lost2 if i == 0 else float(roots[i - 1])
             if abs(want) < fx["large_magnitude"]:
                 tol = fx["abs_tolerance"]
             else:

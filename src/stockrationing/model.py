@@ -242,27 +242,34 @@ def reward_structure(params: SystemParams, policy: Policy) -> RewardStructure:
     cost of rejected inbound stock.
     """
     check_policy(params, policy)
-    p = params
-    n, k = p.capacity, p.threshold
-    # States 1..N share one formula with d = 1 above K (the Class-2 loss term
-    # then vanishes exactly); the top state swaps the purchase price for the
-    # opportunity cost of rejected inbound stock, also when K = N.
-    d = np.ones(n)
-    d[:k] = policy.as_array()
-    served2 = p.mu2 * d
-    a = np.zeros(n + 1)
-    a[1 : k + 1] = served2[:k]
-    b = np.empty(n + 1)
-    b[0] = -p.c_lost1 * p.mu1 - p.c_lost2 * p.mu2 - p.c_buy * p.lam
-    b[1:] = (
-        p.price * (p.mu1 + served2)
-        - p.c_hold * np.arange(1.0, n + 1)
-        - p.c_lost2 * p.mu2 * (1 - d)
-    )
-    b[1:n] -= p.c_buy * p.lam
-    b[n] -= p.c_opp * p.lam
-    f = b - p.penalty * a
-    return RewardStructure(a_coeffs=a, b_coeffs=b, f_values=f)
+    # States above K share the formula with d = 1 (the Class-2 loss term
+    # then vanishes exactly).
+    d = np.ones(params.capacity)
+    d[: params.threshold] = policy.as_array()
+    b, a = _rewards(params, d)
+    return RewardStructure(a_coeffs=a, b_coeffs=b, f_values=b - params.penalty * a)
+
+
+def _rewards(p: SystemParams, d: np.ndarray) -> np.ndarray:
+    """Penalty-free rewards b and penalty coefficients a on states 0..m, as
+    the rows of one array.
+
+    `d` holds serve decisions on states 1..m, m <= N, with any leading axes
+    for a stack of policies.  State N, when in range, swaps the purchase
+    price for the opportunity cost of rejected inbound stock, also when K = N.
+    """
+    m = d.shape[-1]
+    ba = np.zeros((2,) + d.shape[:-1] + (m + 1,))
+    b, a = ba
+    b[..., 0] = -p.c_lost1 * p.mu1 - p.c_lost2 * p.mu2 - p.c_buy * p.lam
+    # R (mu1 + mu2 d) - c_hold i - c_lost2 mu2 (1 - d) - c_buy lam, gathered by d
+    served = (p.price + p.c_lost2) * p.mu2
+    b[..., 1:] = served * d - p.c_hold * np.arange(1.0, m + 1)
+    b[..., 1:] += p.price * p.mu1 - p.c_lost2 * p.mu2 - p.c_buy * p.lam
+    if m == p.capacity:
+        b[..., m] += (p.c_buy - p.c_opp) * p.lam
+    a[..., 1 : p.threshold + 1] = p.mu2 * d[..., : p.threshold]
+    return ba
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,8 @@ def global_optimal(params: SystemParams, check_oracle: bool = False) -> Optimize
     flipped positions, each term positive, so every step raises eta strictly
     and the loop ends at a gain-optimal policy (Howard's algorithm: Puterman,
     Markov Decision Processes, 1994, 8.6; Cao, Stochastic Learning and
-    Optimization, 2007).  `check_oracle` cross-checks against enumeration.
+    Optimization, 2007); its eta is D - P*F from the last profile's chain
+    record.  `check_oracle` cross-checks against enumeration.
     """
     k = params.threshold
     p = params.penalty
@@ -149,7 +150,7 @@ def global_optimal(params: SystemParams, check_oracle: bool = False) -> Optimize
         policy, profile = improved, penalty_roots(params, improved)
         iterations += 1
 
-    eta = average_profit(params, policy)
+    eta = profile.form.eta(p)
     oracle_confirmed: bool | None = None
     if check_oracle:
         _, bf_eta = brute_force_optimal(params)
@@ -179,12 +180,12 @@ def brute_force_optimal(
     k = params.threshold
     if k > cap:
         raise CapExceeded(f"K={k} exceeds enumeration cap {cap}")
-    shifts = np.arange(k - 1, -1, -1, dtype=np.uint64)  # d_1 is the most significant bit
+    shifts = np.arange(k - 1, -1, -1)  # d_1 is the most significant bit
     best_eta = 0.0
     best_idx = None
     count = 1 << k
     for start in range(0, count, chunk):
-        idx = np.arange(start, min(start + chunk, count), dtype=np.uint64)
+        idx = np.arange(start, min(start + chunk, count))
         etas = average_profits(params, (idx[:, None] >> shifts) & 1)
         block_max = float(np.max(etas))
         if best_idx is None or block_max > best_eta + BRUTE_FORCE_TIE_BAND * max(

@@ -8,43 +8,32 @@ vector, so choosing g(0) is a uniform shift.  Realization factors
 G(i) = g(i-1) - g(i) are what every downstream formula consumes, and they
 are invariant to the shift.
 
-Three mutually checking routes compute G:
-
-* differences of a solved potential (the cut-flow form of the equation,
-  the stable production path, computed with whole-array compensated prefix
-  sums and no per-state loop),
-* the first-order forward recurrence read off the equation rows,
-* the unrolled closed-form sum of that recurrence.
-
-The forward recurrence amplifies rounding by (v/lam) per state, so the
-latter two routes are trustworthy only while (max(v)/lam)**N stays small;
-the terminal-row consistency check below catches the blow-up.
+G comes from differences of a solved potential in the cut-flow form of the
+equation: the policy's chain record on states 1..K+1 and a closed form
+above.  The tests check it against a dense solve, the forward recurrence
+read off the equation rows and that recurrence's unrolled sum.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Policy, StockRationingError, SystemParams, reward_structure, service_rates
-from .chain import _stationary_weights, average_profit, build_generator, stationary_distribution
-
-
-class SingularSystem(StockRationingError):
-    pass
-
-
-class InconsistentTermination(StockRationingError):
-    pass
+from .model import Policy, StockRationingError, SystemParams, reward_structure
+from .chain import (
+    ChainRecord,
+    _exp,
+    _log_beta,
+    _segment_reward,
+    _tail_sums,
+    build_generator,
+    chain_record,
+)
 
 
 class IndexOutOfRange(StockRationingError):
     pass
-
-
-TERMINAL_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -89,64 +78,38 @@ def _poisson_residual(params, policy, g, f_values, eta) -> float:
     return float(np.max(np.abs(lhs - (f_values - eta))))
 
 
-def potential_for_reward(
-    params: SystemParams, policy: Policy, reward: np.ndarray, average: float | tuple[float, ...]
-) -> np.ndarray:
-    """Special potential (first entry zero) of -B g = reward - average*e.
+def potential_for_reward(record: ChainRecord) -> np.ndarray:
+    """Special potential (first entry zero) of -B g = f - eta*e for the
+    record's policy and its own reward.
 
-    Built from the cut-flow identity of the birth-death equation: summing
-    rows 0..i-1 telescopes to
+    G(i) = g(i-1) - g(i) on 1..min(K+1, N) comes from the record.  Above
+    that, the cut-flow identity
 
-        lam * xi_{i-1} * (g(i-1) - g(i)) = sum_{j<i} xi_j * (reward_j - average),
+        lam * xi_{i-1} * G(i) = sum_{j<i} xi_j * (f_j - eta)
+                              = -sum_{j>=i} xi_j * (f_j - eta)
 
-    so every potential difference is a ratio of stationary-weight sums.
-    This is exact for any drift; eliminating state 0 and solving the reduced
-    tridiagonal system is equivalent algebra but its pivots underflow once
-    the arrival rate dominates the service rates over many states, which is
-    why the elimination route is not used here.  Each edge takes the deficit
-    sum from whichever end of the chain carries less absolute mass; both
-    ends come from one compensated prefix-sum pass over the whole array.
-
-    `reward` is one vector over states 0..N with a scalar `average`, or a
-    stack of m such vectors, shape (m, N+1), with m averages; the result has
-    the shape of `reward`, and all rows share one set of weights.
+    sums a segment above K in closed form: for beta <= 1 the states i..N,
+    whose weights fall away from i - 1; for beta > 1 the states K+1..i-1
+    below it, plus the cut at K+1 carried up by beta**-(i-1-K).  g is then
+    one running sum.
     """
-    xi = _stationary_weights(params, policy)
-    w = xi * (reward.reshape(-1, len(xi)) - np.asarray(average).reshape(-1, 1))
-    # Re-center so the deficits sum to zero exactly up to second-order
-    # rounding; keeps prefix and suffix cuts mutually consistent.  The
-    # weights are positive, so their plain sum is already accurate.
-    w -= xi * (_compensated_cumsum(w)[:, -1:] / xi.sum())
-    # The prefix below state i carries less absolute mass than the suffix
-    # from i exactly when it holds at most half of the total.  The first m
-    # runs sum -w, the negated prefix cuts; the last m run from state N
-    # down, and their entries -2::-1 are the suffix sums from i = 1..N.
-    m = len(w)
-    mass = np.abs(w).cumsum(axis=1)
-    runs = _compensated_cumsum(np.concatenate((-w, w[:, ::-1])))
-    neg_cut = runs[m:, -2::-1]
-    np.copyto(neg_cut, runs[:m, :-1], where=mass[:, :-1] <= 0.5 * mass[:, -1:])
-    g = np.zeros(w.shape)
-    (neg_cut / (params.lam * xi[:-1])).cumsum(axis=1, out=g[:, 1:])
-    return g.reshape(reward.shape)
-
-
-def _compensated_cumsum(a: np.ndarray) -> np.ndarray:
-    """Compensated running sums along the last axis.
-
-    A plain running sum s = cumsum(a) rounds once per step.  TwoSum (Knuth;
-    Ogita, Rump and Oishi, Accurate Sum and Dot Product, 2005) recovers each
-    step's rounding error (s_{j-1} + a_j) - s_j exactly from s and a, and
-    adding the running sum of those errors back to s keeps every prefix
-    within a few ulps of its absolute sum instead of an error that grows
-    with the length.  All of it is whole-array arithmetic.
-    """
-    s = a.cumsum(axis=-1)
-    prev, t = s[..., :-1], s[..., 1:]
-    z = t - prev
-    err = (prev - (t - z)) + (a[..., 1:] - z)
-    t += err.cumsum(axis=-1)
-    return s
+    p = record.params
+    k, n = p.threshold, p.capacity
+    eta = record.form.eta(p.penalty)
+    g_diff = np.empty(n)
+    cut_b, cut_a = record.cut_factors()
+    g_diff[: len(cut_b)] = cut_b - p.penalty * cut_a
+    r = np.arange(1.0, n - k)          # G(K+1+r) for r = 1..N-K-1
+    if len(r) and _log_beta(p) <= 0:
+        sums = _tail_sums(p, n - k - r)
+        g_diff[k + 1 :] = (eta * sums[0] - _segment_reward(p, k + r, sums, True)) / p.lam
+    elif len(r):
+        sums = _tail_sums(p, r)
+        g_diff[k + 1 :] = _exp(-r * _log_beta(p)) * g_diff[k] + (
+            _segment_reward(p, k, sums, False) - eta * sums[0]) / p.lam
+    g = np.zeros(n + 1)
+    np.cumsum(-g_diff, out=g[1:])
+    return g
 
 
 def solve_poisson(params: SystemParams, policy: Policy, shift: float = 0.0) -> PoissonSolution:
@@ -156,16 +119,15 @@ def solve_poisson(params: SystemParams, policy: Policy, shift: float = 0.0) -> P
     which is g(0); it moves every entry of g equally, so no realization
     factor depends on it.
     """
-    rewards = reward_structure(params, policy)
-    dist = stationary_distribution(params, policy)
-    eta = float(dist.pi @ rewards.f_values)
-    g = potential_for_reward(params, policy, rewards.f_values, eta)
+    record = chain_record(params, policy)
+    eta = record.form.eta(params.penalty)
+    g = potential_for_reward(record)
     # The g(0)-direction vector (1, v(d_1) * inv(-reduced B) @ e_1) is the
     # all-ones vector identically: the reduced matrix maps ones to
     # v(d_1) * e_1 because all other row sums vanish.
     if shift != 0.0:
         g = g + shift
-    residual = _poisson_residual(params, policy, g, rewards.f_values, eta)
+    residual = _poisson_residual(params, policy, g, reward_structure(params, policy).f_values, eta)
     return PoissonSolution(
         g=g,
         shift=shift,
@@ -175,83 +137,5 @@ def solve_poisson(params: SystemParams, policy: Policy, shift: float = 0.0) -> P
     )
 
 
-def solve_poisson_normalized(params: SystemParams, policy: Policy) -> PoissonSolution:
-    """Potential normalized so that its stationary mean equals eta.
-
-    Adding the rank-one term e*pi to -B makes the system nonsingular; the
-    unique solution differs from any solve_poisson output by a constant
-    shift, so all realization factors agree.
-    """
-    rewards = reward_structure(params, policy)
-    dist = stationary_distribution(params, policy)
-    eta = float(dist.pi @ rewards.f_values)
-    gen = build_generator(params, policy)
-    a = -gen.dense() + np.outer(np.ones(params.capacity + 1), dist.pi)
-    try:
-        g = np.linalg.solve(a, rewards.f_values)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from None
-    residual = _poisson_residual(params, policy, g, rewards.f_values, eta)
-    return PoissonSolution(
-        g=g,
-        shift=float(g[0]),
-        residual=residual,
-        eta=eta,
-        offset_b=params.price + params.c_lost2 - params.penalty,
-    )
-
-
 def realization_factors_from_potential(sol: PoissonSolution) -> RealizationFactors:
     return RealizationFactors(g_diff=sol.g[:-1] - sol.g[1:], offset_b=sol.offset_b)
-
-
-def realization_factors_recurrence(
-    params: SystemParams, policy: Policy, eta: float | None = None
-) -> RealizationFactors:
-    """Forward recurrence for G with the terminal row as a consistency gate.
-
-    The system has one more equation than unknowns; the spare terminal row
-    must be satisfied up to TERMINAL_RTOL or the forward sweep (or the eta
-    fed to it) cannot be trusted, and InconsistentTermination is raised.
-    """
-    if eta is None:
-        eta = average_profit(params, policy)
-    f = reward_structure(params, policy).f_values
-    v = service_rates(params, policy)
-    n = params.capacity
-    g_diff = np.empty(n)
-    g_diff[0] = (f[0] - eta) / params.lam
-    for i in range(1, n):
-        g_diff[i] = (v[i - 1] * g_diff[i - 1] + f[i] - eta) / params.lam
-    terminal_gap = abs(v[n - 1] * g_diff[n - 1] - (eta - f[n]))
-    if terminal_gap > TERMINAL_RTOL * max(1.0, abs(eta)):
-        raise InconsistentTermination(
-            f"terminal row off by {terminal_gap:.3e}; eta wrong or forward sweep unstable"
-        )
-    return RealizationFactors(
-        g_diff=g_diff, offset_b=params.price + params.c_lost2 - params.penalty
-    )
-
-
-def realization_factor_closed_form(
-    params: SystemParams, policy: Policy, eta: float, i: int
-) -> float:
-    """Explicit sum for a single G(i): every visited reward gap weighted by
-    the product of down-rates over arrival rates between it and state i.
-
-    Empty products are one and empty sums zero, so i = 1 reduces to
-    (f(0) - eta)/lam.
-    """
-    if not 1 <= i <= params.capacity:
-        raise IndexOutOfRange(f"state index {i} outside 1..{params.capacity}")
-    f = reward_structure(params, policy).f_values
-    v = service_rates(params, policy)
-    # prods[r] = product of v over states r+1 .. i-1
-    prods = np.ones(i)
-    for r in range(i - 2, -1, -1):
-        prods[r] = prods[r + 1] * v[r]
-    terms = [
-        (f[r] - eta) * params.lam ** float(r - i) * prods[r]
-        for r in range(i)
-    ]
-    return math.fsum(terms)

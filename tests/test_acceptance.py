@@ -33,9 +33,7 @@ from stockrationing import (
     optimal_static_threshold,
     penalty_roots,
     profit_linear_form,
-    realization_factor_closed_form,
     realization_factors_from_potential,
-    realization_factors_recurrence,
     restore_threshold,
     simulate,
     solve_poisson,
@@ -44,6 +42,7 @@ from stockrationing import (
 from stockrationing.cli import reproduce_table2
 
 from conftest import random_params, random_policy
+from oracles import realization_factor_closed_form, realization_factors_recurrence
 
 
 EX1 = SystemParams(

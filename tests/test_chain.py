@@ -1,15 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockrationing import (
-    NumericalOverflow,
     Policy,
     average_profit,
     build_generator,
     profit_linear_form,
     reward_structure,
+    service_rates,
     stationary_distribution,
 )
 
@@ -137,13 +139,24 @@ class TestProfitLinearForm:
             assert direct == pytest.approx(form.eta(pen), rel=1e-10, abs=1e-10)
 
 
-def test_overflow_guard():
+def test_strong_upward_drift_matches_log_weights():
+    # lam/(mu1 + mu2) = 5 at N = 500: the raw weights 5**500 overflow float64,
+    # and the ratio form still gives pi and eta to rounding.  The reference
+    # sums log-ratios down from state N, where the mass is.
     from stockrationing import SystemParams
 
     p = SystemParams(lam=5.0, mu1=0.5, mu2=0.5, capacity=500, threshold=1,
                      c_lost1=2, c_lost2=1)
-    with pytest.raises(NumericalOverflow):
-        stationary_distribution(p, Policy((0,)))
+    pol = Policy((0,))
+    log_w = -np.concatenate((np.cumsum(np.log(p.lam / service_rates(p, pol))[::-1])[::-1], [0.0]))
+    ref = np.exp(log_w)
+    ref /= math.fsum(ref)
+    pi = stationary_distribution(p, pol).pi
+    assert np.max(np.abs(pi - ref)) <= 1e-15
+    f = reward_structure(p, pol).f_values
+    eta = math.fsum(ref * f)
+    assert average_profit(p, pol) == pytest.approx(eta, rel=1e-13, abs=1e-300)
+    assert profit_linear_form(p, pol).eta(p.penalty) == pytest.approx(eta, rel=1e-13, abs=1e-300)
 
 
 def test_reward_identity_at_threshold_equal_capacity():
@@ -179,3 +192,83 @@ def test_profit_nondecreasing_in_supply_rate_on_sampled_grid():
                 for lam in range(2, 67, 4)
             ]
             assert all(b >= a - 1e-12 for a, b in zip(etas, etas[1:]))
+
+
+EPS = float(np.finfo(float).eps)
+
+
+@given(
+    log_beta=st.floats(math.log(1e-3), math.log(1e3)),
+    log_n=st.floats(0.0, math.log(1e5)),
+    k_frac=st.floats(0.0, 1.0),
+    mu1_share=st.floats(0.1, 0.9),
+    costs=st.lists(st.floats(0.0, 10.0), min_size=7, max_size=7),
+    bits=st.lists(st.integers(0, 1), min_size=60, max_size=60),
+)
+@settings(max_examples=40, deadline=None)
+def test_ratio_form_matches_log_weight_reference_over_drift_range(
+        log_beta, log_n, k_frac, mu1_share, costs, bits):
+    # lam/(mu1 + mu2) from 1e-3 to 1e3 and N up to 1e5: the raw weights
+    # would span up to 1e5 * log(1e3) nats, far past float range.
+    from stockrationing import SystemParams, penalty_roots, solve_poisson
+
+    from oracles import log_weight_reference, reward_split
+
+    n = max(1, int(math.exp(log_n)))
+    k = 1 + int(k_frac * (min(n, 60) - 1))
+    c_hold, c_lost1, c_lost2, c_buy, c_opp, price, penalty = costs
+    p = SystemParams(lam=math.exp(log_beta), mu1=mu1_share, mu2=1.0 - mu1_share, capacity=n,
+                     threshold=k, c_hold=c_hold, c_lost1=c_lost1, c_lost2=c_lost2, c_buy=c_buy,
+                     c_opp=c_opp, price=price, penalty=penalty)
+    pol = Policy(tuple(bits[:k]))
+    pi = stationary_distribution(p, pol).pi
+    form = profit_linear_form(p, pol)
+    profile = penalty_roots(p, pol)
+    sol = solve_poisson(p, pol)
+    for values in (pi, sol.g, profile.num, profile.den, [sol.eta, form.d_coef, form.f_coef]):
+        assert np.all(np.isfinite(values))
+    rate = p.lam + p.mu1 + p.mu2
+    assert sol.residual <= max(1e-9, 16 * EPS * (1 + np.max(np.abs(sol.g))) * rate)
+
+    ref = log_weight_reference(p, pol.decisions)
+    b, _ = reward_split(p, pol.decisions)
+    assert abs(form.d_coef - ref.d_coef) <= 1e-12 * (1 + np.max(np.abs(b)))
+    assert abs(form.f_coef - ref.f_coef) <= 1e-12 * p.mu2
+    scale = 1 + np.max(np.abs(ref.num)) + penalty * np.max(np.abs(ref.den))
+    margin = profile.num - penalty * profile.den
+    assert np.max(np.abs(margin - (ref.num - penalty * ref.den))) <= 1e-10 * scale
+    assert np.max(np.abs(pi - ref.pi)) <= 1e-12
+
+
+def test_steep_head_takes_log_ratios():
+    # lam/mu1 = 1e5 over K = 60 states: a running product of the rate ratios
+    # would pass e**690, so the weights on 0..K come from log-ratios instead.
+    from stockrationing import SystemParams, average_profits, penalty_roots
+
+    from oracles import log_weight_reference
+
+    p = SystemParams(lam=1e4, mu1=0.1, mu2=99.9, capacity=80, threshold=60, c_hold=1,
+                     c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=5)
+    rows = np.random.default_rng(9).integers(0, 2, (6, 60))
+    for row, eta in zip(rows, average_profits(p, rows)):
+        ref = log_weight_reference(p, row)
+        assert eta == pytest.approx(ref.d_coef - p.penalty * ref.f_coef, rel=1e-12)
+        profile = penalty_roots(p, Policy(tuple(row)))
+        scale = 1 + np.max(np.abs(ref.num)) + p.penalty * np.max(np.abs(ref.den))
+        got, want = profile.num - p.penalty * profile.den, ref.num - p.penalty * ref.den
+        assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+
+def test_head_beyond_float_range_raises_typed_error():
+    # K = N = 2000 at example-1 rates, all-ones: the weights on 0..K fall by
+    # half per state, past float range, so the cut ratios cannot be formed.
+    # pi and eta only lose states of negligible weight and stay exact.
+    from stockrationing import NumericalOverflow, SystemParams, penalty_roots, solve_poisson
+
+    p = SystemParams(lam=3.0, mu1=4.0, mu2=2.0, capacity=2000, threshold=2000, c_hold=1,
+                     c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=5.0)
+    pol = Policy.all_ones(2000)
+    assert average_profit(p, pol) == pytest.approx(profit_linear_form(p, pol).eta(5.0), rel=1e-12)
+    for solve in (penalty_roots, solve_poisson):
+        with pytest.raises(NumericalOverflow):
+            solve(p, pol)

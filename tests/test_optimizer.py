@@ -247,6 +247,25 @@ class TestGlobalOptimal:
             gain = average_profit(p, res.policy.flip(i)) - res.eta
             assert gain <= 1e-9 * max(1.0, abs(res.eta)), i
 
+    def test_strong_upward_drift_optimum(self):
+        # lam/(mu1 + mu2) = 5 at N = 500: the raw weights 5**500 overflow, and
+        # the optimizer raised NumericalOverflow on this well-defined model.
+        # The reference sums log-weights from state N with math.fsum.
+        from oracles import log_weight_reference, reward_split
+
+        p = SystemParams(lam=5.0, mu1=0.5, mu2=0.5, capacity=500, threshold=15, c_hold=1,
+                         c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=5.0)
+        res = global_optimal(p)
+
+        def eta(policy):
+            ref = log_weight_reference(p, policy.decisions)
+            return ref.d_coef - p.penalty * ref.f_coef
+
+        tol = 1e-12 * float(np.max(np.abs(reward_split(p, res.policy.decisions)[0])))
+        assert abs(res.eta - eta(res.policy)) <= tol
+        for i in range(1, p.threshold + 1):
+            assert eta(res.policy.flip(i)) - res.eta <= tol, i
+
     def test_report_serialization(self):
         rng = np.random.default_rng(60)
         p = random_params(rng, k_max=6)

@@ -7,24 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockrationing import (
-    InconsistentTermination,
     IndexOutOfRange,
-    NumericalOverflow,
     Policy,
     SystemParams,
     average_profit,
     difference_one_position,
-    realization_factor_closed_form,
     realization_factors_from_potential,
-    realization_factors_recurrence,
     solve_poisson,
     service_rates,
-    solve_poisson_normalized,
     stationary_distribution,
 )
-from stockrationing.poisson import _compensated_cumsum
+from stockrationing.chain import _compensated_cumsum
 
 from conftest import dense_potential, random_params, random_policy
+from oracles import (
+    InconsistentTermination,
+    realization_factor_closed_form,
+    realization_factors_recurrence,
+    solve_poisson_normalized,
+)
 
 
 def stable_random_params(rng, **kw):
@@ -241,19 +242,8 @@ def test_compensated_prefix_sum_within_two_ulps_of_absolute_sum():
 EPS = float(np.finfo(float).eps)
 DRIFTS = (0.95, 1.0, 1.05)
 CAPACITIES = (1_000, 10_000, 100_000)
-# ROADMAP item 2: at N = 1e5 the raw weights overflow under upward drift,
-# and under downward drift they underflow and the potential breaks.
-OVERFLOW = pytest.mark.xfail(raises=NumericalOverflow, strict=True,
-                             reason="stationary weights overflow (ROADMAP item 2)")
-UNDERFLOW = pytest.mark.xfail(strict=True,
-                              reason="stationary weights underflow (ROADMAP item 2)")
-
-
-def large_grid(marks):
-    return [
-        pytest.param(beta, n, marks=marks.get((beta, n), ()), id=f"drift{beta}-N{n}")
-        for beta in DRIFTS for n in CAPACITIES
-    ]
+def large_grid():
+    return [pytest.param(beta, n, id=f"drift{beta}-N{n}") for beta in DRIFTS for n in CAPACITIES]
 
 
 def example1_at(beta, n):
@@ -266,8 +256,7 @@ def example1_at(beta, n):
 
 
 class TestLargeCapacity:
-    @pytest.mark.parametrize("beta, n", large_grid({(0.95, 100_000): UNDERFLOW,
-                                                    (1.05, 100_000): OVERFLOW}))
+    @pytest.mark.parametrize("beta, n", large_grid())
     def test_residual_within_criterion_05_floor(self, beta, n):
         p, pol = example1_at(beta, n)
         sol = solve_poisson(p, pol)
@@ -275,7 +264,7 @@ class TestLargeCapacity:
         rate = p.lam + p.mu1 + p.mu2
         assert sol.residual <= 16 * EPS * (1 + g_scale) * rate
 
-    @pytest.mark.parametrize("beta, n", large_grid({(1.05, 100_000): OVERFLOW}))
+    @pytest.mark.parametrize("beta, n", large_grid())
     def test_stationary_law_matches_log_weights(self, beta, n):
         p, pol = example1_at(beta, n)
         log_w = np.concatenate(([0.0], np.cumsum(np.log(p.lam / service_rates(p, pol)))))
@@ -284,7 +273,7 @@ class TestLargeCapacity:
         pi = stationary_distribution(p, pol).pi
         assert np.max(np.abs(pi - ref)) <= 1e-12
 
-    @pytest.mark.parametrize("beta, n", large_grid({(1.05, 100_000): OVERFLOW}))
+    @pytest.mark.parametrize("beta, n", large_grid())
     def test_single_flip_difference_matches_two_solves(self, beta, n):
         # relative to the profit scale: under upward drift the low states
         # carry almost no mass and both sides are rounding noise of eta
@@ -295,3 +284,12 @@ class TestLargeCapacity:
             got = difference_one_position(p, pol, flipped, i)
             want = average_profit(p, flipped) - eta
             assert abs(got - want) <= 1e-9 * max(1.0, abs(eta))
+
+    def test_down_drift_all_ones_potential(self):
+        # Example-1 rates at N = 2000 with the all-ones policy: the raw weights
+        # underflowed past state 1075, and the potential had 925 NaN entries.
+        p, _ = example1_at(0.5, 2000)
+        sol = solve_poisson(p, Policy.all_ones(15))
+        assert np.all(np.isfinite(sol.g))
+        rate = p.lam + p.mu1 + p.mu2
+        assert sol.residual <= 16 * EPS * (1 + float(np.max(np.abs(sol.g)))) * rate

@@ -7,14 +7,13 @@ from stockrationing import (
     NotSingleFlip,
     Policy,
     average_profit,
-    class_property_check,
     classify_sign,
-    difference_general,
     difference_one_position,
     penalty_roots,
 )
 
 from conftest import random_params, random_policy
+from oracles import class_property_check, difference_general
 
 
 class TestDifferenceGeneral:
