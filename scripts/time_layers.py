@@ -6,7 +6,9 @@ call at example-1 service rates (mu1=4, mu2=2) and costs, K=15, P=5; the
 layers that take a policy use the all-ones policy.  The first four columns
 use example 1's supply rate, lam=3, so lam/(mu1+mu2) = 0.5; the last three
 take N=1e5 at lam/(mu1+mu2) = 0.8, 1 and 1.2.  A cell reads "raises" when
-the call raises StockRationingError.  Run from the repository root:
+the call raises StockRationingError.  The last line gives the package's
+size: the lines of its modules (as `wc -l src/stockrationing/*.py` counts
+them) and the number of names it exports.  Run from the repository root:
 
     PYTHONPATH=src python scripts/time_layers.py
 
@@ -15,13 +17,16 @@ OpenBLAS dot product at N >= 1e4 took several milliseconds of thread
 hand-off in some processes and none in others.
 """
 
+import inspect
 import os
 import time
 import warnings
+from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"    # before numpy is imported
 
+import stockrationing  # noqa: E402
 from stockrationing import (  # noqa: E402
     Policy,
     StockRationingError,
@@ -63,6 +68,15 @@ def cell(call) -> str:
         return "raises"
 
 
+def footprint() -> str:
+    modules = sorted(Path(stockrationing.__file__).parent.glob("*.py"))
+    lines = sum(path.read_text().count("\n") for path in modules)
+    exports = [name for name, value in vars(stockrationing).items()
+               if not name.startswith("_") and not inspect.ismodule(value)]
+    return (f"src/: {lines:,} lines in {len(modules)} modules; "
+            f"stockrationing exports {len(exports)} names")
+
+
 def main():
     warnings.simplefilter("ignore", RuntimeWarning)
     layers = {
@@ -84,6 +98,8 @@ def main():
             pol = Policy.all_ones(15)
             cells.append(cell(lambda: call(p, pol)))
         print(f"| `{name}` | " + " | ".join(cells) + " |")
+    print()
+    print(footprint())
 
 
 if __name__ == "__main__":

@@ -6,9 +6,7 @@ from .model import (
     ENUMERATION_CAP,
     BadThreshold,
     CapExceeded,
-    DifferenceSet,
     InvalidParameter,
-    InvalidOrder,
     LengthMismatch,
     NonPositiveRate,
     Policy,
@@ -16,9 +14,6 @@ from .model import (
     RewardStructure,
     StockRationingError,
     SystemParams,
-    adjacent_chain,
-    difference_set,
-    enumerate_policies,
     reward_structure,
     service_rates,
     validate_params,
@@ -37,39 +32,13 @@ from .chain import (
     stationary_distribution,
 )
 from .poisson import (
-    IndexOutOfRange,
     PoissonSolution,
     RealizationFactors,
     potential_for_reward,
     realization_factors_from_potential,
     solve_poisson,
 )
-from .sensitivity import (
-    NotSingleFlip,
-    PenaltyProfile,
-    classify_sign,
-    difference_one_position,
-    penalty_roots,
-)
-from .optimizer import (
-    MonotoneChainReport,
-    OptimizerResult,
-    RegionClassification,
-    TransformPlan,
-    brute_force_optimal,
-    classify_region,
-    global_optimal,
-    monotone_chain_check,
-    restore_threshold,
-    transform_plan,
-)
-from .staticpol import (
-    StaticPolicy,
-    ThresholdOptimalityReport,
-    ThetaOutOfRange,
-    build_static,
-    optimal_static_threshold,
-    static_profit_closed_form,
-    threshold_optimality_check,
-)
+from .sensitivity import PenaltyProfile, classify_sign, penalty_roots
+from .optimizer import OptimizerResult, brute_force_optimal, global_optimal, restore_threshold
+from .staticpol import ThetaOutOfRange, optimal_static_threshold, static_profit_closed_form
 from .sim import SimEstimate, simulate

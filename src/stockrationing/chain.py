@@ -50,9 +50,6 @@ class Generator:
     diag: np.ndarray   # negated row sums, states 0..N
     sup: np.ndarray    # up-rate at states 0..N-1
 
-    def dense(self) -> np.ndarray:
-        return np.diag(self.diag) + np.diag(self.sub, -1) + np.diag(self.sup, 1)
-
 
 @dataclass(frozen=True)
 class StationaryDistribution:

@@ -407,30 +407,42 @@ def _table2_error(params: SystemParams, fx: dict) -> tuple[float, list[tuple]]:
     return worst, rows
 
 
+def _table2_params(fx: dict, price: float) -> SystemParams:
+    return SystemParams.from_json_dict({**fx["params"], "price_r": price})
+
+
+def _table2_price(fx: dict) -> float:
+    """The service price in the search range whose worst scaled deviation is least.
+
+    Every table entry is affine in the price R: column 0 is R + c_lost2, and
+    a root num/den has num affine in R and den free of it.  So entry j's
+    scaled deviation is |s_j R + c_j|, with s_j and c_j fixed by two
+    profiles per policy at the ends of the range, and the largest of them
+    is least at an end or where two of the lines +-(s_j R + c_j) cross.
+    The smallest such price wins a tie.
+    """
+    lo, hi = fx["price_search"]["lo"], fx["price_search"]["hi"]
+    ends = [_table2_error(_table2_params(fx, r), fx)[1] for r in (lo, hi)]
+    got = np.array([[row[2] for row in rows] for rows in ends])
+    want, tol = np.array([row[3:5] for row in ends[0]]).T
+    slope = (got[1] - got[0]) / (hi - lo) / tol
+    offset = (got[0] - want) / tol - slope * lo
+    s, c = np.concatenate((slope, -slope)), np.concatenate((offset, -offset))
+    i, j = np.triu_indices(len(s), 1)
+    apart = s[i] != s[j]
+    cross = (c[j] - c[i])[apart] / (s[i] - s[j])[apart]
+    prices = np.unique(np.concatenate(([lo, hi], cross[(cross > lo) & (cross < hi)])))
+    worst = np.max(np.abs(np.outer(prices, s) + c), axis=1)
+    return float(prices[np.argmin(worst)])
+
+
 def reproduce_table2() -> tuple[bool, list[str], list[str], list[tuple]]:
     fx = _load_fixture("table2")
-    base_raw = dict(fx["params"])
-    lines = []
-
-    def params_at(price: float) -> SystemParams:
-        raw = dict(base_raw)
-        raw["price_r"] = price
-        return SystemParams.from_json_dict(raw)
-
     lo, hi = fx["price_search"]["lo"], fx["price_search"]["hi"]
-    step = fx["price_search"]["coarse_step"]
-    grid = np.arange(lo, hi + step / 2, step)
-    errs = [_table2_error(params_at(r), fx)[0] for r in grid]
-    best = float(grid[int(np.argmin(errs))])
-    # two refinement sweeps around the best coarse point
-    for refine_step in (step / 10, step / 100):
-        local = np.arange(best - 10 * refine_step, best + 10 * refine_step + refine_step / 2, refine_step)
-        local = local[(local >= lo) & (local <= hi)]
-        local_errs = [_table2_error(params_at(r), fx)[0] for r in local]
-        best = float(local[int(np.argmin(local_errs))])
-    worst, rows = _table2_error(params_at(best), fx)
+    best = _table2_price(fx)
+    worst, rows = _table2_error(_table2_params(fx, best), fx)
     ok = worst <= 1.0
-    lines.append(f"[INFO] calibrated service price R = {best:g} (search range [{lo}, {hi}])")
+    lines = [f"[INFO] calibrated service price R = {best:g} (search range [{lo}, {hi}])"]
     if ok:
         lines.append(
             f"[PASS] all {len(rows)} table entries within tolerance "

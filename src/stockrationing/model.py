@@ -11,12 +11,11 @@ structural and never stored.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,10 +47,6 @@ class PriorityViolation(UserWarning):
 
 
 class LengthMismatch(StockRationingError):
-    pass
-
-
-class InvalidOrder(StockRationingError):
     pass
 
 
@@ -270,53 +265,6 @@ def _rewards(p: SystemParams, d: np.ndarray) -> np.ndarray:
         b[..., m] += (p.c_buy - p.c_opp) * p.lam
     a[..., 1 : p.threshold + 1] = p.mu2 * d[..., : p.threshold]
     return ba
-
-
-@dataclass(frozen=True)
-class DifferenceSet:
-    """1-based positions where two policies disagree."""
-
-    positions: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def __iter__(self):
-        return iter(self.positions)
-
-
-def difference_set(d: Policy, c: Policy) -> DifferenceSet:
-    if len(d) != len(c):
-        raise LengthMismatch(f"policies have lengths {len(d)} and {len(c)}")
-    return DifferenceSet(
-        tuple(i for i in range(1, len(d) + 1) if d[i - 1] != c[i - 1])
-    )
-
-
-def adjacent_chain(d: Policy, c: Policy, order: Sequence[int]) -> list[Policy]:
-    """Walk from d to c flipping one disagreeing position per step.
-
-    `order` must be a permutation of difference_set(d, c); the returned
-    sequence ends at c and each consecutive pair differs in exactly one
-    position.
-    """
-    diff = set(difference_set(d, c))
-    if set(order) != diff or len(order) != len(diff):
-        raise InvalidOrder(f"order {order!r} is not a permutation of {sorted(diff)}")
-    chain = []
-    current = d
-    for pos in order:
-        current = current.flip(pos)
-        chain.append(current)
-    return chain
-
-
-def enumerate_policies(k: int, cap: int = ENUMERATION_CAP) -> Iterator[Policy]:
-    """Yield all 2^K policies in lexicographic order of (d_1, ..., d_K)."""
-    if k > cap:
-        raise CapExceeded(f"K={k} exceeds enumeration cap {cap}")
-    for bits in itertools.product((0, 1), repeat=k):
-        yield Policy(bits)
 
 
 def service_rates(params: SystemParams, policy: Policy) -> np.ndarray:

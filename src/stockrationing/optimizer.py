@@ -2,7 +2,9 @@
 
 High penalties make withholding optimal everywhere below the threshold, low
 penalties make serving optimal everywhere, and in between the optimum is a
-threshold policy only after permuting positions by ascending penalty root.
+threshold policy only after permuting positions by ascending penalty root:
+an optimum carries its own permutation and zero count (`sort_perm`, `n0`),
+and `restore_threshold` maps them back to the policy.
 The regime gates are checked on the all-zeros and all-ones policies; the
 optimum itself comes from Howard policy iteration on the flip margins, with
 a brute-force enumeration available as the ground-truth oracle at small K.
@@ -14,59 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import average_profit, average_profits
-from .model import (
-    ENUMERATION_CAP,
-    CapExceeded,
-    Policy,
-    SystemParams,
-    check_policy,
-)
+from .chain import average_profits
+from .model import ENUMERATION_CAP, CapExceeded, Policy, SystemParams
 from .sensitivity import penalty_roots
 
 BRUTE_FORCE_TIE_BAND = 1e-12
 ORACLE_MATCH_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RegionClassification:
-    region: str                 # "HighPenalty", "LowPenalty" or "Middle"
-    policy: Policy              # reference policy whose profile was classified
-    p_low: float
-    p_high: float
-    n0: int | None              # roots strictly below P (bracket index), Middle only
-
-
-def classify_region(params: SystemParams, policy: Policy) -> RegionClassification:
-    """Place the configured penalty against the policy's critical values."""
-    profile = penalty_roots(params, policy)
-    p = params.penalty
-    if p >= profile.p_high:
-        region, n0 = "HighPenalty", None
-    elif profile.p_low > 0 and p <= profile.p_low:
-        region, n0 = "LowPenalty", None
-    else:
-        region = "Middle"
-        n0 = int(np.sum(profile.roots < p))
-    return RegionClassification(
-        region=region, policy=policy, p_low=profile.p_low, p_high=profile.p_high, n0=n0
-    )
-
-
-@dataclass(frozen=True)
-class TransformPlan:
-    """Coordinate permutation that turns the middle-region optimum into a threshold.
-
-    Positions sorted by ascending penalty root; zeros go to the first
-    n_zeros sorted positions (roots strictly below the penalty, a penalty
-    equal to a root keeps that position serving).  `restored` is the policy
-    mapped back to original coordinates.
-    """
-
-    sort_perm: tuple[int, ...]
-    n_zeros: int
-    transformed: Policy
-    restored: Policy
 
 
 def restore_threshold(sort_perm: tuple[int, ...], n_zeros: int) -> Policy:
@@ -76,19 +31,6 @@ def restore_threshold(sort_perm: tuple[int, ...], n_zeros: int) -> Policy:
     for pos in sort_perm[:n_zeros]:
         decisions[pos - 1] = 0
     return Policy(tuple(decisions))
-
-
-def transform_plan(params: SystemParams, policy: Policy) -> TransformPlan:
-    profile = penalty_roots(params, policy)
-    n_zeros = int(np.sum(profile.roots < params.penalty))
-    k = params.threshold
-    transformed = Policy(tuple(0 if j < n_zeros else 1 for j in range(k)))
-    return TransformPlan(
-        sort_perm=profile.sort_perm,
-        n_zeros=n_zeros,
-        transformed=transformed,
-        restored=restore_threshold(profile.sort_perm, n_zeros),
-    )
 
 
 @dataclass(frozen=True)
@@ -198,36 +140,3 @@ def brute_force_optimal(
             best_eta = float(etas[first])
     bits = tuple(int((best_idx >> int(s)) & 1) for s in shifts)
     return Policy(bits), best_eta
-
-
-@dataclass(frozen=True)
-class MonotoneChainReport:
-    etas: tuple[float, ...]
-    violations: tuple[int, ...]   # indices where eta increased beyond slack
-    ok: bool
-
-
-def monotone_chain_check(
-    params: SystemParams,
-    chain: list[Policy],
-    penalty: float | None = None,
-    slack: float = 1e-10,
-) -> MonotoneChainReport:
-    """Verify that profits along an adjacent chain never increase.
-
-    The chain should start at the regime's optimal policy and move away
-    from it one flip at a time; in the pure penalty regimes each step can
-    only lose profit.
-    """
-    work = params if penalty is None else params.with_penalty(penalty)
-    for policy in chain:
-        check_policy(work, policy)
-    etas = [average_profit(work, policy) for policy in chain]
-    violations = [
-        i
-        for i in range(1, len(etas))
-        if etas[i] > etas[i - 1] + slack * max(1.0, abs(etas[i - 1]))
-    ]
-    return MonotoneChainReport(
-        etas=tuple(etas), violations=tuple(violations), ok=not violations
-    )

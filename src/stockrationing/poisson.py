@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Policy, StockRationingError, SystemParams, reward_structure
+from .model import Policy, SystemParams, reward_structure
 from .chain import (
     ChainRecord,
     _exp,
@@ -30,10 +30,6 @@ from .chain import (
     build_generator,
     chain_record,
 )
-
-
-class IndexOutOfRange(StockRationingError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -58,11 +54,6 @@ class RealizationFactors:
 
     g_diff: np.ndarray
     offset_b: float
-
-    def value(self, i: int) -> float:
-        if not 1 <= i <= len(self.g_diff):
-            raise IndexOutOfRange(f"state index {i} outside 1..{len(self.g_diff)}")
-        return float(self.g_diff[i - 1])
 
 
 def _tridiag_matvec(sub, diag, sup, x):

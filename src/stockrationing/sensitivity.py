@@ -1,4 +1,4 @@
-"""Performance differences between policies and the penalty costs that flip them.
+"""The flip margins of a policy and the penalty costs that flip them.
 
 Comparing two policies never requires re-solving both: the difference of
 average profits is a stationary expectation of realization factors of the
@@ -15,15 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ProfitLinearForm, chain_record, stationary_distribution
-from .model import Policy, StockRationingError, SystemParams, difference_set
+from .chain import ProfitLinearForm, chain_record
+from .model import Policy, SystemParams
 
 DEGENERATE_COEF_TOL = 1e-12
 SIGN_ZERO_BAND = 1e-9
-
-
-class NotSingleFlip(StockRationingError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -51,26 +47,6 @@ class PenaltyProfile:
         value = self.num - penalty * self.den
         band = SIGN_ZERO_BAND * np.maximum(1.0, np.abs(self.num) + np.abs(penalty * self.den))
         return np.where(value > band, 1, np.where(value < -band, -1, 0))
-
-    def csv_rows(self) -> list[tuple[int, float, int]]:
-        """(position, root, sorted_rank) rows for export."""
-        rank = {pos: j + 1 for j, pos in enumerate(self.sort_perm)}
-        return [(i + 1, float(self.roots[i]), rank[i + 1]) for i in range(len(self.roots))]
-
-
-def difference_one_position(
-    params: SystemParams, d: Policy, d_prime: Policy, i: int
-) -> float:
-    """Single-flip profit difference mu2 * pi'(i) * (d'_i - d_i) * (G(i) + b)."""
-    s = difference_set(d, d_prime)
-    if len(s) != 1 or s.positions[0] != i:
-        raise NotSingleFlip(
-            f"policies differ at {s.positions}, expected exactly position {i}"
-        )
-    profile = penalty_roots(params, d)
-    margin = profile.num[i - 1] - params.penalty * profile.den[i - 1]
-    pi_prime = stationary_distribution(params, d_prime).pi
-    return float(params.mu2 * pi_prime[i] * (d_prime[i - 1] - d[i - 1]) * margin)
 
 
 def penalty_roots(params: SystemParams, policy: Policy) -> PenaltyProfile:

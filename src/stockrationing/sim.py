@@ -13,6 +13,7 @@ are independent by construction.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,10 +94,13 @@ def simulate(
     Each replication integrates the reward rate over a window of length
     `horizon` after discarding a warmup of warmup_fraction * horizon; the
     reported standard error is the sample standard deviation of the
-    per-replication means divided by sqrt(replications).
+    per-replication means divided by sqrt(replications).  The seed must be
+    a nonnegative integer, as numpy's SeedSequence requires.
     """
     if not 0 < horizon < np.inf:
         raise InvalidParameter(f"horizon must be positive and finite, got {horizon}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidParameter(f"seed must be a nonnegative integer, got {seed!r}")
     if replications < 2:
         raise StockRationingError(
             f"need at least 2 replications for a standard error, got {replications}"

@@ -44,9 +44,9 @@ def random_policy(rng, k):
 
 def dense_stationary(params, policy):
     """Test-only oracle: solve pi B = 0, pi e = 1 as a dense least-squares system."""
-    from stockrationing import build_generator
+    from oracles import dense_generator
 
-    b = build_generator(params, policy).dense()
+    b = dense_generator(params, policy)
     n = params.capacity + 1
     a = np.vstack([b.T, np.ones(n)])
     rhs = np.zeros(n + 1)
@@ -57,9 +57,10 @@ def dense_stationary(params, policy):
 
 def dense_potential(params, policy):
     """Test-only oracle for the special potential: dense solve with g(0) pinned to 0."""
-    from stockrationing import average_profit, build_generator, reward_structure
+    from oracles import dense_generator
+    from stockrationing import average_profit, reward_structure
 
-    b = build_generator(params, policy).dense()
+    b = dense_generator(params, policy)
     f = reward_structure(params, policy).f_values
     eta = average_profit(params, policy)
     n = params.capacity + 1

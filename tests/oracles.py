@@ -1,8 +1,11 @@
 """Reference routes for the tests, independent of the package's kernel.
 
 The realization-factor routes (forward recurrence, its unrolled sum, the
-normalized dense solve), the general performance difference and the
-class-property check are test-only references on top of the public API.
+normalized dense solve), the general and single-flip performance
+differences, the static-threshold sign margins and the class-property check
+are test-only references on top of the public API.  `exact_chain` evaluates
+the documented model in exact rationals: pi, the profit split D and F, and
+the flip-margin coefficients num and den through the cut-flow identity.
 `log_weight_reference` rebuilds one policy's chain from the model's
 definition with numpy and `math.fsum` only: stationary weights from
 log-ratios summed from the heavier end and shifted by their maximum, so
@@ -15,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from stockrationing import (
-    IndexOutOfRange,
     Policy,
     PoissonSolution,
     RealizationFactors,
@@ -27,7 +30,6 @@ from stockrationing import (
     SystemParams,
     average_profit,
     build_generator,
-    difference_set,
     penalty_roots,
     reward_structure,
     service_rates,
@@ -107,6 +109,12 @@ def log_weight_reference(p, decisions) -> ChainReference:
     )
 
 
+def dense_generator(params: SystemParams, policy: Policy) -> np.ndarray:
+    """The tridiagonal generator over states 0..N as a dense matrix."""
+    gen = build_generator(params, policy)
+    return np.diag(gen.diag) + np.diag(gen.sub, -1) + np.diag(gen.sup, 1)
+
+
 class SingularSystem(StockRationingError):
     pass
 
@@ -128,8 +136,7 @@ def solve_poisson_normalized(params: SystemParams, policy: Policy) -> PoissonSol
     rewards = reward_structure(params, policy)
     dist = stationary_distribution(params, policy)
     eta = float(dist.pi @ rewards.f_values)
-    gen = build_generator(params, policy)
-    a = -gen.dense() + np.outer(np.ones(params.capacity + 1), dist.pi)
+    a = -dense_generator(params, policy) + np.outer(np.ones(params.capacity + 1), dist.pi)
     try:
         g = np.linalg.solve(a, rewards.f_values)
     except np.linalg.LinAlgError as exc:
@@ -181,8 +188,6 @@ def realization_factor_closed_form(
     Empty products are one and empty sums zero, so i = 1 reduces to
     (f(0) - eta)/lam.
     """
-    if not 1 <= i <= params.capacity:
-        raise IndexOutOfRange(f"state index {i} outside 1..{params.capacity}")
     f = reward_structure(params, policy).f_values
     v = service_rates(params, policy)
     # prods[r] = product of v over states r+1 .. i-1
@@ -203,17 +208,52 @@ def difference_general(params: SystemParams, d: Policy, d_prime: Policy) -> floa
     dense generators is cheap at these state-space sizes.
     """
     g = solve_poisson(params, d).g
-    b_d = build_generator(params, d).dense()
-    b_dp = build_generator(params, d_prime).dense()
+    b_d = dense_generator(params, d)
+    b_dp = dense_generator(params, d_prime)
     f_d = reward_structure(params, d).f_values
     f_dp = reward_structure(params, d_prime).f_values
     pi_prime = stationary_distribution(params, d_prime).pi
     return float(pi_prime @ ((b_dp - b_d) @ g + (f_dp - f_d)))
 
 
+def single_flip_difference(params: SystemParams, d: Policy, i: int) -> float:
+    """eta(d') - eta(d) for d' = d with position i flipped, from d's own flip
+    margin and the flipped policy's law: mu2 * pi'(i) * (d'_i - d_i) * (G(i) + b)."""
+    profile = penalty_roots(params, d)
+    d_prime = d.flip(i)
+    pi_prime = stationary_distribution(params, d_prime).pi
+    margin = profile.num[i - 1] - params.penalty * profile.den[i - 1]
+    return float(params.mu2 * pi_prime[i] * (d_prime[i - 1] - d[i - 1]) * margin)
+
+
+def threshold_margins(params: SystemParams, theta: int) -> dict[str, float]:
+    """The four sign conditions of a profit-maximal threshold, each as a
+    value that must be <= 0.
+
+    A threshold policy serves from theta up.  Serving one level lower cannot
+    pay if the flip margin G + b at position theta - 1 is <= 0 seen from
+    thresholds theta - 1 and theta; withholding at theta cannot pay if the
+    margin at position theta is >= 0 seen from thresholds theta and
+    theta + 1, so those two enter negated.  A neighbor outside 1..K+1 has no
+    conditions.
+    """
+    k = params.threshold
+
+    def margin(t, i):
+        profile = penalty_roots(params, Policy(tuple(int(j >= t) for j in range(1, k + 1))))
+        return float(profile.num[i - 1] - params.penalty * profile.den[i - 1])
+
+    margins = {}
+    if theta >= 2:
+        margins["below_prev"] = margin(theta - 1, theta - 1)
+        margins["below_star"] = margin(theta, theta - 1)
+    if theta <= k:
+        margins["at_star"] = -margin(theta, theta)
+        margins["at_next"] = -margin(theta + 1, theta)
+    return margins
+
+
 @dataclass(frozen=True)
-
-
 class ClassPropertyReport:
     regime: str                      # "high", "low" or "outside"
     positions: tuple[int, ...]
@@ -235,7 +275,7 @@ def class_property_check(
     is how the inheritance propagates.
     """
     work = params.with_penalty(penalty)
-    s = difference_set(d, c)
+    positions = tuple(i for i in range(1, len(d) + 1) if d[i - 1] != c[i - 1])
     profile = penalty_roots(work, d)
     if penalty >= profile.p_high:
         regime = "high"
@@ -243,11 +283,11 @@ def class_property_check(
         regime = "low"
     else:
         regime = "outside"
-    if len(s) == 0:
+    if not positions:
         return ClassPropertyReport(regime, (), np.array([]), True, 0.0, True)
 
     c_profile = penalty_roots(work, c)
-    values = np.array([c_profile.num[i - 1] - penalty * c_profile.den[i - 1] for i in s.positions])
+    values = np.array([c_profile.num[i - 1] - penalty * c_profile.den[i - 1] for i in positions])
     tol = SIGN_ZERO_BAND * max(1.0, float(np.max(np.abs(values))))
     if regime == "high":
         signs_ok = bool(np.all(values <= tol))
@@ -261,7 +301,7 @@ def class_property_check(
     max_resid = 0.0
     prev, prev_profile = d, profile
     pi_prev = stationary_distribution(work, prev).pi
-    for pos in s.positions:
+    for pos in positions:
         cur = prev.flip(pos)
         cur_profile = penalty_roots(work, cur)
         pi_cur = stationary_distribution(work, cur).pi
@@ -274,9 +314,91 @@ def class_property_check(
     ratio_ok = max_resid <= 1e-9
     return ClassPropertyReport(
         regime=regime,
-        positions=s.positions,
+        positions=positions,
         g_plus_b=values,
         signs_ok=signs_ok,
         ratio_max_residual=max_resid,
         ok=signs_ok and ratio_ok,
     )
+
+
+@dataclass(frozen=True)
+class ExactChain:
+    pi: list[Fraction]
+    d_coef: Fraction
+    f_coef: Fraction
+    num: list[Fraction]
+    den: list[Fraction]
+
+
+def exact_chain(params: SystemParams, decisions) -> ExactChain:
+    """The documented model for one policy in exact rationals.
+
+    Written from the model's economics, not from the package: at stock level
+    i each class is served or lost, a served unit earns the price and a lost
+    one costs its lost-sales rate, a Class-2 unit served at levels 1..K pays
+    the penalty, stock costs c_hold per unit, and inbound supply costs the
+    purchase price, or the opportunity cost at full stock.  So the reward is
+    b_i - P*a_i with a_i the Class-2 rate served at levels 1..K.  The
+    stationary weights are the product form xi_i = xi_{i-1} * lam / (total
+    service rate at i), and eta = D - P*F with D, F the stationary means of
+    b and a.  The flip margin at position i is num_i - P*den_i with num_i =
+    R + c_lost2 + G_B(i) and den_i = 1 + G_A(i), where by the cut-flow
+    identity lam * xi_{i-1} * G_B(i) = sum_{j<i} xi_j (b_j - D), and the
+    same for G_A with a and F.  Every float parameter is read exactly as its
+    binary value.
+    """
+    lam, mu1, mu2, c_hold, c_lost1, c_lost2, c_buy, c_opp, price = (
+        Fraction(getattr(params, name))
+        for name in ("lam", "mu1", "mu2", "c_hold", "c_lost1", "c_lost2",
+                     "c_buy", "c_opp", "price")
+    )
+    n, k = params.capacity, params.threshold
+    weights, b, a = [], [], []
+    weight = Fraction(1)
+    for i in range(n + 1):
+        served1 = mu1 if i > 0 else 0
+        served2 = mu2 if i > k or (i > 0 and decisions[i - 1]) else 0
+        b.append(
+            price * (served1 + served2)
+            - c_hold * i
+            - c_lost1 * (mu1 - served1)
+            - c_lost2 * (mu2 - served2)
+            - (c_opp if i == n else c_buy) * lam
+        )
+        a.append(served2 if 0 < i <= k else Fraction(0))
+        if i > 0:
+            weight *= lam / (served1 + served2)
+        weights.append(weight)
+    mass = sum(weights)
+    d_coef = sum(w * r for w, r in zip(weights, b)) / mass
+    f_coef = sum(w * r for w, r in zip(weights, a)) / mass
+    num, den = [], []
+    cut_b = cut_a = Fraction(0)
+    for i in range(1, k + 1):
+        cut_b += weights[i - 1] * (b[i - 1] - d_coef)
+        cut_a += weights[i - 1] * (a[i - 1] - f_coef)
+        num.append(price + c_lost2 + cut_b / (lam * weights[i - 1]))
+        den.append(1 + cut_a / (lam * weights[i - 1]))
+    return ExactChain(pi=[w / mass for w in weights], d_coef=d_coef, f_coef=f_coef,
+                      num=num, den=den)
+
+
+def exact_profit(params: SystemParams, decisions) -> Fraction:
+    """Long-run average profit D - P*F of the documented model, exactly."""
+    chain = exact_chain(params, decisions)
+    return chain.d_coef - Fraction(params.penalty) * chain.f_coef
+
+
+def exact_static_optimum(params: SystemParams, thetas) -> tuple[int, Fraction, Fraction]:
+    """Best threshold over `thetas` (ties to the smaller), its profit, and
+    its exact lead over the runner-up.  Threshold theta refuses Class 2
+    below level theta and serves it from theta up."""
+    k = params.threshold
+    etas = {
+        t: exact_profit(params, [int(i >= t) for i in range(1, k + 1)])
+        for t in thetas
+    }
+    best = max(thetas, key=lambda t: (etas[t], -t))
+    lead = etas[best] - max(etas[t] for t in thetas if t != best)
+    return best, etas[best], lead

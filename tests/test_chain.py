@@ -16,6 +16,7 @@ from stockrationing import (
 )
 
 from conftest import dense_stationary, random_params, random_policy
+from oracles import dense_generator, exact_chain, reward_split
 
 rates = st.floats(0.5, 5.0, allow_nan=False)
 costs = st.floats(0.0, 10.0, allow_nan=False)
@@ -32,7 +33,7 @@ class TestGenerator:
         rng = np.random.default_rng(0)
         for _ in range(5):
             pol = random_policy(rng, 15)
-            dense = build_generator(example1_params, pol).dense()
+            dense = dense_generator(example1_params, pol)
             np.testing.assert_allclose(dense.sum(axis=1), 0.0, atol=1e-12)
 
     def test_all_ones_constant_subdiagonal(self, example1_params):
@@ -65,7 +66,7 @@ class TestStationaryDistribution:
             dist = stationary_distribution(p, pol)
             assert abs(dist.pi.sum() - 1.0) < 1e-12
             assert np.all(dist.pi >= 0)
-            resid = dist.pi @ build_generator(p, pol).dense()
+            resid = dist.pi @ dense_generator(p, pol)
             assert np.max(np.abs(resid)) < 1e-9
 
 
@@ -238,6 +239,36 @@ def test_ratio_form_matches_log_weight_reference_over_drift_range(
     margin = profile.num - penalty * profile.den
     assert np.max(np.abs(margin - (ref.num - penalty * ref.den))) <= 1e-10 * scale
     assert np.max(np.abs(pi - ref.pi)) <= 1e-12
+
+
+@pytest.mark.parametrize("rates", [
+    pytest.param(dict(lam=3.0, mu1=2.0, mu2=1.0, capacity=30, threshold=10), id="beta-one"),
+    pytest.param(dict(lam=2.0, mu1=2.0, mu2=1.5, capacity=25, threshold=8), id="lam-equals-mu1"),
+    pytest.param(dict(lam=2.5, mu1=1.5, mu2=2.0, capacity=12, threshold=12), id="k-equals-n"),
+    pytest.param(dict(lam=0.06, mu1=4.0, mu2=2.0, capacity=40, threshold=15), id="beta-1e-2"),
+    pytest.param(dict(lam=600.0, mu1=4.0, mu2=2.0, capacity=40, threshold=15), id="beta-1e2"),
+])
+def test_kernel_matches_exact_rational_oracle(rates):
+    # pi, D, F and the flip margins against the model in exact rationals, at
+    # the tolerances of the log-weight property above
+    from stockrationing import SystemParams, penalty_roots
+
+    p = SystemParams(**rates, c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15,
+                     penalty=5.0)
+    bits = tuple(np.random.default_rng(p.capacity).integers(0, 2, p.threshold).tolist())
+    pol = Policy(bits)
+    exact = exact_chain(p, bits)
+    form = profit_linear_form(p, pol)
+    profile = penalty_roots(p, pol)
+    b, _ = reward_split(p, bits)
+    assert abs(form.d_coef - float(exact.d_coef)) <= 1e-12 * (1 + np.max(np.abs(b)))
+    assert abs(form.f_coef - float(exact.f_coef)) <= 1e-12 * p.mu2
+    num, den = np.array(exact.num, dtype=float), np.array(exact.den, dtype=float)
+    scale = 1 + np.max(np.abs(num)) + p.penalty * np.max(np.abs(den))
+    margin = profile.num - p.penalty * profile.den
+    assert np.max(np.abs(margin - (num - p.penalty * den))) <= 1e-10 * scale
+    pi = stationary_distribution(p, pol).pi
+    assert np.max(np.abs(pi - np.array(exact.pi, dtype=float))) <= 1e-12
 
 
 def test_steep_head_takes_log_ratios():

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from stockrationing import cli
@@ -276,6 +277,15 @@ class TestSimulate:
         assert out == ""
         assert "horizon" in err
 
+    def test_negative_seed_is_usage_error(self, config_path, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--config", config_path(SMALL), "--policy", "zeros",
+             "--horizon", "100", "--replications", "3", "--seed", "-1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed" in err and "Traceback" not in err
+
     def test_per_rep_csv(self, config_path, capsys):
         code, out, _ = run_cli(
             ["simulate", "--config", config_path(SMALL), "--policy", "ones",
@@ -323,3 +333,14 @@ class TestReproduce:
         rows = list(csv.reader(out_path.open()))
         assert rows[0] == ["policy", "column", "computed", "reference", "tolerance", "scaled_dev"]
         assert len(rows) == 1 + 33
+
+    def test_table2_calibration_is_least_worst_deviation_on_the_range(self):
+        # the closed-form minimax against the worst deviation at 501 prices
+        fx = cli._load_fixture("table2")
+        lo, hi = fx["price_search"]["lo"], fx["price_search"]["hi"]
+        best = cli._table2_price(fx)
+        assert lo <= best <= hi
+        worst = cli._table2_error(cli._table2_params(fx, best), fx)[0]
+        for price in np.linspace(lo, hi, 501):
+            other = cli._table2_error(cli._table2_params(fx, float(price)), fx)[0]
+            assert worst <= other * (1 + 1e-9), price

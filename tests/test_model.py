@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -7,21 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockrationing import (
+    ENUMERATION_CAP,
     BadThreshold,
     CapExceeded,
-    InvalidOrder,
     InvalidParameter,
     LengthMismatch,
     NonPositiveRate,
     Policy,
     PriorityViolation,
     SystemParams,
-    adjacent_chain,
-    difference_set,
-    enumerate_policies,
+    brute_force_optimal,
     reward_structure,
     validate_params,
 )
+from stockrationing import optimizer
 
 
 class TestValidation:
@@ -117,84 +117,76 @@ class TestRewardStructure:
             reward_structure(example1_params, Policy.all_ones(3))
 
 
-class TestDifferenceSet:
-    def test_identical_policies(self):
-        d = Policy((0, 1, 0))
-        assert difference_set(d, d).positions == ()
+def walk(d, order):
+    """The adjacent chain from d that flips one position per step, in order."""
+    chain = [d]
+    for pos in order:
+        chain.append(chain[-1].flip(pos))
+    return chain
 
-    def test_known_positions(self):
-        assert difference_set(Policy((0, 0, 0)), Policy((0, 1, 1))).positions == (2, 3)
 
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            difference_set(Policy((0,)), Policy((0, 1)))
-
-    @given(st.integers(1, 8), st.data())
-    def test_size_equals_hamming_distance(self, k, data):
-        d = Policy(tuple(data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))))
-        c = Policy(tuple(data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))))
-        hamming = sum(a != b for a, b in zip(d.decisions, c.decisions))
-        assert len(difference_set(d, c)) == hamming
+def disagreements(d, c):
+    return [i for i in range(1, len(d) + 1) if d[i - 1] != c[i - 1]]
 
 
 class TestAdjacentChain:
-    def test_empty_difference_gives_empty_chain(self):
-        d = Policy((1, 0))
-        assert adjacent_chain(d, d, ()) == []
-
     def test_two_step_chain(self):
-        chain = adjacent_chain(Policy((0, 0)), Policy((1, 1)), (1, 2))
-        assert [c.decisions for c in chain] == [(1, 0), (1, 1)]
-
-    def test_invalid_order_rejected(self):
-        with pytest.raises(InvalidOrder):
-            adjacent_chain(Policy((0, 0)), Policy((1, 1)), (1,))
-        with pytest.raises(InvalidOrder):
-            adjacent_chain(Policy((0, 0)), Policy((1, 1)), (1, 1))
+        chain = walk(Policy((0, 0)), (1, 2))
+        assert [c.decisions for c in chain] == [(0, 0), (1, 0), (1, 1)]
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=60)
     def test_single_flip_steps_and_terminal_policy(self, k, data):
         d = Policy(tuple(data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))))
         c = Policy(tuple(data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))))
-        order = data.draw(st.permutations(list(difference_set(d, c))))
-        chain = adjacent_chain(d, c, order)
-        if chain:
-            assert chain[-1] == c
-            prev = d
-            for step, expected_pos in zip(chain, order):
-                assert difference_set(prev, step).positions == (expected_pos,)
-                prev = step
-        else:
-            assert d == c
+        order = data.draw(st.permutations(disagreements(d, c)))
+        chain = walk(d, order)
+        assert chain[-1] == c
+        for prev, step, pos in zip(chain, chain[1:], order):
+            assert disagreements(prev, step) == [pos]
 
     def test_exhaustive_reconstruction_up_to_k6(self):
-        # every pair of policies is reconstructed by walking its difference set
+        # every pair of policies is joined by flipping its disagreements
         for k in range(1, 7):
-            policies = list(enumerate_policies(k))
+            policies = [Policy(bits) for bits in itertools.product((0, 1), repeat=k)]
             for d in policies:
                 for c in policies:
-                    order = tuple(difference_set(d, c))
-                    chain = adjacent_chain(d, c, order)
-                    assert (chain[-1] if chain else d) == c
+                    assert walk(d, disagreements(d, c))[-1] == c
+
+
+def enumerated(monkeypatch, k, **kwargs):
+    """The decision rows that the enumeration oracle scores, in order."""
+    rows = []
+    score = optimizer.average_profits
+
+    def record(params, decisions):
+        rows.extend(tuple(row) for row in decisions.tolist())
+        return score(params, decisions)
+
+    monkeypatch.setattr(optimizer, "average_profits", record)
+    brute_force_optimal(SystemParams(lam=2, mu1=1, mu2=1, capacity=k + 2, threshold=k,
+                                     c_lost1=2, c_lost2=1, price=3), **kwargs)
+    return rows
 
 
 class TestEnumeration:
-    def test_k1(self):
-        assert [p.decisions for p in enumerate_policies(1)] == [(0,), (1,)]
+    def test_k1(self, monkeypatch):
+        assert enumerated(monkeypatch, 1) == [(0,), (1,)]
 
-    def test_k3_count(self):
-        assert len(list(enumerate_policies(3))) == 8
+    def test_k3_count(self, monkeypatch):
+        assert len(enumerated(monkeypatch, 3)) == 8
 
-    def test_k10_unique_and_lexicographic(self):
-        seen = [p.decisions for p in enumerate_policies(10)]
-        assert len(set(seen)) == 1024
-        assert seen == sorted(seen)
+    def test_k10_unique_and_lexicographic(self, monkeypatch):
+        # in chunks of 64 rows, each policy once, in lexicographic order
+        seen = enumerated(monkeypatch, 10, chunk=64)
+        assert seen == list(itertools.product((0, 1), repeat=10))
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        p = SystemParams(lam=2, mu1=1, mu2=1, capacity=ENUMERATION_CAP + 1,
+                         threshold=ENUMERATION_CAP + 1, c_lost1=2, c_lost2=1)
         with pytest.raises(CapExceeded):
-            next(enumerate_policies(25))
-        assert len(list(enumerate_policies(5, cap=5))) == 32
+            brute_force_optimal(p)
+        assert len(enumerated(monkeypatch, 5, cap=5)) == 32
 
 
 class TestPolicy:

@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockrationing import (
-    IndexOutOfRange,
     Policy,
     SystemParams,
     average_profit,
-    difference_one_position,
     realization_factors_from_potential,
     solve_poisson,
     service_rates,
@@ -24,6 +22,7 @@ from oracles import (
     InconsistentTermination,
     realization_factor_closed_form,
     realization_factors_recurrence,
+    single_flip_difference,
     solve_poisson_normalized,
 )
 
@@ -171,12 +170,6 @@ class TestRealizationFactors:
         g1 = realization_factor_closed_form(unit_params, Policy((0,)), eta, 1)
         assert g1 == pytest.approx((-10.0 - eta) / 1.0, abs=1e-12)
 
-    def test_closed_form_index_bounds(self, unit_params):
-        eta = average_profit(unit_params, Policy((0,)))
-        for i in (0, 3):
-            with pytest.raises(IndexOutOfRange):
-                realization_factor_closed_form(unit_params, Policy((0,)), eta, i)
-
     def test_triple_agreement_contraction_lane(self):
         rng = np.random.default_rng(20)
         for _ in range(20):
@@ -280,9 +273,8 @@ class TestLargeCapacity:
         p, pol = example1_at(beta, n)
         eta = average_profit(p, pol)
         for i in (1, 8, 15):
-            flipped = pol.flip(i)
-            got = difference_one_position(p, pol, flipped, i)
-            want = average_profit(p, flipped) - eta
+            got = single_flip_difference(p, pol, i)
+            want = average_profit(p, pol.flip(i)) - eta
             assert abs(got - want) <= 1e-9 * max(1.0, abs(eta))
 
     def test_down_drift_all_ones_potential(self):

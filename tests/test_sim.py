@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stockrationing import sim
 from stockrationing import (
     InvalidParameter,
     Policy,
@@ -42,6 +43,24 @@ def test_replication_count_guard(unit_params):
 def test_non_finite_horizon_rejected(unit_params, horizon):
     with pytest.raises(InvalidParameter):
         simulate(unit_params, Policy((0,)), horizon=horizon, replications=4, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, np.int64(-3), "7"])
+def test_invalid_seed_rejected_before_any_replication(unit_params, monkeypatch, seed):
+    # numpy's SeedSequence raises ValueError on a negative seed; simulate
+    # names the cause first, and starts no replication
+    def no_replication(*args):
+        raise AssertionError("a replication started")
+
+    monkeypatch.setattr(sim, "_run_replication", no_replication)
+    with pytest.raises(InvalidParameter, match="seed"):
+        simulate(unit_params, Policy((0,)), horizon=100.0, replications=2, seed=seed)
+
+
+def test_numpy_integer_seed_accepted(unit_params):
+    a = simulate(unit_params, Policy((0,)), horizon=500.0, replications=2, seed=np.int64(4))
+    b = simulate(unit_params, Policy((0,)), horizon=500.0, replications=2, seed=4)
+    assert np.array_equal(a.rep_estimates, b.rep_estimates)
 
 
 def test_unit_instance_estimate_brackets_analytic(unit_params):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,15 +10,18 @@ from stockrationing import (
     ThetaOutOfRange,
     average_profit,
     average_profits,
-    build_static,
-    enumerate_policies,
     optimal_static_threshold,
     reward_structure,
     static_profit_closed_form,
-    threshold_optimality_check,
 )
 
 from conftest import random_params
+from oracles import threshold_margins
+
+
+def threshold_policy(params, theta):
+    """Withhold below theta, serve from theta to K."""
+    return Policy(tuple(int(i >= theta) for i in range(1, params.threshold + 1)))
 
 
 class TestGeomSums:
@@ -37,7 +41,7 @@ class TestGeomSums:
         p = SystemParams(lam=2.0 * x, mu1=1.5, mu2=0.5, capacity=k + max(b - a + 1, 0),
                          threshold=k, c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1,
                          price=15, penalty=3)
-        policies = list(enumerate_policies(k))
+        policies = [Policy(bits) for bits in itertools.product((0, 1), repeat=k)]
         got = average_profits(p, np.array([pol.decisions for pol in policies]))
         for pol, eta in zip(policies, got):
             f = reward_structure(p, pol).f_values
@@ -51,18 +55,21 @@ class TestGeomSums:
 
 class TestBuildStatic:
     def test_theta_one_is_all_ones(self, example1_params):
-        assert build_static(example1_params, 1).policy == Policy.all_ones(15)
+        assert static_profit_closed_form(example1_params, 1) == pytest.approx(
+            average_profit(example1_params, Policy.all_ones(15)), rel=1e-12)
 
     def test_theta_k_plus_one_is_all_zeros(self, example1_params):
-        assert build_static(example1_params, 16).policy == Policy.all_zeros(15)
+        assert static_profit_closed_form(example1_params, 16) == pytest.approx(
+            average_profit(example1_params, Policy.all_zeros(15)), rel=1e-12)
 
     def test_theta_k(self, example1_params):
-        assert build_static(example1_params, 15).policy.decisions == (0,) * 14 + (1,)
+        assert static_profit_closed_form(example1_params, 15) == pytest.approx(
+            average_profit(example1_params, Policy((0,) * 14 + (1,))), rel=1e-12)
 
     @pytest.mark.parametrize("theta", [0, 17])
     def test_out_of_range(self, example1_params, theta):
         with pytest.raises(ThetaOutOfRange):
-            build_static(example1_params, theta)
+            static_profit_closed_form(example1_params, theta)
 
 
 class TestClosedFormProfit:
@@ -72,7 +79,7 @@ class TestClosedFormProfit:
             p = random_params(rng, k_max=10, n_max=40)
             theta = int(rng.integers(1, p.threshold + 2))
             closed = static_profit_closed_form(p, theta)
-            generic = average_profit(p, build_static(p, theta).policy)
+            generic = average_profit(p, threshold_policy(p, theta))
             assert closed == pytest.approx(generic, rel=1e-9)
 
     def test_degenerate_ratio_falls_back(self, unit_params):
@@ -86,7 +93,7 @@ class TestClosedFormProfit:
                          c_opp=1, price=6, penalty=2)
         for theta in (1, 4, 11):
             closed = static_profit_closed_form(p, theta)
-            generic = average_profit(p, build_static(p, theta).policy)
+            generic = average_profit(p, threshold_policy(p, theta))
             assert closed == pytest.approx(generic, rel=1e-9)
 
     def test_k_equals_n(self):
@@ -95,7 +102,7 @@ class TestClosedFormProfit:
                          penalty=3)
         for theta in range(1, 6):
             closed = static_profit_closed_form(p, theta)
-            generic = average_profit(p, build_static(p, theta).policy)
+            generic = average_profit(p, threshold_policy(p, theta))
             assert closed == pytest.approx(generic, rel=1e-9)
 
 
@@ -136,26 +143,10 @@ class TestThresholdOptimality:
         while interior < 8:
             p = random_params(rng, k_min=3, k_max=10, n_max=25)
             theta, _ = optimal_static_threshold(p)
-            report = threshold_optimality_check(p)
-            assert report.ok, report
-            if not report.neighbor_undefined:
+            margins = threshold_margins(p, theta)
+            assert max(margins.values()) <= 1e-9, margins
+            if len(margins) == 4:
                 interior += 1
-                assert set(report.values) == {"below_prev", "below_star", "at_star", "at_next"}
-
-    def test_boundary_theta_one_checks_right_side_only(self):
-        rng = np.random.default_rng(44)
-        p = random_params(rng, k_min=2, k_max=6)
-        report = threshold_optimality_check(p, theta_star=1)
-        assert report.neighbor_undefined
-        assert set(report.skipped) == {"below_prev", "below_star"}
-        assert set(report.values) == {"at_star", "at_next"}
-
-    def test_boundary_theta_kp1_checks_left_side_only(self):
-        rng = np.random.default_rng(45)
-        p = random_params(rng, k_min=2, k_max=6)
-        report = threshold_optimality_check(p, theta_star=p.threshold + 1)
-        assert report.neighbor_undefined
-        assert set(report.skipped) == {"at_star", "at_next"}
 
     def test_local_optimality_iff_conditions(self):
         # the four margins encode exactly the two neighbor comparisons
@@ -164,10 +155,10 @@ class TestThresholdOptimality:
             p = random_params(rng, k_min=3, k_max=8, n_max=16)
             etas = {t: static_profit_closed_form(p, t) for t in range(1, p.threshold + 2)}
             for theta in range(2, p.threshold + 1):
-                report = threshold_optimality_check(p, theta_star=theta)
+                ok = max(threshold_margins(p, theta).values()) <= 1e-9
                 local_max = (
                     etas[theta] >= etas[theta - 1] - 1e-10
                     and etas[theta] >= etas[theta + 1] - 1e-10
                 )
-                assert report.ok == local_max or abs(etas[theta] - etas[theta - 1]) < 1e-9 \
+                assert ok == local_max or abs(etas[theta] - etas[theta - 1]) < 1e-9 \
                     or abs(etas[theta] - etas[theta + 1]) < 1e-9
