@@ -6,7 +6,11 @@ call at example-1 service rates (mu1=4, mu2=2) and costs, K=15, P=5; the
 layers that take a policy use the all-ones policy.  The first four columns
 use example 1's supply rate, lam=3, so lam/(mu1+mu2) = 0.5; the last three
 take N=1e5 at lam/(mu1+mu2) = 0.8, 1 and 1.2.  A cell reads "raises" when
-the call raises StockRationingError.  The last line gives the package's
+the call raises StockRationingError.  A line below the table gives the
+simulator's speed: events per second of `simulate` at example 1 (N=100,
+all-ones policy, horizon 2e4, 4 replications), best of 3, with the events
+counted as perfbench counts them, replications x horizon x the mean jump
+rate under the estimated occupancy.  The last line gives the package's
 size: the lines of its modules (as `wc -l src/stockrationing/*.py` counts
 them) and the number of names it exports.  Run from the repository root:
 
@@ -32,10 +36,12 @@ from stockrationing import (  # noqa: E402
     StockRationingError,
     SystemParams,
     average_profit,
+    build_generator,
     global_optimal,
     optimal_static_threshold,
     penalty_roots,
     profit_linear_form,
+    simulate,
     solve_poisson,
 )
 
@@ -68,6 +74,25 @@ def cell(call) -> str:
         return "raises"
 
 
+def params(beta: float, n: int) -> SystemParams:
+    return SystemParams(lam=6.0 * beta, mu1=4.0, mu2=2.0, capacity=n, threshold=15,
+                        c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1,
+                        price=15, penalty=5.0)
+
+
+def simulator_speed() -> str:
+    p, pol = params(0.5, 100), Policy.all_ones(15)
+
+    def run():
+        return simulate(p, pol, horizon=2e4, replications=4, seed=0)
+
+    seconds = best_time(run)
+    est = run()
+    events = est.replications * est.horizon * float(est.occupancy @ -build_generator(p, pol).diag)
+    return (f"simulator: {events / seconds / 1e6:.2f} M events/s "
+            f"(example 1, all-ones policy, horizon 2e4, 4 replications)")
+
+
 def footprint() -> str:
     modules = sorted(Path(stockrationing.__file__).parent.glob("*.py"))
     lines = sum(path.read_text().count("\n") for path in modules)
@@ -92,13 +117,11 @@ def main():
     for name, call in layers.items():
         cells = []
         for beta, n in COLUMNS:
-            p = SystemParams(lam=6.0 * beta, mu1=4.0, mu2=2.0, capacity=n, threshold=15,
-                             c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1,
-                             price=15, penalty=5.0)
-            pol = Policy.all_ones(15)
+            p, pol = params(beta, n), Policy.all_ones(15)
             cells.append(cell(lambda: call(p, pol)))
         print(f"| `{name}` | " + " | ".join(cells) + " |")
     print()
+    print(simulator_speed())
     print(footprint())
 
 

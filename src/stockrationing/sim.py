@@ -9,12 +9,23 @@ the only noise is statistical.
 Replication r draws from its own generator seeded by the pair
 (master_seed, r), so estimates are reproducible bit-for-bit and streams
 are independent by construction.
+
+Step k moves up from state s when the uniform draw u_k < pup[s], the
+up-rate over the total rate.  pup is 1 at state 0 and 0 at state N, and in
+between it takes at most two values: lam/(lam+mu1) where class 2 is
+withheld, lam/(lam+mu1+mu2) where it is served.  So which side of each
+interior value u_k falls on (its category, one of at most 3) decides step k
+from every state, and a block of m categories decides the next m states.
+The walk looks each block up in a table built once per call, m steps per
+Python iteration; it makes exactly the step-by-step decisions, on the same
+draws, so every estimate is the one the per-step walk gives.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +33,9 @@ from .chain import build_generator
 from .model import InvalidParameter, Policy, StockRationingError, SystemParams, reward_structure
 
 CHUNK = 1 << 15
+# Walk-table size cap, and the block sizes it picks from; each divides CHUNK.
+TABLE_ENTRIES = 1 << 15
+BLOCK_SIZES = (8, 4, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -36,32 +50,72 @@ class SimEstimate:
     occupancy_std_err: np.ndarray
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _replication_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, rep)))
 
 
+class _WalkTable(NamedTuple):
+    cuts: list[float]     # sorted distinct values of pup strictly inside (0, 1)
+    place: np.ndarray     # weight of each draw's category in a block's row offset
+    nxt: list[int]        # row -> state after the block
+    path: np.ndarray      # row -> the m states the block visits; the smallest
+                          # dtype that holds N keeps its up to 2**18 states small
+
+
+def _walk_table(pup: np.ndarray) -> _WalkTable:
+    """Tables that advance the jump chain m steps per lookup.
+
+    A draw's category c is the number of cuts <= u, and u < pup[s] holds
+    exactly when rep[c] < pup[s], rep = (0, *cuts).  A block of m categories,
+    read as the base-C number `code` with the first draw on top, has row
+    code*(N+1) + s for start state s.  m is the largest of BLOCK_SIZES whose
+    (N+1)*C**m rows fit in TABLE_ENTRIES, and 1 when none does.
+    """
+    n_states = len(pup)
+    cuts = np.unique(pup[(pup > 0.0) & (pup < 1.0)])
+    n_cat = len(cuts) + 1
+    m = next(m for m in BLOCK_SIZES if n_states * n_cat**m <= TABLE_ENTRIES or m == 1)
+    place = n_cat ** np.arange(m - 1, -1, -1)
+    rep = np.concatenate(([0.0], cuts))
+    code = np.repeat(np.arange(n_cat**m), n_states)
+    s = np.tile(np.arange(n_states), n_cat**m)
+    path = np.empty((len(s), m), dtype=np.min_scalar_type(n_states - 1))
+    for j in range(m):
+        path[:, j] = s
+        s = np.where(rep[code // place[j] % n_cat] < pup[s], s + 1, s - 1)
+    return _WalkTable(cuts.tolist(), place * n_states, s.tolist(), path)
+
+
 def _run_replication(
     rng: np.random.Generator,
-    pup: list[float],
+    table: _WalkTable,
     inv_rate: np.ndarray,
-    n_states: int,
     warmup: float,
     total: float,
 ) -> np.ndarray:
     """Occupancy time per state over [warmup, total), starting empty at t=0."""
-    occupancy = np.zeros(n_states)
+    cuts, place, nxt, path = table
+    occupancy = np.zeros(len(inv_rate))
     t = 0.0
     state = 0
     while t < total:
         draws = rng.standard_exponential(CHUNK)
-        u = rng.random(CHUNK).tolist()
-        states = []
-        push = states.append
+        u = rng.random(CHUNK)
+        category = np.zeros(CHUNK, np.intp)
+        for cut in cuts:
+            category += u >= cut
+        codes = category.reshape(-1, len(place)) @ place
+        # heads[b] is the state block b starts from; the last entry is the
+        # state after the chunk
         s = state
-        for uk in u:
-            push(s)
-            s = s + 1 if uk < pup[s] else s - 1
-        visited = np.asarray(states, dtype=np.intp)
+        heads = [s]
+        heads += [s := nxt[code + s] for code in codes.tolist()]
+        rows = np.fromiter(heads, np.intp, len(codes)) + codes
+        visited = path.take(rows, axis=0).ravel().astype(np.intp)
         sojourns = draws * inv_rate[visited]
         ends = t + np.cumsum(sojourns)
         starts = ends - sojourns
@@ -73,7 +127,7 @@ def _run_replication(
             starts = starts[: stop + 1]
         clipped = np.minimum(ends, total) - np.maximum(starts, warmup)
         np.maximum(clipped, 0.0, out=clipped)
-        occupancy += np.bincount(visited, weights=clipped, minlength=n_states)
+        occupancy += np.bincount(visited, weights=clipped, minlength=len(inv_rate))
         if stop < CHUNK:
             break
         t = float(ends[-1])
@@ -95,12 +149,19 @@ def simulate(
     `horizon` after discarding a warmup of warmup_fraction * horizon; the
     reported standard error is the sample standard deviation of the
     per-replication means divided by sqrt(replications).  The seed must be
-    a nonnegative integer, as numpy's SeedSequence requires.
+    a nonnegative integer, as numpy's SeedSequence requires, and
+    replications an integer of at least 2.
     """
     if not 0 < horizon < np.inf:
         raise InvalidParameter(f"horizon must be positive and finite, got {horizon}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    if not 0 <= warmup_fraction < np.inf:
+        raise InvalidParameter(
+            f"warmup_fraction must be nonnegative and finite, got {warmup_fraction}"
+        )
+    if not _is_integer(seed) or seed < 0:
         raise InvalidParameter(f"seed must be a nonnegative integer, got {seed!r}")
+    if not _is_integer(replications):
+        raise InvalidParameter(f"replications must be an integer, got {replications!r}")
     if replications < 2:
         raise StockRationingError(
             f"need at least 2 replications for a standard error, got {replications}"
@@ -110,7 +171,8 @@ def simulate(
     n = params.capacity
     rate = -gen.diag
     # up-rate over total rate; the full state N never moves up
-    pup = np.append(gen.sup / rate[:-1], 0.0).tolist()
+    pup = np.append(gen.sup / rate[:-1], 0.0)
+    table = _walk_table(pup)
     inv_rate = 1.0 / rate
 
     warmup = warmup_fraction * horizon
@@ -119,7 +181,7 @@ def simulate(
     occ = np.empty((replications, n + 1))
     for rep in range(replications):
         rng = _replication_rng(seed, rep)
-        occupancy = _run_replication(rng, pup, inv_rate, n + 1, warmup, total)
+        occupancy = _run_replication(rng, table, inv_rate, warmup, total)
         etas[rep] = float(occupancy @ f) / horizon
         occ[rep] = occupancy / horizon
     std_err = float(etas.std(ddof=1) / np.sqrt(replications))

@@ -12,6 +12,9 @@ log-ratios summed from the heavier end and shifted by their maximum, so
 nothing overflows or underflows at any N, the reward split f = B - P*A, and
 the flip-margin coefficients G(i) + b = num - P*den on positions 1..K from
 the cut-flow identity, each cut summed exactly from the end with less mass.
+`reference_simulate` walks the simulator's jump chain one step per Python
+iteration on the package's own draws, the walk that `sim` blocks into table
+lookups, so the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from stockrationing import (
 )
 from stockrationing.poisson import _poisson_residual
 from stockrationing.sensitivity import SIGN_ZERO_BAND
+from stockrationing.sim import CHUNK, _replication_rng
 
 
 @dataclass(frozen=True)
@@ -402,3 +406,65 @@ def exact_static_optimum(params: SystemParams, thetas) -> tuple[int, Fraction, F
     best = max(thetas, key=lambda t: (etas[t], -t))
     lead = etas[best] - max(etas[t] for t in thetas if t != best)
     return best, etas[best], lead
+
+
+def _reference_replication(
+    rng: np.random.Generator,
+    pup: list[float],
+    inv_rate: np.ndarray,
+    n_states: int,
+    warmup: float,
+    total: float,
+) -> np.ndarray:
+    """Occupancy time per state over [warmup, total), starting empty at t=0."""
+    occupancy = np.zeros(n_states)
+    t = 0.0
+    state = 0
+    while t < total:
+        draws = rng.standard_exponential(CHUNK)
+        u = rng.random(CHUNK).tolist()
+        states = []
+        push = states.append
+        s = state
+        for uk in u:
+            push(s)
+            s = s + 1 if uk < pup[s] else s - 1
+        visited = np.asarray(states, dtype=np.intp)
+        sojourns = draws * inv_rate[visited]
+        ends = t + np.cumsum(sojourns)
+        starts = ends - sojourns
+        stop = int(np.searchsorted(ends, total))
+        if stop < CHUNK:
+            visited = visited[: stop + 1]
+            sojourns = sojourns[: stop + 1]
+            ends = ends[: stop + 1]
+            starts = starts[: stop + 1]
+        clipped = np.minimum(ends, total) - np.maximum(starts, warmup)
+        np.maximum(clipped, 0.0, out=clipped)
+        occupancy += np.bincount(visited, weights=clipped, minlength=n_states)
+        if stop < CHUNK:
+            break
+        t = float(ends[-1])
+        state = s
+    return occupancy
+
+
+def reference_simulate(params: SystemParams, policy: Policy, horizon: float,
+                       replications: int, seed: int, warmup_fraction: float = 0.01):
+    """Per-replication estimates and mean occupancy of `simulate`, one step at a time."""
+    gen = build_generator(params, policy)
+    f = reward_structure(params, policy).f_values
+    n = params.capacity
+    rate = -gen.diag
+    pup = np.append(gen.sup / rate[:-1], 0.0).tolist()
+    inv_rate = 1.0 / rate
+    warmup = warmup_fraction * horizon
+    total = warmup + horizon
+    etas = np.empty(replications)
+    occ = np.empty((replications, n + 1))
+    for rep in range(replications):
+        rng = _replication_rng(seed, rep)
+        occupancy = _reference_replication(rng, pup, inv_rate, n + 1, warmup, total)
+        etas[rep] = float(occupancy @ f) / horizon
+        occ[rep] = occupancy / horizon
+    return etas, occ.mean(axis=0)

@@ -8,11 +8,17 @@ from stockrationing import (
     StockRationingError,
     SystemParams,
     average_profit,
+    build_generator,
     simulate,
     stationary_distribution,
 )
 
 from conftest import random_params, random_policy
+from oracles import reference_simulate
+
+
+def _no_replication(*args):
+    raise AssertionError("a replication started")
 
 
 def test_zero_reward_gives_exact_zero():
@@ -49,18 +55,94 @@ def test_non_finite_horizon_rejected(unit_params, horizon):
 def test_invalid_seed_rejected_before_any_replication(unit_params, monkeypatch, seed):
     # numpy's SeedSequence raises ValueError on a negative seed; simulate
     # names the cause first, and starts no replication
-    def no_replication(*args):
-        raise AssertionError("a replication started")
-
-    monkeypatch.setattr(sim, "_run_replication", no_replication)
+    monkeypatch.setattr(sim, "_run_replication", _no_replication)
     with pytest.raises(InvalidParameter, match="seed"):
         simulate(unit_params, Policy((0,)), horizon=100.0, replications=2, seed=seed)
+
+
+@pytest.mark.parametrize("warmup_fraction", [float("nan"), float("inf"), -0.5])
+def test_invalid_warmup_rejected_before_any_replication(unit_params, monkeypatch,
+                                                        warmup_fraction):
+    monkeypatch.setattr(sim, "_run_replication", _no_replication)
+    with pytest.raises(InvalidParameter, match="warmup_fraction"):
+        simulate(unit_params, Policy((0,)), horizon=100.0, replications=2, seed=0,
+                 warmup_fraction=warmup_fraction)
+
+
+@pytest.mark.parametrize("replications", [2.5, True])
+def test_non_integer_replications_rejected(unit_params, monkeypatch, replications):
+    monkeypatch.setattr(sim, "_run_replication", _no_replication)
+    with pytest.raises(InvalidParameter, match="replications"):
+        simulate(unit_params, Policy((0,)), horizon=100.0, replications=replications, seed=0)
+
+
+def test_numpy_integer_replications_accepted(unit_params):
+    a = simulate(unit_params, Policy((0,)), horizon=500.0, replications=np.int64(3), seed=4)
+    b = simulate(unit_params, Policy((0,)), horizon=500.0, replications=3, seed=4)
+    assert np.array_equal(a.rep_estimates, b.rep_estimates)
 
 
 def test_numpy_integer_seed_accepted(unit_params):
     a = simulate(unit_params, Policy((0,)), horizon=500.0, replications=2, seed=np.int64(4))
     b = simulate(unit_params, Policy((0,)), horizon=500.0, replications=2, seed=4)
     assert np.array_equal(a.rep_estimates, b.rep_estimates)
+
+
+def _block_size(params, policy):
+    gen = build_generator(params, policy)
+    rate = -gen.diag
+    return len(sim._walk_table(np.append(gen.sup / rate[:-1], 0.0)).place)
+
+
+def _assert_matches_reference_walk(params, policy, horizon, seed):
+    est = simulate(params, policy, horizon=horizon, replications=2, seed=seed)
+    etas, occupancy = reference_simulate(params, policy, horizon, 2, seed)
+    assert np.array_equal(est.rep_estimates, etas)
+    assert np.array_equal(est.occupancy, occupancy)
+
+
+def _example1_rates(capacity, threshold):
+    return SystemParams(lam=3.0, mu1=4.0, mu2=2.0, capacity=capacity, threshold=threshold,
+                        c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15,
+                        penalty=10.0)
+
+
+THETA9 = Policy(tuple(int(i >= 9) for i in range(1, 16)))  # threshold 9 at K = 15
+
+
+def test_blocked_walk_matches_reference_walk_on_random_instances():
+    rng = np.random.default_rng(72)
+    for i in range(12):
+        p = random_params(rng, k_max=12, n_max=60)
+        pol = random_policy(rng, p.threshold)
+        # most of these replications run past one 2**15-step chunk
+        _assert_matches_reference_walk(p, pol, horizon=5000.0, seed=200 + i)
+
+
+@pytest.mark.parametrize("params, policy, block", [
+    # N = 1: pup is (1, 0), no interior cut
+    (_example1_rates(1, 1), Policy((0,)), 8),
+    # K = N, a mixed policy: two cuts
+    (_example1_rates(12, 12), Policy((0, 1) * 6), 4),
+    # all-ones, and all-zeros with K = N: one cut
+    (_example1_rates(20, 6), Policy.all_ones(6), 8),
+    (_example1_rates(20, 20), Policy((0,) * 20), 8),
+    # example 1, then capacities whose tables allow only shorter blocks
+    (_example1_rates(100, 15), THETA9, 4),
+    (_example1_rates(1000, 15), THETA9, 2),
+    (_example1_rates(4000, 15), THETA9, 1),
+])
+def test_blocked_walk_matches_reference_walk(params, policy, block):
+    assert _block_size(params, policy) == block
+    _assert_matches_reference_walk(params, policy, horizon=8000.0, seed=block)
+
+
+def test_example1_estimates_unchanged(example1_params):
+    # float.hex of the per-step walk's estimates on these draws
+    est = simulate(example1_params, THETA9, horizon=2000.0, replications=3, seed=2024)
+    assert [float.hex(float(x)) for x in est.rep_estimates] == [
+        "0x1.5b1c7ebfbbd25p+4", "0x1.528de53e482d3p+4", "0x1.5d598c45e4c77p+4",
+    ]
 
 
 def test_unit_instance_estimate_brackets_analytic(unit_params):
