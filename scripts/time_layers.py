@@ -12,7 +12,8 @@ all-ones policy, horizon 2e4, 4 replications), best of 3, with the events
 counted as perfbench counts them, replications x horizon x the mean jump
 rate under the estimated occupancy.  The last line gives the package's
 size: the lines of its modules (as `wc -l src/stockrationing/*.py` counts
-them) and the number of names it exports.  Run from the repository root:
+them), the number of names it exports, and how many parameters of the
+exported functions have a default.  Run from the repository root:
 
     PYTHONPATH=src python scripts/time_layers.py
 
@@ -96,10 +97,14 @@ def simulator_speed() -> str:
 def footprint() -> str:
     modules = sorted(Path(stockrationing.__file__).parent.glob("*.py"))
     lines = sum(path.read_text().count("\n") for path in modules)
-    exports = [name for name, value in vars(stockrationing).items()
+    exports = [value for name, value in vars(stockrationing).items()
                if not name.startswith("_") and not inspect.ismodule(value)]
+    defaulted = sum(param.default is not param.empty
+                    for fn in exports if inspect.isfunction(fn)
+                    for param in inspect.signature(fn).parameters.values())
     return (f"src/: {lines:,} lines in {len(modules)} modules; "
-            f"stockrationing exports {len(exports)} names")
+            f"stockrationing exports {len(exports)} names; "
+            f"its functions have {defaulted} defaulted parameters")
 
 
 def main():

@@ -16,7 +16,6 @@ from .model import (
     SystemParams,
     reward_structure,
     service_rates,
-    validate_params,
 )
 from .chain import (
     ChainRecord,

@@ -9,7 +9,8 @@ states 0..K on a scale that cannot overflow, and closed-form sums for the
 segment, taken relative to its heavier end, so no weight overflows or
 underflows at any N.  The record gives the profit split eta = D - P*F, the
 realization factors behind the flip margins G(i) + b on 1..K, and pi.
-`average_profits` scores a whole stack of policies with the same pieces.
+A record of a stack of policies gives every row's D and F from the same
+pieces, which is how `average_profits` scores a stack in one call.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .model import (
     Policy,
     StockRationingError,
     SystemParams,
-    _rewards,
+    _base_rewards,
+    _serve_gain,
     check_policy,
     reward_structure,
     service_rates,
@@ -36,6 +38,7 @@ from .model import (
 # z**9 / 47900160.
 SERIES_BAND = 0.15
 TINY = 2.2250738585072014e-308     # the smallest normal float64
+BRUTE_FORCE_TIE_BAND = 1e-12
 
 
 class NumericalOverflow(StockRationingError):
@@ -58,7 +61,8 @@ class StationaryDistribution:
 
 @dataclass(frozen=True)
 class ProfitLinearForm:
-    """eta(P) = d_coef - P * f_coef, both coefficients penalty-free."""
+    """eta(P) = d_coef - P * f_coef, both coefficients penalty-free (arrays
+    with one entry per row for a stack of policies)."""
 
     d_coef: float
     f_coef: float
@@ -69,40 +73,64 @@ class ProfitLinearForm:
 
 @dataclass(frozen=True)
 class ChainRecord:
-    """One policy's chain, solved once in ratio form.
+    """One policy's chain, or each row's of a stack of policies, solved once
+    in ratio form.
 
-    `weights` are the stationary weights on states 0..K, the largest of
-    them between 1 and e**600.  The segment above K enters through its
-    reference state, K when beta <= 1 and N when beta > 1: `tail_log` is the
-    log of its weight on the chain's scale, and `tail` holds its _tail_sums
-    and weighted B.  `scales` map the head's and the reference's weights to
-    the chain's scale, and `norm` is the total weight there.  The rewards
-    and the profit split are computed on first use.
+    `decisions` is one policy's (K,) vector or an (m, K) stack, and every
+    per-chain field below then has the stack's leading axis.  `weights` are
+    the stationary weights on states 0..K, the largest of them between 1
+    and e**600.  The segment above K enters through its reference state, K
+    when beta <= 1 and N when beta > 1: `tail_log` is the log of its weight
+    on the chain's scale, and `tail` holds its _tail_sums and weighted B,
+    which no policy changes.  `scales` map the head's and the reference's
+    weights to the chain's scale, and `norm` is the total weight there.  The
+    rewards and the profit split are computed on first use.
     """
 
     params: SystemParams
     decisions: np.ndarray
     weights: np.ndarray
-    scales: tuple[float, float]
-    tail_log: float
+    scales: tuple
+    tail_log: float | np.ndarray
     tail: tuple
-    norm: float
+    norm: float | np.ndarray
+
+    @cached_property
+    def base(self) -> np.ndarray:
+        """Row B of the all-zeros policy's reward on states 0..K.
+
+        Serving Class 2 at a state in 1..K adds a fixed `_serve_gain` to B
+        and A there, so this row and a policy's served weight sum_i d_i w_i
+        give its weighted sums of B and A over the head.
+        """
+        return _base_rewards(self.params, self.params.threshold)
 
     @cached_property
     def rewards(self) -> np.ndarray:
-        """Rows B and A of the reward f = B - P*A on states 0..K."""
-        return _rewards(self.params, self.decisions)
+        """Rows B and A of one policy's reward f = B - P*A on states 0..K."""
+        rewards = np.multiply.outer(_serve_gain(self.params),
+                                    np.concatenate(([0.0], self.decisions)))
+        rewards[0] += self.base
+        return rewards
 
     @cached_property
     def form(self) -> ProfitLinearForm:
-        """eta = D - P*F, D and F the stationary means of B and A."""
+        """eta = D - P*F, D and F the stationary means of B and A; for a
+        stack, arrays with one entry per row."""
         head_scale, tail_scale = self.scales
-        d_head, f_head = self.rewards @ self.weights * (head_scale / self.norm)
-        return ProfitLinearForm(d_coef=float(d_head + tail_scale * self.tail[1] / self.norm),
-                                f_coef=float(f_head))
+        gain_b, gain_a = _serve_gain(self.params)
+        # einsum casts a stack's integer rows in buffers, not in a copy
+        served = np.einsum("...i,...i->...", self.decisions, self.weights[..., 1:])
+        b_head = self.weights @ self.base + gain_b * served
+        d_coef = (head_scale * b_head + tail_scale * self.tail[1]) / self.norm
+        f_coef = head_scale * gain_a * served / self.norm
+        if self.decisions.ndim == 1:
+            d_coef, f_coef = float(d_coef), float(f_coef)
+        return ProfitLinearForm(d_coef=d_coef, f_coef=f_coef)
 
     def stationary(self) -> np.ndarray:
-        """pi on states 0..N; above K the weights are powers of beta."""
+        """pi on states 0..N of a one-policy record; above K the weights are
+        powers of beta."""
         p = self.params
         k = p.threshold
         pi = np.empty(p.capacity + 1)
@@ -115,7 +143,8 @@ class ChainRecord:
 
     def cut_factors(self) -> np.ndarray:
         """Rows G_B and G_A of G(i) = g(i-1) - g(i) = G_B - P*G_A at positions
-        1..min(K+1, N); the margin at i <= K is (R + c_lost2 + G_B) - P(1 + G_A).
+        1..min(K+1, N) of a one-policy record; the margin at i <= K is
+        (R + c_lost2 + G_B) - P(1 + G_A).
 
         The cut-flow identity of the birth-death equation, summed over rows
         0..i-1, gives
@@ -263,32 +292,31 @@ def _head_weights(params: SystemParams, d: np.ndarray) -> tuple[np.ndarray, np.n
     return np.exp(w, out=w), log_k
 
 
-def _tail(params: SystemParams, log_k):
-    """The segment above K against the head: (the log of its reference
-    weight on the chain's scale, head scale, tail scale, _tail_sums, reward).
-
-    The segment's reference weight (state K when beta <= 1, state N when
-    beta > 1) sits at log_k + max((N-K) log(beta), 0) on the head's scale;
-    the chain's scale shifts it down to one when it is larger than one, and
-    otherwise keeps the head's, so both scales are at most one.
-    """
-    m = params.capacity - params.threshold
-    sums = _tail_sums(params, m)
-    tail_log = log_k + max(m * _log_beta(params), 0.0)
-    shift = np.maximum(tail_log, 0.0)
-    return (tail_log - shift, np.exp(-shift), np.exp(tail_log - shift), sums,
-            _segment_reward(params, params.threshold, sums, True))
-
-
-def chain_record(params: SystemParams, policy: Policy) -> ChainRecord:
-    """Solve one policy: the weights on states 0..K and the segment above."""
-    check_policy(params, policy)
-    d = policy.as_array()
+def chain_record(params: SystemParams, policy: Policy | np.ndarray) -> ChainRecord:
+    """Solve one policy, or every row of an (m, K) stack of 0/1 decision
+    rows: the weights on states 0..K and the segment above."""
+    k = params.threshold
+    if isinstance(policy, Policy):
+        check_policy(params, policy)
+        d = policy.as_array()
+    else:
+        d = np.asarray(policy)
+        if d.ndim != 2 or d.shape[1] != k:
+            raise LengthMismatch(f"decisions of shape {d.shape} need shape (m, K={k})")
     w, log_k = _head_weights(params, d)
-    tail_log, head_scale, tail_scale, sums, seg = _tail(params, float(log_k))
+    # The segment's reference weight (state K when beta <= 1, state N when
+    # beta > 1) sits at log_k + max((N-K) log(beta), 0) on the head's scale;
+    # the chain's scale shifts it down to one when it is larger than one, and
+    # otherwise keeps the head's, so both scales are at most one.
+    above = params.capacity - k
+    sums = _tail_sums(params, above)
+    tail_log = log_k + max(above * _log_beta(params), 0.0)
+    shift = np.maximum(tail_log, 0.0)
+    head_scale, tail_scale = np.exp(-shift), np.exp(tail_log - shift)
     return ChainRecord(
         params=params, decisions=d, weights=w, scales=(head_scale, tail_scale),
-        tail_log=tail_log, tail=(sums, seg), norm=head_scale * w.sum() + tail_scale * sums[0],
+        tail_log=tail_log - shift, tail=(sums, _segment_reward(params, k, sums, True)),
+        norm=head_scale * w.sum(axis=-1) + tail_scale * sums[0],
     )
 
 
@@ -324,29 +352,15 @@ def average_profit(params: SystemParams, policy: Policy) -> float:
 
 
 def average_profits(params: SystemParams, decisions: np.ndarray) -> np.ndarray:
-    """Average profit of every row of a (m, K) stack of 0/1 decision vectors.
+    """Average profit of every row of a (m, K) stack of 0/1 decision vectors."""
+    return chain_record(params, np.asarray(decisions)).form.eta(params.penalty)
 
-    A row's rewards on states 0..K are those of the all-zeros policy plus d
-    times the serving increment, and its weights there come from
-    `_head_weights`; the segment above K is the same closed form for every
-    row, computed once per call.
-    """
-    k = params.threshold
-    d = np.asarray(decisions)
-    if d.ndim != 2 or d.shape[1] != k:
-        raise LengthMismatch(f"decisions of shape {d.shape} need shape (m, K={k})")
-    b0 = _rewards(params, np.zeros(k))[0]
-    served = np.zeros((2, k + 1))
-    served[0, 1:] = _rewards(params, np.ones(k))[0][1:] - b0[1:]
-    served[1, 1:] = params.mu2
-    w, log_k = _head_weights(params, d)
-    w_sum, w_b = np.stack((np.ones(k + 1), b0)) @ w.T
-    w[:, 1:] *= d                      # now the weights of the served states
-    served_b, served_a = served @ w.T
-    _, head_scale, tail_scale, (t_sum, _, _), seg = _tail(params, log_k)
-    norm = head_scale * w_sum + tail_scale * t_sum
-    d_coef = (head_scale * (w_b + served_b) + tail_scale * seg) / norm
-    return d_coef - params.penalty * head_scale * served_a / norm
+
+def _first_best(etas: np.ndarray) -> int:
+    """The first row within the tie band of the best, so near-ties resolve to
+    the earliest row."""
+    best = etas.max()
+    return int(np.argmax(etas >= best - BRUTE_FORCE_TIE_BAND * max(1.0, abs(best))))
 
 
 def profit_linear_form(params: SystemParams, policy: Policy) -> ProfitLinearForm:

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -30,10 +31,6 @@ from .staticpol import optimal_static_threshold, static_profit_closed_form
 
 
 class UsageError(StockRationingError):
-    pass
-
-
-class EmptyGrid(UsageError):
     pass
 
 
@@ -72,17 +69,27 @@ def _parse_policy(literal: str | list | None, k: int) -> Policy | None:
         return None
     try:
         if isinstance(literal, list):
-            return Policy.from_json_list(literal)
+            return Policy(literal)
         text = literal.strip()
         if text == "zeros":
             return Policy.all_zeros(k)
         if text == "ones":
             return Policy.all_ones(k)
         if text.startswith("["):
-            return Policy.from_json_list(json.loads(text))
-        return Policy.from_json_list([int(tok) for tok in text.split(",") if tok.strip()])
+            return Policy(json.loads(text))
+        return Policy([int(tok) for tok in text.split(",") if tok.strip()])
     except (AttributeError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed policy {literal!r}: {exc}") from None
+
+
+def _load_inputs(args, needs_policy: bool = True) -> tuple[SystemParams, Policy | None]:
+    """Parameters and policy from --config and the flags that override it."""
+    config = _load_config(args.config)
+    params = _params_from_config(config, args.penalty)
+    policy = _parse_policy(args.policy or config.get("policy"), params.threshold)
+    if needs_policy and policy is None:
+        raise UsageError(f"{args.command} needs a policy (--policy or config key)")
+    return params, policy
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -93,14 +100,14 @@ def _parse_grid(spec: str) -> list[float]:
                 raise UsageError(f"grid must be start:stop:count or a comma list, got {spec!r}")
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 1:
-                raise EmptyGrid(f"grid count must be >= 1, got {count}")
+                raise UsageError(f"grid count must be >= 1, got {count}")
             values = list(np.linspace(start, stop, count))
         else:
             values = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"malformed grid {spec!r}: {exc}") from None
     if not values:
-        raise EmptyGrid(f"empty grid: {spec!r}")
+        raise UsageError(f"empty grid: {spec!r}")
     if not all(math.isfinite(v) for v in values):
         raise UsageError(f"grid values must be finite, got {spec!r}")
     return values
@@ -136,11 +143,7 @@ def _emit_csv(args, header: list[str], rows: list[tuple]) -> None:
 
 
 def cmd_solve(args) -> int:
-    config = _load_config(args.config)
-    params = _params_from_config(config, args.penalty)
-    policy = _parse_policy(args.policy or config.get("policy"), params.threshold)
-    if policy is None:
-        raise UsageError("solve needs a policy (--policy or config key)")
+    params, policy = _load_inputs(args)
     dist = stationary_distribution(params, policy)
     form = profit_linear_form(params, policy)
     sol = solve_poisson(params, policy, shift=args.shift)
@@ -199,9 +202,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    params = _params_from_config(config, args.penalty)
     var = args.var
+    params, policy = _load_inputs(args, needs_policy=var != "theta")
     if var == "theta":
         if args.grid:
             grid = _parse_grid(args.grid)
@@ -210,24 +212,19 @@ def cmd_sweep(args) -> int:
             thetas = [int(x) for x in grid]
         else:
             thetas = list(range(1, params.threshold + 2))
-        if not thetas:
-            raise EmptyGrid("theta grid is empty")
         rows = [(t, static_profit_closed_form(params, t)) for t in thetas]
         _emit_csv(args, ["theta", "eta"], rows)
         return 0
     if not args.grid:
         raise UsageError(f"sweep over {var} needs --grid")
     grid = _parse_grid(args.grid)
-    policy = _parse_policy(args.policy or config.get("policy"), params.threshold)
-    if policy is None:
-        raise UsageError("lambda/penalty sweeps need a policy")
     header = ["grid_value", "eta"]
     if args.with_theta_star:
         header.append("theta_star")
     rows = []
     for value in grid:
         if var == "lambda":
-            p = SystemParams.from_json_dict({**params.to_json_dict(), "lambda": value})
+            p = replace(params, lam=value)
         else:
             p = params.with_penalty(value)
         row = [value, average_profit(p, policy)]
@@ -239,13 +236,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    params = _params_from_config(config, args.penalty)
-    policy = _parse_policy(args.policy or config.get("policy"), params.threshold)
-    if policy is None:
-        raise UsageError("simulate needs a policy")
-    if args.replications < 2:
-        raise UsageError("simulate needs at least 2 replications")
+    params, policy = _load_inputs(args)
     estimate = simulate(
         params,
         policy,

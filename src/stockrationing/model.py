@@ -15,7 +15,6 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +34,8 @@ class BadThreshold(StockRationingError):
 
 
 class InvalidParameter(StockRationingError):
-    """A parameter is not a finite number, or N or K is not an integer."""
+    """A parameter is not a finite number, N or K is not an integer, or a
+    cost is negative."""
 
 
 class PriorityViolation(UserWarning):
@@ -102,11 +102,30 @@ class SystemParams:
     price: float = 0.0
     penalty: float = 0.0
 
+    def __post_init__(self):
+        """Reject a parameter set outside the model with a typed error."""
+        for field in fields(self):
+            value = getattr(self, field.name)
+            integral = field.name in ("capacity", "threshold")
+            kind = numbers.Integral if integral else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+                what = "an integer" if integral else "a finite number"
+                raise InvalidParameter(f"{field.name} must be {what}, got {value!r}")
+        for name in ("lam", "mu1", "mu2"):
+            if not getattr(self, name) > 0:
+                raise NonPositiveRate(
+                    f"{name} must be strictly positive, got {getattr(self, name)!r}")
+        if self.capacity < 1 or self.threshold < 1 or self.threshold > self.capacity:
+            raise BadThreshold(
+                f"need 1 <= threshold K <= capacity N, got K={self.threshold}, N={self.capacity}"
+            )
+        for name in ("c_hold", "c_lost1", "c_lost2", "c_buy", "c_opp", "price", "penalty"):
+            if getattr(self, name) < 0:
+                raise InvalidParameter(
+                    f"{name} must be nonnegative, got {getattr(self, name)!r}")
+
     def with_penalty(self, penalty: float) -> "SystemParams":
-        """Copy with another penalty cost, which must be finite and nonnegative."""
-        penalty = float(penalty)
-        if not (math.isfinite(penalty) and penalty >= 0):
-            raise InvalidParameter(f"penalty must be finite and nonnegative, got {penalty!r}")
+        """Copy with another penalty cost."""
         return replace(self, penalty=penalty)
 
     def to_json_dict(self) -> dict:
@@ -114,6 +133,7 @@ class SystemParams:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SystemParams":
+        """Parameters from their JSON keys; a reversed cost priority only warns."""
         kwargs = {}
         for key, attr in PARAM_JSON_KEYS:
             if key in data:
@@ -124,41 +144,15 @@ class SystemParams:
         for attr in ("capacity", "threshold"):
             if isinstance(kwargs[attr], float) and kwargs[attr].is_integer():
                 kwargs[attr] = int(kwargs[attr])
-        return validate_params(cls(**kwargs))
-
-
-def validate_params(raw: SystemParams) -> SystemParams:
-    """Check model invariants and return the validated parameter set.
-
-    Raises InvalidParameter, NonPositiveRate or BadThreshold on hard
-    violations; a reversed cost priority (c_lost1 <= c_lost2) only emits a
-    PriorityViolation warning because the analysis never divides by that
-    assumption.
-    """
-    for field in fields(raw):
-        value = getattr(raw, field.name)
-        integral = field.name in ("capacity", "threshold")
-        kind = numbers.Integral if integral else numbers.Real
-        if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
-            what = "an integer" if integral else "a finite number"
-            raise InvalidParameter(f"{field.name} must be {what}, got {value!r}")
-    for name in ("lam", "mu1", "mu2"):
-        if not getattr(raw, name) > 0:
-            raise NonPositiveRate(f"{name} must be strictly positive, got {getattr(raw, name)!r}")
-    if raw.capacity < 1 or raw.threshold < 1 or raw.threshold > raw.capacity:
-        raise BadThreshold(
-            f"need 1 <= threshold K <= capacity N, got K={raw.threshold}, N={raw.capacity}"
-        )
-    for name in ("c_hold", "c_lost1", "c_lost2", "c_buy", "c_opp", "price", "penalty"):
-        if getattr(raw, name) < 0:
-            raise StockRationingError(f"{name} must be nonnegative")
-    if not raw.c_lost1 > raw.c_lost2:
-        warnings.warn(
-            f"c_lost1={raw.c_lost1} <= c_lost2={raw.c_lost2}: Class-1 priority assumption violated",
-            PriorityViolation,
-            stacklevel=2,
-        )
-    return raw
+        params = cls(**kwargs)
+        if not params.c_lost1 > params.c_lost2:
+            warnings.warn(
+                f"c_lost1={params.c_lost1} <= c_lost2={params.c_lost2}: "
+                "Class-1 priority assumption violated",
+                PriorityViolation,
+                stacklevel=2,
+            )
+        return params
 
 
 @dataclass(frozen=True)
@@ -166,6 +160,9 @@ class Policy:
     """Low-stock decision vector (d_1, ..., d_K); d_i = 1 means serve Class 2 at level i.
 
     The full state-indexed policy is implicitly (0; d_1..d_K; 1, ..., 1).
+    Any sequence of 0/1 values builds one, a JSON list included; an integral
+    float such as 1.0 is accepted, and any other value raises instead of
+    being truncated.
     """
 
     decisions: tuple[int, ...]
@@ -188,12 +185,6 @@ class Policy:
     @classmethod
     def all_ones(cls, k: int) -> "Policy":
         return cls((1,) * k)
-
-    @classmethod
-    def from_json_list(cls, data: Sequence[int]) -> "Policy":
-        """Policy from a JSON list of 0/1 values; an integral float such as 1.0
-        is accepted, and any other value raises instead of being truncated."""
-        return cls(tuple(data))
 
     def to_json_list(self) -> list[int]:
         return list(self.decisions)
@@ -237,34 +228,39 @@ def reward_structure(params: SystemParams, policy: Policy) -> RewardStructure:
     cost of rejected inbound stock.
     """
     check_policy(params, policy)
+    k, n = params.threshold, params.capacity
+    gain_b, gain_a = _serve_gain(params)
     # States above K share the formula with d = 1 (the Class-2 loss term
-    # then vanishes exactly).
-    d = np.ones(params.capacity)
-    d[: params.threshold] = policy.as_array()
-    b, a = _rewards(params, d)
+    # then vanishes exactly); state 0 has nothing to serve.
+    d = np.ones(n + 1)
+    d[0] = 0.0
+    d[1 : k + 1] = policy.as_array()
+    a = np.zeros(n + 1)
+    a[1 : k + 1] = gain_a * d[1 : k + 1]
+    b = _base_rewards(params, n) + gain_b * d
     return RewardStructure(a_coeffs=a, b_coeffs=b, f_values=b - params.penalty * a)
 
 
-def _rewards(p: SystemParams, d: np.ndarray) -> np.ndarray:
-    """Penalty-free rewards b and penalty coefficients a on states 0..m, as
-    the rows of one array.
+def _serve_gain(p: SystemParams) -> tuple[float, float]:
+    """What serving Class 2 at a state adds to its rewards: to B, the price R
+    it earns and the lost-sales cost c_lost2 it saves, at rate mu2; to A,
+    at a state in 1..K, mu2."""
+    return (p.price + p.c_lost2) * p.mu2, p.mu2
 
-    `d` holds serve decisions on states 1..m, m <= N, with any leading axes
-    for a stack of policies.  State N, when in range, swaps the purchase
-    price for the opportunity cost of rejected inbound stock, also when K = N.
+
+def _base_rewards(p: SystemParams, m: int) -> np.ndarray:
+    """Penalty-free rewards b on states 0..m, m <= N, where Class 2 is never
+    served: R mu1 - c_hold i - c_lost2 mu2 - c_buy lam at state i.
+
+    State 0 loses both classes, and state N, when in range, swaps the
+    purchase price for the opportunity cost of rejected inbound stock, also
+    when K = N.  A policy's rewards add `_serve_gain` where it serves.
     """
-    m = d.shape[-1]
-    ba = np.zeros((2,) + d.shape[:-1] + (m + 1,))
-    b, a = ba
-    b[..., 0] = -p.c_lost1 * p.mu1 - p.c_lost2 * p.mu2 - p.c_buy * p.lam
-    # R (mu1 + mu2 d) - c_hold i - c_lost2 mu2 (1 - d) - c_buy lam, gathered by d
-    served = (p.price + p.c_lost2) * p.mu2
-    b[..., 1:] = served * d - p.c_hold * np.arange(1.0, m + 1)
-    b[..., 1:] += p.price * p.mu1 - p.c_lost2 * p.mu2 - p.c_buy * p.lam
+    b = (p.price * p.mu1 - p.c_lost2 * p.mu2 - p.c_buy * p.lam) - p.c_hold * np.arange(m + 1.0)
+    b[0] = -p.c_lost1 * p.mu1 - p.c_lost2 * p.mu2 - p.c_buy * p.lam
     if m == p.capacity:
-        b[..., m] += (p.c_buy - p.c_opp) * p.lam
-    a[..., 1 : p.threshold + 1] = p.mu2 * d[..., : p.threshold]
-    return ba
+        b[m] += (p.c_buy - p.c_opp) * p.lam
+    return b
 
 
 def service_rates(params: SystemParams, policy: Policy) -> np.ndarray:

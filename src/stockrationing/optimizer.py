@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import average_profits
+from .chain import _first_best, average_profits
 from .model import ENUMERATION_CAP, CapExceeded, Policy, SystemParams
 from .sensitivity import penalty_roots
 
-BRUTE_FORCE_TIE_BAND = 1e-12
+ENUMERATION_CHUNK = 1 << 16
 ORACLE_MATCH_TOL = 1e-9
 
 
@@ -109,34 +109,28 @@ def global_optimal(params: SystemParams, check_oracle: bool = False) -> Optimize
     )
 
 
-def brute_force_optimal(
-    params: SystemParams, cap: int = ENUMERATION_CAP, chunk: int = 1 << 16
-) -> tuple[Policy, float]:
-    """Exact argmax of the average profit over all 2^K policies.
+def brute_force_optimal(params: SystemParams) -> tuple[Policy, float]:
+    """Exact argmax of the average profit over all 2^K policies, K at most
+    ENUMERATION_CAP.
 
     Enumerates in lexicographic order of the decision vector, scoring each
-    chunk of policies in one `average_profits` call; near-ties inside the
-    comparison band resolve to the lexicographically smallest vector by
-    keeping the first maximizer.
+    chunk of ENUMERATION_CHUNK policies in one `average_profits` call.  Each
+    chunk's first row within the tie band of its best is a candidate, and
+    the first candidate within the band of the best candidate wins, so
+    near-ties resolve to the lexicographically smallest vector.
     """
     k = params.threshold
-    if k > cap:
-        raise CapExceeded(f"K={k} exceeds enumeration cap {cap}")
+    if k > ENUMERATION_CAP:
+        raise CapExceeded(f"K={k} exceeds enumeration cap {ENUMERATION_CAP}")
     shifts = np.arange(k - 1, -1, -1)  # d_1 is the most significant bit
-    best_eta = 0.0
-    best_idx = None
     count = 1 << k
-    for start in range(0, count, chunk):
-        idx = np.arange(start, min(start + chunk, count))
-        etas = average_profits(params, (idx[:, None] >> shifts) & 1)
-        block_max = float(np.max(etas))
-        if best_idx is None or block_max > best_eta + BRUTE_FORCE_TIE_BAND * max(
-            1.0, abs(best_eta)
-        ):
-            # first maximizer within the band wins, which is the lexicographic rule
-            band = BRUTE_FORCE_TIE_BAND * max(1.0, abs(block_max))
-            first = int(np.nonzero(etas >= block_max - band)[0][0])
-            best_idx = int(idx[first])
-            best_eta = float(etas[first])
-    bits = tuple(int((best_idx >> int(s)) & 1) for s in shifts)
-    return Policy(bits), best_eta
+    indices, etas = [], []
+    for start in range(0, count, ENUMERATION_CHUNK):
+        idx = np.arange(start, min(start + ENUMERATION_CHUNK, count))
+        chunk_etas = average_profits(params, (idx[:, None] >> shifts) & 1)
+        first = _first_best(chunk_etas)
+        indices.append(int(idx[first]))
+        etas.append(float(chunk_etas[first]))
+    best = _first_best(np.array(etas))
+    bits = tuple(int((indices[best] >> int(s)) & 1) for s in shifts)
+    return Policy(bits), etas[best]

@@ -33,6 +33,8 @@ from .chain import build_generator
 from .model import InvalidParameter, Policy, StockRationingError, SystemParams, reward_structure
 
 CHUNK = 1 << 15
+# Each replication discards this fraction of its horizon as warmup.
+WARMUP_FRACTION = 0.01
 # Walk-table size cap, and the block sizes it picks from; each divides CHUNK.
 TABLE_ENTRIES = 1 << 15
 BLOCK_SIZES = (8, 4, 2, 1)
@@ -141,12 +143,11 @@ def simulate(
     horizon: float,
     replications: int,
     seed: int,
-    warmup_fraction: float = 0.01,
 ) -> SimEstimate:
     """Estimate the average profit from independent finite-horizon replications.
 
     Each replication integrates the reward rate over a window of length
-    `horizon` after discarding a warmup of warmup_fraction * horizon; the
+    `horizon` after discarding a warmup of WARMUP_FRACTION * horizon; the
     reported standard error is the sample standard deviation of the
     per-replication means divided by sqrt(replications).  The seed must be
     a nonnegative integer, as numpy's SeedSequence requires, and
@@ -154,10 +155,6 @@ def simulate(
     """
     if not 0 < horizon < np.inf:
         raise InvalidParameter(f"horizon must be positive and finite, got {horizon}")
-    if not 0 <= warmup_fraction < np.inf:
-        raise InvalidParameter(
-            f"warmup_fraction must be nonnegative and finite, got {warmup_fraction}"
-        )
     if not _is_integer(seed) or seed < 0:
         raise InvalidParameter(f"seed must be a nonnegative integer, got {seed!r}")
     if not _is_integer(replications):
@@ -175,7 +172,7 @@ def simulate(
     table = _walk_table(pup)
     inv_rate = 1.0 / rate
 
-    warmup = warmup_fraction * horizon
+    warmup = WARMUP_FRACTION * horizon
     total = warmup + horizon
     etas = np.empty(replications)
     occ = np.empty((replications, n + 1))

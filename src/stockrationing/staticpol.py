@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import average_profits
+from .chain import _first_best, average_profits
 from .model import StockRationingError, SystemParams
 
 
@@ -41,14 +41,12 @@ def static_profit_closed_form(params: SystemParams, theta: int) -> float:
 def optimal_static_threshold(
     params: SystemParams, thetas: range | None = None
 ) -> tuple[int, float]:
-    """Best threshold over the swept range (default 1..K+1), ties to the smaller theta."""
+    """Best threshold over the swept range (default 1..K+1); near-ties within
+    the chain's tie band go to the smaller theta."""
     if thetas is None:
         thetas = range(1, params.threshold + 2)
     if len(thetas) == 0:
         raise StockRationingError("empty theta range")
-    etas = average_profits(params, _threshold_rows(params, thetas)).tolist()
-    best = 0
-    for j, eta in enumerate(etas):
-        if eta > etas[best] + 1e-12 * max(1.0, abs(etas[best])):
-            best = j
-    return thetas[best], etas[best]
+    etas = average_profits(params, _threshold_rows(params, thetas))
+    best = _first_best(etas)
+    return thetas[best], float(etas[best])

@@ -41,7 +41,7 @@ from stockrationing import (
 )
 from stockrationing.poisson import _poisson_residual
 from stockrationing.sensitivity import SIGN_ZERO_BAND
-from stockrationing.sim import CHUNK, _replication_rng
+from stockrationing.sim import CHUNK, WARMUP_FRACTION, _replication_rng
 
 
 @dataclass(frozen=True)
@@ -450,7 +450,7 @@ def _reference_replication(
 
 
 def reference_simulate(params: SystemParams, policy: Policy, horizon: float,
-                       replications: int, seed: int, warmup_fraction: float = 0.01):
+                       replications: int, seed: int):
     """Per-replication estimates and mean occupancy of `simulate`, one step at a time."""
     gen = build_generator(params, policy)
     f = reward_structure(params, policy).f_values
@@ -458,7 +458,7 @@ def reference_simulate(params: SystemParams, policy: Policy, horizon: float,
     rate = -gen.diag
     pup = np.append(gen.sup / rate[:-1], 0.0).tolist()
     inv_rate = 1.0 / rate
-    warmup = warmup_fraction * horizon
+    warmup = WARMUP_FRACTION * horizon
     total = warmup + horizon
     etas = np.empty(replications)
     occ = np.empty((replications, n + 1))

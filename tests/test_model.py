@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,41 +20,63 @@ from stockrationing import (
     SystemParams,
     brute_force_optimal,
     reward_structure,
-    validate_params,
 )
 from stockrationing import optimizer
 
 
 class TestValidation:
     def test_example1_accepted(self, example1_params):
-        assert validate_params(example1_params) is example1_params
+        assert dataclasses.replace(example1_params) == example1_params
 
     def test_zero_arrival_rate_rejected(self, example1_params):
-        bad = dataclasses.replace(example1_params, lam=0.0)
         with pytest.raises(NonPositiveRate):
-            validate_params(bad)
+            dataclasses.replace(example1_params, lam=0.0)
 
     @pytest.mark.parametrize("field", ["mu1", "mu2"])
     def test_nonpositive_service_rate_rejected(self, example1_params, field):
-        bad = dataclasses.replace(example1_params, **{field: -1.0})
         with pytest.raises(NonPositiveRate):
-            validate_params(bad)
+            dataclasses.replace(example1_params, **{field: -1.0})
 
     def test_threshold_equal_capacity_accepted(self):
         p = SystemParams(lam=1, mu1=1, mu2=1, capacity=2, threshold=2,
                          c_lost1=2, c_lost2=1)
-        assert validate_params(p).threshold == 2
+        assert p.threshold == 2
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_threshold_out_of_range_rejected(self, k):
         with pytest.raises(BadThreshold):
-            validate_params(SystemParams(lam=1, mu1=1, mu2=1, capacity=2, threshold=k))
+            SystemParams(lam=1, mu1=1, mu2=1, capacity=2, threshold=k)
 
     def test_priority_violation_is_warning_only(self):
-        p = SystemParams(lam=1, mu1=1, mu2=1, capacity=2, threshold=1,
-                         c_lost1=1, c_lost2=2)
+        data = {"lambda": 1, "mu1": 1, "mu2": 1, "capacity_n": 2, "threshold_k": 1,
+                "c_lost1": 1, "c_lost2": 2}
         with pytest.warns(PriorityViolation):
-            assert validate_params(p) is p
+            p = SystemParams.from_json_dict(data)
+        assert (p.c_lost1, p.c_lost2) == (1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")       # library construction stays silent
+            dataclasses.replace(p)
+
+    @pytest.mark.parametrize(
+        "changes, error",
+        [
+            ({"lam": -1.0}, NonPositiveRate),
+            ({"lam": float("nan")}, InvalidParameter),
+            ({"lam": float("inf")}, InvalidParameter),
+            ({"price": float("nan")}, InvalidParameter),
+            ({"mu2": 0.0}, NonPositiveRate),
+            ({"threshold": 0}, BadThreshold),
+            ({"threshold": 101}, BadThreshold),
+            ({"capacity": 100.5}, InvalidParameter),
+            ({"c_hold": -1.0}, InvalidParameter),
+        ],
+    )
+    def test_constructor_rejects_parameters_outside_the_model(self, example1_params,
+                                                              changes, error):
+        # each reached a numpy or math error, a NaN answer or a silent one
+        # when only the JSON route checked its input
+        with pytest.raises(error):
+            dataclasses.replace(example1_params, **changes)
 
     def test_json_round_trip(self, example1_params):
         data = json.loads(json.dumps(example1_params.to_json_dict()))
@@ -154,7 +177,7 @@ class TestAdjacentChain:
                     assert walk(d, disagreements(d, c))[-1] == c
 
 
-def enumerated(monkeypatch, k, **kwargs):
+def enumerated(monkeypatch, k):
     """The decision rows that the enumeration oracle scores, in order."""
     rows = []
     score = optimizer.average_profits
@@ -165,7 +188,7 @@ def enumerated(monkeypatch, k, **kwargs):
 
     monkeypatch.setattr(optimizer, "average_profits", record)
     brute_force_optimal(SystemParams(lam=2, mu1=1, mu2=1, capacity=k + 2, threshold=k,
-                                     c_lost1=2, c_lost2=1, price=3), **kwargs)
+                                     c_lost1=2, c_lost2=1, price=3))
     return rows
 
 
@@ -178,7 +201,8 @@ class TestEnumeration:
 
     def test_k10_unique_and_lexicographic(self, monkeypatch):
         # in chunks of 64 rows, each policy once, in lexicographic order
-        seen = enumerated(monkeypatch, 10, chunk=64)
+        monkeypatch.setattr(optimizer, "ENUMERATION_CHUNK", 64)
+        seen = enumerated(monkeypatch, 10)
         assert seen == list(itertools.product((0, 1), repeat=10))
 
     def test_cap(self, monkeypatch):
@@ -186,7 +210,8 @@ class TestEnumeration:
                          threshold=ENUMERATION_CAP + 1, c_lost1=2, c_lost2=1)
         with pytest.raises(CapExceeded):
             brute_force_optimal(p)
-        assert len(enumerated(monkeypatch, 5, cap=5)) == 32
+        monkeypatch.setattr(optimizer, "ENUMERATION_CAP", 5)
+        assert len(enumerated(monkeypatch, 5)) == 32
 
 
 class TestPolicy:
@@ -200,4 +225,4 @@ class TestPolicy:
 
     def test_json_round_trip(self):
         pol = Policy((1, 0, 1))
-        assert Policy.from_json_list(json.loads(json.dumps(pol.to_json_list()))) == pol
+        assert Policy(json.loads(json.dumps(pol.to_json_list()))) == pol

@@ -16,6 +16,7 @@ from stockrationing import (
     restore_threshold,
     static_profit_closed_form,
 )
+from stockrationing import optimizer
 
 from conftest import random_params, random_policy
 
@@ -161,9 +162,10 @@ class TestBruteForce:
             _, eta = brute_force_optimal(p)
             assert eta == pytest.approx(best, rel=1e-12, abs=1e-12)
 
-    def test_cap(self, example1_params):
+    def test_cap(self, example1_params, monkeypatch):
+        monkeypatch.setattr(optimizer, "ENUMERATION_CAP", 10)
         with pytest.raises(CapExceeded):
-            brute_force_optimal(example1_params, cap=10)
+            brute_force_optimal(example1_params)
 
     def test_k_equals_n(self):
         from stockrationing import SystemParams

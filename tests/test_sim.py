@@ -60,15 +60,6 @@ def test_invalid_seed_rejected_before_any_replication(unit_params, monkeypatch, 
         simulate(unit_params, Policy((0,)), horizon=100.0, replications=2, seed=seed)
 
 
-@pytest.mark.parametrize("warmup_fraction", [float("nan"), float("inf"), -0.5])
-def test_invalid_warmup_rejected_before_any_replication(unit_params, monkeypatch,
-                                                        warmup_fraction):
-    monkeypatch.setattr(sim, "_run_replication", _no_replication)
-    with pytest.raises(InvalidParameter, match="warmup_fraction"):
-        simulate(unit_params, Policy((0,)), horizon=100.0, replications=2, seed=0,
-                 warmup_fraction=warmup_fraction)
-
-
 @pytest.mark.parametrize("replications", [2.5, True])
 def test_non_integer_replications_rejected(unit_params, monkeypatch, replications):
     monkeypatch.setattr(sim, "_run_replication", _no_replication)

@@ -11,6 +11,7 @@ from stockrationing import (
     average_profit,
     average_profits,
     optimal_static_threshold,
+    profit_linear_form,
     reward_structure,
     static_profit_closed_form,
 )
@@ -51,6 +52,8 @@ class TestGeomSums:
             xi += [xi[-1] * x**j for j in range(1, p.capacity - k + 1)]
             want = math.fsum(w * r for w, r in zip(xi, f)) / math.fsum(xi)
             assert eta == pytest.approx(want, rel=1e-12, abs=1e-14)
+            # a stack's row is scored as its own one-policy record scores it
+            assert eta == pytest.approx(profit_linear_form(p, pol).eta(p.penalty), rel=1e-13)
 
 
 class TestBuildStatic:
@@ -124,6 +127,17 @@ class TestOptimalStaticThreshold:
     def test_restricted_range(self, example1_params):
         theta, eta = optimal_static_threshold(example1_params, thetas=range(3, 6))
         assert theta in (3, 4, 5)
+
+    def test_near_tie_goes_to_the_smaller_theta(self, monkeypatch):
+        # theta = 2 lies within the tie band of the best, theta = 3, though
+        # not within the band of theta = 1; a scan that moves its incumbent
+        # only past the band would stop at theta = 3
+        from stockrationing import staticpol
+
+        monkeypatch.setattr(staticpol, "average_profits",
+                            lambda params, rows: np.array([0.0, 0.6e-12, 1.2e-12]))
+        p = SystemParams(lam=1, mu1=1, mu2=1, capacity=3, threshold=2)
+        assert optimal_static_threshold(p) == (2, 0.6e-12)
 
     def test_static_never_beats_dynamic_optimum(self):
         from stockrationing import brute_force_optimal
