@@ -10,7 +10,9 @@ the call raises StockRationingError.  A line below the table gives the
 simulator's speed: events per second of `simulate` at example 1 (N=100,
 all-ones policy, horizon 2e4, 4 replications), best of 3, with the events
 counted as perfbench counts them, replications x horizon x the mean jump
-rate under the estimated occupancy.  The last line gives the package's
+rate under the estimated occupancy.  The next line times the enumeration
+oracle: `brute_force_optimal` at example-1 rates and costs, P=5, N=2K, at
+K=16, 20 and 22, best of 3.  The last line gives the package's
 size: the lines of its modules (as `wc -l src/stockrationing/*.py` counts
 them), the number of names it exports, and how many parameters of the
 exported functions have a default.  Run from the repository root:
@@ -22,6 +24,7 @@ OpenBLAS dot product at N >= 1e4 took several milliseconds of thread
 hand-off in some processes and none in others.
 """
 
+import dataclasses
 import inspect
 import os
 import time
@@ -37,6 +40,7 @@ from stockrationing import (  # noqa: E402
     StockRationingError,
     SystemParams,
     average_profit,
+    brute_force_optimal,
     build_generator,
     global_optimal,
     optimal_static_threshold,
@@ -50,6 +54,7 @@ COLUMNS = [(0.5, n) for n in (100, 1_000, 10_000, 100_000)] + [
     (beta, 100_000) for beta in (0.8, 1.0, 1.2)
 ]
 REPEATS = 3
+ENUMERATION_KS = (16, 20, 22)
 
 
 def best_time(fn) -> float:
@@ -94,6 +99,14 @@ def simulator_speed() -> str:
             f"(example 1, all-ones policy, horizon 2e4, 4 replications)")
 
 
+def enumeration_speed() -> str:
+    cells = []
+    for k in ENUMERATION_KS:
+        p = dataclasses.replace(params(0.5, 2 * k), threshold=k)
+        cells.append(f"K={k} {fmt(best_time(lambda: brute_force_optimal(p)))}")
+    return "enumeration: " + ", ".join(cells) + " (example-1 rates, N=2K, best of 3)"
+
+
 def footprint() -> str:
     modules = sorted(Path(stockrationing.__file__).parent.glob("*.py"))
     lines = sum(path.read_text().count("\n") for path in modules)
@@ -127,6 +140,7 @@ def main():
         print(f"| `{name}` | " + " | ".join(cells) + " |")
     print()
     print(simulator_speed())
+    print(enumeration_speed())
     print(footprint())
 
 

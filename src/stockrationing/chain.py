@@ -9,8 +9,9 @@ states 0..K on a scale that cannot overflow, and closed-form sums for the
 segment, taken relative to its heavier end, so no weight overflows or
 underflows at any N.  The record gives the profit split eta = D - P*F, the
 realization factors behind the flip margins G(i) + b on 1..K, and pi.
-A record of a stack of policies gives every row's D and F from the same
-pieces, which is how `average_profits` scores a stack in one call.
+D and F need only four sums over states 0..K, which a stack's record gives
+each row (`average_profits`) and the enumeration oracle joins from two
+half-stacks.
 """
 
 from __future__ import annotations
@@ -76,34 +77,43 @@ class ChainRecord:
     """One policy's chain, or each row's of a stack of policies, solved once
     in ratio form.
 
-    `decisions` is one policy's (K,) vector or an (m, K) stack, and every
-    per-chain field below then has the stack's leading axis.  `weights` are
-    the stationary weights on states 0..K, the largest of them between 1
-    and e**600.  The segment above K enters through its reference state, K
-    when beta <= 1 and N when beta > 1: `tail_log` is the log of its weight
-    on the chain's scale, and `tail` holds its _tail_sums and weighted B,
-    which no policy changes.  `scales` map the head's and the reference's
-    weights to the chain's scale, and `norm` is the total weight there.  The
-    rewards and the profit split are computed on first use.
+    `head` holds four sums over states 0..K per chain (arrays for a stack):
+    the weight sum, the served weight sum_i d_i w_i, the weighted sum of the
+    all-zeros policy's B row `base` and the log of state K's weight, on a
+    scale whose largest weight lies between 1 and e**600.  Serving Class 2
+    at a state in 1..K adds a fixed `_serve_gain` to B and A, so they fix D
+    and F (`form`); the `decisions` ((K,) or (m, K)), `weights` and `base`
+    behind them are kept when known.  The segment above K, whose _tail_sums
+    and weighted B no policy changes (`tail`), enters through its reference
+    state, K when beta <= 1 and N when beta > 1, at log_K + max((N-K)
+    log(beta), 0) on the head's scale.  The chain's scale shifts that down
+    to one when it is larger: `scales` take the head's and the reference's
+    weights there, both at most one, with the latter's log, and `norm` is
+    the total weight.
     """
 
     params: SystemParams
-    decisions: np.ndarray
-    weights: np.ndarray
-    scales: tuple
-    tail_log: float | np.ndarray
-    tail: tuple
-    norm: float | np.ndarray
+    head: tuple
+    decisions: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    base: np.ndarray | None = None
 
     @cached_property
-    def base(self) -> np.ndarray:
-        """Row B of the all-zeros policy's reward on states 0..K.
+    def tail(self) -> tuple:
+        p = self.params
+        sums = _tail_sums(p, p.capacity - p.threshold)
+        return sums, _segment_reward(p, p.threshold, sums, True)
 
-        Serving Class 2 at a state in 1..K adds a fixed `_serve_gain` to B
-        and A there, so this row and a policy's served weight sum_i d_i w_i
-        give its weighted sums of B and A over the head.
-        """
-        return _base_rewards(self.params, self.params.threshold)
+    @cached_property
+    def scales(self) -> tuple:
+        p = self.params
+        tail_log = self.head[3] + max((p.capacity - p.threshold) * _log_beta(p), 0.0)
+        shift = np.maximum(tail_log, 0.0)
+        return np.exp(-shift), np.exp(tail_log - shift), tail_log - shift
+
+    @cached_property
+    def norm(self) -> float | np.ndarray:
+        return self.scales[0] * self.head[0] + self.scales[1] * self.tail[0][0]
 
     @cached_property
     def rewards(self) -> np.ndarray:
@@ -117,14 +127,12 @@ class ChainRecord:
     def form(self) -> ProfitLinearForm:
         """eta = D - P*F, D and F the stationary means of B and A; for a
         stack, arrays with one entry per row."""
-        head_scale, tail_scale = self.scales
+        _, served, b_sum, _ = self.head
+        head_scale, tail_scale, _ = self.scales
         gain_b, gain_a = _serve_gain(self.params)
-        # einsum casts a stack's integer rows in buffers, not in a copy
-        served = np.einsum("...i,...i->...", self.decisions, self.weights[..., 1:])
-        b_head = self.weights @ self.base + gain_b * served
-        d_coef = (head_scale * b_head + tail_scale * self.tail[1]) / self.norm
+        d_coef = (head_scale * (b_sum + gain_b * served) + tail_scale * self.tail[1]) / self.norm
         f_coef = head_scale * gain_a * served / self.norm
-        if self.decisions.ndim == 1:
+        if np.ndim(d_coef) == 0:
             d_coef, f_coef = float(d_coef), float(f_coef)
         return ProfitLinearForm(d_coef=d_coef, f_coef=f_coef)
 
@@ -138,7 +146,7 @@ class ChainRecord:
         offsets = np.arange(1.0, p.capacity - k + 1)
         if _log_beta(p) > 0:
             offsets -= p.capacity - k
-        pi[k + 1 :] = _exp(offsets * _log_beta(p) + self.tail_log) / self.norm
+        pi[k + 1 :] = _exp(offsets * _log_beta(p) + self.scales[2]) / self.norm
         return pi
 
     def cut_factors(self) -> np.ndarray:
@@ -158,7 +166,7 @@ class ChainRecord:
         """
         p = self.params
         k = p.threshold
-        w, (head_scale, tail_scale) = self.weights, self.scales
+        w, (head_scale, tail_scale, _) = self.weights, self.scales
         n_cuts = min(k + 1, p.capacity)
         if w[:n_cuts].min() < TINY:
             raise NumericalOverflow(
@@ -263,33 +271,34 @@ def _segment_reward(params: SystemParams, base, sums, reaches_top: bool):
     return total + (p.c_buy - p.c_opp) * p.lam * top if reaches_top else total
 
 
-def _head_weights(params: SystemParams, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights on states 0..K of each row of d, and the log of state K's.
+def _head_weights(params: SystemParams, d: np.ndarray) -> tuple:
+    """Weights on states 0..n of each row of d, n its length, and the logs
+    of state 0's and state n's.
 
     Their scale puts each row's largest weight between 1 and e**600.  While
-    K rate ratios cannot grow past that, the weights are relative to state
-    0, one running product of the ratios; otherwise they come from summed
-    log-ratios, relative to the row's largest.  Either way a stack of 2**16
-    policies makes one array of its size, updated in place.
+    K rate ratios cannot grow past that, whatever n is, the weights are
+    relative to state 0, one running product of the ratios, and state 0's
+    log is None; otherwise they come from summed log-ratios, relative to the
+    row's largest.  Either way the rows make one array, updated in place.
     """
     r_hold = params.lam / params.mu1
     r_serve = params.lam / (params.mu1 + params.mu2)
     w = np.empty(d.shape[:-1] + (d.shape[-1] + 1,))
     w[..., 0] = 1.0
     steps = w[..., 1:]
-    if d.shape[-1] * math.log(max(r_hold, 1.0)) < 600.0:
+    if params.threshold * math.log(max(r_hold, 1.0)) < 600.0:
         np.multiply(d, r_serve - r_hold, out=steps)
         steps += r_hold
         np.cumprod(steps, axis=-1, out=steps)
-        # An underflowed state K outweighs no state; its log is floored.
-        return w, np.log(np.maximum(w[..., -1], TINY))
+        # An underflowed state n outweighs no state; its log is floored.
+        return w, None, np.log(np.maximum(w[..., -1], TINY))
     np.multiply(d, math.log(r_serve / r_hold), out=steps)
     steps += math.log(r_hold)
     np.cumsum(steps, axis=-1, out=steps)
     w[..., 0] = 0.0
     w -= w.max(axis=-1, keepdims=True)
-    log_k = w[..., -1].copy()
-    return np.exp(w, out=w), log_k
+    logs = w[..., 0].copy(), w[..., -1].copy()
+    return np.exp(w, out=w), *logs
 
 
 def chain_record(params: SystemParams, policy: Policy | np.ndarray) -> ChainRecord:
@@ -303,21 +312,11 @@ def chain_record(params: SystemParams, policy: Policy | np.ndarray) -> ChainReco
         d = np.asarray(policy)
         if d.ndim != 2 or d.shape[1] != k:
             raise LengthMismatch(f"decisions of shape {d.shape} need shape (m, K={k})")
-    w, log_k = _head_weights(params, d)
-    # The segment's reference weight (state K when beta <= 1, state N when
-    # beta > 1) sits at log_k + max((N-K) log(beta), 0) on the head's scale;
-    # the chain's scale shifts it down to one when it is larger than one, and
-    # otherwise keeps the head's, so both scales are at most one.
-    above = params.capacity - k
-    sums = _tail_sums(params, above)
-    tail_log = log_k + max(above * _log_beta(params), 0.0)
-    shift = np.maximum(tail_log, 0.0)
-    head_scale, tail_scale = np.exp(-shift), np.exp(tail_log - shift)
-    return ChainRecord(
-        params=params, decisions=d, weights=w, scales=(head_scale, tail_scale),
-        tail_log=tail_log - shift, tail=(sums, _segment_reward(params, k, sums, True)),
-        norm=head_scale * w.sum(axis=-1) + tail_scale * sums[0],
-    )
+    w, _, log_k = _head_weights(params, d)
+    base = _base_rewards(params, k)
+    # einsum casts a stack's integer rows in buffers, not in a copy
+    served = np.einsum("...i,...i->...", d, w[..., 1:])
+    return ChainRecord(params, (w.sum(axis=-1), served, w @ base, log_k), d, w, base)
 
 
 def _compensated_cumsum(a: np.ndarray) -> np.ndarray:

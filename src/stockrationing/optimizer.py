@@ -7,7 +7,8 @@ an optimum carries its own permutation and zero count (`sort_perm`, `n0`),
 and `restore_threshold` maps them back to the policy.
 The regime gates are checked on the all-zeros and all-ones policies; the
 optimum itself comes from Howard policy iteration on the flip margins, with
-a brute-force enumeration available as the ground-truth oracle at small K.
+an exhaustive enumeration over all 2^K policies, K <= ENUMERATION_CAP, as
+the ground-truth oracle.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _first_best, average_profits
-from .model import ENUMERATION_CAP, CapExceeded, Policy, SystemParams
+from .chain import ChainRecord, _first_best, _head_weights
+from .model import ENUMERATION_CAP, CapExceeded, Policy, SystemParams, _base_rewards
 from .sensitivity import penalty_roots
 
 ENUMERATION_CHUNK = 1 << 16
@@ -109,28 +110,58 @@ def global_optimal(params: SystemParams, check_oracle: bool = False) -> Optimize
     )
 
 
+def _enumerated_etas(params: SystemParams):
+    """Yield every policy's average profit in lexicographic order of the
+    decision vector, in blocks of whole rows of at most ENUMERATION_CHUNK.
+
+    State i's weight is the product of the first i rate ratios, and d_j
+    alone fixes the j-th.  So with high bits a on 1..h, h = K // 2, and low
+    bits b on h+1..K (Horowitz and Sahni, Computing Partitions with
+    Applications to the Knapsack Problem, JACM 1974), each head sum of
+    policy a * 2**(K-h) + b is a's over states 0..h plus a's weight at h
+    times b's over the rest, relative to b's first state, and a block joins
+    a column of a's half sums to a row of b's.  One bit table holds both
+    halves' patterns (a's end in K - 2h zeros); each half has its own scale.
+    """
+    k = params.threshold
+    h, m = k // 2, k - k // 2
+    b_bits = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    a_bits = b_bits[:: 1 << (m - h), :h]
+    w_b, log_b0, log_bm = _head_weights(params, b_bits)
+    w_a, _, log_ah = (w_b, log_b0, log_bm) if h == m else _head_weights(params, a_bits)
+    base = _base_rewards(params, k)
+    a_sums = np.array((w_a.sum(1), np.einsum("ij,ij->i", a_bits, w_a[:, 1:]), w_a @ base[: h + 1]))
+    w_b = w_b[:, 1:]
+    b_sums = np.array((w_b.sum(1), np.einsum("ij,ij->i", b_bits, w_b), w_b @ base[h + 1 :]))
+    rows = max(ENUMERATION_CHUNK >> m, 1)
+    for a in (slice(start, start + rows) for start in range(0, 1 << h, rows)):
+        if log_b0 is None:  # on a's scale, where state 0 weighs one
+            scale_a, scale_b, log_k = 1.0, w_a[a, h, None], log_ah[a, None] + log_bm
+        else:               # each pair on its own scale, where its largest weight is one
+            t = log_ah[a, None] - log_b0
+            down = np.minimum(t, 0.0)
+            scale_a, scale_b, log_k = np.exp(down - t), np.exp(down), log_bm + down
+        head = scale_b * b_sums[:, None, :]
+        head += scale_a * a_sums[:, a, None]
+        yield ChainRecord(params, (*head, log_k)).form.eta(params.penalty).ravel()
+
+
 def brute_force_optimal(params: SystemParams) -> tuple[Policy, float]:
     """Exact argmax of the average profit over all 2^K policies, K at most
-    ENUMERATION_CAP.
+    ENUMERATION_CAP, scored from two half-stacks by `_enumerated_etas`.
 
-    Enumerates in lexicographic order of the decision vector, scoring each
-    chunk of ENUMERATION_CHUNK policies in one `average_profits` call.  Each
-    chunk's first row within the tie band of its best is a candidate, and
-    the first candidate within the band of the best candidate wins, so
+    Each block's first row within the tie band of its best is a candidate,
+    and the first candidate within the band of the best candidate wins, so
     near-ties resolve to the lexicographically smallest vector.
     """
     k = params.threshold
     if k > ENUMERATION_CAP:
         raise CapExceeded(f"K={k} exceeds enumeration cap {ENUMERATION_CAP}")
-    shifts = np.arange(k - 1, -1, -1)  # d_1 is the most significant bit
-    count = 1 << k
-    indices, etas = [], []
-    for start in range(0, count, ENUMERATION_CHUNK):
-        idx = np.arange(start, min(start + ENUMERATION_CHUNK, count))
-        chunk_etas = average_profits(params, (idx[:, None] >> shifts) & 1)
-        first = _first_best(chunk_etas)
-        indices.append(int(idx[first]))
-        etas.append(float(chunk_etas[first]))
+    indices, etas, start = [], [], 0
+    for block in _enumerated_etas(params):
+        first = _first_best(block)
+        indices.append(start + first)
+        etas.append(float(block[first]))
+        start += block.size
     best = _first_best(np.array(etas))
-    bits = tuple(int((indices[best] >> int(s)) & 1) for s in shifts)
-    return Policy(bits), etas[best]
+    return Policy(tuple((indices[best] >> s) & 1 for s in range(k - 1, -1, -1))), etas[best]

@@ -18,6 +18,7 @@ from stockrationing import (
     Policy,
     PriorityViolation,
     SystemParams,
+    average_profits,
     brute_force_optimal,
     reward_structure,
 )
@@ -178,32 +179,50 @@ class TestAdjacentChain:
 
 
 def enumerated(monkeypatch, k):
-    """The decision rows that the enumeration oracle scores, in order."""
-    rows = []
-    score = optimizer.average_profits
+    """The policies whose profits the enumeration oracle scores, in order,
+    and its block sizes.
 
-    def record(params, decisions):
-        rows.extend(tuple(row) for row in decisions.tolist())
-        return score(params, decisions)
+    The profits are read through the block sequence `brute_force_optimal`
+    consumes.  Each must equal the profit `average_profits` gives one
+    explicit decision row, to 1e-13 of scale, which names its policy: at
+    mu2 = 1.5 and P = 0.7 no two policies' profits lie closer than 4e-8 of
+    scale at K = 10.
+    """
+    blocks = []
+    produce = optimizer._enumerated_etas
 
-    monkeypatch.setattr(optimizer, "average_profits", record)
-    brute_force_optimal(SystemParams(lam=2, mu1=1, mu2=1, capacity=k + 2, threshold=k,
-                                     c_lost1=2, c_lost2=1, price=3))
-    return rows
+    def record(params):
+        for block in produce(params):
+            blocks.append(block.copy())
+            yield block
+
+    monkeypatch.setattr(optimizer, "_enumerated_etas", record)
+    p = SystemParams(lam=2, mu1=1, mu2=1.5, capacity=k + 2, threshold=k,
+                     c_lost1=2, c_lost2=1, price=3, penalty=0.7)
+    brute_force_optimal(p)
+    rows = list(itertools.product((0, 1), repeat=k))
+    explicit = average_profits(p, np.array(rows))
+    tol = 1e-13 * max(1.0, float(np.abs(explicit).max()))
+    named = []
+    for eta in np.concatenate(blocks):
+        (match,) = np.flatnonzero(np.abs(explicit - eta) <= tol)
+        named.append(rows[match])
+    return named, [len(block) for block in blocks]
 
 
 class TestEnumeration:
     def test_k1(self, monkeypatch):
-        assert enumerated(monkeypatch, 1) == [(0,), (1,)]
+        assert enumerated(monkeypatch, 1)[0] == [(0,), (1,)]
 
     def test_k3_count(self, monkeypatch):
-        assert len(enumerated(monkeypatch, 3)) == 8
+        assert len(enumerated(monkeypatch, 3)[0]) == 8
 
     def test_k10_unique_and_lexicographic(self, monkeypatch):
-        # in chunks of 64 rows, each policy once, in lexicographic order
+        # in blocks of 64 policies, each policy once, in lexicographic order
         monkeypatch.setattr(optimizer, "ENUMERATION_CHUNK", 64)
-        seen = enumerated(monkeypatch, 10)
+        seen, sizes = enumerated(monkeypatch, 10)
         assert seen == list(itertools.product((0, 1), repeat=10))
+        assert sizes == [64] * 16
 
     def test_cap(self, monkeypatch):
         p = SystemParams(lam=2, mu1=1, mu2=1, capacity=ENUMERATION_CAP + 1,
@@ -211,7 +230,7 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             brute_force_optimal(p)
         monkeypatch.setattr(optimizer, "ENUMERATION_CAP", 5)
-        assert len(enumerated(monkeypatch, 5)) == 32
+        assert len(enumerated(monkeypatch, 5)[0]) == 32
 
 
 class TestPolicy:

@@ -1,7 +1,11 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stockrationing import (
     ENUMERATION_CAP,
@@ -9,6 +13,7 @@ from stockrationing import (
     Policy,
     SystemParams,
     average_profit,
+    average_profits,
     brute_force_optimal,
     classify_sign,
     global_optimal,
@@ -17,6 +22,7 @@ from stockrationing import (
     static_profit_closed_form,
 )
 from stockrationing import optimizer
+from stockrationing.chain import _first_best, _head_weights
 
 from conftest import random_params, random_policy
 
@@ -179,6 +185,61 @@ class TestBruteForce:
         )[0]
         _, eta = brute_force_optimal(p)
         assert eta == pytest.approx(best, rel=1e-12)
+
+    def test_at_the_cap(self, example1_params):
+        # the cap's own enumeration, 2**24 policies at example-1 rates
+        p = dataclasses.replace(example1_params, capacity=2 * ENUMERATION_CAP,
+                                threshold=ENUMERATION_CAP)
+        _, eta = brute_force_optimal(p)
+        res = global_optimal(p)
+        assert abs(eta - res.eta) <= optimizer.ORACLE_MATCH_TOL * max(1.0, abs(eta))
+
+
+def explicit_optimum(p):
+    """The tie rule over `average_profits` of all 2**K explicit decision rows."""
+    rows = np.array(list(itertools.product((0, 1), repeat=p.threshold)))
+    etas = average_profits(p, rows)
+    best = _first_best(etas)
+    return tuple(rows[best].tolist()), float(etas[best])
+
+
+@given(
+    log_beta=st.floats(math.log(1e-3), math.log(1e3)),
+    mu1_share=st.floats(0.1, 0.9),
+    supply=st.sampled_from(["beta", "lam=mu1", "lam=mu1+mu2"]),
+    k=st.integers(1, 14),
+    n_frac=st.floats(0.0, 1.0),
+    costs=st.lists(st.floats(0.0, 10.0), min_size=7, max_size=7),
+)
+@settings(max_examples=60, deadline=None)
+def test_split_enumeration_matches_explicit_rows(log_beta, mu1_share, supply, k, n_frac, costs):
+    # lam/(mu1 + mu2) from 1e-3 to 1e3, K <= 14, N from K to 3K; the
+    # enumeration joins two half-stacks, the reference scores every row
+    lam = {"beta": math.exp(log_beta), "lam=mu1": mu1_share, "lam=mu1+mu2": 1.0}[supply]
+    c_hold, c_lost1, c_lost2, c_buy, c_opp, price, penalty = costs
+    p = SystemParams(lam=lam, mu1=mu1_share, mu2=1.0 - mu1_share, capacity=k + int(n_frac * 2 * k),
+                     threshold=k, c_hold=c_hold, c_lost1=c_lost1, c_lost2=c_lost2, c_buy=c_buy,
+                     c_opp=c_opp, price=price, penalty=penalty)
+    policy, eta = brute_force_optimal(p)
+    ref_policy, ref_eta = explicit_optimum(p)
+    assert policy.decisions == ref_policy
+    assert abs(eta - ref_eta) <= 1e-13 * max(1.0, abs(ref_eta))
+
+
+@pytest.mark.parametrize("k, log_hold", [(12, 52.0), (11, 56.0)])
+@pytest.mark.parametrize("serve", [1.0, 1e3])
+def test_split_enumeration_in_the_log_weight_branch(k, log_hold, serve):
+    # K log(lam/mu1) = 624 and 616 nats, past the 600 that switches the
+    # weights to logs, while each head stays in float range; mu2 = 1e3 lam
+    # makes serving ratios fall below one, so the halves' scales cross
+    lam = math.exp(log_hold)
+    p = SystemParams(lam=lam, mu1=1.0, mu2=serve * lam, capacity=k + 8, threshold=k,
+                     c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=5.0)
+    assert _head_weights(p, np.zeros((1, k), dtype=int))[1] is not None    # log weights
+    policy, eta = brute_force_optimal(p)
+    ref_policy, ref_eta = explicit_optimum(p)
+    assert policy.decisions == ref_policy
+    assert abs(eta - ref_eta) <= 1e-13 * max(1.0, abs(ref_eta))
 
 
 class TestGlobalOptimal:

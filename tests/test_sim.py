@@ -16,6 +16,8 @@ from stockrationing import (
 from conftest import random_params, random_policy
 from oracles import reference_simulate
 
+EVENT_BLOCK = 1 << 14
+
 
 def _no_replication(*args):
     raise AssertionError("a replication started")
@@ -178,36 +180,42 @@ def _event_priced_simulation(p, policy, horizon, seed):
     """Physics-level oracle: three independent Poisson event streams priced
     per event (sale, lost sale, purchase, rejection, low-stock service
     penalty) plus the holding-time integral.  Never evaluates the per-state
-    reward rates, so it checks the whole modeling chain end to end."""
+    reward rates, so it checks the whole modeling chain end to end.  The
+    gaps and the uniforms that pick each event's stream are drawn in blocks
+    of EVENT_BLOCK; the loop prices the events one at a time."""
     rng = np.random.default_rng(seed)
     n, k = p.capacity, p.threshold
     total_rate = p.lam + p.mu1 + p.mu2
     t, s, profit = 0.0, 0, 0.0
     while t < horizon:
-        dt = rng.exponential(1.0 / total_rate)
-        profit -= p.c_hold * s * dt
-        t += dt
-        u = rng.random() * total_rate
-        if u < p.lam:
-            if s < n:
-                profit -= p.c_buy
-                s += 1
+        gaps = rng.exponential(1.0 / total_rate, EVENT_BLOCK).tolist()
+        draws = rng.random(EVENT_BLOCK).tolist()
+        for dt, u in zip(gaps, draws):
+            if t >= horizon:
+                break
+            profit -= p.c_hold * s * dt
+            t += dt
+            u *= total_rate
+            if u < p.lam:
+                if s < n:
+                    profit -= p.c_buy
+                    s += 1
+                else:
+                    profit -= p.c_opp
+            elif u < p.lam + p.mu1:
+                if s > 0:
+                    profit += p.price
+                    s -= 1
+                else:
+                    profit -= p.c_lost1
             else:
-                profit -= p.c_opp
-        elif u < p.lam + p.mu1:
-            if s > 0:
-                profit += p.price
-                s -= 1
-            else:
-                profit -= p.c_lost1
-        else:
-            if s > 0 and (s > k or policy[s - 1] == 1):
-                profit += p.price
-                if s <= k:
-                    profit -= p.penalty
-                s -= 1
-            else:
-                profit -= p.c_lost2
+                if s > 0 and (s > k or policy[s - 1] == 1):
+                    profit += p.price
+                    if s <= k:
+                        profit -= p.penalty
+                    s -= 1
+                else:
+                    profit -= p.c_lost2
     return profit / horizon
 
 
