@@ -10,10 +10,14 @@ the call raises StockRationingError.  A line below the table gives the
 simulator's speed: events per second of `simulate` at example 1 (N=100,
 all-ones policy, horizon 2e4, 4 replications), best of 3, with the events
 counted as perfbench counts them, replications x horizon x the mean jump
-rate under the estimated occupancy.  The next line times the enumeration
-oracle: `brute_force_optimal` at example-1 rates and costs, P=5, N=2K, at
-K=16, 20 and 22, best of 3.  The last line gives the package's
-size: the lines of its modules (as `wc -l src/stockrationing/*.py` counts
+rate under the estimated occupancy.  A second simulator line takes the
+shape of perfbench's sim-grid ops: horizon 5000 and 10 replications at
+example 1 with N=20, every rate scaled to a mean jump rate of 2, so that a
+replication walks about 10,000 steps, less than one 2**15-step chunk, and
+the line shows what stopping at the horizon saves.  The next line times
+the enumeration oracle: `brute_force_optimal` at example-1 rates and
+costs, P=5, N=2K, at K=16, 20 and 22, best of 3.  The last line gives the
+package's size: the lines of its modules (as `wc -l src/stockrationing/*.py` counts
 them), the number of names it exports, and how many parameters of the
 exported functions have a default.  Run from the repository root:
 
@@ -48,6 +52,7 @@ from stockrationing import (  # noqa: E402
     profit_linear_form,
     simulate,
     solve_poisson,
+    stationary_distribution,
 )
 
 COLUMNS = [(0.5, n) for n in (100, 1_000, 10_000, 100_000)] + [
@@ -55,6 +60,7 @@ COLUMNS = [(0.5, n) for n in (100, 1_000, 10_000, 100_000)] + [
 ]
 REPEATS = 3
 ENUMERATION_KS = (16, 20, 22)
+SIM_GRID_JUMP_RATE = 2.0
 
 
 def best_time(fn) -> float:
@@ -86,17 +92,25 @@ def params(beta: float, n: int) -> SystemParams:
                         price=15, penalty=5.0)
 
 
-def simulator_speed() -> str:
-    p, pol = params(0.5, 100), Policy.all_ones(15)
+def simulator_speed(p: SystemParams, horizon: float, replications: int, label: str) -> str:
+    pol = Policy.all_ones(p.threshold)
 
     def run():
-        return simulate(p, pol, horizon=2e4, replications=4, seed=0)
+        return simulate(p, pol, horizon=horizon, replications=replications, seed=0)
 
     seconds = best_time(run)
     est = run()
     events = est.replications * est.horizon * float(est.occupancy @ -build_generator(p, pol).diag)
     return (f"simulator: {events / seconds / 1e6:.2f} M events/s "
-            f"(example 1, all-ones policy, horizon 2e4, 4 replications)")
+            f"({label}, all-ones policy, horizon {horizon:g}, {replications} replications)")
+
+
+def sim_grid_shape() -> SystemParams:
+    """Example 1 at N=20, every rate scaled so that the mean jump rate is 2."""
+    p, pol = params(0.5, 20), Policy.all_ones(15)
+    rate = -build_generator(p, pol).diag
+    c = SIM_GRID_JUMP_RATE / float(stationary_distribution(p, pol).pi @ rate)
+    return dataclasses.replace(p, lam=p.lam * c, mu1=p.mu1 * c, mu2=p.mu2 * c)
 
 
 def enumeration_speed() -> str:
@@ -139,7 +153,9 @@ def main():
             cells.append(cell(lambda: call(p, pol)))
         print(f"| `{name}` | " + " | ".join(cells) + " |")
     print()
-    print(simulator_speed())
+    print(simulator_speed(params(0.5, 100), 2e4, 4, "example 1"))
+    print(simulator_speed(sim_grid_shape(), 5000.0, 10,
+                          f"sim-grid shape: example 1 at N=20, jump rate {SIM_GRID_JUMP_RATE:g}"))
     print(enumeration_speed())
     print(footprint())
 

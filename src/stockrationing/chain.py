@@ -286,14 +286,15 @@ def _head_weights(params: SystemParams, d: np.ndarray) -> tuple:
     w = np.empty(d.shape[:-1] + (d.shape[-1] + 1,))
     w[..., 0] = 1.0
     steps = w[..., 1:]
+    # Each step's ratio is picked by its decision, one rounding from the
+    # rates, so nothing cancels when mu2 >> mu1.
+    serve = d != 0
     if params.threshold * math.log(max(r_hold, 1.0)) < 600.0:
-        np.multiply(d, r_serve - r_hold, out=steps)
-        steps += r_hold
+        steps[...] = np.where(serve, r_serve, r_hold)
         np.cumprod(steps, axis=-1, out=steps)
         # An underflowed state n outweighs no state; its log is floored.
         return w, None, np.log(np.maximum(w[..., -1], TINY))
-    np.multiply(d, math.log(r_serve / r_hold), out=steps)
-    steps += math.log(r_hold)
+    steps[...] = np.where(serve, math.log(r_serve), math.log(r_hold))
     np.cumsum(steps, axis=-1, out=steps)
     w[..., 0] = 0.0
     w -= w.max(axis=-1, keepdims=True)

@@ -19,6 +19,15 @@ from every state, and a block of m categories decides the next m states.
 The walk looks each block up in a table built once per call, m steps per
 Python iteration; it makes exactly the step-by-step decisions, on the same
 draws, so every estimate is the one the per-step walk gives.
+
+The draws come in chunks of CHUNK steps, written into two buffers that
+`simulate` allocates once per call.  A chunk is walked in pieces of PIECE
+steps, so that each piece's temporaries stay under the allocator's mmap
+threshold, and the walk stops in the piece where the horizon falls.  Each
+piece's end times come from a running sum that starts at the sum carried
+from the pieces before; numpy sums in sequence, so they are the whole
+chunk's running sums bit for bit, and the estimates stay bit-identical to
+the per-step walk.
 """
 
 from __future__ import annotations
@@ -33,9 +42,11 @@ from .chain import build_generator
 from .model import InvalidParameter, Policy, StockRationingError, SystemParams, reward_structure
 
 CHUNK = 1 << 15
+# A chunk is walked in pieces of PIECE steps, whose temporaries stay small.
+PIECE = 1 << 12
 # Each replication discards this fraction of its horizon as warmup.
 WARMUP_FRACTION = 0.01
-# Walk-table size cap, and the block sizes it picks from; each divides CHUNK.
+# Walk-table size cap, and the block sizes it picks from; each divides PIECE.
 TABLE_ENTRIES = 1 << 15
 BLOCK_SIZES = (8, 4, 2, 1)
 
@@ -98,43 +109,57 @@ def _run_replication(
     inv_rate: np.ndarray,
     warmup: float,
     total: float,
+    draws: np.ndarray,
+    u: np.ndarray,
 ) -> np.ndarray:
-    """Occupancy time per state over [warmup, total), starting empty at t=0."""
+    """Occupancy time per state over [warmup, total), starting empty at t=0.
+
+    draws and u are CHUNK-sized buffers that each chunk's draws overwrite.
+    """
     cuts, place, nxt, path = table
-    occupancy = np.zeros(len(inv_rate))
+    n_states = len(inv_rate)
+    occupancy = np.zeros(n_states)
+    # acc[0] carries the chunk's running sojourn sum into the next piece
+    acc = np.empty(PIECE + 1)
     t = 0.0
     state = 0
-    while t < total:
-        draws = rng.standard_exponential(CHUNK)
-        u = rng.random(CHUNK)
-        category = np.zeros(CHUNK, np.intp)
-        for cut in cuts:
-            category += u >= cut
-        codes = category.reshape(-1, len(place)) @ place
-        # heads[b] is the state block b starts from; the last entry is the
-        # state after the chunk
-        s = state
-        heads = [s]
-        heads += [s := nxt[code + s] for code in codes.tolist()]
-        rows = np.fromiter(heads, np.intp, len(codes)) + codes
-        visited = path.take(rows, axis=0).ravel().astype(np.intp)
-        sojourns = draws * inv_rate[visited]
-        ends = t + np.cumsum(sojourns)
-        starts = ends - sojourns
-        stop = int(np.searchsorted(ends, total))
-        if stop < CHUNK:
-            visited = visited[: stop + 1]
-            sojourns = sojourns[: stop + 1]
-            ends = ends[: stop + 1]
-            starts = starts[: stop + 1]
-        clipped = np.minimum(ends, total) - np.maximum(starts, warmup)
-        np.maximum(clipped, 0.0, out=clipped)
-        occupancy += np.bincount(visited, weights=clipped, minlength=len(inv_rate))
-        if stop < CHUNK:
-            break
-        t = float(ends[-1])
-        state = s
-    return occupancy
+    while True:
+        rng.standard_exponential(out=draws)
+        rng.random(out=u)
+        chunk_occupancy = np.zeros(n_states)
+        acc[-1] = 0.0
+        for lo in range(0, CHUNK, PIECE):
+            category = np.zeros(PIECE, np.intp)
+            for cut in cuts:
+                category += u[lo : lo + PIECE] >= cut
+            codes = category.reshape(-1, len(place)) @ place
+            # heads[b] is the state block b starts from; the last entry is
+            # the state after the piece
+            s = state
+            heads = [s]
+            heads += [s := nxt[code + s] for code in codes.tolist()]
+            state = s
+            rows = np.fromiter(heads, np.intp, len(codes)) + codes
+            visited = path.take(rows, axis=0).ravel().astype(np.intp)
+            sojourns = draws[lo : lo + PIECE] * inv_rate[visited]
+            acc[0] = acc[-1]
+            acc[1:] = sojourns
+            np.cumsum(acc, out=acc)
+            ends = t + acc[1:]
+            starts = ends - sojourns
+            stop = int(np.searchsorted(ends, total))
+            if stop < PIECE:
+                visited = visited[: stop + 1]
+                ends = ends[: stop + 1]
+                starts = starts[: stop + 1]
+            clipped = np.minimum(ends, total) - np.maximum(starts, warmup)
+            np.maximum(clipped, 0.0, out=clipped)
+            # in step order, as one bincount over the chunk would add them
+            np.add.at(chunk_occupancy, visited, clipped)
+            if stop < PIECE:
+                return occupancy + chunk_occupancy
+        occupancy += chunk_occupancy
+        t += float(acc[-1])
 
 
 def simulate(
@@ -171,6 +196,7 @@ def simulate(
     pup = np.append(gen.sup / rate[:-1], 0.0)
     table = _walk_table(pup)
     inv_rate = 1.0 / rate
+    draws, u = np.empty(CHUNK), np.empty(CHUNK)
 
     warmup = WARMUP_FRACTION * horizon
     total = warmup + horizon
@@ -178,7 +204,7 @@ def simulate(
     occ = np.empty((replications, n + 1))
     for rep in range(replications):
         rng = _replication_rng(seed, rep)
-        occupancy = _run_replication(rng, table, inv_rate, warmup, total)
+        occupancy = _run_replication(rng, table, inv_rate, warmup, total, draws, u)
         etas[rep] = float(occupancy @ f) / horizon
         occ[rep] = occupancy / horizon
     std_err = float(etas.std(ddof=1) / np.sqrt(replications))

@@ -271,6 +271,22 @@ def test_kernel_matches_exact_rational_oracle(rates):
     assert np.max(np.abs(pi - np.array(exact.pi, dtype=float))) <= 1e-12
 
 
+@pytest.mark.parametrize("mu2", [1e3, 1e6, 1e9])
+def test_serving_ratio_exact_when_class2_rate_dominates(mu2):
+    # lam = mu2 >> mu1 = 1: a serving ratio formed as (r_serve - r_hold) +
+    # r_hold would lose about log10(mu2) digits to cancellation
+    from stockrationing import SystemParams
+
+    from oracles import exact_profit
+
+    p = SystemParams(lam=mu2, mu1=1.0, mu2=mu2, capacity=6, threshold=6, c_hold=1,
+                     c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=5.0)
+    pol = Policy.all_ones(6)
+    exact = float(exact_profit(p, (1,) * 6))
+    assert average_profit(p, pol) == pytest.approx(exact, rel=1e-13, abs=0)
+    assert profit_linear_form(p, pol).eta(p.penalty) == pytest.approx(exact, rel=1e-13, abs=0)
+
+
 def test_steep_head_takes_log_ratios():
     # lam/mu1 = 1e5 over K = 60 states: a running product of the rate ratios
     # would pass e**690, so the weights on 0..K come from log-ratios instead.

@@ -130,6 +130,99 @@ def test_blocked_walk_matches_reference_walk(params, policy, block):
     _assert_matches_reference_walk(params, policy, horizon=8000.0, seed=block)
 
 
+TWO_CUTS = (_example1_rates(12, 12), Policy((0, 1) * 6))    # block size 4
+
+
+def _reference_ends(params, policy, seed, chunks):
+    """End times of replication 0's steps over its first `chunks` chunks,
+    walked one step at a time as `reference_simulate` walks them."""
+    gen = build_generator(params, policy)
+    rate = -gen.diag
+    pup = np.append(gen.sup / rate[:-1], 0.0).tolist()
+    inv_rate = 1.0 / rate
+    rng = sim._replication_rng(seed, 0)
+    t, s, out = 0.0, 0, []
+    for _ in range(chunks):
+        draws = rng.standard_exponential(sim.CHUNK)
+        visited = []
+        for uk in rng.random(sim.CHUNK).tolist():
+            visited.append(s)
+            s = s + 1 if uk < pup[s] else s - 1
+        ends = t + np.cumsum(draws * inv_rate[visited])
+        t = float(ends[-1])
+        out.append(ends)
+    return np.concatenate(out)
+
+
+def _horizon_ending_in_step(ends, step):
+    """A horizon whose window, warmup included, ends inside step `step`."""
+    target = (ends[step - 1] + ends[step]) / 2 if step else ends[0] / 2
+    horizon = target / (1 + sim.WARMUP_FRACTION)
+    assert np.searchsorted(ends, sim.WARMUP_FRACTION * horizon + horizon) == step
+    return horizon
+
+
+@pytest.mark.parametrize("step", [
+    0,                       # the first step
+    100,                     # inside the first piece
+    sim.PIECE - 1,           # the last step of a piece
+    sim.PIECE,               # the first step of the next piece
+    2 * sim.CHUNK + 1000,    # in the third chunk
+])
+def test_walk_stops_where_the_reference_walk_stops(step):
+    params, policy = TWO_CUTS
+    ends = _reference_ends(params, policy, seed=7, chunks=step // sim.CHUNK + 1)
+    _assert_matches_reference_walk(params, policy, _horizon_ending_in_step(ends, step), seed=7)
+
+
+class _CountingList(list):
+    lookups = 0
+
+    def __getitem__(self, index):
+        self.lookups += 1
+        return super().__getitem__(index)
+
+
+def test_walk_stops_in_the_piece_where_the_horizon_falls(monkeypatch):
+    walk_table = sim._walk_table
+    tables = []
+
+    def counting_walk_table(pup):
+        table = walk_table(pup)
+        tables.append(table._replace(nxt=_CountingList(table.nxt)))
+        return tables[-1]
+
+    monkeypatch.setattr(sim, "_walk_table", counting_walk_table)
+    params, policy = TWO_CUTS
+    # about 900 steps per replication at this instance's jump rate of about 6
+    est = simulate(params, policy, horizon=150.0, replications=2, seed=3)
+    table = tables[0]
+    assert 0 < table.nxt.lookups <= est.replications * (sim.PIECE // len(table.place))
+
+
+def test_nested_call_leaves_both_estimates_unchanged(monkeypatch):
+    # a second simulate with other params runs inside the first one's first
+    # replication, while the first one's draw buffers are live
+    inner_params, inner_policy = _example1_rates(20, 6), Policy.all_ones(6)
+    outer_params, outer_policy = TWO_CUTS
+    inner_alone = simulate(inner_params, inner_policy, horizon=3000.0, replications=2, seed=5)
+    outer_alone = simulate(outer_params, outer_policy, horizon=3000.0, replications=3, seed=6)
+    run_replication = sim._run_replication
+    inner = []
+
+    def replication_with_a_nested_call(*args):
+        if not inner:
+            inner.append(None)
+            inner[0] = simulate(inner_params, inner_policy, horizon=3000.0, replications=2, seed=5)
+        return run_replication(*args)
+
+    monkeypatch.setattr(sim, "_run_replication", replication_with_a_nested_call)
+    outer = simulate(outer_params, outer_policy, horizon=3000.0, replications=3, seed=6)
+    for got, alone in ((outer, outer_alone), (inner[0], inner_alone)):
+        assert np.array_equal(got.rep_estimates, alone.rep_estimates)
+        assert np.array_equal(got.occupancy, alone.occupancy)
+
+
 def test_example1_estimates_unchanged(example1_params):
     # float.hex of the per-step walk's estimates on these draws
     est = simulate(example1_params, THETA9, horizon=2000.0, replications=3, seed=2024)
