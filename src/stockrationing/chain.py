@@ -288,13 +288,12 @@ def _head_weights(params: SystemParams, d: np.ndarray) -> tuple:
     steps = w[..., 1:]
     # Each step's ratio is picked by its decision, one rounding from the
     # rates, so nothing cancels when mu2 >> mu1.
-    serve = d != 0
     if params.threshold * math.log(max(r_hold, 1.0)) < 600.0:
-        steps[...] = np.where(serve, r_serve, r_hold)
+        steps[...] = np.where(d, r_serve, r_hold)
         np.cumprod(steps, axis=-1, out=steps)
         # An underflowed state n outweighs no state; its log is floored.
         return w, None, np.log(np.maximum(w[..., -1], TINY))
-    steps[...] = np.where(serve, math.log(r_serve), math.log(r_hold))
+    steps[...] = np.where(d, math.log(r_serve), math.log(r_hold))
     np.cumsum(steps, axis=-1, out=steps)
     w[..., 0] = 0.0
     w -= w.max(axis=-1, keepdims=True)
