@@ -112,9 +112,14 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 def main(argv=None) -> None:
     args = parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    # resolved before the runs, so that a commit made meanwhile is not recorded
+    parent = git("rev-parse", args.parent)
+    change = git("rev-parse", args.change) if args.change else {
+        "working_tree_of": git("rev-parse", "HEAD"),
+        "uncommitted": bool(git("status", "--porcelain"))}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        checkouts = {"parent": export(args.parent, Path(tmp) / "parent"),
-                     "change": export(args.change, Path(tmp) / "change") if args.change else ROOT}
+        checkouts = {"parent": export(parent, Path(tmp) / "parent"),
+                     "change": export(change, Path(tmp) / "change") if args.change else ROOT}
         workloads = {}
         for workload, count in args.pairs:
             runs = []
@@ -131,10 +136,8 @@ def main(argv=None) -> None:
     record = {
         "meta": {
             "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "parent": git("rev-parse", args.parent),
-            "change": git("rev-parse", args.change) if args.change
-            else {"working_tree_of": git("rev-parse", "HEAD"),
-                  "uncommitted": bool(git("status", "--porcelain"))},
+            "parent": parent,
+            "change": change,
             "python": platform.python_version(),
             "numpy": version("numpy"),
             "platform": platform.platform(),

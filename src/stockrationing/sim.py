@@ -20,13 +20,15 @@ The walk looks each block up in a table built once per call, m steps per
 Python iteration; it makes exactly the step-by-step decisions, on the same
 draws, so every estimate is the one the per-step walk gives.
 
-The draws come in chunks of CHUNK steps, written into two buffers that
-`simulate` allocates once per call.  A chunk is walked in pieces of PIECE
-steps, so that each piece's temporaries stay under the allocator's mmap
-threshold, and the walk stops in the piece where the horizon falls.  Each
-piece's end times come from a running sum that starts at the sum carried
-from the pieces before; numpy sums in sequence, so they are the whole
-chunk's running sums bit for bit, and the estimates stay bit-identical to
+The draws come in chunks of CHUNK steps, written into buffers that
+`simulate` allocates once per call, as are the buffers of the steps' states
+and clipped sojourns.  A chunk is walked in pieces of PIECE steps, so that
+each piece's temporaries stay under the allocator's mmap threshold, and the
+walk stops in the piece where the horizon falls.  Each piece's end times
+come from a running sum that starts at the sum carried from the pieces
+before; numpy sums in sequence, so they are the whole chunk's running sums
+bit for bit.  One bincount over the chunk's steps, up to the stopping step,
+adds the occupancy in step order, so the estimates stay bit-identical to
 the per-step walk.
 """
 
@@ -109,14 +111,16 @@ def _run_replication(
     inv_rate: np.ndarray,
     warmup: float,
     total: float,
-    draws: np.ndarray,
-    u: np.ndarray,
+    buffers: tuple[np.ndarray, ...],
 ) -> np.ndarray:
     """Occupancy time per state over [warmup, total), starting empty at t=0.
 
-    draws and u are CHUNK-sized buffers that each chunk's draws overwrite.
+    buffers holds four CHUNK-sized arrays that each chunk overwrites: its
+    exponential and uniform draws, and the state and clipped sojourn of
+    each step walked so far.
     """
     cuts, place, nxt, path = table
+    draws, u, visited_steps, clipped_steps = buffers
     n_states = len(inv_rate)
     occupancy = np.zeros(n_states)
     # acc[0] carries the chunk's running sojourn sum into the next piece
@@ -126,12 +130,12 @@ def _run_replication(
     while True:
         rng.standard_exponential(out=draws)
         rng.random(out=u)
-        chunk_occupancy = np.zeros(n_states)
         acc[-1] = 0.0
         for lo in range(0, CHUNK, PIECE):
+            hi = lo + PIECE
             category = np.zeros(PIECE, np.intp)
             for cut in cuts:
-                category += u[lo : lo + PIECE] >= cut
+                category += u[lo:hi] >= cut
             codes = category.reshape(-1, len(place)) @ place
             # heads[b] is the state block b starts from; the last entry is
             # the state after the piece
@@ -140,25 +144,23 @@ def _run_replication(
             heads += [s := nxt[code + s] for code in codes.tolist()]
             state = s
             rows = np.fromiter(heads, np.intp, len(codes)) + codes
-            visited = path.take(rows, axis=0).ravel().astype(np.intp)
-            sojourns = draws[lo : lo + PIECE] * inv_rate[visited]
+            visited = visited_steps[lo:hi]
+            visited[:] = path.take(rows, axis=0).ravel()
+            sojourns = draws[lo:hi] * inv_rate[visited]
             acc[0] = acc[-1]
             acc[1:] = sojourns
-            np.cumsum(acc, out=acc)
+            acc.cumsum(out=acc)
             ends = t + acc[1:]
-            starts = ends - sojourns
-            stop = int(np.searchsorted(ends, total))
-            if stop < PIECE:
-                visited = visited[: stop + 1]
-                ends = ends[: stop + 1]
-                starts = starts[: stop + 1]
-            clipped = np.minimum(ends, total) - np.maximum(starts, warmup)
+            clipped = clipped_steps[lo:hi]
+            np.minimum(ends, total, out=clipped)
+            clipped -= np.maximum(ends - sojourns, warmup)
             np.maximum(clipped, 0.0, out=clipped)
-            # in step order, as one bincount over the chunk would add them
-            np.add.at(chunk_occupancy, visited, clipped)
+            stop = int(ends.searchsorted(total))
             if stop < PIECE:
-                return occupancy + chunk_occupancy
-        occupancy += chunk_occupancy
+                end = lo + stop + 1
+                return occupancy + np.bincount(
+                    visited_steps[:end], weights=clipped_steps[:end], minlength=n_states)
+        occupancy += np.bincount(visited_steps, weights=clipped_steps, minlength=n_states)
         t += float(acc[-1])
 
 
@@ -196,7 +198,7 @@ def simulate(
     pup = np.append(gen.sup / rate[:-1], 0.0)
     table = _walk_table(pup)
     inv_rate = 1.0 / rate
-    draws, u = np.empty(CHUNK), np.empty(CHUNK)
+    buffers = np.empty(CHUNK), np.empty(CHUNK), np.empty(CHUNK, np.intp), np.empty(CHUNK)
 
     warmup = WARMUP_FRACTION * horizon
     total = warmup + horizon
@@ -204,7 +206,7 @@ def simulate(
     occ = np.empty((replications, n + 1))
     for rep in range(replications):
         rng = _replication_rng(seed, rep)
-        occupancy = _run_replication(rng, table, inv_rate, warmup, total, draws, u)
+        occupancy = _run_replication(rng, table, inv_rate, warmup, total, buffers)
         etas[rep] = float(occupancy @ f) / horizon
         occ[rep] = occupancy / horizon
     std_err = float(etas.std(ddof=1) / np.sqrt(replications))
