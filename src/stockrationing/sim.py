@@ -20,16 +20,16 @@ The walk looks each block up in a table built once per call, m steps per
 Python iteration; it makes exactly the step-by-step decisions, on the same
 draws, so every estimate is the one the per-step walk gives.
 
-The draws come in chunks of CHUNK steps, written into buffers that
-`simulate` allocates once per call, as are the buffers of the steps' states
-and clipped sojourns.  A chunk is walked in pieces of PIECE steps, so that
-each piece's temporaries stay under the allocator's mmap threshold, and the
-walk stops in the piece where the horizon falls.  Each piece's end times
-come from a running sum that starts at the sum carried from the pieces
-before; numpy sums in sequence, so they are the whole chunk's running sums
-bit for bit.  One bincount over the chunk's steps, up to the stopping step,
-adds the occupancy in step order, so the estimates stay bit-identical to
-the per-step walk.
+The draws come in chunks of CHUNK steps.  They, and each step's state and
+clipped sojourn, go into buffers that `simulate` allocates once per call.
+A chunk is walked in pieces of PIECE steps, so that each piece's
+temporaries stay under the allocator's mmap threshold, and the walk stops
+in the piece where the horizon falls.  Each piece's end times come from a
+running sum that starts at the sum carried from the pieces before; numpy
+sums in sequence, so they are the whole chunk's running sums bit for bit.
+One bincount over the chunk's steps, up to the stopping step, adds the
+occupancy in step order, so the estimates stay bit-identical to the
+per-step walk.
 """
 
 from __future__ import annotations
