@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Run every packaged reproduction target and collect the CSV outputs.
 
+The targets are the CLI's: one per fixture in the package's fixtures/.
+
 Writes one CSV per target into results/ (created next to the working
 directory) and prints the per-target verdict lines.  Targets that compare
 against published values exit nonzero when those values are not met; the
@@ -10,9 +12,7 @@ summary at the end lists the status of each.
 import pathlib
 import sys
 
-from stockrationing.cli import main
-
-TARGETS = ["example1", "example2", "example3", "example4", "table2"]
+from stockrationing.cli import TARGETS, main
 
 
 def run(out_dir: pathlib.Path) -> int:

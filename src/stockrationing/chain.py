@@ -30,7 +30,6 @@ from .model import (
     _base_rewards,
     _serve_gain,
     check_policy,
-    reward_structure,
     service_rates,
 )
 
@@ -343,11 +342,8 @@ def stationary_distribution(params: SystemParams, policy: Policy) -> StationaryD
 
 
 def average_profit(params: SystemParams, policy: Policy) -> float:
-    """Long-run average profit: stationary expectation of the reward rate."""
-    check_policy(params, policy)
-    dist = stationary_distribution(params, policy)
-    rewards = reward_structure(params, policy)
-    return float(dist.pi @ rewards.f_values)
+    """Long-run average profit D - P*F from the policy's record, in O(K)."""
+    return chain_record(params, policy).form.eta(params.penalty)
 
 
 def average_profits(params: SystemParams, decisions: np.ndarray) -> np.ndarray:

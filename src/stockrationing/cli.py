@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .chain import average_profit, profit_linear_form, stationary_distribution
-from .model import Policy, StockRationingError, SystemParams
+from .model import PARAM_JSON_KEYS, Policy, StockRationingError, SystemParams
 from .optimizer import global_optimal
 from .poisson import realization_factors_from_potential, solve_poisson
 from .sensitivity import penalty_roots
@@ -34,9 +34,11 @@ class UsageError(StockRationingError):
     pass
 
 
+FIXTURES = resources.files("stockrationing").joinpath("fixtures")
+
+
 def _load_fixture(name: str) -> dict:
-    path = resources.files("stockrationing").joinpath(f"fixtures/{name}.json")
-    return json.loads(path.read_text())
+    return json.loads(FIXTURES.joinpath(f"{name}.json").read_text())
 
 
 def _load_config(path: str | None) -> dict:
@@ -201,36 +203,38 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+def _at(params: SystemParams, var: str, value: float) -> SystemParams:
+    return replace(params, **{"lam" if var == "lambda" else "penalty": value})
+
+
+def _sweep(params: SystemParams, policy: Policy | None, var: str, grid) -> list[float]:
+    """eta at each grid value: of static threshold theta, or of the policy at
+    that supply rate or penalty."""
+    if var == "theta":
+        return [static_profit_closed_form(params, theta) for theta in grid]
+    return [average_profit(_at(params, var, value), policy) for value in grid]
+
+
 def cmd_sweep(args) -> int:
     var = args.var
     params, policy = _load_inputs(args, needs_policy=var != "theta")
+    header = ["theta" if var == "theta" else "grid_value", "eta"]
     if var == "theta":
+        grid = range(1, params.threshold + 2)
         if args.grid:
             grid = _parse_grid(args.grid)
             if not all(float(x).is_integer() for x in grid):
                 raise UsageError(f"theta grid values must be integers, got {args.grid!r}")
-            thetas = [int(x) for x in grid]
-        else:
-            thetas = list(range(1, params.threshold + 2))
-        rows = [(t, static_profit_closed_form(params, t)) for t in thetas]
-        _emit_csv(args, ["theta", "eta"], rows)
-        return 0
-    if not args.grid:
+            grid = [int(x) for x in grid]
+    elif not args.grid:
         raise UsageError(f"sweep over {var} needs --grid")
-    grid = _parse_grid(args.grid)
-    header = ["grid_value", "eta"]
-    if args.with_theta_star:
+    else:
+        grid = _parse_grid(args.grid)
+    rows = [[value, eta] for value, eta in zip(grid, _sweep(params, policy, var, grid))]
+    if args.with_theta_star and var != "theta":
         header.append("theta_star")
-    rows = []
-    for value in grid:
-        if var == "lambda":
-            p = replace(params, lam=value)
-        else:
-            p = params.with_penalty(value)
-        row = [value, average_profit(p, policy)]
-        if args.with_theta_star:
-            row.append(optimal_static_threshold(p)[0])
-        rows.append(tuple(row))
+        for row in rows:
+            row.append(optimal_static_threshold(_at(params, var, row[0]))[0])
     _emit_csv(args, header, rows)
     return 0
 
@@ -268,141 +272,33 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # Reproduction harness
 
-
-def reproduce_example1() -> tuple[bool, list[str], list[str], list[tuple]]:
-    fx = _load_fixture("example1")
-    base = SystemParams.from_json_dict(fx["params"])
-    tol = fx["tolerance"]
-    lines, rows, ok = [], [], True
-    for case in fx["cases"]:
-        params = base.with_penalty(case["penalty"])
-        policy = _parse_policy(case["policy"], params.threshold)
-        eta = average_profit(params, policy)
-        passed = abs(eta - case["expected_eta"]) <= tol
-        ok &= passed
-        lines.append(
-            f"[{'PASS' if passed else 'FAIL'}] penalty={case['penalty']} policy={case['policy']}: "
-            f"eta={eta:.4f} expected={case['expected_eta']} (+/-{tol})"
-        )
-        rows.append((case["penalty"], case["policy"], eta, case["expected_eta"]))
-    return ok, lines, ["penalty", "policy", "eta", "expected_eta"], rows
+TARGETS = sorted(f.name[: -len(".json")] for f in FIXTURES.iterdir() if f.name.endswith(".json"))
+PARAM_ATTRS = dict(PARAM_JSON_KEYS)
 
 
-def reproduce_example2() -> tuple[bool, list[str], list[str], list[tuple]]:
-    fx = _load_fixture("example2")
-    base = SystemParams.from_json_dict(fx["params"])
-    tol = fx["tolerance"]
-    thetas = range(fx["theta_grid"][0], fx["theta_grid"][1] + 1)
-    lines, rows, ok = [], [], True
-    for case in fx["cases"]:
-        params = base.with_penalty(case["penalty"])
-        theta_star, eta = optimal_static_threshold(params, thetas=thetas)
-        passed = theta_star == case["expected_theta"] and abs(eta - case["expected_eta"]) <= tol
-        ok &= passed
-        lines.append(
-            f"[{'PASS' if passed else 'FAIL'}] penalty={case['penalty']}: theta*={theta_star} "
-            f"eta={eta:.4f} expected theta*={case['expected_theta']} eta={case['expected_eta']}"
-        )
-        if "dynamic_reference_eta" in case:
-            dyn = average_profit(params, Policy.all_zeros(params.threshold))
-            gap_ok = eta < dyn
-            ok &= gap_ok
-            lines.append(
-                f"[{'PASS' if gap_ok else 'FAIL'}] best static eta={eta:.4f} < "
-                f"all-zeros dynamic eta={dyn:.4f} (strict gap)"
-            )
-        for theta in thetas:
-            rows.append((case["penalty"], theta, static_profit_closed_form(params, theta)))
-    return ok, lines, ["penalty", "theta", "eta"], rows
-
-
-def reproduce_example3() -> tuple[bool, list[str], list[str], list[tuple]]:
-    fx = _load_fixture("example3")
-    lines, rows, ok = [], [], True
-    for case in fx["cases"]:
-        for k in fx["thresholds"]:
-            raw = dict(fx["base_params"])
-            raw["threshold_k"] = k
-            raw["penalty_p"] = case["penalty"]
-            etas = []
-            for lam in case["lambda_grid"]:
-                raw["lambda"] = lam
-                params = SystemParams.from_json_dict(raw)
-                policy = _parse_policy(case["policy"], params.threshold)
-                eta = average_profit(params, policy)
-                etas.append(eta)
-                rows.append((case["penalty"], k, lam, eta))
-            nondecreasing = all(b >= a - 1e-12 for a, b in zip(etas, etas[1:]))
-            ok &= nondecreasing
-            lines.append(
-                f"[{'PASS' if nondecreasing else 'FAIL'}] penalty={case['penalty']} K={k}: "
-                f"eta nondecreasing over lambda grid "
-                f"({etas[0]:.3f} .. {etas[-1]:.3f})"
-            )
-    return ok, lines, ["penalty", "threshold_k", "lambda", "eta"], rows
-
-
-def reproduce_example4() -> tuple[bool, list[str], list[str], list[tuple]]:
-    fx = _load_fixture("example4")
-    base = SystemParams.from_json_dict(fx["params"])
-    lines, rows, ok = [], [], True
-    policy = _parse_policy(fx["policy"], base.threshold)
-    grid = fx["penalty_grid"]
-    etas = [average_profit(base.with_penalty(p), policy) for p in grid]
-    rows = list(zip(grid, etas))
-    # Collinearity: eta(P) must be exactly affine for a fixed policy.
-    coeffs = np.polyfit(grid, etas, 1)
-    fit = np.polyval(coeffs, grid)
-    resid = float(np.max(np.abs(np.asarray(etas) - fit)))
-    collinear = resid < 1e-9
-    ok &= collinear
-    lines.append(
-        f"[{'PASS' if collinear else 'FAIL'}] eta(P) affine for fixed policy: "
-        f"max residual {resid:.2e}, slope {coeffs[0]:.6g}"
-    )
-    form = profit_linear_form(base, policy)
-    lines.append(
-        f"[INFO] slope equals -F = {-form.f_coef + 0.0:.6g}; an all-zeros policy has "
-        "F = 0, so its profit line is flat rather than strictly decreasing"
-    )
-    return ok, lines, ["penalty", "eta"], rows
-
-
-def _sigfig_tolerance(value: float, sig_figs: int) -> float:
-    if value == 0:
-        return 0.5
-    return 0.5 * 10 ** (math.floor(math.log10(abs(value))) - (sig_figs - 1))
-
-
-def _table2_error(params: SystemParams, fx: dict) -> tuple[float, list[tuple]]:
-    """Worst tolerance-scaled deviation against the reference table.
+def _table2_rows(spec: dict, params: SystemParams) -> list[dict]:
+    """Each reference entry beside its computed value, its tolerance and the
+    deviation scaled by that tolerance.
 
     Column 0 is the boundary margin R + c_lost2, the root of the offset
     alone where no decision exists; column i is penalty root i of one
-    profile per policy.
+    profile per policy.  An entry of magnitude past `large_magnitude` is
+    held to half a unit in its last of `sig_figs` significant digits.
     """
-    worst = 0.0
     rows = []
-    for name, spec in fx["policies"].items():
-        policy = _parse_policy(spec, params.threshold)
-        roots = penalty_roots(params, policy).roots
-        for i, want in enumerate(fx["reference"][name]):
+    for name, literal in spec["policies"].items():
+        roots = penalty_roots(params, _parse_policy(literal, params.threshold)).roots
+        for i, want in enumerate(spec["reference"][name]):
             got = params.price + params.c_lost2 if i == 0 else float(roots[i - 1])
-            if abs(want) < fx["large_magnitude"]:
-                tol = fx["abs_tolerance"]
-            else:
-                tol = _sigfig_tolerance(want, fx["sig_figs"])
-            scaled = abs(got - want) / tol
-            worst = max(worst, scaled)
-            rows.append((name, i, got, want, tol, scaled))
-    return worst, rows
+            tol = spec["abs_tolerance"]
+            if abs(want) >= spec["large_magnitude"]:
+                tol = 0.5 * 10 ** (math.floor(math.log10(abs(want))) - spec["sig_figs"] + 1)
+            rows.append({"policy": name, "column": i, "computed": got, "reference": want,
+                         "tolerance": tol, "scaled_dev": abs(got - want) / tol})
+    return rows
 
 
-def _table2_params(fx: dict, price: float) -> SystemParams:
-    return SystemParams.from_json_dict({**fx["params"], "price_r": price})
-
-
-def _table2_price(fx: dict) -> float:
+def _table2_price(spec: dict, params: SystemParams) -> float:
     """The service price in the search range whose worst scaled deviation is least.
 
     Every table entry is affine in the price R: column 0 is R + c_lost2, and
@@ -412,10 +308,10 @@ def _table2_price(fx: dict) -> float:
     is least at an end or where two of the lines +-(s_j R + c_j) cross.
     The smallest such price wins a tie.
     """
-    lo, hi = fx["price_search"]["lo"], fx["price_search"]["hi"]
-    ends = [_table2_error(_table2_params(fx, r), fx)[1] for r in (lo, hi)]
-    got = np.array([[row[2] for row in rows] for rows in ends])
-    want, tol = np.array([row[3:5] for row in ends[0]]).T
+    lo, hi = spec["price_search"]
+    ends = [_table2_rows(spec, replace(params, price=r)) for r in (lo, hi)]
+    got = np.array([[row["computed"] for row in rows] for rows in ends])
+    want, tol = np.array([[row["reference"], row["tolerance"]] for row in ends[0]]).T
     slope = (got[1] - got[0]) / (hi - lo) / tol
     offset = (got[0] - want) / tol - slope * lo
     s, c = np.concatenate((slope, -slope)), np.concatenate((offset, -offset))
@@ -427,40 +323,83 @@ def _table2_price(fx: dict) -> float:
     return float(prices[np.argmin(worst)])
 
 
-def reproduce_table2() -> tuple[bool, list[str], list[str], list[tuple]]:
-    fx = _load_fixture("table2")
-    lo, hi = fx["price_search"]["lo"], fx["price_search"]["hi"]
-    best = _table2_price(fx)
-    worst, rows = _table2_error(_table2_params(fx, best), fx)
-    ok = worst <= 1.0
-    lines = [f"[INFO] calibrated service price R = {best:g} (search range [{lo}, {hi}])"]
-    if ok:
-        lines.append(
-            f"[PASS] all {len(rows)} table entries within tolerance "
-            f"(worst scaled deviation {worst:.3f})"
-        )
-    else:
-        lines.append(
-            f"[FAIL] closest match at R = {best:g} leaves worst scaled deviation "
-            f"{worst:.3f} > 1; table not reproduced on the searched grid"
-        )
-    return ok, lines, ["policy", "column", "computed", "reference", "tolerance", "scaled_dev"], rows
+def _check(name: str, spec: dict, params: SystemParams, policy: Policy | None,
+           rows: list[dict]) -> tuple[bool, str]:
+    """One declared check of a case's evaluated rows: its verdict and what it saw."""
+    etas = [row.get("eta") for row in rows]
+    match name:
+        case "expected_eta":
+            want, tol = spec["expected_eta"], spec["tolerance"]
+            return abs(etas[0] - want) <= tol, f"eta={etas[0]:.4f} expected={want} (+/-{tol})"
+        case "static_optimum":
+            theta, eta = optimal_static_threshold(params, thetas=spec["sweep"]["grid"])
+            want, tol = (spec["expected_theta"], spec["expected_eta"]), spec["tolerance"]
+            ok = theta == want[0] and abs(eta - want[1]) <= tol
+            return ok, (f"theta*={theta} eta={eta:.4f} expected theta*={want[0]} "
+                        f"eta={want[1]} (+/-{tol})")
+        case "strict_gap":
+            best, dyn = max(etas), average_profit(params, Policy.all_zeros(params.threshold))
+            return best < dyn, (f"best static eta={best:.4f} < all-zeros dynamic "
+                                f"eta={dyn:.4f} (strict gap)")
+        case "nondecreasing":
+            ok = all(b >= a - 1e-12 for a, b in zip(etas, etas[1:]))
+            return ok, (f"eta nondecreasing over {spec['sweep']['var']} grid "
+                        f"({etas[0]:.3f} .. {etas[-1]:.3f})")
+        case "affine":
+            grid = spec["sweep"]["grid"]
+            coeffs = np.polyfit(grid, etas, 1)
+            resid = float(np.max(np.abs(np.asarray(etas) - np.polyval(coeffs, grid))))
+            f_coef = profit_linear_form(params, policy).f_coef
+            return resid < 1e-9, (f"eta(P) affine for fixed policy: max residual {resid:.2e}, "
+                                  f"slope {coeffs[0]:.6g} against -F = {-f_coef + 0.0:.6g}")
+        case "within_tolerance":
+            worst, (lo, hi) = max(row["scaled_dev"] for row in rows), spec["price_search"]
+            found = f"all {len(rows)} entries within tolerance" if worst <= 1 else "closest match"
+            return worst <= 1, (f"{found} at calibrated service price R = {params.price:g} "
+                                f"in [{lo}, {hi}]: worst scaled deviation {worst:.3f}")
+    raise StockRationingError(f"unknown check {name!r}")
 
 
-REPRODUCE_TARGETS = {
-    "example1": reproduce_example1,
-    "example2": reproduce_example2,
-    "example3": reproduce_example3,
-    "example4": reproduce_example4,
-    "table2": reproduce_table2,
-}
+def reproduce(target: str) -> tuple[bool, list[str], list[str], list[tuple]]:
+    """Run one packaged experiment: whether every check passed, one verdict
+    line per check, and the CSV header and rows.
+
+    A fixture holds base "params", "cases" (or is its own one case) and
+    declarations that a case may override; a case's parameter keys merge
+    over the base.  Its "quantity" is "eta", the profit of its "policy" (of
+    each threshold when the "sweep" is over theta) once or at each "sweep"
+    value, or "roots", table2's penalty roots at the calibrated price.  Each
+    of its "checks" gives one verdict; "columns" maps CSV headers to row keys.
+    """
+    fx = _load_fixture(target)
+    base = SystemParams.from_json_dict(fx["params"])
+    ok, lines, records = True, [], []
+    for case in fx.get("cases", [{}]):
+        spec = {**fx, **case}
+        params = replace(base, **{PARAM_ATTRS[k]: v for k, v in case.items() if k in PARAM_ATTRS})
+        policy = _parse_policy(spec.get("policy"), params.threshold)
+        if spec["quantity"] == "roots":
+            params = replace(params, price=_table2_price(spec, params))
+            rows = _table2_rows(spec, params)
+        elif "sweep" in spec:
+            var, grid = spec["sweep"]["var"], spec["sweep"]["grid"]
+            rows = [{var: v, "eta": eta}
+                    for v, eta in zip(grid, _sweep(params, policy, var, grid))]
+        else:
+            rows = [{"eta": average_profit(params, policy)}]
+        records += [{**case, **row} for row in rows]
+        label = ", ".join(f"{k}={v}" for k, v in case.items() if k in {*PARAM_ATTRS, "policy"})
+        for name in spec["checks"]:
+            passed, text = _check(name, spec, params, policy, rows)
+            ok &= passed
+            lines.append(f"[{'PASS' if passed else 'FAIL'}] {text}{label and ' for ' + label}")
+    columns = fx["columns"]
+    return ok, lines, list(columns), [tuple(rec[k] for k in columns.values()) for rec in records]
 
 
 def cmd_reproduce(args) -> int:
-    runner = REPRODUCE_TARGETS[args.target]
-    ok, lines, header, rows = runner()
-    for line in lines:
-        print(line)
+    ok, lines, header, rows = reproduce(args.target)
+    print("\n".join(lines))
     if args.out:
         _emit_csv(args, header, rows)
     return 0 if ok else 1
@@ -512,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rep = sub.add_parser("reproduce", help="rerun a packaged experiment")
-    p_rep.add_argument("target", choices=sorted(REPRODUCE_TARGETS))
+    p_rep.add_argument("target", choices=TARGETS)
     p_rep.add_argument("--out", help="write the result rows as CSV to this path")
     p_rep.set_defaults(func=cmd_reproduce)
 

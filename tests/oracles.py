@@ -12,9 +12,10 @@ log-ratios summed from the heavier end and shifted by their maximum, so
 nothing overflows or underflows at any N, the reward split f = B - P*A, and
 the flip-margin coefficients G(i) + b = num - P*den on positions 1..K from
 the cut-flow identity, each cut summed exactly from the end with less mass.
-`reference_simulate` walks the simulator's jump chain one step per Python
-iteration on the package's own draws, the walk that `sim` blocks into table
-lookups, so the two must agree bit for bit.
+`reference_profit` gives eta by the exact route up to N = 40 and from the
+log weights above.  `reference_simulate` walks the simulator's jump chain
+one step per Python iteration on the package's own draws, the walk that
+`sim` blocks into table lookups, so the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -392,6 +393,18 @@ def exact_profit(params: SystemParams, decisions) -> Fraction:
     """Long-run average profit D - P*F of the documented model, exactly."""
     chain = exact_chain(params, decisions)
     return chain.d_coef - Fraction(params.penalty) * chain.f_coef
+
+
+def reference_profit(params: SystemParams, decisions) -> float:
+    """eta of one policy by a route independent of the package's record:
+    exactly (`exact_profit`) up to N = 40, and above that pi . (B - P*A)
+    with pi from `log_weights`, the weights of `log_weight_reference`,
+    summed with `math.fsum`."""
+    if params.capacity <= 40:
+        return float(exact_profit(params, decisions))
+    w = np.exp(log_weights(params, decisions))
+    b, a = reward_split(params, decisions)
+    return math.fsum(w * (b - params.penalty * a)) / math.fsum(w)
 
 
 def exact_static_optimum(params: SystemParams, thetas) -> tuple[int, Fraction, Fraction]:

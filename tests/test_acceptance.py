@@ -29,16 +29,16 @@ from stockrationing import (
     global_optimal,
     optimal_static_threshold,
     penalty_roots,
-    profit_linear_form,
     realization_factors_from_potential,
     restore_threshold,
     simulate,
     solve_poisson,
 )
-from stockrationing.cli import reproduce_table2
+from stockrationing.cli import reproduce
 
 from conftest import random_params, random_policy
 from oracles import (
+    exact_chain,
     exact_profit,
     exact_static_optimum,
     realization_factor_closed_form,
@@ -147,7 +147,7 @@ def test_criterion_02_example2_static_optima():
 
 
 def test_criterion_03_table2_roots_calibrated():
-    ok_repro, lines, header, rows = reproduce_table2()
+    ok_repro, lines, header, rows = reproduce("table2")
     for line in lines:
         print("   ", line)
     if ok_repro:
@@ -321,15 +321,17 @@ def test_criterion_08_linearity_in_penalty():
         resid = float(np.max(np.abs(etas - fit)))
         worst_resid = max(worst_resid, resid)
         assert resid < 1e-9
-        form = profit_linear_form(p0, pol)
+        # the fitted intercept and slope against the model's exact D and -F
+        exact = exact_chain(p0, pol.decisions)
+        d_exact, f_exact = float(exact.d_coef), float(exact.f_coef)
         d_fit, f_fit = float(etas[0]), float(-slope)
-        gap = max(abs(d_fit - form.d_coef), abs(f_fit - form.f_coef))
-        worst_fit = max(worst_fit, gap / max(1.0, abs(form.d_coef)))
-        assert gap <= 1e-10 * max(1.0, abs(form.d_coef))
+        gap = max(abs(d_fit - d_exact), abs(f_fit - f_exact))
+        worst_fit = max(worst_fit, gap / max(1.0, abs(d_exact)))
+        assert gap <= 1e-10 * max(1.0, abs(d_exact))
     verdict(
         True, 8,
         f"profit affine in the penalty for 30 policies (worst residual "
-        f"{worst_resid:.2e}); two-point fit recovers the linear form "
+        f"{worst_resid:.2e}); two-point fit recovers the exact D and F "
         f"(worst scaled gap {worst_fit:.2e})",
     )
 

@@ -16,7 +16,7 @@ from stockrationing import (
 )
 
 from conftest import dense_stationary, random_params, random_policy
-from oracles import dense_generator, exact_chain, reward_split
+from oracles import dense_generator, exact_chain, exact_profit, reference_profit, reward_split
 
 rates = st.floats(0.5, 5.0, allow_nan=False)
 costs = st.floats(0.0, 10.0, allow_nan=False)
@@ -81,13 +81,13 @@ class TestAverageProfit:
             assert eta == pytest.approx(4.6, abs=1e-12)
 
     def test_two_computation_routes_agree(self):
+        # the record's D - P*F against the model in exact rationals
         rng = np.random.default_rng(3)
         for _ in range(20):
             p = random_params(rng)
             pol = random_policy(rng, p.threshold)
             eta = average_profit(p, pol)
-            form = profit_linear_form(p, pol)
-            assert eta == pytest.approx(form.eta(p.penalty), rel=1e-10)
+            assert eta == pytest.approx(reference_profit(p, pol.decisions), rel=1e-10)
 
 
 class TestProfitLinearForm:
@@ -100,7 +100,7 @@ class TestProfitLinearForm:
         assert form.d_coef == pytest.approx(5.0, abs=1e-12)
         assert form.f_coef == pytest.approx(2 / 7, abs=1e-14)
         for pen in (0.0, 1.4, 7.0):
-            direct = average_profit(unit_params.with_penalty(pen), Policy((1,)))
+            direct = float(exact_profit(unit_params.with_penalty(pen), (1,)))
             assert form.eta(pen) == pytest.approx(direct, abs=1e-12)
 
     def test_profit_affine_in_penalty(self):
@@ -109,11 +109,15 @@ class TestProfitLinearForm:
             p = random_params(rng)
             pol = random_policy(rng, p.threshold)
             pens = [0.0, 3.0, 11.0]
-            etas = [average_profit(p.with_penalty(x), pol) for x in pens]
-            # three samples are collinear
+            etas = [reference_profit(p.with_penalty(x), pol.decisions) for x in pens]
+            # three samples of the model are collinear, and the package's
+            # slope in the penalty is theirs
             slope1 = (etas[1] - etas[0]) / (pens[1] - pens[0])
             slope2 = (etas[2] - etas[1]) / (pens[2] - pens[1])
             assert slope1 == pytest.approx(slope2, abs=1e-10)
+            slope = (average_profit(p.with_penalty(pens[1]), pol)
+                     - average_profit(p.with_penalty(pens[0]), pol)) / (pens[1] - pens[0])
+            assert slope == pytest.approx(slope1, abs=1e-10)
 
     def test_penalty_coefficient_nonnegative(self):
         rng = np.random.default_rng(5)
@@ -136,7 +140,7 @@ class TestProfitLinearForm:
         pol = Policy(tuple(bits))
         form = profit_linear_form(p, pol)
         for pen in pens:
-            direct = average_profit(p.with_penalty(pen), pol)
+            direct = float(exact_profit(p.with_penalty(pen), bits))
             assert direct == pytest.approx(form.eta(pen), rel=1e-10, abs=1e-10)
 
 
@@ -309,13 +313,33 @@ def test_steep_head_takes_log_ratios():
 def test_head_beyond_float_range_raises_typed_error():
     # K = N = 2000 at example-1 rates, all-ones: the weights on 0..K fall by
     # half per state, past float range, so the cut ratios cannot be formed.
-    # pi and eta only lose states of negligible weight and stay exact.
+    # pi and eta only lose states of negligible weight and stay accurate.
     from stockrationing import NumericalOverflow, SystemParams, penalty_roots, solve_poisson
 
     p = SystemParams(lam=3.0, mu1=4.0, mu2=2.0, capacity=2000, threshold=2000, c_hold=1,
                      c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=5.0)
     pol = Policy.all_ones(2000)
-    assert average_profit(p, pol) == pytest.approx(profit_linear_form(p, pol).eta(5.0), rel=1e-12)
+    assert average_profit(p, pol) == pytest.approx(reference_profit(p, pol.decisions), rel=1e-12)
     for solve in (penalty_roots, solve_poisson):
         with pytest.raises(NumericalOverflow):
             solve(p, pol)
+
+
+def test_scalar_profit_allocates_no_length_n_array():
+    # eta is read off the record's sums over states 0..K, so at N = 1e6 a
+    # call allocates O(K) memory: a length-N vector of floats would be 8 MB
+    import tracemalloc
+
+    from stockrationing import SystemParams
+
+    p = SystemParams(lam=3.0, mu1=4.0, mu2=2.0, capacity=10**6, threshold=15, c_hold=1,
+                     c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=5.0)
+    pol = Policy.all_ones(15)
+    average_profit(p, pol)
+    tracemalloc.start()
+    try:
+        average_profit(p, pol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

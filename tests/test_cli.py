@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stockrationing import cli
+from stockrationing import SystemParams, cli
 from stockrationing.cli import main
 
 EX1 = {
@@ -299,6 +300,30 @@ class TestSimulate:
 
 
 class TestReproduce:
+    @pytest.mark.parametrize("target, code, n_rows, header", [
+        ("example1", 1, 4, ["penalty", "policy", "eta", "expected_eta"]),
+        ("example2", 1, 30, ["penalty", "theta", "eta"]),
+        ("example3", 0, 102, ["penalty", "threshold_k", "lambda", "eta"]),
+        ("example4", 0, 26, ["penalty", "eta"]),
+        ("table2", 1, 33, ["policy", "column", "computed", "reference", "tolerance",
+                           "scaled_dev"]),
+    ])
+    def test_every_target_exit_code_and_csv(self, capsys, tmp_path, target, code, n_rows,
+                                            header):
+        out_path = tmp_path / f"{target}.csv"
+        got, out, _ = run_cli(["reproduce", target, "--out", str(out_path)], capsys)
+        assert got == code
+        rows = list(csv.reader(out_path.open()))
+        assert rows[0] == header
+        assert len(rows) == 1 + n_rows
+        # one verdict formatter: every printed line is a verdict
+        lines = out.splitlines()
+        assert lines and all(line.startswith(("[PASS] ", "[FAIL] ")) for line in lines)
+        assert ("[FAIL]" in out) == (code == 1)
+
+    def test_targets_are_the_packaged_fixtures(self):
+        assert cli.TARGETS == ["example1", "example2", "example3", "example4", "table2"]
+
     def test_example3_passes(self, capsys):
         code, out, _ = run_cli(["reproduce", "example3"], capsys)
         assert code == 0
@@ -337,10 +362,16 @@ class TestReproduce:
     def test_table2_calibration_is_least_worst_deviation_on_the_range(self):
         # the closed-form minimax against the worst deviation at 501 prices
         fx = cli._load_fixture("table2")
-        lo, hi = fx["price_search"]["lo"], fx["price_search"]["hi"]
-        best = cli._table2_price(fx)
+        base = SystemParams.from_json_dict(fx["params"])
+        lo, hi = fx["price_search"]
+        best = cli._table2_price(fx, base)
         assert lo <= best <= hi
-        worst = cli._table2_error(cli._table2_params(fx, best), fx)[0]
+
+        def worst_at(price):
+            rows = cli._table2_rows(fx, replace(base, price=price))
+            return max(row["scaled_dev"] for row in rows)
+
+        worst = worst_at(best)
         for price in np.linspace(lo, hi, 501):
-            other = cli._table2_error(cli._table2_params(fx, float(price)), fx)[0]
+            other = worst_at(float(price))
             assert worst <= other * (1 + 1e-9), price
