@@ -13,8 +13,9 @@ counted as perfbench counts them, replications x horizon x the mean jump
 rate under the estimated occupancy.  A second simulator line takes the
 shape of perfbench's sim-grid ops: horizon 5000 and 10 replications at
 example 1 with N=20, every rate scaled to a mean jump rate of 2, so that a
-replication walks about 10,000 steps, less than one 2**15-step chunk, and
-the line shows what stopping at the horizon saves.  The next line times
+replication walks about 10,000 steps, as sim-grid's lowest-rate ops do.
+Both lines take each state's jump rate from lam and `service_rates`, which
+every version of the package exports.  The next line times
 the enumeration oracle: `brute_force_optimal` at example-1 rates and
 costs, P=5, N=2K, at K=16, 20 and 22, best of 3.  The last line gives the
 package's size: the lines of its modules (as `wc -l src/stockrationing/*.py` counts
@@ -38,6 +39,8 @@ from pathlib import Path
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"    # before numpy is imported
 
+import numpy as np  # noqa: E402
+
 import stockrationing  # noqa: E402
 from stockrationing import (  # noqa: E402
     Policy,
@@ -45,11 +48,11 @@ from stockrationing import (  # noqa: E402
     SystemParams,
     average_profit,
     brute_force_optimal,
-    build_generator,
     global_optimal,
     optimal_static_threshold,
     penalty_roots,
     profit_linear_form,
+    service_rates,
     simulate,
     solve_poisson,
     stationary_distribution,
@@ -92,6 +95,11 @@ def params(beta: float, n: int) -> SystemParams:
                         price=15, penalty=5.0)
 
 
+def jump_rates(p: SystemParams, pol: Policy) -> np.ndarray:
+    """Total event rate of each state 0..N: lam below N plus the service rate above 0."""
+    return np.append(np.full(p.capacity, p.lam), 0.0) + np.append(0.0, service_rates(p, pol))
+
+
 def simulator_speed(p: SystemParams, horizon: float, replications: int, label: str) -> str:
     pol = Policy.all_ones(p.threshold)
 
@@ -100,7 +108,7 @@ def simulator_speed(p: SystemParams, horizon: float, replications: int, label: s
 
     seconds = best_time(run)
     est = run()
-    events = est.replications * est.horizon * float(est.occupancy @ -build_generator(p, pol).diag)
+    events = est.replications * est.horizon * float(est.occupancy @ jump_rates(p, pol))
     return (f"simulator: {events / seconds / 1e6:.2f} M events/s "
             f"({label}, all-ones policy, horizon {horizon:g}, {replications} replications)")
 
@@ -108,8 +116,7 @@ def simulator_speed(p: SystemParams, horizon: float, replications: int, label: s
 def sim_grid_shape() -> SystemParams:
     """Example 1 at N=20, every rate scaled so that the mean jump rate is 2."""
     p, pol = params(0.5, 20), Policy.all_ones(15)
-    rate = -build_generator(p, pol).diag
-    c = SIM_GRID_JUMP_RATE / float(stationary_distribution(p, pol).pi @ rate)
+    c = SIM_GRID_JUMP_RATE / float(stationary_distribution(p, pol).pi @ jump_rates(p, pol))
     return dataclasses.replace(p, lam=p.lam * c, mu1=p.mu1 * c, mu2=p.mu2 * c)
 
 

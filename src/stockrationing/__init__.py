@@ -19,13 +19,11 @@ from .model import (
 )
 from .chain import (
     ChainRecord,
-    Generator,
     NumericalOverflow,
     ProfitLinearForm,
     StationaryDistribution,
     average_profit,
     average_profits,
-    build_generator,
     chain_record,
     profit_linear_form,
     stationary_distribution,

@@ -1,4 +1,4 @@
-"""Policy-based birth-death chain: generator, stationary law, average profit.
+"""Policy-based birth-death chain: stationary law and average profit.
 
 The chain moves up at the supply rate and down at the aggregate service rate
 of the states's active demand classes, so the stationary weights have the
@@ -30,7 +30,6 @@ from .model import (
     _base_rewards,
     _serve_gain,
     check_policy,
-    service_rates,
 )
 
 # Below this z the difference 1/expm1(z) - 1/z loses more to cancellation,
@@ -43,15 +42,6 @@ BRUTE_FORCE_TIE_BAND = 1e-12
 
 class NumericalOverflow(StockRationingError):
     """The weights on states 0..K span more than float64's exponent range."""
-
-
-@dataclass(frozen=True)
-class Generator:
-    """Tridiagonal infinitesimal generator over states 0..N."""
-
-    sub: np.ndarray    # down-rates at states 1..N
-    diag: np.ndarray   # negated row sums, states 0..N
-    sup: np.ndarray    # up-rate at states 0..N-1
 
 
 @dataclass(frozen=True)
@@ -194,17 +184,6 @@ class ChainRecord:
         runs = _compensated_cumsum(np.concatenate((dev[:, :-1], dev[:, :0:-1])))
         cut = np.where(mass <= 0.5 * (mass[:, -1:] + tail_mass), runs[:2], -runs[2:, ::-1])
         return cut[:, :n_cuts] / (p.lam * w[:n_cuts])
-
-
-def build_generator(params: SystemParams, policy: Policy) -> Generator:
-    n = params.capacity
-    v = service_rates(params, policy)
-    sup = np.full(n, params.lam)
-    diag = np.empty(n + 1)
-    diag[0] = -params.lam
-    diag[1:n] = -(params.lam + v[:-1])
-    diag[n] = -v[-1]
-    return Generator(sub=v, diag=diag, sup=sup)
 
 
 def _exp(z: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .chain import average_profit, profit_linear_form, stationary_distribution
-from .model import PARAM_JSON_KEYS, Policy, StockRationingError, SystemParams
+from .model import PARAM_JSON_KEYS, Policy, StockRationingError, SystemParams, reward_structure
 from .optimizer import global_optimal
 from .poisson import realization_factors_from_potential, solve_poisson
 from .sensitivity import penalty_roots
@@ -346,12 +346,17 @@ def _check(name: str, spec: dict, params: SystemParams, policy: Policy | None,
             return ok, (f"eta nondecreasing over {spec['sweep']['var']} grid "
                         f"({etas[0]:.3f} .. {etas[-1]:.3f})")
         case "affine":
-            grid = spec["sweep"]["grid"]
+            var, grid = spec["sweep"]["var"], spec["sweep"]["grid"]
             coeffs = np.polyfit(grid, etas, 1)
             resid = float(np.max(np.abs(np.asarray(etas) - np.polyval(coeffs, grid))))
             f_coef = profit_linear_form(params, policy).f_coef
-            return resid < 1e-9, (f"eta(P) affine for fixed policy: max residual {resid:.2e}, "
-                                  f"slope {coeffs[0]:.6g} against -F = {-f_coef + 0.0:.6g}")
+            # eta = D - P*F by construction, so each is also held to pi @ f
+            gap = max(abs(eta - float(stationary_distribution(q, policy).pi
+                                      @ reward_structure(q, policy).f_values)) / max(1.0, abs(eta))
+                      for q, eta in zip((_at(params, var, v) for v in grid), etas))
+            return resid < 1e-9 and gap <= 1e-9, (
+                f"eta(P) affine for fixed policy: max residual {resid:.2e}, slope "
+                f"{coeffs[0]:.6g} against -F = {-f_coef + 0.0:.6g}, worst gap to pi @ f {gap:.2e}")
         case "within_tolerance":
             worst, (lo, hi) = max(row["scaled_dev"] for row in rows), spec["price_search"]
             found = f"all {len(rows)} entries within tolerance" if worst <= 1 else "closest match"

@@ -20,14 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Policy, SystemParams, reward_structure
+from .model import Policy, SystemParams, reward_structure, service_rates
 from .chain import (
     ChainRecord,
     _exp,
     _log_beta,
     _segment_reward,
     _tail_sums,
-    build_generator,
     chain_record,
 )
 
@@ -56,17 +55,13 @@ class RealizationFactors:
     offset_b: float
 
 
-def _tridiag_matvec(sub, diag, sup, x):
-    y = diag * x
-    y[1:] += sub * x[:-1]
-    y[:-1] += sup * x[1:]
-    return y
-
-
 def _poisson_residual(params, policy, g, f_values, eta) -> float:
-    gen = build_generator(params, policy)
-    lhs = -_tridiag_matvec(gen.sub, gen.diag, gen.sup, g)
-    return float(np.max(np.abs(lhs - (f_values - eta))))
+    # -B g - (f - eta), where B g = lam * (g(i+1) - g(i)) + v_i * (g(i-1) - g(i))
+    dg = g[1:] - g[:-1]
+    r = eta - f_values
+    r[:-1] -= params.lam * dg
+    r[1:] += service_rates(params, policy) * dg
+    return float(np.max(np.abs(r)))
 
 
 def potential_for_reward(record: ChainRecord) -> np.ndarray:

@@ -22,14 +22,10 @@ draws, so every estimate is the one the per-step walk gives.
 
 The draws come in chunks of CHUNK steps.  They, and each step's state and
 clipped sojourn, go into buffers that `simulate` allocates once per call.
-A chunk is walked in pieces of PIECE steps, so that each piece's
-temporaries stay under the allocator's mmap threshold, and the walk stops
-in the piece where the horizon falls.  Each piece's end times come from a
-running sum that starts at the sum carried from the pieces before; numpy
-sums in sequence, so they are the whole chunk's running sums bit for bit.
-One bincount over the chunk's steps, up to the stopping step, adds the
-occupancy in step order, so the estimates stay bit-identical to the
-per-step walk.
+A chunk's end times are t plus its running sojourn sum, and the walk stops
+in the chunk where the horizon falls: one bincount over the chunk's steps,
+up to the stopping step, adds the occupancy in step order, so the
+estimates stay bit-identical to the per-step walk.
 """
 
 from __future__ import annotations
@@ -40,15 +36,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import build_generator
-from .model import InvalidParameter, Policy, StockRationingError, SystemParams, reward_structure
+from .model import (InvalidParameter, Policy, StockRationingError, SystemParams,
+                    reward_structure, service_rates)
 
-CHUNK = 1 << 15
-# A chunk is walked in pieces of PIECE steps, whose temporaries stay small.
-PIECE = 1 << 12
+CHUNK = 1 << 12
 # Each replication discards this fraction of its horizon as warmup.
 WARMUP_FRACTION = 0.01
-# Walk-table size cap, and the block sizes it picks from; each divides PIECE.
+# Walk-table size cap, and the block sizes it picks from; each divides CHUNK.
 TABLE_ENTRIES = 1 << 15
 BLOCK_SIZES = (8, 4, 2, 1)
 
@@ -116,52 +110,39 @@ def _run_replication(
     """Occupancy time per state over [warmup, total), starting empty at t=0.
 
     buffers holds four CHUNK-sized arrays that each chunk overwrites: its
-    exponential and uniform draws, and the state and clipped sojourn of
-    each step walked so far.
+    exponential and uniform draws, and each of its steps' state and
+    clipped sojourn.
     """
     cuts, place, nxt, path = table
-    draws, u, visited_steps, clipped_steps = buffers
+    draws, u, visited, clipped = buffers
     n_states = len(inv_rate)
     occupancy = np.zeros(n_states)
-    # acc[0] carries the chunk's running sojourn sum into the next piece
-    acc = np.empty(PIECE + 1)
     t = 0.0
     state = 0
     while True:
         rng.standard_exponential(out=draws)
         rng.random(out=u)
-        acc[-1] = 0.0
-        for lo in range(0, CHUNK, PIECE):
-            hi = lo + PIECE
-            category = np.zeros(PIECE, np.intp)
-            for cut in cuts:
-                category += u[lo:hi] >= cut
-            codes = category.reshape(-1, len(place)) @ place
-            # heads[b] is the state block b starts from; the last entry is
-            # the state after the piece
-            s = state
-            heads = [s]
-            heads += [s := nxt[code + s] for code in codes.tolist()]
-            state = s
-            rows = np.fromiter(heads, np.intp, len(codes)) + codes
-            visited = visited_steps[lo:hi]
-            visited[:] = path.take(rows, axis=0).ravel()
-            sojourns = draws[lo:hi] * inv_rate[visited]
-            acc[0] = acc[-1]
-            acc[1:] = sojourns
-            acc.cumsum(out=acc)
-            ends = t + acc[1:]
-            clipped = clipped_steps[lo:hi]
-            np.minimum(ends, total, out=clipped)
-            clipped -= np.maximum(ends - sojourns, warmup)
-            np.maximum(clipped, 0.0, out=clipped)
-            stop = int(ends.searchsorted(total))
-            if stop < PIECE:
-                end = lo + stop + 1
-                return occupancy + np.bincount(
-                    visited_steps[:end], weights=clipped_steps[:end], minlength=n_states)
-        occupancy += np.bincount(visited_steps, weights=clipped_steps, minlength=n_states)
-        t += float(acc[-1])
+        category = np.zeros(CHUNK, np.intp)
+        for cut in cuts:
+            category += u >= cut
+        codes = category.reshape(-1, len(place)) @ place
+        # heads[b] is the state block b starts from; the last entry is the
+        # state after the chunk
+        heads = [state]
+        heads += [state := nxt[code + state] for code in codes.tolist()]
+        rows = np.fromiter(heads, np.intp, len(codes)) + codes
+        visited[:] = path.take(rows, axis=0).ravel()
+        sojourns = draws * inv_rate[visited]
+        ends = t + sojourns.cumsum()
+        np.minimum(ends, total, out=clipped)
+        clipped -= np.maximum(ends - sojourns, warmup)
+        np.maximum(clipped, 0.0, out=clipped)
+        stop = int(ends.searchsorted(total))
+        if stop < CHUNK:
+            return occupancy + np.bincount(
+                visited[: stop + 1], weights=clipped[: stop + 1], minlength=n_states)
+        occupancy += np.bincount(visited, weights=clipped, minlength=n_states)
+        t = float(ends[-1])
 
 
 def simulate(
@@ -190,12 +171,12 @@ def simulate(
         raise StockRationingError(
             f"need at least 2 replications for a standard error, got {replications}"
         )
-    gen = build_generator(params, policy)
     f = reward_structure(params, policy).f_values
     n = params.capacity
-    rate = -gen.diag
     # up-rate over total rate; the full state N never moves up
-    pup = np.append(gen.sup / rate[:-1], 0.0)
+    up = np.append(np.full(n, params.lam), 0.0)
+    rate = up + np.append(0.0, service_rates(params, policy))
+    pup = up / rate
     table = _walk_table(pup)
     inv_rate = 1.0 / rate
     buffers = np.empty(CHUNK), np.empty(CHUNK), np.empty(CHUNK, np.intp), np.empty(CHUNK)

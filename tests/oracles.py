@@ -33,7 +33,6 @@ from stockrationing import (
     StockRationingError,
     SystemParams,
     average_profit,
-    build_generator,
     penalty_roots,
     reward_structure,
     service_rates,
@@ -114,10 +113,23 @@ def log_weight_reference(p, decisions) -> ChainReference:
     )
 
 
+def jump_rates(params: SystemParams, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
+    """Up-rate and total event rate of each state 0..N: lam below N, and lam
+    plus the service rate v_i above 0."""
+    n = params.capacity
+    v = service_rates(params, policy)
+    up = np.append(np.full(n, params.lam), 0.0)
+    rate = np.empty(n + 1)
+    rate[0] = params.lam
+    rate[1:n] = params.lam + v[:-1]
+    rate[n] = v[-1]
+    return up, rate
+
+
 def dense_generator(params: SystemParams, policy: Policy) -> np.ndarray:
     """The tridiagonal generator over states 0..N as a dense matrix."""
-    gen = build_generator(params, policy)
-    return np.diag(gen.diag) + np.diag(gen.sub, -1) + np.diag(gen.sup, 1)
+    up, rate = jump_rates(params, policy)
+    return np.diag(-rate) + np.diag(service_rates(params, policy), -1) + np.diag(up[:-1], 1)
 
 
 class SingularSystem(StockRationingError):
@@ -465,11 +477,10 @@ def _reference_replication(
 def reference_simulate(params: SystemParams, policy: Policy, horizon: float,
                        replications: int, seed: int):
     """Per-replication estimates and mean occupancy of `simulate`, one step at a time."""
-    gen = build_generator(params, policy)
+    up, rate = jump_rates(params, policy)
     f = reward_structure(params, policy).f_values
     n = params.capacity
-    rate = -gen.diag
-    pup = np.append(gen.sup / rate[:-1], 0.0).tolist()
+    pup = (up / rate).tolist()
     inv_rate = 1.0 / rate
     warmup = WARMUP_FRACTION * horizon
     total = warmup + horizon

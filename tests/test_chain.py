@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from stockrationing import (
     Policy,
     average_profit,
-    build_generator,
     profit_linear_form,
     reward_structure,
     service_rates,
@@ -24,10 +23,10 @@ costs = st.floats(0.0, 10.0, allow_nan=False)
 
 class TestGenerator:
     def test_unit_instance_entries(self, unit_params):
-        gen = build_generator(unit_params, Policy((0,)))
-        np.testing.assert_array_equal(gen.sub, [1.0, 2.0])
-        np.testing.assert_array_equal(gen.sup, [1.0, 1.0])
-        np.testing.assert_array_equal(gen.diag, [-1.0, -2.0, -2.0])
+        dense = dense_generator(unit_params, Policy((0,)))
+        np.testing.assert_array_equal(dense, [[-1.0, 1.0, 0.0],
+                                              [1.0, -2.0, 1.0],
+                                              [0.0, 2.0, -2.0]])
 
     def test_row_sums_vanish(self, example1_params):
         rng = np.random.default_rng(0)
@@ -37,8 +36,8 @@ class TestGenerator:
             np.testing.assert_allclose(dense.sum(axis=1), 0.0, atol=1e-12)
 
     def test_all_ones_constant_subdiagonal(self, example1_params):
-        gen = build_generator(example1_params, Policy.all_ones(15))
-        assert np.all(gen.sub == example1_params.mu1 + example1_params.mu2)
+        dense = dense_generator(example1_params, Policy.all_ones(15))
+        assert np.all(np.diag(dense, -1) == example1_params.mu1 + example1_params.mu2)
 
 
 class TestStationaryDistribution:

@@ -334,6 +334,16 @@ class TestReproduce:
         assert code == 0
         assert "affine" in out
 
+    def test_example4_affine_check_fails_on_a_shifted_profit(self, monkeypatch):
+        # a profit off by an affine term still fits a line; the stationary
+        # mean of each penalty's reward vector catches it
+        profit = cli.average_profit
+        monkeypatch.setattr(cli, "average_profit",
+                            lambda params, policy: profit(params, policy) + 1e-6 * params.penalty)
+        ok, lines, _, _ = cli.reproduce("example4")
+        assert not ok
+        assert lines[0].startswith("[FAIL]") and "worst gap to pi @ f" in lines[0]
+
     def test_example1_reports_documented_mismatch(self, capsys):
         # the published values are not reproducible from the printed model;
         # the harness must say so explicitly and exit with a check failure

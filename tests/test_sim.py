@@ -8,13 +8,12 @@ from stockrationing import (
     StockRationingError,
     SystemParams,
     average_profit,
-    build_generator,
     simulate,
     stationary_distribution,
 )
 
 from conftest import random_params, random_policy
-from oracles import reference_simulate
+from oracles import jump_rates, reference_simulate
 
 EVENT_BLOCK = 1 << 14
 
@@ -82,9 +81,8 @@ def test_numpy_integer_seed_accepted(unit_params):
 
 
 def _block_size(params, policy):
-    gen = build_generator(params, policy)
-    rate = -gen.diag
-    return len(sim._walk_table(np.append(gen.sup / rate[:-1], 0.0)).place)
+    up, rate = jump_rates(params, policy)
+    return len(sim._walk_table(up / rate).place)
 
 
 def _assert_matches_reference_walk(params, policy, horizon, seed):
@@ -108,7 +106,7 @@ def test_blocked_walk_matches_reference_walk_on_random_instances():
     for i in range(12):
         p = random_params(rng, k_max=12, n_max=60)
         pol = random_policy(rng, p.threshold)
-        # most of these replications run past one 2**15-step chunk
+        # most of these replications run past several chunks
         _assert_matches_reference_walk(p, pol, horizon=5000.0, seed=200 + i)
 
 
@@ -133,14 +131,13 @@ def test_blocked_walk_matches_reference_walk(params, policy, block):
 TWO_CUTS = (_example1_rates(12, 12), Policy((0, 1) * 6))    # block size 4
 
 
-def _reference_ends(params, policy, seed, chunks):
-    """End times of replication 0's steps over its first `chunks` chunks,
+def _reference_ends(params, policy, seed, chunks, rep=0):
+    """End times of replication `rep`'s steps over its first `chunks` chunks,
     walked one step at a time as `reference_simulate` walks them."""
-    gen = build_generator(params, policy)
-    rate = -gen.diag
-    pup = np.append(gen.sup / rate[:-1], 0.0).tolist()
+    up, rate = jump_rates(params, policy)
+    pup = (up / rate).tolist()
     inv_rate = 1.0 / rate
-    rng = sim._replication_rng(seed, 0)
+    rng = sim._replication_rng(seed, rep)
     t, s, out = 0.0, 0, []
     for _ in range(chunks):
         draws = rng.standard_exponential(sim.CHUNK)
@@ -164,9 +161,9 @@ def _horizon_ending_in_step(ends, step):
 
 @pytest.mark.parametrize("step", [
     0,                       # the first step
-    100,                     # inside the first piece
-    sim.PIECE - 1,           # the last step of a piece
-    sim.PIECE,               # the first step of the next piece
+    100,                     # inside the first chunk
+    sim.CHUNK - 1,           # the last step of a chunk
+    sim.CHUNK,               # the first step of the next chunk
     2 * sim.CHUNK + 1000,    # in the third chunk
 ])
 def test_walk_stops_where_the_reference_walk_stops(step):
@@ -183,7 +180,7 @@ class _CountingList(list):
         return super().__getitem__(index)
 
 
-def test_walk_stops_in_the_piece_where_the_horizon_falls(monkeypatch):
+def test_walk_stops_in_the_chunk_where_the_horizon_falls(monkeypatch):
     walk_table = sim._walk_table
     tables = []
 
@@ -197,7 +194,44 @@ def test_walk_stops_in_the_piece_where_the_horizon_falls(monkeypatch):
     # about 900 steps per replication at this instance's jump rate of about 6
     est = simulate(params, policy, horizon=150.0, replications=2, seed=3)
     table = tables[0]
-    assert 0 < table.nxt.lookups <= est.replications * (sim.PIECE // len(table.place))
+    assert 0 < table.nxt.lookups <= est.replications * (sim.CHUNK // len(table.place))
+
+
+class _CountingRng:
+    """A replication's generator that counts the draws it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.exponentials, self.uniforms = rng, 0, 0
+
+    def standard_exponential(self, out):
+        self.exponentials += out.size
+        return self.rng.standard_exponential(out=out)
+
+    def random(self, out):
+        self.uniforms += out.size
+        return self.rng.random(out=out)
+
+
+def test_replication_draws_at_most_one_small_chunk_past_its_stop(monkeypatch):
+    params, policy = TWO_CUTS
+    horizon, seed = 150.0, 3
+    total = sim.WARMUP_FRACTION * horizon + horizon
+    stops = [int(np.searchsorted(_reference_ends(params, policy, seed, 2, rep), total))
+             for rep in range(2)]
+    replication_rng = sim._replication_rng
+    rngs = []
+
+    def counting_rng(seed, rep):
+        rngs.append(_CountingRng(replication_rng(seed, rep)))
+        return rngs[-1]
+
+    monkeypatch.setattr(sim, "_replication_rng", counting_rng)
+    # about 900 steps per replication at this instance's jump rate of about 6
+    simulate(params, policy, horizon=horizon, replications=2, seed=seed)
+    assert sim.CHUNK <= 4096
+    for rng, stop in zip(rngs, stops, strict=True):
+        assert stop < sim.CHUNK
+        assert rng.exponentials == rng.uniforms == (stop // sim.CHUNK + 1) * sim.CHUNK
 
 
 def test_nested_call_leaves_both_estimates_unchanged(monkeypatch):
@@ -224,10 +258,11 @@ def test_nested_call_leaves_both_estimates_unchanged(monkeypatch):
 
 
 def test_example1_estimates_unchanged(example1_params):
-    # float.hex of the per-step walk's estimates on these draws
+    # float.hex of the per-step walk's estimates on these draws, from
+    # oracles.reference_simulate
     est = simulate(example1_params, THETA9, horizon=2000.0, replications=3, seed=2024)
     assert [float.hex(float(x)) for x in est.rep_estimates] == [
-        "0x1.5b1c7ebfbbd25p+4", "0x1.528de53e482d3p+4", "0x1.5d598c45e4c77p+4",
+        "0x1.4e53bf94d213bp+4", "0x1.5c4d5daeceb4bp+4", "0x1.4490946c67d35p+4",
     ]
 
 
