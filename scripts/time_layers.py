@@ -15,12 +15,12 @@ shape of perfbench's sim-grid ops: horizon 5000 and 10 replications at
 example 1 with N=20, every rate scaled to a mean jump rate of 2, so that a
 replication walks about 10,000 steps, as sim-grid's lowest-rate ops do.
 Both lines take each state's jump rate from lam and `service_rates`, which
-every version of the package exports.  The next line times
-the enumeration oracle: `brute_force_optimal` at example-1 rates and
-costs, P=5, N=2K, at K=16, 20 and 22, best of 3.  The last line gives the
-package's size: the lines of its modules (as `wc -l src/stockrationing/*.py` counts
-them), the number of names it exports, and how many parameters of the
-exported functions have a default.  Run from the repository root:
+every version of the package exports.  The next line times the
+enumeration oracle: `brute_force_optimal` at example-1 rates and costs,
+P=5, N=2K, at K=16, 20, 22 and 24 (the enumeration cap), best of 3.  The
+last line gives the package's size: the lines of its modules (as
+`wc -l src/stockrationing/*.py` counts them), the number of names it
+exports, and how many parameters of the exported functions have a default.  Run from the repository root:
 
     PYTHONPATH=src python scripts/time_layers.py
 
@@ -62,7 +62,7 @@ COLUMNS = [(0.5, n) for n in (100, 1_000, 10_000, 100_000)] + [
     (beta, 100_000) for beta in (0.8, 1.0, 1.2)
 ]
 REPEATS = 3
-ENUMERATION_KS = (16, 20, 22)
+ENUMERATION_KS = (16, 20, 22, 24)
 SIM_GRID_JUMP_RATE = 2.0
 
 

@@ -9,9 +9,9 @@ states 0..K on a scale that cannot overflow, and closed-form sums for the
 segment, taken relative to its heavier end, so no weight overflows or
 underflows at any N.  The record gives the profit split eta = D - P*F, the
 realization factors behind the flip margins G(i) + b on 1..K, and pi.
-D and F need only four sums over states 0..K, which a stack's record gives
-each row (`average_profits`) and the enumeration oracle joins from two
-half-stacks.
+D and F need four sums over states 0..K; `ChainRecord.parts` turns them into
+the total weight and D's and F's numerators for each row of a stack
+(`average_profits`) or of the two half-stacks the enumeration oracle joins.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ class ChainRecord:
     state, K when beta <= 1 and N when beta > 1, at log_K + max((N-K)
     log(beta), 0) on the head's scale.  The chain's scale shifts that down
     to one when it is larger: `scales` take the head's and the reference's
-    weights there, both at most one, with the latter's log, and `norm` is
-    the total weight.
+    weights there, both at most one, with the latter's log and the shift,
+    and `parts` are the total weight and the numerators of D and F.
     """
 
     params: SystemParams
@@ -98,11 +98,15 @@ class ChainRecord:
         p = self.params
         tail_log = self.head[3] + max((p.capacity - p.threshold) * _log_beta(p), 0.0)
         shift = np.maximum(tail_log, 0.0)
-        return np.exp(-shift), np.exp(tail_log - shift), tail_log - shift
+        return np.exp(-shift), np.exp(tail_log - shift), tail_log - shift, shift
 
     @cached_property
-    def norm(self) -> float | np.ndarray:
-        return self.scales[0] * self.head[0] + self.scales[1] * self.tail[0][0]
+    def parts(self) -> tuple:
+        (w_sum, served, b_sum, _), (head_scale, tail_scale, *_) = self.head, self.scales
+        gain_b, gain_a = _serve_gain(self.params)
+        return (head_scale * w_sum + tail_scale * self.tail[0][0],
+                head_scale * (b_sum + gain_b * served) + tail_scale * self.tail[1],
+                head_scale * gain_a * served)
 
     @cached_property
     def rewards(self) -> np.ndarray:
@@ -116,11 +120,8 @@ class ChainRecord:
     def form(self) -> ProfitLinearForm:
         """eta = D - P*F, D and F the stationary means of B and A; for a
         stack, arrays with one entry per row."""
-        _, served, b_sum, _ = self.head
-        head_scale, tail_scale, _ = self.scales
-        gain_b, gain_a = _serve_gain(self.params)
-        d_coef = (head_scale * (b_sum + gain_b * served) + tail_scale * self.tail[1]) / self.norm
-        f_coef = head_scale * gain_a * served / self.norm
+        norm, d_num, f_num = self.parts
+        d_coef, f_coef = d_num / norm, f_num / norm
         if np.ndim(d_coef) == 0:
             d_coef, f_coef = float(d_coef), float(f_coef)
         return ProfitLinearForm(d_coef=d_coef, f_coef=f_coef)
@@ -131,11 +132,11 @@ class ChainRecord:
         p = self.params
         k = p.threshold
         pi = np.empty(p.capacity + 1)
-        pi[: k + 1] = self.weights * (self.scales[0] / self.norm)
+        pi[: k + 1] = self.weights * (self.scales[0] / self.parts[0])
         offsets = np.arange(1.0, p.capacity - k + 1)
         if _log_beta(p) > 0:
             offsets -= p.capacity - k
-        pi[k + 1 :] = _exp(offsets * _log_beta(p) + self.scales[2]) / self.norm
+        pi[k + 1 :] = _exp(offsets * _log_beta(p) + self.scales[2]) / self.parts[0]
         return pi
 
     def cut_factors(self) -> np.ndarray:
@@ -155,7 +156,7 @@ class ChainRecord:
         """
         p = self.params
         k = p.threshold
-        w, (head_scale, tail_scale, _) = self.weights, self.scales
+        w, (head_scale, tail_scale, *_), (norm, *_) = self.weights, self.scales, self.parts
         n_cuts = min(k + 1, p.capacity)
         if w[:n_cuts].min() < TINY:
             raise NumericalOverflow(
@@ -168,8 +169,8 @@ class ChainRecord:
         dev = np.empty((2, k + 2))
         np.multiply(w, self.rewards - coef, out=dev[:, :-1])
         # The segment's deficit on the head's scale, from its own closed form.
-        dev[0, -1] = tail_scale * (seg * w.sum() - b_head * w_sum) / self.norm
-        dev[1, -1] = -tail_scale * a_head * w_sum / self.norm
+        dev[0, -1] = tail_scale * (seg * w.sum() - b_head * w_sum) / norm
+        dev[1, -1] = -tail_scale * a_head * w_sum / norm
         # A state's deviation f_j - eta rounds at eps (|f_j| + |eta|), so
         # that, weighted, is the mass an end's sum carries.
         level = p.price * (p.mu1 + p.mu2) - p.c_hold * k - p.c_buy * p.lam
@@ -330,11 +331,15 @@ def average_profits(params: SystemParams, decisions: np.ndarray) -> np.ndarray:
     return chain_record(params, np.asarray(decisions)).form.eta(params.penalty)
 
 
+def _tie_floor(best: float) -> float:
+    """The lowest profit within the tie band of `best`."""
+    return best - BRUTE_FORCE_TIE_BAND * max(1.0, abs(best))
+
+
 def _first_best(etas: np.ndarray) -> int:
     """The first row within the tie band of the best, so near-ties resolve to
     the earliest row."""
-    best = etas.max()
-    return int(np.argmax(etas >= best - BRUTE_FORCE_TIE_BAND * max(1.0, abs(best))))
+    return int(np.argmax(etas >= _tie_floor(etas.max())))
 
 
 def profit_linear_form(params: SystemParams, policy: Policy) -> ProfitLinearForm:

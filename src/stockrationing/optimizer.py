@@ -13,11 +13,12 @@ the ground-truth oracle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainRecord, _first_best, _head_weights
+from .chain import TINY, ChainRecord, _first_best, _head_weights, _tie_floor
 from .model import ENUMERATION_CAP, CapExceeded, Policy, SystemParams, _base_rewards
 from .sensitivity import penalty_roots
 
@@ -117,51 +118,65 @@ def _enumerated_etas(params: SystemParams):
     State i's weight is the product of the first i rate ratios, and d_j
     alone fixes the j-th.  So with high bits a on 1..h, h = K // 2, and low
     bits b on h+1..K (Horowitz and Sahni, Computing Partitions with
-    Applications to the Knapsack Problem, JACM 1974), each head sum of
-    policy a * 2**(K-h) + b is a's over states 0..h plus a's weight at h
-    times b's over the rest, relative to b's first state, and a block joins
-    a column of a's half sums to a row of b's.  One bit table holds both
-    halves' patterns (a's end in K - 2h zeros); each half has its own scale.
+    Applications to the Knapsack Problem, JACM 1974), policy a * 2**(K-h) + b
+    earns (X_a + w_a Y_b) / (U_a + w_a V_b): the numerator of D - P*F and the
+    weight sum of a's record on states 0..h, its weight at h, and those of
+    b's on h+1..K and the segment, where state h weighs one.  Over U_a e**L,
+    (p X_a / U_a + q Y_b / e**L) / (p + q V_b / e**L) with q = min(e**L w_a /
+    U_a, 1) and p = min(1 / that, 1) is two broadcast multiply-adds and a
+    division.  L is 0 while V_b <= e**300, which keeps a ratio-form head
+    exact, and past that the multiple of 600 nearest log V_b, so no pair's
+    terms both underflow or overflow.
     """
-    k = params.threshold
+    k, penalty = params.threshold, params.penalty
     h, m = k // 2, k - k // 2
     b_bits = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
     a_bits = b_bits[:: 1 << (m - h), :h]
     w_b, log_b0, log_bm = _head_weights(params, b_bits)
     w_a, _, log_ah = (w_b, log_b0, log_bm) if h == m else _head_weights(params, a_bits)
-    base = _base_rewards(params, k)
-    a_sums = np.array((w_a.sum(1), np.einsum("ij,ij->i", a_bits, w_a[:, 1:]), w_a @ base[: h + 1]))
-    w_b = w_b[:, 1:]
-    b_sums = np.array((w_b.sum(1), np.einsum("ij,ij->i", b_bits, w_b), w_b @ base[h + 1 :]))
+    base, w_b = _base_rewards(params, k), w_b[:, 1:]
+    low = ChainRecord(params, (w_b.sum(1), np.einsum("ij,ij->i", b_bits, w_b),
+                               w_b @ base[h + 1 :], log_bm))
+    high = ChainRecord(params, (w_a.sum(1), np.einsum("ij,ij->i", a_bits, w_a[:, 1:]),
+                                w_a @ base[: h + 1], -np.inf))    # no segment
+    (v, d_b, f_b), (u, d_a, f_a) = low.parts, high.parts
+    x, log_ratio = (d_a - penalty * f_a) / u, log_ah - np.log(u)
+    # each column's log shift to the scale where state h weighs one, and its L / 600
+    lift = low.scales[3] - (0.0 if log_b0 is None else log_b0)
+    level = np.maximum(np.ceil((np.log(np.maximum(v, TINY)) + lift - 300) / 600), 0).astype(int)
+    yv = np.array((d_b - penalty * f_b, v)) * np.exp(lift - 600.0 * level)
+    t = log_ratio[:, None] + 600.0 * np.arange(level.max() + 1)
+    q, p = np.exp(np.minimum(t, 0.0)), np.exp(np.minimum(-t, 0.0))
+    q[:, 0] = w_a[:, h] / u
+    level = level if level.min() < level.max() else slice(level[0], level[0] + 1)
     rows = max(ENUMERATION_CHUNK >> m, 1)
+    work = np.empty((2, min(rows, 1 << h), 1 << m))
     for a in (slice(start, start + rows) for start in range(0, 1 << h, rows)):
-        if log_b0 is None:  # on a's scale, where state 0 weighs one
-            scale_a, scale_b, log_k = 1.0, w_a[a, h, None], log_ah[a, None] + log_bm
-        else:               # each pair on its own scale, where its largest weight is one
-            t = log_ah[a, None] - log_b0
-            down = np.minimum(t, 0.0)
-            scale_a, scale_b, log_k = np.exp(down - t), np.exp(down), log_bm + down
-        head = scale_b * b_sums[:, None, :]
-        head += scale_a * a_sums[:, a, None]
-        yield ChainRecord(params, (*head, log_k)).form.eta(params.penalty).ravel()
+        num, den = np.multiply(q[a, level], yv[:, None], out=work)
+        num += p[a, level] * x[a, None]
+        den += p[a, level]
+        yield (num / den).ravel()
 
 
 def brute_force_optimal(params: SystemParams) -> tuple[Policy, float]:
     """Exact argmax of the average profit over all 2^K policies, K at most
     ENUMERATION_CAP, scored from two half-stacks by `_enumerated_etas`.
 
-    Each block's first row within the tie band of its best is a candidate,
-    and the first candidate within the band of the best candidate wins, so
-    near-ties resolve to the lexicographically smallest vector.
+    The first policy within the tie band of the best wins, so near-ties
+    resolve to the lexicographically smallest vector: the first block whose
+    best is in the band is scored again unless its own first pick settles it.
     """
     k = params.threshold
     if k > ENUMERATION_CAP:
         raise CapExceeded(f"K={k} exceeds enumeration cap {ENUMERATION_CAP}")
-    indices, etas, start = [], [], 0
+    found = []    # each block's best, first row within its own band, and that row's eta
     for block in _enumerated_etas(params):
         first = _first_best(block)
-        indices.append(start + first)
-        etas.append(float(block[first]))
-        start += block.size
-    best = _first_best(np.array(etas))
-    return Policy(tuple((indices[best] >> s) & 1 for s in range(k - 1, -1, -1))), etas[best]
+        found.append((float(block.max()), first, float(block[first])))
+    floor = _tie_floor(max(found)[0])
+    j, (top, first, eta) = next((i, row) for i, row in enumerate(found) if row[0] >= floor)
+    if not _tie_floor(top) <= floor <= eta:
+        block = next(itertools.islice(_enumerated_etas(params), j, None))
+        first = int(np.argmax(block >= floor))
+        eta = float(block[first])
+    return Policy(tuple(((j * block.size + first) >> s) & 1 for s in range(k - 1, -1, -1))), eta

@@ -22,7 +22,7 @@ from stockrationing import (
     static_profit_closed_form,
 )
 from stockrationing import optimizer
-from stockrationing.chain import _first_best, _head_weights
+from stockrationing.chain import BRUTE_FORCE_TIE_BAND, _first_best, _head_weights
 
 from conftest import random_params, random_policy
 
@@ -226,11 +226,13 @@ def test_split_enumeration_matches_explicit_rows(log_beta, mu1_share, supply, k,
     assert abs(eta - ref_eta) <= 1e-13 * max(1.0, abs(ref_eta))
 
 
-@pytest.mark.parametrize("k, log_hold", [(12, 52.0), (11, 56.0)])
+@pytest.mark.parametrize("k, log_hold", [(12, 52.0), (11, 56.0), (16, 95.0), (16, 120.0)])
 @pytest.mark.parametrize("serve", [1.0, 1e3])
 def test_split_enumeration_in_the_log_weight_branch(k, log_hold, serve):
     # K log(lam/mu1) = 624 and 616 nats, past the 600 that switches the
-    # weights to logs, while each head stays in float range; mu2 = 1e3 lam
+    # weights to logs, while each head stays in float range; at K = 16 a
+    # half's 8 log(lam/mu1) = 760 and 960 nats do not, so a low half's
+    # weight sum passes float range on the high half's scale.  mu2 = 1e3 lam
     # makes serving ratios fall below one, so the halves' scales cross
     lam = math.exp(log_hold)
     p = SystemParams(lam=lam, mu1=1.0, mu2=serve * lam, capacity=k + 8, threshold=k,
@@ -240,6 +242,24 @@ def test_split_enumeration_in_the_log_weight_branch(k, log_hold, serve):
     ref_policy, ref_eta = explicit_optimum(p)
     assert policy.decisions == ref_policy
     assert abs(eta - ref_eta) <= 1e-13 * max(1.0, abs(ref_eta))
+
+
+def test_enumeration_ties_within_the_band_of_the_best_policy():
+    # The best policy lies in the last of four blocks.  Block 0's first row
+    # within its own band, (0,0,0, 1 x 13, 0,0), lies 1.58e-10 below the
+    # best, outside the best's band of 1.37e-10, whose first row is
+    # (0,0, 1 x 14, 0,0), also in block 0.
+    p = SystemParams(lam=8.944500606851054, mu1=1.4177566256896255, mu2=0.7801352706268034,
+                     capacity=20, threshold=18, c_hold=6.30090199785343,
+                     c_lost1=2.9816309065742477, c_lost2=7.4175668006933035,
+                     c_buy=7.221648081421175, c_opp=2.1871542456880455,
+                     price=8.298868742743123, penalty=13.153044217464863)
+    policy, eta = brute_force_optimal(p)
+    assert policy.decisions == (0, 0) + (1,) * 14 + (0, 0)
+    rows = (np.arange(1 << 18)[:, None] >> np.arange(17, -1, -1)) & 1
+    best = max(float(average_profits(p, rows[i : i + (1 << 16)]).max())
+               for i in range(0, 1 << 18, 1 << 16))
+    assert eta >= best - BRUTE_FORCE_TIE_BAND * max(1.0, abs(best))
 
 
 class TestGlobalOptimal:
