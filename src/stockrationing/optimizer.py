@@ -124,9 +124,9 @@ def _enumerated_etas(params: SystemParams):
     b's on h+1..K and the segment, where state h weighs one.  Over U_a e**L,
     (p X_a / U_a + q Y_b / e**L) / (p + q V_b / e**L) with q = min(e**L w_a /
     U_a, 1) and p = min(1 / that, 1) is two broadcast multiply-adds and a
-    division.  L is 0 while V_b <= e**300, which keeps a ratio-form head
-    exact, and past that the multiple of 600 nearest log V_b, so no pair's
-    terms both underflow or overflow.
+    division.  L is 0, with q = w_a / U_a taken as is so that a ratio-form
+    head stays exact, while V_b <= e**300, and past that the multiple of 600
+    nearest log V_b, so no pair's terms both underflow or overflow.
     """
     k, penalty = params.threshold, params.penalty
     h, m = k // 2, k - k // 2
