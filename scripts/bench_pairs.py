@@ -10,14 +10,15 @@ chooses where).  The script has no timing code of its own.  Pair i of a
 workload runs `perfbench/run.py --trace 0` with seed SEED + i once in each
 checkout, the parent first in even pairs and the change first in odd ones,
 so that a slow phase of the machine does not fall on one side only.  Then
-the change's `scripts/time_layers.py` runs once with each side's package on
-PYTHONPATH, for the layer table, the simulator and enumeration lines and
-the footprint line.
+the change's `scripts/time_layers.py` runs LAYER_RUNS times with each
+side's package on PYTHONPATH, the sides alternating in the same way, for
+the layer table, the simulator and enumeration lines and the footprint line.
 
 BENCH_<n>.json, at the repository root, holds the run metadata, each run's
 end-to-end metrics (the ones BENCHMARK.json lists), the median and
-quartiles of each metric per side, how many pairs the change won, and the
-time_layers lines of both sides.
+quartiles of each metric per side, how many pairs the change won, every
+time_layers run's lines, and the median and range of each number those
+runs timed, per side.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -38,6 +40,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+LAYER_RUNS = 5
+TIMED = re.compile(r"(K=\d+ )?([\d,]*\.?\d+) (ms|s|M events/s)")
 
 
 def parse_args(argv):
@@ -89,6 +93,45 @@ def time_layers(checkout: Path) -> list[str]:
     return [line for line in out.splitlines() if line]
 
 
+def timed_numbers(lines: list[str]) -> dict:
+    """Each number one time_layers run timed, by name, in ms or M events/s:
+    the table's cells by layer and column, each simulator line's speed and
+    each enumeration cell.  A cell that reads "raises" has no number."""
+    out, columns = {}, []
+    for line in lines:
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("| layer"):
+            columns = cells[1:]
+        elif line.startswith("| `"):
+            for column, cell in zip(columns, cells[1:]):
+                if match := TIMED.fullmatch(cell):
+                    out[f"{cells[0].strip('`')} {column}"] = number(match)
+        elif line.startswith("simulator:"):
+            out["simulator " + line[line.index("(") :]] = number(TIMED.search(line))
+        elif line.startswith("enumeration:"):
+            for match in TIMED.finditer(line):
+                out[f"enumeration {match[1].strip()}"] = number(match)
+    return out
+
+
+def number(match: re.Match) -> list:
+    value, unit = float(match[2].replace(",", "")), match[3]
+    return [value * 1e3, "ms"] if unit == "s" else [value, unit]
+
+
+def layer_summary(runs: list[dict]) -> dict:
+    """The median and range of each timed number over each side's runs."""
+    out = {}
+    for side in SIDES:
+        numbers = [timed_numbers(run[side]) for run in runs]
+        for name, (_, unit) in numbers[0].items():
+            values = [run[name][0] for run in numbers if name in run]
+            out.setdefault(name, {"unit": unit})[side] = {
+                "median": statistics.median(values), "min": min(values), "max": max(values),
+                "runs": len(values)}
+    return out
+
+
 def spread(values: list[float]) -> dict:
     if len(values) == 1:
         q1 = q3 = values[0]
@@ -132,7 +175,11 @@ def main(argv=None) -> None:
                     print(f"{workload} seed {seed} {side}: {run[side]}", file=sys.stderr)
                 runs.append(run)
             workloads[workload] = {"summary": summarize(runs, metrics), "runs": runs}
-        layers = {side: time_layers(checkouts[side]) for side in SIDES}
+        layer_runs = []
+        for i in range(LAYER_RUNS):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            layer_runs.append({"first": order[0],
+                               **{side: time_layers(checkouts[side]) for side in order}})
     record = {
         "meta": {
             "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -147,7 +194,7 @@ def main(argv=None) -> None:
             "command": "python scripts/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
         },
         "workloads": workloads,
-        "time_layers": layers,
+        "time_layers": {"summary": layer_summary(layer_runs), "runs": layer_runs},
     }
     path = ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")

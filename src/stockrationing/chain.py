@@ -11,7 +11,7 @@ underflows at any N.  The record gives the profit split eta = D - P*F, the
 realization factors behind the flip margins G(i) + b on 1..K, and pi.
 D and F need four sums over states 0..K; `ChainRecord.parts` turns them into
 the total weight and D's and F's numerators for each row of a stack
-(`average_profits`) or of the two half-stacks the enumeration oracle joins.
+(`average_profits`) or of the two half-stacks the exact oracle searches.
 """
 
 from __future__ import annotations

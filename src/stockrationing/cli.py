@@ -437,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_opt = sub.add_parser("optimize", parents=[loaded], help="find the optimal policy")
-    p_opt.add_argument("--oracle", action="store_true", help="cross-check with enumeration")
+    p_opt.add_argument("--oracle", action="store_true", help="cross-check with the exact "
+                       "optimum over all 2^K policies, K <= 24, by Dinkelbach's parametric search")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_sweep = sub.add_parser("sweep", parents=[loaded], help="grid sweeps to CSV")

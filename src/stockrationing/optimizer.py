@@ -6,24 +6,25 @@ threshold policy only after permuting positions by ascending penalty root:
 an optimum carries its own permutation and zero count (`sort_perm`, `n0`),
 and `restore_threshold` maps them back to the policy.
 The regime gates are checked on the all-zeros and all-ones policies; the
-optimum itself comes from Howard policy iteration on the flip margins, with
-an exhaustive enumeration over all 2^K policies, K <= ENUMERATION_CAP, as
-the ground-truth oracle.
+optimum itself comes from Howard policy iteration on the flip margins.  The
+exact oracle over all 2^K policies, K <= ENUMERATION_CAP, is Dinkelbach's
+parametric search (Management Science 1967) over two half-stacks: it stops
+once a step finds no better profit, and near-ties go to the first policy.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TINY, ChainRecord, _first_best, _head_weights, _tie_floor
+from .chain import TINY, ChainRecord, _head_weights, _tie_floor
 from .model import ENUMERATION_CAP, CapExceeded, Policy, SystemParams, _base_rewards
 from .sensitivity import penalty_roots
 
-ENUMERATION_CHUNK = 1 << 16
 ORACLE_MATCH_TOL = 1e-9
+# brute_force_optimal: TINY lost to an underflow, over a denominator > e**-300; 128 KB of pairs
+EPS, UNDERFLOW, TIE_BLOCK = float(np.finfo(float).eps), TINY * float(np.exp(300.0)), 1 << 14
 
 
 def restore_threshold(sort_perm: tuple[int, ...], n_zeros: int) -> Policy:
@@ -70,7 +71,7 @@ def global_optimal(params: SystemParams, check_oracle: bool = False) -> Optimize
     and the loop ends at a gain-optimal policy (Howard's algorithm: Puterman,
     Markov Decision Processes, 1994, 8.6; Cao, Stochastic Learning and
     Optimization, 2007); its eta is D - P*F from the last profile's chain
-    record.  `check_oracle` cross-checks against enumeration.
+    record.  `check_oracle` cross-checks against the exact `brute_force_optimal`.
     """
     k = params.threshold
     p = params.penalty
@@ -111,72 +112,70 @@ def global_optimal(params: SystemParams, check_oracle: bool = False) -> Optimize
     )
 
 
-def _enumerated_etas(params: SystemParams):
-    """Yield every policy's average profit in lexicographic order of the
-    decision vector, in blocks of whole rows of at most ENUMERATION_CHUNK.
+def brute_force_optimal(params: SystemParams) -> tuple[Policy, float]:
+    """Exact argmax of the average profit over all 2^K policies, K at most
+    ENUMERATION_CAP, by Dinkelbach's (1967) parametric search over two halves.
 
-    State i's weight is the product of the first i rate ratios, and d_j
-    alone fixes the j-th.  So with high bits a on 1..h, h = K // 2, and low
-    bits b on h+1..K (Horowitz and Sahni, Computing Partitions with
-    Applications to the Knapsack Problem, JACM 1974), policy a * 2**(K-h) + b
-    earns (X_a + w_a Y_b) / (U_a + w_a V_b): the numerator of D - P*F and the
-    weight sum of a's record on states 0..h, its weight at h, and those of
-    b's on h+1..K and the segment, where state h weighs one.  Over U_a e**L,
-    (p X_a / U_a + q Y_b / e**L) / (p + q V_b / e**L) with q = min(e**L w_a /
-    U_a, 1) and p = min(1 / that, 1) is two broadcast multiply-adds and a
-    division.  L is 0, with q = w_a / U_a taken as is so that a ratio-form
-    head stays exact, while V_b <= e**300, and past that the multiple of 600
-    nearest log V_b, so no pair's terms both underflow or overflow.
+    With high bits a on 1..h, h = K // 2, product-form weights make policy
+    a * 2**(K-h) + b earn (p x_a + q y_b) / (p + q v_b) (Horowitz and Sahni,
+    JACM 1974): x_a is D - P*F on a's states 0..h, y_b and v_b the numerator
+    and weight of b's states above and the segment, on a scale e**L keeping
+    both terms in float range, and q, p <= 1, q = w_a / U_a as is at L = 0.
+    A pair beats g iff q (y_b - g v_b) + p (x_a - g) > 0, so a row beating g
+    anywhere beats it at its level's column maximising y - g v.  Each step
+    scores every row there; eta, the best profit found, rises until a step
+    finds none above it.  g sits 8 eps of the largest |x| or |y / v|, plus
+    UNDERFLOW, below the tie band's floor, so the last step also finds every
+    row that can reach the floor.  Those are scored at every column,
+    TIE_BLOCK pairs at a time; the first policy within the band of their best
+    wins, so near-ties go to the lexicographically smallest vector.
     """
     k, penalty = params.threshold, params.penalty
+    if k > ENUMERATION_CAP:
+        raise CapExceeded(f"K={k} exceeds enumeration cap {ENUMERATION_CAP}")
     h, m = k // 2, k - k // 2
-    b_bits = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    b_bits = np.unpackbits(np.arange(1 << m, dtype=">u2")[:, None].view(np.uint8), axis=1)[:, -m:]
     a_bits = b_bits[:: 1 << (m - h), :h]
     w_b, log_b0, log_bm = _head_weights(params, b_bits)
     w_a, _, log_ah = (w_b, log_b0, log_bm) if h == m else _head_weights(params, a_bits)
     base, w_b = _base_rewards(params, k), w_b[:, 1:]
-    low = ChainRecord(params, (w_b.sum(1), np.einsum("ij,ij->i", b_bits, w_b),
-                               w_b @ base[h + 1 :], log_bm))
-    high = ChainRecord(params, (w_a.sum(1), np.einsum("ij,ij->i", a_bits, w_a[:, 1:]),
-                                w_a @ base[: h + 1], -np.inf))    # no segment
-    (v, d_b, f_b), (u, d_a, f_a) = low.parts, high.parts
+    halves = ChainRecord(params, tuple(np.concatenate(z) for z in zip(    # b's, then a's
+        (w_b.sum(1), np.einsum("ij,ij->i", b_bits, w_b), w_b @ base[h + 1 :], log_bm),
+        (w_a.sum(1), np.einsum("ij,ij->i", a_bits, w_a[:, 1:]), w_a @ base[: h + 1],
+         np.full(1 << h, -np.inf)))))    # no segment
+    (v, u), (d_b, d_a), (f_b, f_a) = ((z[: 1 << m], z[1 << m :]) for z in halves.parts)
     x, log_ratio = (d_a - penalty * f_a) / u, log_ah - np.log(u)
-    # each column's log shift to the scale where state h weighs one, and its L / 600
-    lift = low.scales[3] - (0.0 if log_b0 is None else log_b0)
+    lift = halves.scales[3][: 1 << m] - (0.0 if log_b0 is None else log_b0)  # to state h's scale
     level = np.maximum(np.ceil((np.log(np.maximum(v, TINY)) + lift - 300) / 600), 0).astype(int)
-    yv = np.array((d_b - penalty * f_b, v)) * np.exp(lift - 600.0 * level)
-    t = log_ratio[:, None] + 600.0 * np.arange(level.max() + 1)
-    q, p = np.exp(np.minimum(t, 0.0)), np.exp(np.minimum(-t, 0.0))
-    q[:, 0] = w_a[:, h] / u
-    level = level if level.min() < level.max() else slice(level[0], level[0] + 1)
-    rows = max(ENUMERATION_CHUNK >> m, 1)
-    work = np.empty((2, min(rows, 1 << h), 1 << m))
-    for a in (slice(start, start + rows) for start in range(0, 1 << h, rows)):
-        num, den = np.multiply(q[a, level], yv[:, None], out=work)
-        num += p[a, level] * x[a, None]
-        den += p[a, level]
-        yield (num / den).ravel()
-
-
-def brute_force_optimal(params: SystemParams) -> tuple[Policy, float]:
-    """Exact argmax of the average profit over all 2^K policies, K at most
-    ENUMERATION_CAP, scored from two half-stacks by `_enumerated_etas`.
-
-    The first policy within the tie band of the best wins, so near-ties
-    resolve to the lexicographically smallest vector: the first block whose
-    best is in the band is scored again unless its own first pick settles it.
-    """
-    k = params.threshold
-    if k > ENUMERATION_CAP:
-        raise CapExceeded(f"K={k} exceeds enumeration cap {ENUMERATION_CAP}")
-    found = []    # each block's best, first row within its own band, and that row's eta
-    for block in _enumerated_etas(params):
-        first = _first_best(block)
-        found.append((float(block.max()), first, float(block[first])))
-    floor = _tie_floor(max(found)[0])
-    j, (top, first, eta) = next((i, row) for i, row in enumerate(found) if row[0] >= floor)
-    if not _tie_floor(top) <= floor <= eta:
-        block = next(itertools.islice(_enumerated_etas(params), j, None))
-        first = int(np.argmax(block >= floor))
-        eta = float(block[first])
-    return Policy(tuple(((j * block.size + first) >> s) & 1 for s in range(k - 1, -1, -1))), eta
+    y, v = np.array((d_b - penalty * f_b, v)) * np.exp(lift - 600.0 * level)
+    levels = np.bincount(level).nonzero()[0]
+    col = levels.searchsorted(level)          # each column's level, as an index into levels
+    t = log_ratio[:, None] + 600.0 * levels
+    q = np.where(levels == 0, (w_a[:, h] / u)[:, None], np.exp(np.minimum(t, 0.0)))
+    p, y_l, v_l, by_col = np.exp(np.minimum(-t, 0.0)), y[None], v[None], slice(None)
+    if len(levels) > 1:        # each level's columns, masked apart from the others'
+        on = col == np.arange(len(levels))[:, None]
+        y_l, v_l, by_col = np.where(on, y, -np.inf), np.where(on, v, 0.0), col
+    px, ratio = p * x[:, None], y / v
+    a, b = x.argmax(), ratio.argmax()     # start from the best high half with the best low half
+    size = max(x.item(a), ratio.item(b), -x.item(x.argmin()), -ratio.item(ratio.argmin()))
+    q_ab, p_ab = q.item(a, col[b]), p.item(a, col[b])
+    top, eta = (q_ab * y.item(b) + p_ab * x.item(a)) / (q_ab * v.item(b) + p_ab), -np.inf
+    while top > eta:
+        eta, floor = top, _tie_floor(top)
+        slack = 8 * EPS * (size + abs(floor)) + UNDERFLOW
+        best = (y_l - (floor - slack) * v_l).argmax(1)
+        etas = (q * y[best] + px) / (q * v[best] + p)
+        top = etas.item(etas.argmax())
+    rows = (np.maximum.reduce(etas, 1) >= floor - 2 * slack).nonzero()[0]
+    def joined(block):    # the profits of rows `block` at every column, in lexicographic order
+        q_b, p_b = q.take(block, 0)[:, by_col], p.take(block, 0)[:, by_col]
+        return ((q_b * y + p_b * x[block][:, None]) / (q_b * v + p_b)).ravel()
+    step = TIE_BLOCK >> m or 1
+    blocks = [rows[i : i + step] for i in range(0, len(rows), step)]
+    tops = [(etas := joined(block)).item(etas.argmax()) for block in blocks]
+    floor = _tie_floor(max(tops))
+    j = next(i for i, top in enumerate(tops) if top >= floor)
+    etas = joined(blocks[j]) if j < len(blocks) - 1 else etas    # the last block's are at hand
+    i, b = divmod(int((etas >= floor).argmax()), 1 << m)
+    return Policy(tuple(a_bits[blocks[j][i]].tolist() + b_bits[b].tolist())), etas.item(i << m | b)

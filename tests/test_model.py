@@ -18,11 +18,12 @@ from stockrationing import (
     Policy,
     PriorityViolation,
     SystemParams,
-    average_profits,
     brute_force_optimal,
     reward_structure,
 )
 from stockrationing import optimizer
+
+from test_optimizer import explicit_optimum
 
 
 class TestValidation:
@@ -178,51 +179,28 @@ class TestAdjacentChain:
                     assert walk(d, disagreements(d, c))[-1] == c
 
 
-def enumerated(monkeypatch, k):
-    """The policies whose profits the enumeration oracle scores, in order,
-    and its block sizes.
-
-    The profits are read through the block sequence `brute_force_optimal`
-    consumes.  Each must equal the profit `average_profits` gives one
-    explicit decision row, to 1e-13 of scale, which names its policy: at
-    mu2 = 1.5 and P = 0.7 no two policies' profits lie closer than 4e-8 of
-    scale at K = 10.
-    """
-    blocks = []
-    produce = optimizer._enumerated_etas
-
-    def record(params):
-        for block in produce(params):
-            blocks.append(block.copy())
-            yield block
-
-    monkeypatch.setattr(optimizer, "_enumerated_etas", record)
-    p = SystemParams(lam=2, mu1=1, mu2=1.5, capacity=k + 2, threshold=k,
-                     c_lost1=2, c_lost2=1, price=3, penalty=0.7)
-    brute_force_optimal(p)
-    rows = list(itertools.product((0, 1), repeat=k))
-    explicit = average_profits(p, np.array(rows))
-    tol = 1e-13 * max(1.0, float(np.abs(explicit).max()))
-    named = []
-    for eta in np.concatenate(blocks):
-        (match,) = np.flatnonzero(np.abs(explicit - eta) <= tol)
-        named.append(rows[match])
-    return named, [len(block) for block in blocks]
-
-
 class TestEnumeration:
-    def test_k1(self, monkeypatch):
-        assert enumerated(monkeypatch, 1)[0] == [(0,), (1,)]
+    """`brute_force_optimal` against the tie rule over all 2**K explicit rows;
+    at mu2 = 1.5 and P = 0.7 no two policies' profits lie closer than 4e-8 of
+    scale at K = 10."""
 
-    def test_k3_count(self, monkeypatch):
-        assert len(enumerated(monkeypatch, 3)[0]) == 8
+    @staticmethod
+    def matches_explicit_rows(k):
+        p = SystemParams(lam=2, mu1=1, mu2=1.5, capacity=k + 2, threshold=k,
+                         c_lost1=2, c_lost2=1, price=3, penalty=0.7)
+        policy, eta = brute_force_optimal(p)
+        ref_policy, ref_eta = explicit_optimum(p)
+        assert policy.decisions == ref_policy
+        assert abs(eta - ref_eta) <= 1e-13 * max(1.0, abs(ref_eta))
 
-    def test_k10_unique_and_lexicographic(self, monkeypatch):
-        # in blocks of 64 policies, each policy once, in lexicographic order
-        monkeypatch.setattr(optimizer, "ENUMERATION_CHUNK", 64)
-        seen, sizes = enumerated(monkeypatch, 10)
-        assert seen == list(itertools.product((0, 1), repeat=10))
-        assert sizes == [64] * 16
+    def test_k1(self):
+        self.matches_explicit_rows(1)
+
+    def test_k3(self):
+        self.matches_explicit_rows(3)
+
+    def test_k10(self):
+        self.matches_explicit_rows(10)
 
     def test_cap(self, monkeypatch):
         p = SystemParams(lam=2, mu1=1, mu2=1, capacity=ENUMERATION_CAP + 1,
@@ -230,7 +208,9 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             brute_force_optimal(p)
         monkeypatch.setattr(optimizer, "ENUMERATION_CAP", 5)
-        assert len(enumerated(monkeypatch, 5)[0]) == 32
+        self.matches_explicit_rows(5)
+        with pytest.raises(CapExceeded):
+            self.matches_explicit_rows(6)
 
 
 class TestPolicy:

@@ -187,12 +187,15 @@ class TestBruteForce:
         assert eta == pytest.approx(best, rel=1e-12)
 
     def test_at_the_cap(self, example1_params):
-        # the cap's own enumeration, 2**24 policies at example-1 rates
-        p = dataclasses.replace(example1_params, capacity=2 * ENUMERATION_CAP,
-                                threshold=ENUMERATION_CAP)
-        _, eta = brute_force_optimal(p)
-        res = global_optimal(p)
-        assert abs(eta - res.eta) <= optimizer.ORACLE_MATCH_TOL * max(1.0, abs(eta))
+        # the cap's own 2**24 policies at example-1 rates, in each region; a
+        # Class-1 lost-sales cost of 1.2 gives the all-ones profile a positive p_low
+        for penalty, region in [(0.1, "LowPenalty"), (10.0, "Middle"), (40.0, "HighPenalty")]:
+            p = dataclasses.replace(example1_params, capacity=2 * ENUMERATION_CAP,
+                                    threshold=ENUMERATION_CAP, c_lost1=1.2, penalty=penalty)
+            _, eta = brute_force_optimal(p)
+            res = global_optimal(p)
+            assert res.region == region
+            assert abs(eta - res.eta) <= optimizer.ORACLE_MATCH_TOL * max(1.0, abs(eta)), region
 
 
 def explicit_optimum(p):
@@ -203,27 +206,42 @@ def explicit_optimum(p):
     return tuple(rows[best].tolist()), float(etas[best])
 
 
-@given(
-    log_beta=st.floats(math.log(1e-3), math.log(1e3)),
-    mu1_share=st.floats(0.1, 0.9),
-    supply=st.sampled_from(["beta", "lam=mu1", "lam=mu1+mu2"]),
-    k=st.integers(1, 14),
-    n_frac=st.floats(0.0, 1.0),
-    costs=st.lists(st.floats(0.0, 10.0), min_size=7, max_size=7),
-)
+@st.composite
+def drifted_params(draw, k_max, k_min=1):
+    """lam/(mu1 + mu2) from 1e-3 to 1e3 or exactly 1, or lam = mu1; N from K to 3K."""
+    mu1_share = draw(st.floats(0.1, 0.9))
+    lam = draw(st.sampled_from(["beta", "lam=mu1", "lam=mu1+mu2"]))
+    lam = {"beta": math.exp(draw(st.floats(math.log(1e-3), math.log(1e3)))),
+           "lam=mu1": mu1_share, "lam=mu1+mu2": 1.0}[lam]
+    k = draw(st.integers(k_min, k_max))
+    c_hold, c_lost1, c_lost2, c_buy, c_opp, price, penalty = draw(
+        st.lists(st.floats(0.0, 10.0), min_size=7, max_size=7))
+    return SystemParams(lam=lam, mu1=mu1_share, mu2=1.0 - mu1_share,
+                        capacity=k + int(draw(st.floats(0.0, 1.0)) * 2 * k), threshold=k,
+                        c_hold=c_hold, c_lost1=c_lost1, c_lost2=c_lost2, c_buy=c_buy,
+                        c_opp=c_opp, price=price, penalty=penalty)
+
+
+@given(p=drifted_params(k_max=14))
 @settings(max_examples=60, deadline=None)
-def test_split_enumeration_matches_explicit_rows(log_beta, mu1_share, supply, k, n_frac, costs):
-    # lam/(mu1 + mu2) from 1e-3 to 1e3, K <= 14, N from K to 3K; the
-    # enumeration joins two half-stacks, the reference scores every row
-    lam = {"beta": math.exp(log_beta), "lam=mu1": mu1_share, "lam=mu1+mu2": 1.0}[supply]
-    c_hold, c_lost1, c_lost2, c_buy, c_opp, price, penalty = costs
-    p = SystemParams(lam=lam, mu1=mu1_share, mu2=1.0 - mu1_share, capacity=k + int(n_frac * 2 * k),
-                     threshold=k, c_hold=c_hold, c_lost1=c_lost1, c_lost2=c_lost2, c_buy=c_buy,
-                     c_opp=c_opp, price=price, penalty=penalty)
+def test_split_enumeration_matches_explicit_rows(p):
+    # K <= 14; the enumeration joins two half-stacks, the reference scores every row
     policy, eta = brute_force_optimal(p)
     ref_policy, ref_eta = explicit_optimum(p)
     assert policy.decisions == ref_policy
     assert abs(eta - ref_eta) <= 1e-13 * max(1.0, abs(ref_eta))
+
+
+@given(p=drifted_params(k_min=13, k_max=20))
+@settings(max_examples=60, deadline=None)
+def test_enumeration_matches_policy_iteration_at_larger_k(p):
+    # K from 13 to 20, past the explicit rows' reach: the oracle's profit is
+    # the policy iteration's, and no single flip of its policy beats it
+    policy, eta = brute_force_optimal(p)
+    scale = max(1.0, abs(eta))
+    assert abs(eta - global_optimal(p).eta) <= optimizer.ORACLE_MATCH_TOL * scale
+    for i in range(1, p.threshold + 1):
+        assert average_profit(p, policy.flip(i)) - eta <= BRUTE_FORCE_TIE_BAND * scale, i
 
 
 @pytest.mark.parametrize("k, log_hold", [(12, 52.0), (11, 56.0), (16, 95.0), (16, 120.0)])
@@ -245,10 +263,10 @@ def test_split_enumeration_in_the_log_weight_branch(k, log_hold, serve):
 
 
 def test_enumeration_ties_within_the_band_of_the_best_policy():
-    # The best policy lies in the last of four blocks.  Block 0's first row
-    # within its own band, (0,0,0, 1 x 13, 0,0), lies 1.58e-10 below the
-    # best, outside the best's band of 1.37e-10, whose first row is
-    # (0,0, 1 x 14, 0,0), also in block 0.
+    # The best policy starts (1, 1, ...), but the first row within its band
+    # of 1.37e-10 is (0,0, 1 x 14, 0,0); an earlier row, (0,0,0, 1 x 13, 0,0),
+    # lies 1.58e-10 below the best, just outside the band.  eta is checked
+    # against the best of all 2**18 explicit rows.
     p = SystemParams(lam=8.944500606851054, mu1=1.4177566256896255, mu2=0.7801352706268034,
                      capacity=20, threshold=18, c_hold=6.30090199785343,
                      c_lost1=2.9816309065742477, c_lost2=7.4175668006933035,
@@ -260,6 +278,28 @@ def test_enumeration_ties_within_the_band_of_the_best_policy():
     best = max(float(average_profits(p, rows[i : i + (1 << 16)]).max())
                for i in range(0, 1 << 18, 1 << 16))
     assert eta >= best - BRUTE_FORCE_TIE_BAND * max(1.0, abs(best))
+
+
+def test_tie_rule_holds_across_blocks_of_rows(monkeypatch):
+    # With one row per block, the best row and the first row within its band
+    # lie in different blocks, so the band's first block is scored again
+    monkeypatch.setattr(optimizer, "TIE_BLOCK", 1)
+    p = SystemParams(lam=8.944500606851054, mu1=1.4177566256896255, mu2=0.7801352706268034,
+                     capacity=20, threshold=18, c_hold=6.30090199785343,
+                     c_lost1=2.9816309065742477, c_lost2=7.4175668006933035,
+                     c_buy=7.221648081421175, c_opp=2.1871542456880455,
+                     price=8.298868742743123, penalty=13.153044217464863)
+    assert brute_force_optimal(p)[0].decisions == (0, 0) + (1,) * 14 + (0, 0)
+    # lam = 227 (mu1 + mu2): the mass sits near N, and two of the four rows
+    # hold a policy within the band of the best, at profits 1.3e-10 apart
+    p = SystemParams(lam=226.6282122418973, mu1=0.5998949990775465, mu2=0.4001050009224535,
+                     capacity=5, threshold=4, c_hold=2.00275379917644, c_lost1=4.1474121707579235,
+                     c_lost2=7.131551875636052, c_buy=7.381025959044417, c_opp=4.511778266793161,
+                     price=6.386185766079892, penalty=6.689188895728371)
+    policy, eta = brute_force_optimal(p)
+    ref_policy, ref_eta = explicit_optimum(p)
+    assert policy.decisions == ref_policy
+    assert abs(eta - ref_eta) <= 1e-13 * max(1.0, abs(ref_eta))
 
 
 class TestGlobalOptimal:
