@@ -151,12 +151,12 @@ def brute_force_optimal(params: SystemParams) -> tuple[Policy, float]:
     levels = np.bincount(level).nonzero()[0]
     col = levels.searchsorted(level)          # each column's level, as an index into levels
     t = log_ratio[:, None] + 600.0 * levels
-    q = np.where(levels == 0, (w_a[:, h] / u)[:, None], np.exp(np.minimum(t, 0.0)))
-    p, y_l, v_l, by_col = np.exp(np.minimum(-t, 0.0)), y[None], v[None], slice(None)
+    q, p = np.exp(np.minimum(t, 0.0)), np.exp(np.minimum(-t, 0.0))
+    q[:, 0] = w_a[:, h] / u if levels[0] == 0 else q[:, 0]
+    px, ratio, y_l, v_l, by_col = p * x[:, None], y / v, y[None], v[None], slice(None)
     if len(levels) > 1:        # each level's columns, masked apart from the others'
         on = col == np.arange(len(levels))[:, None]
         y_l, v_l, by_col = np.where(on, y, -np.inf), np.where(on, v, 0.0), col
-    px, ratio = p * x[:, None], y / v
     a, b = x.argmax(), ratio.argmax()     # start from the best high half with the best low half
     size = max(x.item(a), ratio.item(b), -x.item(x.argmin()), -ratio.item(ratio.argmin()))
     q_ab, p_ab = q.item(a, col[b]), p.item(a, col[b])

@@ -291,7 +291,7 @@ def test_tie_rule_holds_across_blocks_of_rows(monkeypatch):
                      price=8.298868742743123, penalty=13.153044217464863)
     assert brute_force_optimal(p)[0].decisions == (0, 0) + (1,) * 14 + (0, 0)
     # lam = 227 (mu1 + mu2): the mass sits near N, and two of the four rows
-    # hold a policy within the band of the best, at profits 1.3e-10 apart
+    # hold a policy within the best's band of 1.03e-9, at profits 6.0e-10 apart
     p = SystemParams(lam=226.6282122418973, mu1=0.5998949990775465, mu2=0.4001050009224535,
                      capacity=5, threshold=4, c_hold=2.00275379917644, c_lost1=4.1474121707579235,
                      c_lost2=7.131551875636052, c_buy=7.381025959044417, c_opp=4.511778266793161,
