@@ -12,6 +12,8 @@ realization factors behind the flip margins G(i) + b on 1..K, and pi.
 D and F need four sums over states 0..K; `ChainRecord.parts` turns them into
 the total weight and D's and F's numerators for each row of a stack
 (`average_profits`) or of the two half-stacks the exact oracle searches.
+The last policy's record and its cut pass are kept in one slot, so calls that
+ask about one policy in turn solve it once; a kept record's arrays are read-only.
 """
 
 from __future__ import annotations
@@ -114,6 +116,7 @@ class ChainRecord:
         rewards = np.multiply.outer(_serve_gain(self.params),
                                     np.concatenate(([0.0], self.decisions)))
         rewards[0] += self.base
+        rewards.flags.writeable = False
         return rewards
 
     @cached_property
@@ -152,8 +155,13 @@ class ChainRecord:
         and the sum from i up is its negative, so each G(i) is a ratio of
         weight sums over states 0..K, where the sum from i up adds the
         segment's closed form.  Each cut is taken from the end with less
-        mass, which bounds its rounding.
+        mass, which bounds its rounding.  The pass runs once per record, and
+        its array is read-only.
         """
+        return self._cuts
+
+    @cached_property
+    def _cuts(self) -> np.ndarray:
         p = self.params
         k = p.threshold
         w, (head_scale, tail_scale, *_), (norm, *_) = self.weights, self.scales, self.parts
@@ -184,7 +192,9 @@ class ChainRecord:
         # so their entries reversed are the sums from state i = 1..K+1 up.
         runs = _compensated_cumsum(np.concatenate((dev[:, :-1], dev[:, :0:-1])))
         cut = np.where(mass <= 0.5 * (mass[:, -1:] + tail_mass), runs[:2], -runs[2:, ::-1])
-        return cut[:, :n_cuts] / (p.lam * w[:n_cuts])
+        cut = cut[:, :n_cuts] / (p.lam * w[:n_cuts])
+        cut.flags.writeable = False
+        return cut
 
 
 def _exp(z: np.ndarray) -> np.ndarray:
@@ -192,8 +202,13 @@ def _exp(z: np.ndarray) -> np.ndarray:
     return np.exp(z, out=np.zeros(z.shape), where=z > -746.0)
 
 
+def _log_ratio(a: float, b: float) -> float:
+    """log(a / b), as log(a) - log(b) where a / b is not a normal float."""
+    return math.log(a / b) if TINY <= a / b < math.inf else math.log(a) - math.log(b)
+
+
 def _log_beta(params: SystemParams) -> float:
-    return math.log(params.lam / (params.mu1 + params.mu2))
+    return _log_ratio(params.lam, params.mu1 + params.mu2)
 
 
 def _h(z):
@@ -272,7 +287,7 @@ def _head_weights(params: SystemParams, d: np.ndarray) -> tuple:
         np.cumprod(steps, axis=-1, out=steps)
         # An underflowed state n outweighs no state; its log is floored.
         return w, None, np.log(np.maximum(w[..., -1], TINY))
-    steps[...] = np.where(d, math.log(r_serve), math.log(r_hold))
+    steps[...] = np.where(d, _log_beta(params), _log_ratio(params.lam, params.mu1))
     np.cumsum(steps, axis=-1, out=steps)
     w[..., 0] = 0.0
     w -= w.max(axis=-1, keepdims=True)
@@ -280,11 +295,23 @@ def _head_weights(params: SystemParams, d: np.ndarray) -> tuple:
     return np.exp(w, out=w), *logs
 
 
+_last_record = (None, None, None)    # (params, policy, record) of the last Policy solved
+
+
+def _forget_last_record() -> None:
+    global _last_record
+    _last_record = (None, None, None)
+
+
 def chain_record(params: SystemParams, policy: Policy | np.ndarray) -> ChainRecord:
     """Solve one policy, or every row of an (m, K) stack of 0/1 decision
-    rows: the weights on states 0..K and the segment above."""
+    rows: the weights on states 0..K and the segment above.  The last
+    Policy's record is kept and returned again for equal arguments."""
+    global _last_record
     k = params.threshold
     if isinstance(policy, Policy):
+        if (kept := _last_record)[1] == policy and kept[0] == params:
+            return kept[2]
         check_policy(params, policy)
         d = policy.as_array()
     else:
@@ -295,7 +322,11 @@ def chain_record(params: SystemParams, policy: Policy | np.ndarray) -> ChainReco
     base = _base_rewards(params, k)
     # einsum casts a stack's integer rows in buffers, not in a copy
     served = np.einsum("...i,...i->...", d, w[..., 1:])
-    return ChainRecord(params, (w.sum(axis=-1), served, w @ base, log_k), d, w, base)
+    record = ChainRecord(params, (w.sum(axis=-1), served, w @ base, log_k), d, w, base)
+    if isinstance(policy, Policy):
+        d.flags.writeable = w.flags.writeable = base.flags.writeable = False
+        _last_record = params, policy, record
+    return record
 
 
 def _compensated_cumsum(a: np.ndarray) -> np.ndarray:

@@ -181,7 +181,7 @@ def cmd_solve(args) -> int:
                 "shift": sol.shift,
                 "poisson_residual": sol.residual,
                 "g_diff": factors.g_diff,
-                "offset_b": factors.offset_b,
+                "offset_b": sol.offset_b,
                 "penalty_roots": profile.roots,
                 "p_low": profile.p_low,
                 "p_high": profile.p_high,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TINY, ChainRecord, _head_weights, _tie_floor
+from .chain import TINY, ChainRecord, NumericalOverflow, _head_weights, _tie_floor
 from .model import ENUMERATION_CAP, CapExceeded, Policy, SystemParams, _base_rewards
 from .sensitivity import penalty_roots
 
@@ -161,6 +161,8 @@ def brute_force_optimal(params: SystemParams) -> tuple[Policy, float]:
     size = max(x.item(a), ratio.item(b), -x.item(x.argmin()), -ratio.item(ratio.argmin()))
     q_ab, p_ab = q.item(a, col[b]), p.item(a, col[b])
     top, eta = (q_ab * y.item(b) + p_ab * x.item(a)) / (q_ab * v.item(b) + p_ab), -np.inf
+    if not np.isfinite(top):
+        raise NumericalOverflow(f"the parametric search starts from a profit of {top}")
     while top > eta:
         eta, floor = top, _tie_floor(top)
         slack = 8 * EPS * (size + abs(floor)) + UNDERFLOW

@@ -52,7 +52,6 @@ class RealizationFactors:
     """g_diff[i-1] holds G(i) = g(i-1) - g(i) for i = 1..N."""
 
     g_diff: np.ndarray
-    offset_b: float
 
 
 def _poisson_residual(params, policy, g, f_values, eta) -> float:
@@ -124,4 +123,4 @@ def solve_poisson(params: SystemParams, policy: Policy, shift: float = 0.0) -> P
 
 
 def realization_factors_from_potential(sol: PoissonSolution) -> RealizationFactors:
-    return RealizationFactors(g_diff=sol.g[:-1] - sol.g[1:], offset_b=sol.offset_b)
+    return RealizationFactors(g_diff=sol.g[:-1] - sol.g[1:])

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from stockrationing import Policy, SystemParams
+from stockrationing import Policy, SystemParams, chain
+
+
+@pytest.fixture(autouse=True)
+def _empty_record_slot():
+    """Start every test with no kept chain record, so a record built under
+    another test's monkeypatch never reaches this one."""
+    chain._forget_last_record()
 
 
 @pytest.fixture

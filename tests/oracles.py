@@ -191,9 +191,7 @@ def realization_factors_recurrence(
         raise InconsistentTermination(
             f"terminal row off by {terminal_gap:.3e}; eta wrong or forward sweep unstable"
         )
-    return RealizationFactors(
-        g_diff=g_diff, offset_b=params.price + params.c_lost2 - params.penalty
-    )
+    return RealizationFactors(g_diff=g_diff)
 
 
 def realization_factor_closed_form(

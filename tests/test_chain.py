@@ -7,10 +7,19 @@ from hypothesis import strategies as st
 
 from stockrationing import (
     Policy,
+    StockRationingError,
+    SystemParams,
     average_profit,
+    brute_force_optimal,
+    chain,
+    chain_record,
+    global_optimal,
+    optimal_static_threshold,
+    penalty_roots,
     profit_linear_form,
     reward_structure,
     service_rates,
+    solve_poisson,
     stationary_distribution,
 )
 
@@ -319,7 +328,8 @@ def test_head_beyond_float_range_raises_typed_error():
                      c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=5.0)
     pol = Policy.all_ones(2000)
     assert average_profit(p, pol) == pytest.approx(reference_profit(p, pol.decisions), rel=1e-12)
-    for solve in (penalty_roots, solve_poisson):
+    # The record is kept, but a failed cut pass is not: every call raises.
+    for solve in (penalty_roots, penalty_roots, solve_poisson):
         with pytest.raises(NumericalOverflow):
             solve(p, pol)
 
@@ -335,6 +345,7 @@ def test_scalar_profit_allocates_no_length_n_array():
                      c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=5.0)
     pol = Policy.all_ones(15)
     average_profit(p, pol)
+    chain._forget_last_record()    # so the measured call builds its record
     tracemalloc.start()
     try:
         average_profit(p, pol)
@@ -342,3 +353,87 @@ def test_scalar_profit_allocates_no_length_n_array():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+EX1_COSTS = dict(c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15)
+
+
+def _solve_sequence(p, pol):
+    """The four calls behind `stockrationing solve`, as plain arrays and floats."""
+    form = profit_linear_form(p, pol)
+    sol = solve_poisson(p, pol)
+    profile = penalty_roots(p, pol)
+    return (stationary_distribution(p, pol).pi, form.d_coef, form.f_coef, sol.g, sol.residual,
+            profile.num, profile.den, profile.roots)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(chain, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(chain, name, counted)
+    return calls
+
+
+def test_one_solve_sequence_builds_one_head_and_one_cut_pass(example1_params, monkeypatch):
+    heads = _counting(monkeypatch, "_head_weights")
+    cut_passes = _counting(monkeypatch, "_compensated_cumsum")
+    pol = Policy.all_ones(15)
+    _solve_sequence(example1_params, pol)
+    # equal by value, not the same objects: still the kept record
+    penalty_roots(SystemParams(**vars(example1_params)), Policy(pol.decisions))
+    assert (len(heads), len(cut_passes)) == (1, 1)
+
+
+def test_every_other_policy_or_penalty_gets_a_fresh_record(example1_params, monkeypatch):
+    p, a, b = example1_params, Policy.all_ones(15), Policy.all_zeros(15)
+    cold = {}
+    for key, params, pol in (("a", p, a), ("b", p, b), ("p", p.with_penalty(3.0), a)):
+        chain._forget_last_record()
+        cold[key] = _solve_sequence(params, pol)
+    heads = _counting(monkeypatch, "_head_weights")
+    for key, params, pol in (("a", p, a), ("b", p, b), ("a", p, a), ("p", p.with_penalty(3.0), a)):
+        record = chain_record(params, pol)
+        for got, want in zip(_solve_sequence(params, pol), cold[key]):
+            np.testing.assert_array_equal(got, want, strict=True)
+        assert chain_record(params, pol) is record
+    assert len(heads) == 4
+
+
+def test_kept_record_arrays_are_read_only(example1_params):
+    record = chain_record(example1_params, Policy.all_ones(15))
+    for array in (record.decisions, record.weights, record.base, record.cut_factors()):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("lam, mu, state", [(1e-300, 1e300, 0), (1e300, 1e-300, -1)],
+                         ids=["rates-ratio-underflows", "rates-ratio-overflows"])
+def test_rate_quotients_beyond_float_range_give_finite_answers_or_typed_errors(lam, mu, state):
+    # lam/(mu1 + mu2) is 1e-600 or 1e600, outside float64; its log is not.
+    p = SystemParams(lam=lam, mu1=mu, mu2=mu, capacity=30, threshold=12, penalty=5.0,
+                     **EX1_COSTS)
+    pol = Policy.all_ones(12)
+    calls = {
+        "stationary_distribution": lambda: stationary_distribution(p, pol).pi,
+        "average_profit": lambda: average_profit(p, pol),
+        "profit_linear_form": lambda: list(vars(profit_linear_form(p, pol)).values()),
+        "solve_poisson": lambda: solve_poisson(p, pol).g,
+        "penalty_roots": lambda: penalty_roots(p, pol).num,
+        "global_optimal": lambda: global_optimal(p).eta,
+        "brute_force_optimal": lambda: brute_force_optimal(p)[1],
+        "optimal_static_threshold": lambda: optimal_static_threshold(p)[1],
+    }
+    for name, call in calls.items():
+        try:
+            value = call()
+        except StockRationingError:
+            continue
+        assert np.all(np.isfinite(value)), name
+    # The chain sits at state 0 or N, so eta is that state's reward.
+    f = reward_structure(p, pol).f_values[state]
+    assert average_profit(p, pol) == pytest.approx(f, rel=1e-12)
