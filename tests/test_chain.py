@@ -406,7 +406,8 @@ def test_every_other_policy_or_penalty_gets_a_fresh_record(example1_params, monk
 
 def test_kept_record_arrays_are_read_only(example1_params):
     record = chain_record(example1_params, Policy.all_ones(15))
-    for array in (record.decisions, record.weights, record.base, record.cut_factors()):
+    for array in (record.decisions, record.weights, record.base, record.cut_factors(),
+                  record.rewards):
         with pytest.raises(ValueError):
             array[0] = 0.0
 
