@@ -116,7 +116,7 @@ class ChainRecord:
         rewards = np.multiply.outer(_serve_gain(self.params),
                                     np.concatenate(([0.0], self.decisions)))
         rewards[0] += self.base
-        rewards.flags.writeable = False
+        rewards.setflags(write=False)
         return rewards
 
     @cached_property
@@ -193,7 +193,7 @@ class ChainRecord:
         runs = _compensated_cumsum(np.concatenate((dev[:, :-1], dev[:, :0:-1])))
         cut = np.where(mass <= 0.5 * (mass[:, -1:] + tail_mass), runs[:2], -runs[2:, ::-1])
         cut = cut[:, :n_cuts] / (p.lam * w[:n_cuts])
-        cut.flags.writeable = False
+        cut.setflags(write=False)
         return cut
 
 
@@ -324,7 +324,8 @@ def chain_record(params: SystemParams, policy: Policy | np.ndarray) -> ChainReco
     served = np.einsum("...i,...i->...", d, w[..., 1:])
     record = ChainRecord(params, (w.sum(axis=-1), served, w @ base, log_k), d, w, base)
     if isinstance(policy, Policy):
-        d.flags.writeable = w.flags.writeable = base.flags.writeable = False
+        for array in (d, w, base):
+            array.setflags(write=False)
         _last_record = params, policy, record
     return record
 

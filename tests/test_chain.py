@@ -438,3 +438,39 @@ def test_rate_quotients_beyond_float_range_give_finite_answers_or_typed_errors(l
     # The chain sits at state 0 or N, so eta is that state's reward.
     f = reward_structure(p, pol).f_values[state]
     assert average_profit(p, pol) == pytest.approx(f, rel=1e-12)
+
+
+def test_threads_sharing_the_record_slot_get_their_own_policy(example1_params):
+    # The slot is one tuple, written in one assignment and read once, so a
+    # thread never pairs its arguments with another thread's record.  Few
+    # cases, so that threads often ask for the one another is storing.
+    import sys
+    import threading
+
+    p, q = example1_params, example1_params.with_penalty(3.0)
+    cases = [(p, Policy.all_ones(15)), (p, Policy.all_zeros(15)), (q, Policy.all_ones(15))]
+    cold = []
+    for case in cases:
+        chain._forget_last_record()
+        cold.append((penalty_roots(*case).num, profit_linear_form(*case).d_coef))
+    wrong = []
+
+    def worker(offset):
+        for step in range(300):
+            j = (offset + step) % len(cases)
+            got = penalty_roots(*cases[j]).num, profit_linear_form(*cases[j]).d_coef
+            if not (np.array_equal(got[0], cold[j][0]) and got[1] == cold[j][1]):
+                wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
