@@ -444,10 +444,11 @@ def test_threads_sharing_the_record_slot_get_their_own_policy(example1_params):
     # The slot is one tuple, written in one assignment and read once, so a
     # thread never pairs its arguments with another thread's record.  Few
     # cases, so that threads often ask for the one another is storing.
+    import dataclasses
     import sys
     import threading
 
-    p, q = example1_params, example1_params.with_penalty(3.0)
+    p, q = example1_params, dataclasses.replace(example1_params, lam=2.5)
     cases = [(p, Policy.all_ones(15)), (p, Policy.all_zeros(15)), (q, Policy.all_ones(15))]
     cold = []
     for case in cases:
