@@ -28,7 +28,6 @@ import io
 import json
 import os
 import platform
-import re
 import statistics
 import subprocess
 import sys
@@ -41,7 +40,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 LAYER_RUNS = 5
-TIMED = re.compile(r"(K=\d+ )?([\d,]*\.?\d+) (ms|s|M events/s)")
 
 
 def parse_args(argv):
@@ -93,37 +91,12 @@ def time_layers(checkout: Path) -> list[str]:
     return [line for line in out.splitlines() if line]
 
 
-def timed_numbers(lines: list[str]) -> dict:
-    """Each number one time_layers run timed, by name, in ms or M events/s:
-    the table's cells by layer and column, each simulator line's speed and
-    each enumeration cell.  A cell that reads "raises" has no number."""
-    out, columns = {}, []
-    for line in lines:
-        cells = [cell.strip() for cell in line.strip("|").split("|")]
-        if line.startswith("| layer"):
-            columns = cells[1:]
-        elif line.startswith("| `"):
-            for column, cell in zip(columns, cells[1:]):
-                if match := TIMED.fullmatch(cell):
-                    out[f"{cells[0].strip('`')} {column}"] = number(match)
-        elif line.startswith("simulator:"):
-            out["simulator " + line[line.index("(") :]] = number(TIMED.search(line))
-        elif line.startswith("enumeration:"):
-            for match in TIMED.finditer(line):
-                out[f"enumeration {match[1].strip()}"] = number(match)
-    return out
-
-
-def number(match: re.Match) -> list:
-    value, unit = float(match[2].replace(",", "")), match[3]
-    return [value * 1e3, "ms"] if unit == "s" else [value, unit]
-
-
 def layer_summary(runs: list[dict]) -> dict:
-    """The median and range of each timed number over each side's runs."""
+    """The median and range of each timed number over each side's runs, read
+    off the JSON line that ends each time_layers run."""
     out = {}
     for side in SIDES:
-        numbers = [timed_numbers(run[side]) for run in runs]
+        numbers = [json.loads(run[side][-1]) for run in runs]
         for name, (_, unit) in numbers[0].items():
             values = [run[name][0] for run in numbers if name in run]
             out.setdefault(name, {"unit": unit})[side] = {

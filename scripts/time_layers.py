@@ -25,7 +25,12 @@ enumeration oracle: `brute_force_optimal` at example-1 rates and costs,
 P=5, N=2K, at K=16, 20, 22 and 24 (the enumeration cap), best of 3.  The
 last line gives the package's size: the lines of its modules (as
 `wc -l src/stockrationing/*.py` counts them), the number of names it
-exports, and how many parameters of the exported functions have a default.  Run from the repository root:
+exports, and how many parameters of the exported functions have a default.
+Times print to three significant digits.  The output ends with one JSON line
+that holds every timed number at full precision as [value, unit], in ms or
+M events/s, keyed by name: "<layer> <column>" for a table cell, "simulator
+(<label>)" for a simulator line and "enumeration K=<k>" for an enumeration
+cell; a cell that raises has no entry.  Run from the repository root:
 
     PYTHONPATH=src python scripts/time_layers.py
 
@@ -36,6 +41,8 @@ hand-off in some processes and none in others.
 
 import dataclasses
 import inspect
+import json
+import math
 import os
 import time
 import warnings
@@ -84,17 +91,16 @@ def best_time(fn) -> float:
 
 
 def fmt(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.2f} s"
-    ms = seconds * 1e3
-    return f"{ms:.2f} ms" if ms < 1 else f"{ms:.3g} ms"
+    """Three significant digits, in ms below one second."""
+    value, unit = (seconds, "s") if seconds >= 1.0 else (seconds * 1e3, "ms")
+    return f"{value:.{max(0, 2 - math.floor(math.log10(value)))}f} {unit}"
 
 
-def cell(call) -> str:
+def timed_or_none(call) -> float | None:
     try:
-        return fmt(best_time(call))
+        return best_time(call)
     except StockRationingError:
-        return "raises"
+        return None
 
 
 def params(beta: float, n: int) -> SystemParams:
@@ -108,7 +114,8 @@ def jump_rates(p: SystemParams, pol: Policy) -> np.ndarray:
     return np.append(np.full(p.capacity, p.lam), 0.0) + np.append(0.0, service_rates(p, pol))
 
 
-def simulator_speed(p: SystemParams, horizon: float, replications: int, label: str) -> str:
+def simulator_speed(p: SystemParams, horizon: float, replications: int, label: str,
+                    timed: dict) -> str:
     pol = Policy.all_ones(p.threshold)
 
     def run():
@@ -117,8 +124,9 @@ def simulator_speed(p: SystemParams, horizon: float, replications: int, label: s
     seconds = best_time(run)
     est = run()
     events = est.replications * est.horizon * float(est.occupancy @ jump_rates(p, pol))
-    return (f"simulator: {events / seconds / 1e6:.2f} M events/s "
-            f"({label}, all-ones policy, horizon {horizon:g}, {replications} replications)")
+    name = f"({label}, all-ones policy, horizon {horizon:g}, {replications} replications)"
+    timed["simulator " + name] = [events / seconds / 1e6, "M events/s"]
+    return f"simulator: {events / seconds / 1e6:.2f} M events/s {name}"
 
 
 def sim_grid_shape() -> SystemParams:
@@ -128,11 +136,13 @@ def sim_grid_shape() -> SystemParams:
     return dataclasses.replace(p, lam=p.lam * c, mu1=p.mu1 * c, mu2=p.mu2 * c)
 
 
-def enumeration_speed() -> str:
+def enumeration_speed(timed: dict) -> str:
     cells = []
     for k in ENUMERATION_KS:
         p = dataclasses.replace(params(0.5, 2 * k), threshold=k)
-        cells.append(f"K={k} {fmt(best_time(lambda: brute_force_optimal(p)))}")
+        seconds = best_time(lambda: brute_force_optimal(p))
+        timed[f"enumeration K={k}"] = [seconds * 1e3, "ms"]
+        cells.append(f"K={k} {fmt(seconds)}")
     return "enumeration: " + ", ".join(cells) + " (example-1 rates, N=2K, best of 3)"
 
 
@@ -161,20 +171,29 @@ def main():
         "optimal_static_threshold": lambda p, pol: optimal_static_threshold(p),
         "global_optimal": lambda p, pol: global_optimal(p),
     }
-    print("| layer | " + " | ".join(f"β={b:g} N={n:,}" for b, n in COLUMNS) + " |")
+    columns = [f"β={b:g} N={n:,}" for b, n in COLUMNS]
+    timed = {}    # every timed number at full precision, by name
+    print("| layer | " + " | ".join(columns) + " |")
     print("|---" * (len(COLUMNS) + 1) + "|")
     for name, call in layers.items():
         cells = []
-        for beta, n in COLUMNS:
+        for (beta, n), column in zip(COLUMNS, columns):
             p, pol = params(beta, n), Policy.all_ones(15)
-            cells.append(cell(lambda: call(p, pol)))
+            seconds = timed_or_none(lambda: call(p, pol))
+            if seconds is None:
+                cells.append("raises")
+                continue
+            cells.append(fmt(seconds))
+            timed[f"{name} {column}"] = [seconds * 1e3, "ms"]
         print(f"| `{name}` | " + " | ".join(cells) + " |")
     print()
-    print(simulator_speed(params(0.5, 100), 2e4, 4, "example 1"))
+    print(simulator_speed(params(0.5, 100), 2e4, 4, "example 1", timed))
     print(simulator_speed(sim_grid_shape(), 5000.0, 10,
-                          f"sim-grid shape: example 1 at N=20, jump rate {SIM_GRID_JUMP_RATE:g}"))
-    print(enumeration_speed())
+                          f"sim-grid shape: example 1 at N=20, jump rate {SIM_GRID_JUMP_RATE:g}",
+                          timed))
+    print(enumeration_speed(timed))
     print(footprint())
+    print(json.dumps(timed))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from .model import (
     NonPositiveRate,
     Policy,
     PriorityViolation,
-    RewardStructure,
     StockRationingError,
     SystemParams,
     reward_structure,
@@ -20,7 +19,6 @@ from .model import (
 from .chain import (
     ChainRecord,
     NumericalOverflow,
-    ProfitLinearForm,
     StationaryDistribution,
     average_profit,
     average_profits,

@@ -8,7 +8,8 @@ is solved once, in `chain_record`, in ratio form and in O(K): weights on
 states 0..K on a scale that cannot overflow, and closed-form sums for the
 segment, taken relative to its heavier end, so no weight overflows or
 underflows at any N.  The record gives the profit split eta = D - P*F, the
-realization factors behind the flip margins G(i) + b on 1..K, and pi.
+realization factors behind the flip margins G(i) + b on 1..K, pi and the
+potential g.
 D and F need four sums over states 0..K; `ChainRecord.parts` turns them into
 the total weight and D's and F's numerators for each row of a stack
 (`average_profits`) or of the two half-stacks the exact oracle searches.
@@ -52,18 +53,6 @@ class StationaryDistribution:
 
 
 @dataclass(frozen=True)
-class ProfitLinearForm:
-    """eta(P) = d_coef - P * f_coef, both coefficients penalty-free (arrays
-    with one entry per row for a stack of policies)."""
-
-    d_coef: float
-    f_coef: float
-
-    def eta(self, penalty: float) -> float:
-        return self.d_coef - penalty * self.f_coef
-
-
-@dataclass(frozen=True)
 class ChainRecord:
     """One policy's chain, or each row's of a stack of policies, solved once
     in ratio form.
@@ -73,11 +62,11 @@ class ChainRecord:
     all-zeros policy's B row `base` and the log of state K's weight, on a
     scale whose largest weight lies between 1 and e**600.  Serving Class 2
     at a state in 1..K adds a fixed `_serve_gain` to B and A, so they fix D
-    and F (`form`); the `decisions` ((K,) or (m, K)), `weights` and `base`
-    behind them are kept when known.  The segment above K, whose _tail_sums
-    and weighted B no policy changes (`tail`), enters through its reference
-    state, K when beta <= 1 and N when beta > 1, at log_K + max((N-K)
-    log(beta), 0) on the head's scale.  The chain's scale shifts that down
+    and F (`d_coef`, `f_coef` and `eta`); the `decisions` ((K,) or (m, K)),
+    `weights` and `base` behind them are kept when known.  The segment above
+    K, whose _tail_sums and weighted B no policy changes (`tail`), enters
+    through its reference state, K when beta <= 1 and N when beta > 1, at
+    log_K + max((N-K) log(beta), 0) on the head's scale.  The chain's scale shifts that down
     to one when it is larger: `scales` take the head's and the reference's
     weights there, both at most one, with the latter's log and the shift,
     and `parts` are the total weight and the numerators of D and F.
@@ -119,15 +108,23 @@ class ChainRecord:
         rewards.setflags(write=False)
         return rewards
 
+    def _mean(self, part: int):
+        mean = self.parts[part] / self.parts[0]
+        return float(mean) if np.ndim(mean) == 0 else mean
+
     @cached_property
-    def form(self) -> ProfitLinearForm:
-        """eta = D - P*F, D and F the stationary means of B and A; for a
-        stack, arrays with one entry per row."""
-        norm, d_num, f_num = self.parts
-        d_coef, f_coef = d_num / norm, f_num / norm
-        if np.ndim(d_coef) == 0:
-            d_coef, f_coef = float(d_coef), float(f_coef)
-        return ProfitLinearForm(d_coef=d_coef, f_coef=f_coef)
+    def d_coef(self):
+        """D, the stationary mean of B: a float, or one entry per stack row."""
+        return self._mean(1)
+
+    @cached_property
+    def f_coef(self):
+        """F, the stationary mean of A: a float, or one entry per stack row."""
+        return self._mean(2)
+
+    def eta(self, penalty: float):
+        """The average profit eta = D - P*F."""
+        return self.d_coef - penalty * self.f_coef
 
     def stationary(self) -> np.ndarray:
         """pi on states 0..N of a one-policy record; above K the weights are
@@ -142,6 +139,40 @@ class ChainRecord:
         pi[k + 1 :] = _exp(offsets * _log_beta(p) + self.scales[2]) / self.parts[0]
         return pi
 
+    def potential(self) -> np.ndarray:
+        """Special potential (first entry zero) of -B g = f - eta*e for a
+        one-policy record and its own reward.
+
+        G(i) = g(i-1) - g(i) on 1..min(K+1, N) are the cut factors.  Above
+        that, the cut-flow identity
+
+            lam * xi_{i-1} * G(i) = sum_{j<i} xi_j * (f_j - eta)
+                                  = -sum_{j>=i} xi_j * (f_j - eta)
+
+        sums a segment above K in closed form: for beta <= 1 the states i..N,
+        whose weights fall away from i - 1; for beta > 1 the states K+1..i-1
+        below it, plus the cut at K+1 carried up by beta**-(i-1-K).  g is then
+        one running sum.
+        """
+        p = self.params
+        k, n = p.threshold, p.capacity
+        eta = self.eta(p.penalty)
+        g_diff = np.empty(n)
+        cut_b, cut_a = self.cut_factors
+        g_diff[: len(cut_b)] = cut_b - p.penalty * cut_a
+        r = np.arange(1.0, n - k)          # G(K+1+r) for r = 1..N-K-1
+        if len(r) and _log_beta(p) <= 0:
+            sums = _tail_sums(p, n - k - r)
+            g_diff[k + 1 :] = (eta * sums[0] - _segment_reward(p, k + r, sums, True)) / p.lam
+        elif len(r):
+            sums = _tail_sums(p, r)
+            g_diff[k + 1 :] = _exp(-r * _log_beta(p)) * g_diff[k] + (
+                _segment_reward(p, k, sums, False) - eta * sums[0]) / p.lam
+        g = np.zeros(n + 1)
+        np.cumsum(-g_diff, out=g[1:])
+        return g
+
+    @cached_property
     def cut_factors(self) -> np.ndarray:
         """Rows G_B and G_A of G(i) = g(i-1) - g(i) = G_B - P*G_A at positions
         1..min(K+1, N) of a one-policy record; the margin at i <= K is
@@ -158,10 +189,6 @@ class ChainRecord:
         mass, which bounds its rounding.  The pass runs once per record, and
         its array is read-only.
         """
-        return self._cuts
-
-    @cached_property
-    def _cuts(self) -> np.ndarray:
         p = self.params
         k = p.threshold
         w, (head_scale, tail_scale, *_), (norm, *_) = self.weights, self.scales, self.parts
@@ -171,7 +198,7 @@ class ChainRecord:
                 "weights on states 0..K span more than float64's range: "
                 f"{int(np.sum(w[:n_cuts] < TINY))} cuts would divide by a flushed weight")
         (w_sum, m_sum, top), seg = self.tail
-        d_coef, f_coef = self.form.d_coef, self.form.f_coef
+        d_coef, f_coef = self.d_coef, self.f_coef
         coef = np.array([[d_coef], [f_coef]])
         b_head, a_head = self.rewards @ w
         dev = np.empty((2, k + 2))
@@ -265,29 +292,33 @@ def _segment_reward(params: SystemParams, base, sums, reaches_top: bool):
     return total + (p.c_buy - p.c_opp) * p.lam * top if reaches_top else total
 
 
-def _head_weights(params: SystemParams, d: np.ndarray) -> tuple:
+def _head_weights(p: SystemParams, d: np.ndarray) -> tuple:
     """Weights on states 0..n of each row of d, n its length, and the logs
     of state 0's and state n's.
 
     Their scale puts each row's largest weight between 1 and e**600.  While
-    K rate ratios cannot grow past that, whatever n is, the weights are
-    relative to state 0, one running product of the ratios, and state 0's
-    log is None; otherwise they come from summed log-ratios, relative to the
-    row's largest.  Either way the rows make one array, updated in place.
+    K rate ratios cannot grow past that, whatever n is, nor a weight times a
+    reward past e**700, the weights are relative to state 0, one running
+    product of the ratios, and state 0's log is None; otherwise they come
+    from summed log-ratios, relative to the row's largest.  Either way the
+    rows make one array, updated in place.
     """
-    r_hold = params.lam / params.mu1
-    r_serve = params.lam / (params.mu1 + params.mu2)
+    r_hold, r_serve = p.lam / p.mu1, p.lam / (p.mu1 + p.mu2)
+    # No entry of B or A on any state exceeds this in size.
+    bound = ((p.price + p.c_lost1 + p.c_lost2) * (p.mu1 + p.mu2) + (p.c_buy + p.c_opp) * p.lam
+             + p.c_hold * p.capacity + (1.0 + p.penalty) * p.mu2)
+    span = p.threshold * math.log(max(r_hold, 1.0))
     w = np.empty(d.shape[:-1] + (d.shape[-1] + 1,))
     w[..., 0] = 1.0
     steps = w[..., 1:]
     # Each step's ratio is picked by its decision, one rounding from the
     # rates, so nothing cancels when mu2 >> mu1.
-    if params.threshold * math.log(max(r_hold, 1.0)) < 600.0:
+    if span < 600.0 and span + math.log1p(bound) < 700.0:
         steps[...] = np.where(d, r_serve, r_hold)
         np.cumprod(steps, axis=-1, out=steps)
         # An underflowed state n outweighs no state; its log is floored.
         return w, None, np.log(np.maximum(w[..., -1], TINY))
-    steps[...] = np.where(d, _log_beta(params), _log_ratio(params.lam, params.mu1))
+    steps[...] = np.where(d, _log_beta(p), _log_ratio(p.lam, p.mu1))
     np.cumsum(steps, axis=-1, out=steps)
     w[..., 0] = 0.0
     w -= w.max(axis=-1, keepdims=True)
@@ -355,12 +386,12 @@ def stationary_distribution(params: SystemParams, policy: Policy) -> StationaryD
 
 def average_profit(params: SystemParams, policy: Policy) -> float:
     """Long-run average profit D - P*F from the policy's record, in O(K)."""
-    return chain_record(params, policy).form.eta(params.penalty)
+    return chain_record(params, policy).eta(params.penalty)
 
 
 def average_profits(params: SystemParams, decisions: np.ndarray) -> np.ndarray:
     """Average profit of every row of a (m, K) stack of 0/1 decision vectors."""
-    return chain_record(params, np.asarray(decisions)).form.eta(params.penalty)
+    return chain_record(params, np.asarray(decisions)).eta(params.penalty)
 
 
 def _tie_floor(best: float) -> float:
@@ -374,6 +405,6 @@ def _first_best(etas: np.ndarray) -> int:
     return int(np.argmax(etas >= _tie_floor(etas.max())))
 
 
-def profit_linear_form(params: SystemParams, policy: Policy) -> ProfitLinearForm:
-    """Split eta into its penalty-free part and the coefficient of -P."""
-    return chain_record(params, policy).form
+def profit_linear_form(params: SystemParams, policy: Policy) -> ChainRecord:
+    """The policy's record, whose eta(P) = d_coef - P*f_coef splits eta."""
+    return chain_record(params, policy)

@@ -352,7 +352,7 @@ def _check(name: str, spec: dict, params: SystemParams, policy: Policy | None,
             f_coef = profit_linear_form(params, policy).f_coef
             # eta = D - P*F by construction, so each is also held to pi @ f
             gap = max(abs(eta - float(stationary_distribution(q, policy).pi
-                                      @ reward_structure(q, policy).f_values)) / max(1.0, abs(eta))
+                                      @ reward_structure(q, policy))) / max(1.0, abs(eta))
                       for q, eta in zip((_at(params, var, v) for v in grid), etas))
             return resid < 1e-9 and gap <= 1e-9, (
                 f"eta(P) affine for fixed policy: max residual {resid:.2e}, slope "

@@ -1,4 +1,4 @@
-"""System parameters, rationing policies, and the state-dependent reward structure.
+"""System parameters, rationing policies, and the state-dependent reward rates.
 
 A single-product warehouse with capacity ``N`` replenishes from a Poisson
 supply stream and serves two demand classes with exponential service rates.
@@ -206,26 +206,14 @@ def check_policy(params: SystemParams, policy: Policy) -> None:
         )
 
 
-@dataclass(frozen=True)
-class RewardStructure:
-    """Per-state profit rates f_i and their penalty decomposition f_i = B_i - P*A_i.
-
-    ``a_coeffs[i]`` is mu2*d_i on the rationed range 1..K and zero elsewhere,
-    so the whole dependence of f on the penalty cost is the linear term.
-    """
-
-    a_coeffs: np.ndarray
-    b_coeffs: np.ndarray
-    f_values: np.ndarray
-
-
-def reward_structure(params: SystemParams, policy: Policy) -> RewardStructure:
-    """Build the profit-rate vector over states 0..N for one policy.
+def reward_structure(params: SystemParams, policy: Policy) -> np.ndarray:
+    """The profit-rate vector f over states 0..N for one policy.
 
     State 0 loses both demand classes and still buys stock; states 1..K earn
     the Class-1 price plus the policy-dependent Class-2 terms; states above K
     serve both classes; state N swaps the purchase price for the opportunity
-    cost of rejected inbound stock.
+    cost of rejected inbound stock.  f = B - P*A with A = mu2*d_i on 1..K and
+    zero elsewhere; the split on states 0..K is `ChainRecord.rewards`.
     """
     check_policy(params, policy)
     k, n = params.threshold, params.capacity
@@ -235,10 +223,9 @@ def reward_structure(params: SystemParams, policy: Policy) -> RewardStructure:
     d = np.ones(n + 1)
     d[0] = 0.0
     d[1 : k + 1] = policy.as_array()
-    a = np.zeros(n + 1)
-    a[1 : k + 1] = gain_a * d[1 : k + 1]
-    b = _base_rewards(params, n) + gain_b * d
-    return RewardStructure(a_coeffs=a, b_coeffs=b, f_values=b - params.penalty * a)
+    f = _base_rewards(params, n) + gain_b * d
+    f[1 : k + 1] -= params.penalty * (gain_a * d[1 : k + 1])
+    return f
 
 
 def _serve_gain(p: SystemParams) -> tuple[float, float]:

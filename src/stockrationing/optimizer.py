@@ -147,18 +147,21 @@ def brute_force_optimal(params: SystemParams) -> tuple[Policy, float]:
     x, log_ratio = (d_a - penalty * f_a) / u, log_ah - np.log(u)
     lift = halves.scales[3][: 1 << m] - (0.0 if log_b0 is None else log_b0)  # to state h's scale
     level = np.maximum(np.ceil((np.log(np.maximum(v, TINY)) + lift - 300) / 600), 0).astype(int)
-    y, v = np.array((d_b - penalty * f_b, v)) * np.exp(lift - 600.0 * level)
+    with np.errstate(over="ignore"):     # an overflow fails the finiteness check below
+        y, v = np.array((d_b - penalty * f_b, v)) * np.exp(lift - 600.0 * level)
     levels = np.bincount(level).nonzero()[0]
     col = levels.searchsorted(level)          # each column's level, as an index into levels
     t = log_ratio[:, None] + 600.0 * levels
     q, p = np.exp(np.minimum(t, 0.0)), np.exp(np.minimum(-t, 0.0))
     q[:, 0] = w_a[:, h] / u if levels[0] == 0 else q[:, 0]
-    px, ratio, y_l, v_l, by_col = p * x[:, None], y / v, y[None], v[None], slice(None)
+    live = v > 0      # a column whose weights flushed to zero earns x_a in every pair
+    ratio = np.divide(y, v, out=np.full(v.shape, -np.inf), where=live)
+    px, y_l, v_l, by_col = p * x[:, None], y[None], v[None], slice(None)
     if len(levels) > 1:        # each level's columns, masked apart from the others'
         on = col == np.arange(len(levels))[:, None]
         y_l, v_l, by_col = np.where(on, y, -np.inf), np.where(on, v, 0.0), col
     a, b = x.argmax(), ratio.argmax()     # start from the best high half with the best low half
-    size = max(x.item(a), ratio.item(b), -x.item(x.argmin()), -ratio.item(ratio.argmin()))
+    size = float(max(np.abs(x).max(), np.abs(ratio[live]).max(initial=0.0)))
     q_ab, p_ab = q.item(a, col[b]), p.item(a, col[b])
     top, eta = (q_ab * y.item(b) + p_ab * x.item(a)) / (q_ab * v.item(b) + p_ab), -np.inf
     if not np.isfinite(top):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ProfitLinearForm, chain_record
+from .chain import ChainRecord, chain_record
 from .model import Policy, SystemParams
 
 DEGENERATE_COEF_TOL = 1e-12
@@ -31,7 +31,7 @@ class PenaltyProfile:
     infinite root carrying the sign of the constant term, so the min/max
     critical values below stay well defined.  sort_perm lists 1-based
     positions by ascending root; ties keep ascending position order.  `form`
-    is the policy's own profit split, from the same chain record.
+    is the policy's own chain record, whose eta gives its profit.
     """
 
     roots: np.ndarray
@@ -40,7 +40,7 @@ class PenaltyProfile:
     sort_perm: tuple[int, ...]
     num: np.ndarray
     den: np.ndarray
-    form: ProfitLinearForm
+    form: ChainRecord
 
     def signs(self, penalty: float) -> np.ndarray:
         """classify_sign labels of this profile's margins at the given penalty."""
@@ -57,7 +57,7 @@ def penalty_roots(params: SystemParams, policy: Policy) -> PenaltyProfile:
     parts of the reward f = B - P*A, read off the policy's chain record.
     """
     record = chain_record(params, policy)
-    cut_b, cut_a = record.cut_factors()[:, : params.threshold]
+    cut_b, cut_a = record.cut_factors[:, : params.threshold]
     num = (params.price + params.c_lost2) + cut_b
     den = 1.0 + cut_a
     degenerate = np.abs(den) <= DEGENERATE_COEF_TOL
@@ -71,7 +71,7 @@ def penalty_roots(params: SystemParams, policy: Policy) -> PenaltyProfile:
         sort_perm=tuple((order + 1).tolist()),
         num=num,
         den=den,
-        form=record.form,
+        form=record,
     )
 
 

@@ -171,7 +171,7 @@ def simulate(
         raise StockRationingError(
             f"need at least 2 replications for a standard error, got {replications}"
         )
-    f = reward_structure(params, policy).f_values
+    f = reward_structure(params, policy)
     n = params.capacity
     # up-rate over total rate; the full state N never moves up
     up = np.append(np.full(n, params.lam), 0.0)

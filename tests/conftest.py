@@ -68,7 +68,7 @@ def dense_potential(params, policy):
     from stockrationing import average_profit, reward_structure
 
     b = dense_generator(params, policy)
-    f = reward_structure(params, policy).f_values
+    f = reward_structure(params, policy)
     eta = average_profit(params, policy)
     n = params.capacity + 1
     a = np.vstack([-b, np.eye(n)[0]])

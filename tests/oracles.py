@@ -150,15 +150,15 @@ def solve_poisson_normalized(params: SystemParams, policy: Policy) -> PoissonSol
     unique solution differs from any solve_poisson output by a constant
     shift, so all realization factors agree.
     """
-    rewards = reward_structure(params, policy)
+    f = reward_structure(params, policy)
     dist = stationary_distribution(params, policy)
-    eta = float(dist.pi @ rewards.f_values)
+    eta = float(dist.pi @ f)
     a = -dense_generator(params, policy) + np.outer(np.ones(params.capacity + 1), dist.pi)
     try:
-        g = np.linalg.solve(a, rewards.f_values)
+        g = np.linalg.solve(a, f)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
-    residual = _poisson_residual(params, policy, g, rewards.f_values, eta)
+    residual = _poisson_residual(params, policy, g, f, eta)
     return PoissonSolution(
         g=g,
         shift=float(g[0]),
@@ -179,7 +179,7 @@ def realization_factors_recurrence(
     """
     if eta is None:
         eta = average_profit(params, policy)
-    f = reward_structure(params, policy).f_values
+    f = reward_structure(params, policy)
     v = service_rates(params, policy)
     n = params.capacity
     g_diff = np.empty(n)
@@ -203,7 +203,7 @@ def realization_factor_closed_form(
     Empty products are one and empty sums zero, so i = 1 reduces to
     (f(0) - eta)/lam.
     """
-    f = reward_structure(params, policy).f_values
+    f = reward_structure(params, policy)
     v = service_rates(params, policy)
     # prods[r] = product of v over states r+1 .. i-1
     prods = np.ones(i)
@@ -225,8 +225,8 @@ def difference_general(params: SystemParams, d: Policy, d_prime: Policy) -> floa
     g = solve_poisson(params, d).g
     b_d = dense_generator(params, d)
     b_dp = dense_generator(params, d_prime)
-    f_d = reward_structure(params, d).f_values
-    f_dp = reward_structure(params, d_prime).f_values
+    f_d = reward_structure(params, d)
+    f_dp = reward_structure(params, d_prime)
     pi_prime = stationary_distribution(params, d_prime).pi
     return float(pi_prime @ ((b_dp - b_d) @ g + (f_dp - f_d)))
 
@@ -476,7 +476,7 @@ def reference_simulate(params: SystemParams, policy: Policy, horizon: float,
                        replications: int, seed: int):
     """Per-replication estimates and mean occupancy of `simulate`, one step at a time."""
     up, rate = jump_rates(params, policy)
-    f = reward_structure(params, policy).f_values
+    f = reward_structure(params, policy)
     n = params.capacity
     pup = (up / rate).tolist()
     inv_rate = 1.0 / rate

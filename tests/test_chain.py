@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from stockrationing import (
     StockRationingError,
     SystemParams,
     average_profit,
+    average_profits,
     brute_force_optimal,
     chain,
     chain_record,
@@ -152,6 +154,26 @@ class TestProfitLinearForm:
             assert direct == pytest.approx(form.eta(pen), rel=1e-10, abs=1e-10)
 
 
+def test_profit_split_is_the_policy_record(example1_params):
+    p = example1_params
+    bits = (1, 0) * 7 + (1,)
+    record = profit_linear_form(p, Policy(bits))
+    assert record is chain_record(p, Policy(bits))
+    exact = exact_chain(p, bits)
+    assert type(record.d_coef) is float and type(record.f_coef) is float
+    assert record.d_coef == pytest.approx(float(exact.d_coef), rel=1e-14)
+    assert record.f_coef == pytest.approx(float(exact.f_coef), rel=1e-14)
+    assert record.eta(p.penalty) == record.d_coef - p.penalty * record.f_coef
+
+
+def test_stack_record_eta_is_average_profits(example1_params):
+    rows = np.random.default_rng(9).integers(0, 2, (40, 15))
+    record = chain_record(example1_params, rows)
+    assert record.d_coef.shape == record.f_coef.shape == (40,)
+    np.testing.assert_array_equal(record.eta(example1_params.penalty),
+                                  average_profits(example1_params, rows), strict=True)
+
+
 def test_strong_upward_drift_matches_log_weights():
     # lam/(mu1 + mu2) = 5 at N = 500: the raw weights 5**500 overflow float64,
     # and the ratio form still gives pi and eta to rounding.  The reference
@@ -166,7 +188,7 @@ def test_strong_upward_drift_matches_log_weights():
     ref /= math.fsum(ref)
     pi = stationary_distribution(p, pol).pi
     assert np.max(np.abs(pi - ref)) <= 1e-15
-    f = reward_structure(p, pol).f_values
+    f = reward_structure(p, pol)
     eta = math.fsum(ref * f)
     assert average_profit(p, pol) == pytest.approx(eta, rel=1e-13, abs=1e-300)
     assert profit_linear_form(p, pol).eta(p.penalty) == pytest.approx(eta, rel=1e-13, abs=1e-300)
@@ -180,9 +202,9 @@ def test_reward_identity_at_threshold_equal_capacity():
     p = SystemParams(lam=1.5, mu1=1.0, mu2=2.0, capacity=3, threshold=3,
                      c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=2, price=8,
                      penalty=3)
-    r = reward_structure(p, Policy((1, 0, 1)))
+    f = reward_structure(p, Policy((1, 0, 1)))
     # state 3: R(mu1+mu2) - C1*3 - C4*lam - P*mu2
-    assert r.f_values[3] == pytest.approx(8 * 3 - 3 - 2 * 1.5 - 3 * 2)
+    assert f[3] == pytest.approx(8 * 3 - 3 - 2 * 1.5 - 3 * 2)
     dist = stationary_distribution(p, Policy((1, 0, 1)))
     assert abs(dist.pi.sum() - 1.0) < 1e-12
 
@@ -406,7 +428,7 @@ def test_every_other_policy_or_penalty_gets_a_fresh_record(example1_params, monk
 
 def test_kept_record_arrays_are_read_only(example1_params):
     record = chain_record(example1_params, Policy.all_ones(15))
-    for array in (record.decisions, record.weights, record.base, record.cut_factors(),
+    for array in (record.decisions, record.weights, record.base, record.cut_factors,
                   record.rewards):
         with pytest.raises(ValueError):
             array[0] = 0.0
@@ -422,11 +444,12 @@ def test_rate_quotients_beyond_float_range_give_finite_answers_or_typed_errors(l
     calls = {
         "stationary_distribution": lambda: stationary_distribution(p, pol).pi,
         "average_profit": lambda: average_profit(p, pol),
-        "profit_linear_form": lambda: list(vars(profit_linear_form(p, pol)).values()),
+        "profit_linear_form": lambda: [profit_linear_form(p, pol).d_coef,
+                                       profit_linear_form(p, pol).f_coef],
         "solve_poisson": lambda: solve_poisson(p, pol).g,
         "penalty_roots": lambda: penalty_roots(p, pol).num,
         "global_optimal": lambda: global_optimal(p).eta,
-        "brute_force_optimal": lambda: brute_force_optimal(p)[1],
+        "brute_force_optimal": lambda: strict(brute_force_optimal, p)[1],
         "optimal_static_threshold": lambda: optimal_static_threshold(p)[1],
     }
     for name, call in calls.items():
@@ -436,8 +459,45 @@ def test_rate_quotients_beyond_float_range_give_finite_answers_or_typed_errors(l
             continue
         assert np.all(np.isfinite(value)), name
     # The chain sits at state 0 or N, so eta is that state's reward.
-    f = reward_structure(p, pol).f_values[state]
+    f = reward_structure(p, pol)[state]
     assert average_profit(p, pol) == pytest.approx(f, rel=1e-12)
+
+
+def strict(call, *args):
+    """call(*args) with numpy's RuntimeWarnings raised as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return call(*args)
+
+
+def test_large_rate_scale_gives_finite_answers_matching_exact_chain():
+    # lam/mu1 = e**40 over K = 14 states, and rewards near 1e68: a running
+    # product of the rate ratios reaches e**560, which times those rewards
+    # passes float range, so the head's weights come from log-ratios.
+    p = SystemParams(lam=1e50 * math.exp(40), mu1=1e50, mu2=1e50, capacity=20, threshold=14,
+                     penalty=5.0, **EX1_COSTS)
+    zeros = Policy.all_zeros(14)
+    values = {
+        "average_profit": strict(average_profit, p, zeros),
+        "d_coef": strict(profit_linear_form, p, zeros).d_coef,
+        "penalty_roots": strict(penalty_roots, p, zeros).roots,
+        "residual": strict(solve_poisson, p, zeros).residual,
+        "global_optimal": strict(global_optimal, p).eta,
+        "brute_force_optimal": strict(brute_force_optimal, p)[1],
+    }
+    for name, value in values.items():
+        assert np.all(np.isfinite(value)), name
+    rng = np.random.default_rng(14)
+    for bits in [(0,) * 14] + [tuple(rng.integers(0, 2, 14).tolist()) for _ in range(31)]:
+        exact, pol = exact_chain(p, bits), Policy(bits)
+        record, profile = profit_linear_form(p, pol), penalty_roots(p, pol)
+        d_exact = float(exact.d_coef)
+        assert abs(record.d_coef - d_exact) <= 1e-15 * (1 + abs(d_exact))
+        assert abs(record.f_coef - float(exact.f_coef)) <= 1e-15 * p.mu2
+        num, den = np.array(exact.num, dtype=float), np.array(exact.den, dtype=float)
+        scale = 1 + np.max(np.abs(num)) + p.penalty * np.max(np.abs(den))
+        margin = profile.num - p.penalty * profile.den
+        assert np.max(np.abs(margin - (num - p.penalty * den))) <= 1e-15 * scale
 
 
 def test_threads_sharing_the_record_slot_get_their_own_policy(example1_params):

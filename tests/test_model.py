@@ -108,34 +108,43 @@ class TestValidation:
 
 class TestRewardStructure:
     def test_empty_state_profit_rate(self, example1_params):
-        r = reward_structure(example1_params, Policy.all_zeros(15))
-        assert r.f_values[0] == -33.0
+        f = reward_structure(example1_params, Policy.all_zeros(15))
+        assert isinstance(f, np.ndarray)
+        assert f[0] == -33.0
 
     def test_serving_state_profit_rate(self, example1_params):
-        r = reward_structure(example1_params, Policy.all_ones(15))
-        assert r.f_values[1] == 54.0
+        f = reward_structure(example1_params, Policy.all_ones(15))
+        assert f[1] == 54.0
 
     def test_full_state_profit_rate(self, example1_params):
-        r = reward_structure(example1_params, Policy.all_zeros(15))
-        assert r.f_values[100] == -13.0
+        f = reward_structure(example1_params, Policy.all_zeros(15))
+        assert f[100] == -13.0
+
+    @staticmethod
+    def penalty_slope_check(params, pol, pens):
+        # f(P) - f(0) = -P * mu2 * d_i on 1..K and is zero on every other state
+        k = params.threshold
+        f0 = reward_structure(params.with_penalty(0.0), pol)
+        for pen in pens:
+            shift = reward_structure(params.with_penalty(pen), pol) - f0
+            want = np.zeros_like(f0)
+            want[1 : k + 1] = -pen * params.mu2 * pol.as_array()
+            np.testing.assert_array_equal(np.delete(shift, range(1, k + 1)), 0.0)
+            np.testing.assert_allclose(shift[1 : k + 1], want[1 : k + 1], rtol=0,
+                                       atol=2 * np.spacing(np.abs(f0).max() + pen * params.mu2))
 
     def test_penalty_enters_only_through_linear_term(self, example1_params):
-        pol = Policy(tuple([1, 0] * 7 + [1]))
-        for pen in (0.0, 3.7, 151.0):
-            r = reward_structure(example1_params.with_penalty(pen), pol)
-            np.testing.assert_array_equal(
-                r.f_values, r.b_coeffs - pen * r.a_coeffs
-            )
+        self.penalty_slope_check(example1_params, Policy(tuple([1, 0] * 7 + [1])),
+                                 (3.7, 151.0))
 
     def test_all_zeros_policy_has_no_penalty_dependence(self, example1_params):
-        r = reward_structure(example1_params, Policy.all_zeros(15))
-        assert np.all(r.a_coeffs == 0)
+        f0 = reward_structure(example1_params.with_penalty(0.0), Policy.all_zeros(15))
+        for pen in (3.7, 151.0):
+            np.testing.assert_array_equal(
+                reward_structure(example1_params.with_penalty(pen), Policy.all_zeros(15)), f0)
 
     def test_penalty_coefficient_zero_outside_rationed_range(self, example1_params):
-        r = reward_structure(example1_params, Policy.all_ones(15))
-        assert r.a_coeffs[0] == 0
-        assert np.all(r.a_coeffs[16:] == 0)
-        assert np.all(r.a_coeffs[1:16] == example1_params.mu2)
+        self.penalty_slope_check(example1_params, Policy.all_ones(15), (3.7, 151.0))
 
     def test_policy_length_checked(self, example1_params):
         with pytest.raises(LengthMismatch):

@@ -159,7 +159,7 @@ class TestRealizationFactors:
             eta = average_profit(p, pol)
             from stockrationing import reward_structure, service_rates
 
-            f = reward_structure(p, pol).f_values
+            f = reward_structure(p, pol)
             v = service_rates(p, pol)
             assert v[-1] * fac.g_diff[-1] == pytest.approx(
                 eta - f[-1], abs=1e-8 * max(1, abs(eta))

@@ -45,7 +45,7 @@ class TestGeomSums:
         policies = [Policy(bits) for bits in itertools.product((0, 1), repeat=k)]
         got = average_profits(p, np.array([pol.decisions for pol in policies]))
         for pol, eta in zip(policies, got):
-            f = reward_structure(p, pol).f_values
+            f = reward_structure(p, pol)
             xi = [1.0]
             for d in pol.decisions:
                 xi.append(xi[-1] * p.lam / (p.mu1 + p.mu2 * d))
