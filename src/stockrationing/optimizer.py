@@ -154,14 +154,14 @@ def brute_force_optimal(params: SystemParams) -> tuple[Policy, float]:
     t = log_ratio[:, None] + 600.0 * levels
     q, p = np.exp(np.minimum(t, 0.0)), np.exp(np.minimum(-t, 0.0))
     q[:, 0] = w_a[:, h] / u if levels[0] == 0 else q[:, 0]
-    live = v > 0      # a column whose weights flushed to zero earns x_a in every pair
-    ratio = np.divide(y, v, out=np.full(v.shape, -np.inf), where=live)
+    # 5e-324 keeps each v > 0; a flushed column (y = v = 0) earns x_a in every pair: ratio 0
+    ratio = y / np.maximum(v, 5e-324)
     px, y_l, v_l, by_col = p * x[:, None], y[None], v[None], slice(None)
     if len(levels) > 1:        # each level's columns, masked apart from the others'
         on = col == np.arange(len(levels))[:, None]
         y_l, v_l, by_col = np.where(on, y, -np.inf), np.where(on, v, 0.0), col
     a, b = x.argmax(), ratio.argmax()     # start from the best high half with the best low half
-    size = float(max(np.abs(x).max(), np.abs(ratio[live]).max(initial=0.0)))
+    size = max(x.item(a), ratio.item(b), -x.item(x.argmin()), -ratio.item(ratio.argmin()))
     q_ab, p_ab = q.item(a, col[b]), p.item(a, col[b])
     top, eta = (q_ab * y.item(b) + p_ab * x.item(a)) / (q_ab * v.item(b) + p_ab), -np.inf
     if not np.isfinite(top):
