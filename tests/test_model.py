@@ -127,10 +127,8 @@ class TestRewardStructure:
         f0 = reward_structure(params.with_penalty(0.0), pol)
         for pen in pens:
             shift = reward_structure(params.with_penalty(pen), pol) - f0
-            want = np.zeros_like(f0)
-            want[1 : k + 1] = -pen * params.mu2 * pol.as_array()
             np.testing.assert_array_equal(np.delete(shift, range(1, k + 1)), 0.0)
-            np.testing.assert_allclose(shift[1 : k + 1], want[1 : k + 1], rtol=0,
+            np.testing.assert_allclose(shift[1 : k + 1], -pen * params.mu2 * pol.as_array(), rtol=0,
                                        atol=2 * np.spacing(np.abs(f0).max() + pen * params.mu2))
 
     def test_penalty_enters_only_through_linear_term(self, example1_params):
