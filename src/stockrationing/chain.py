@@ -297,23 +297,28 @@ def _head_weights(p: SystemParams, d: np.ndarray) -> tuple:
     of state 0's and state n's.
 
     Their scale puts each row's largest weight between 1 and e**600.  While
-    K rate ratios cannot grow past that, whatever n is, nor a weight times a
-    reward past e**700, the weights are relative to state 0, one running
+    K rate ratios cannot grow past that, whatever n is, nor a weight above 1
+    times a reward past e**700, the weights are relative to state 0, one running
     product of the ratios, and state 0's log is None; otherwise they come
     from summed log-ratios, relative to the row's largest.  Either way the
     rows make one array, updated in place.
     """
     r_hold, r_serve = p.lam / p.mu1, p.lam / (p.mu1 + p.mu2)
-    # No entry of B or A on any state exceeds this in size.
-    bound = ((p.price + p.c_lost1 + p.c_lost2) * (p.mu1 + p.mu2) + (p.c_buy + p.c_opp) * p.lam
-             + p.c_hold * p.capacity + (1.0 + p.penalty) * p.mu2)
     span = p.threshold * math.log(max(r_hold, 1.0))
+    # With lam <= mu1 no ratio exceeds 1, so no weight does.  Otherwise a
+    # weight times an entry of B or A, none of which exceeds `bound` in size,
+    # must stay below e**700.
+    ratios = span == 0.0
+    if 0.0 < span < 600.0:
+        bound = ((p.price + p.c_lost1 + p.c_lost2) * (p.mu1 + p.mu2)
+                 + (p.c_buy + p.c_opp) * p.lam + p.c_hold * p.capacity + (1.0 + p.penalty) * p.mu2)
+        ratios = span + math.log1p(bound) < 700.0
     w = np.empty(d.shape[:-1] + (d.shape[-1] + 1,))
     w[..., 0] = 1.0
     steps = w[..., 1:]
     # Each step's ratio is picked by its decision, one rounding from the
     # rates, so nothing cancels when mu2 >> mu1.
-    if span < 600.0 and span + math.log1p(bound) < 700.0:
+    if ratios:
         steps[...] = np.where(d, r_serve, r_hold)
         np.cumprod(steps, axis=-1, out=steps)
         # An underflowed state n outweighs no state; its log is floored.

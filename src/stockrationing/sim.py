@@ -16,9 +16,12 @@ between it takes at most two values: lam/(lam+mu1) where class 2 is
 withheld, lam/(lam+mu1+mu2) where it is served.  So which side of each
 interior value u_k falls on (its category, one of at most 3) decides step k
 from every state, and a block of m categories decides the next m states.
-The walk looks each block up in a table built once per call, m steps per
-Python iteration; it makes exactly the step-by-step decisions, on the same
-draws, so every estimate is the one the per-step walk gives.
+A table built once per call gives each block's states and the state after
+it.  Where the states fit a byte and the table is small, a second table
+composes two blocks, and the walk takes one Python lookup per 2m steps;
+otherwise one per m steps.  The heads of the inner blocks then come from
+vectorised gathers.  The walk makes exactly the step-by-step decisions, on
+the same draws, so every estimate is the one the per-step walk gives.
 
 The draws come in chunks of CHUNK steps.  They, and each step's state and
 clipped sojourn, go into buffers that `simulate` allocates once per call.
@@ -42,9 +45,11 @@ from .model import (InvalidParameter, Policy, StockRationingError, SystemParams,
 CHUNK = 1 << 12
 # Each replication discards this fraction of its horizon as warmup.
 WARMUP_FRACTION = 0.01
-# Walk-table size cap, and the block sizes it picks from; each divides CHUNK.
+# Walk-table size cap, and the block sizes it picks from; twice each divides CHUNK.
 TABLE_ENTRIES = 1 << 15
 BLOCK_SIZES = (8, 4, 2, 1)
+# Size cap of the table that composes two blocks.
+COMPOSED_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -70,19 +75,25 @@ def _replication_rng(seed: int, rep: int) -> np.random.Generator:
 class _WalkTable(NamedTuple):
     cuts: list[float]     # sorted distinct values of pup strictly inside (0, 1)
     place: np.ndarray     # weight of each draw's category in a block's row offset
-    nxt: list[int]        # row -> state after the block
+    nxt: np.ndarray       # row -> state after the block
     path: np.ndarray      # row -> the m states the block visits; the smallest
                           # dtype that holds N keeps its up to 2**18 states small
+    step: bytes | list[int]   # lookup row -> state after the lookup's blocks
+    blocks: int           # blocks per lookup: 2 where `step` composes two, else 1
 
 
 def _walk_table(pup: np.ndarray) -> _WalkTable:
-    """Tables that advance the jump chain m steps per lookup.
+    """Tables that advance the jump chain m or 2m steps per lookup.
 
     A draw's category c is the number of cuts <= u, and u < pup[s] holds
     exactly when rep[c] < pup[s], rep = (0, *cuts).  A block of m categories,
     read as the base-C number `code` with the first draw on top, has row
     code*(N+1) + s for start state s.  m is the largest of BLOCK_SIZES whose
-    (N+1)*C**m rows fit in TABLE_ENTRIES, and 1 when none does.
+    (N+1)*C**m rows fit in TABLE_ENTRIES, and 1 when none does.  Two blocks
+    with codes c1, c2 have lookup row (c1*C**m + c2)*(N+1) + s, and `step`
+    holds nxt[c2, nxt[c1, s]] there, as bytes, when the states fit a byte
+    and the (N+1)*C**(2m) rows fit in COMPOSED_ENTRIES; otherwise `step` is
+    nxt, as a list.
     """
     n_states = len(pup)
     cuts = np.unique(pup[(pup > 0.0) & (pup < 1.0)])
@@ -96,7 +107,13 @@ def _walk_table(pup: np.ndarray) -> _WalkTable:
     for j in range(m):
         path[:, j] = s
         s = np.where(rep[code // place[j] % n_cat] < pup[s], s + 1, s - 1)
-    return _WalkTable(cuts.tolist(), place * n_states, s.tolist(), path)
+    nxt = s.astype(path.dtype)
+    if n_states <= 256 and n_states * n_cat ** (2 * m) <= COMPOSED_ENTRIES:
+        # after[c2, nxt[c1, s]] at [c1, s, c2], then read in (c1, c2, s) order
+        after = nxt.reshape(-1, n_states)
+        step = after.T.take(after, axis=0).transpose(0, 2, 1).tobytes()
+        return _WalkTable(cuts.tolist(), place * n_states, nxt, path, step, 2)
+    return _WalkTable(cuts.tolist(), place * n_states, nxt, path, nxt.tolist(), 1)
 
 
 def _run_replication(
@@ -113,9 +130,10 @@ def _run_replication(
     exponential and uniform draws, and each of its steps' state and
     clipped sojourn.
     """
-    cuts, place, nxt, path = table
+    cuts, place, nxt, path, step, blocks = table
     draws, u, visited, clipped = buffers
     n_states = len(inv_rate)
+    n_codes = len(nxt) // n_states
     occupancy = np.zeros(n_states)
     t = 0.0
     state = 0
@@ -125,12 +143,23 @@ def _run_replication(
         category = np.zeros(CHUNK, np.intp)
         for cut in cuts:
             category += u >= cut
-        codes = category.reshape(-1, len(place)) @ place
-        # heads[b] is the state block b starts from; the last entry is the
+        # each block's code times N+1, and its row once its head is added
+        rows = category.reshape(-1, len(place)) @ place
+        # one lookup per `blocks` blocks; its code is theirs read in base C**m
+        lookups = rows.reshape(-1, blocks)
+        codes = rows if blocks == 1 else lookups[:, 0] * n_codes + lookups[:, 1]
+        # heads[b] is the state lookup b starts from; the last entry is the
         # state after the chunk
         heads = [state]
-        heads += [state := nxt[code + state] for code in codes.tolist()]
-        rows = np.fromiter(heads, np.intp, len(codes)) + codes
+        heads += [state := step[code + state] for code in codes.tolist()]
+        if n_states <= 256:
+            heads = np.frombuffer(bytes(heads), np.uint8)
+        else:
+            heads = np.fromiter(heads, np.intp, len(heads))
+        lookups[:, 0] += heads[:-1]
+        # the heads of the blocks inside each lookup
+        for j in range(1, blocks):
+            lookups[:, j] += nxt[lookups[:, j - 1]]
         visited[:] = path.take(rows, axis=0).ravel()
         sojourns = draws * inv_rate[visited]
         ends = t + sojourns.cumsum()

@@ -80,9 +80,18 @@ def test_numpy_integer_seed_accepted(unit_params):
     assert np.array_equal(a.rep_estimates, b.rep_estimates)
 
 
-def _block_size(params, policy):
+def _table(params, policy):
     up, rate = jump_rates(params, policy)
-    return len(sim._walk_table(up / rate).place)
+    return sim._walk_table(up / rate)
+
+
+def _block_size(params, policy):
+    return len(_table(params, policy).place)
+
+
+def _steps_per_lookup(params, policy):
+    table = _table(params, policy)
+    return len(table.place) * table.blocks
 
 
 def _assert_matches_reference_walk(params, policy, horizon, seed):
@@ -110,25 +119,63 @@ def test_blocked_walk_matches_reference_walk_on_random_instances():
         _assert_matches_reference_walk(p, pol, horizon=5000.0, seed=200 + i)
 
 
-@pytest.mark.parametrize("params, policy, block", [
+@pytest.mark.parametrize("params, policy, block, per_lookup", [
     # N = 1: pup is (1, 0), no interior cut
-    (_example1_rates(1, 1), Policy((0,)), 8),
+    (_example1_rates(1, 1), Policy((0,)), 8, 16),
+    # one cut at N = 3: the largest one-cut chain whose composed table fits
+    (_example1_rates(3, 3), Policy.all_ones(3), 8, 16),
     # K = N, a mixed policy: two cuts
-    (_example1_rates(12, 12), Policy((0, 1) * 6), 4),
-    # all-ones, and all-zeros with K = N: one cut
-    (_example1_rates(20, 6), Policy.all_ones(6), 8),
-    (_example1_rates(20, 20), Policy((0,) * 20), 8),
+    (_example1_rates(12, 12), Policy((0, 1) * 6), 4, 8),
+    # two cuts at sim-grid's largest shape
+    (_example1_rates(19, 10), Policy((0,) * 4 + (1,) * 6), 4, 8),
+    # all-ones, and all-zeros with K = N: one cut, composed table too large
+    (_example1_rates(20, 6), Policy.all_ones(6), 8, 8),
+    (_example1_rates(20, 20), Policy((0,) * 20), 8, 8),
+    # one cut, composed table small enough, but 301 states do not fit a byte
+    (_example1_rates(300, 15), Policy.all_ones(15), 4, 4),
     # example 1, then capacities whose tables allow only shorter blocks
-    (_example1_rates(100, 15), THETA9, 4),
-    (_example1_rates(1000, 15), THETA9, 2),
-    (_example1_rates(4000, 15), THETA9, 1),
+    (_example1_rates(100, 15), THETA9, 4, 4),
+    (_example1_rates(1000, 15), THETA9, 2, 2),
+    (_example1_rates(4000, 15), THETA9, 1, 1),
 ])
-def test_blocked_walk_matches_reference_walk(params, policy, block):
+def test_blocked_walk_matches_reference_walk(params, policy, block, per_lookup):
     assert _block_size(params, policy) == block
+    assert _steps_per_lookup(params, policy) == per_lookup
     _assert_matches_reference_walk(params, policy, horizon=8000.0, seed=block)
 
 
-TWO_CUTS = (_example1_rates(12, 12), Policy((0, 1) * 6))    # block size 4
+@pytest.mark.parametrize("params, policy", [
+    (_example1_rates(1, 1), Policy((0,))),                          # N = 1, no cut
+    (_example1_rates(3, 3), Policy.all_ones(3)),                    # one cut, K = N
+    (_example1_rates(12, 12), Policy((0, 1) * 6)),                  # two cuts, K = N
+    (_example1_rates(19, 10), Policy((0,) * 4 + (1,) * 6)),         # two cuts, K < N
+])
+def test_composed_table_is_two_blocks_and_the_per_step_walk(params, policy):
+    """Every lookup row of the composed table, (c1*C**m + c2)*S + s, against
+    two m-block steps and against 2m single steps on a draw from each category."""
+    up, rate = jump_rates(params, policy)
+    pup = up / rate
+    table = sim._walk_table(pup)
+    m, n_states = len(table.place), len(pup)
+    n_cat = len(table.cuts) + 1
+    n_codes = n_cat**m
+    assert table.blocks == 2
+    step = np.frombuffer(table.step, np.uint8)
+    assert len(step) == n_codes * n_codes * n_states
+    c1, c2, s = np.unravel_index(np.arange(len(step)), (n_codes, n_codes, n_states))
+    nxt = table.nxt.astype(np.intp)
+    assert np.array_equal(step, nxt[c2 * n_states + nxt[c1 * n_states + s]])
+    # a draw inside each category: the midpoint between its cuts
+    edges = np.concatenate(([0.0], table.cuts, [1.0]))
+    draw = (edges[:-1] + edges[1:]) / 2
+    code = c1 * n_codes + c2
+    for j in range(2 * m):
+        category = code // n_cat ** (2 * m - 1 - j) % n_cat
+        s = np.where(draw[category] < pup[s], s + 1, s - 1)
+    assert np.array_equal(step, s)
+
+
+TWO_CUTS = (_example1_rates(12, 12), Policy((0, 1) * 6))    # 8 steps per lookup
 
 
 def _reference_ends(params, policy, seed, chunks, rep=0):
@@ -186,7 +233,7 @@ def test_walk_stops_in_the_chunk_where_the_horizon_falls(monkeypatch):
 
     def counting_walk_table(pup):
         table = walk_table(pup)
-        tables.append(table._replace(nxt=_CountingList(table.nxt)))
+        tables.append(table._replace(step=_CountingList(table.step)))
         return tables[-1]
 
     monkeypatch.setattr(sim, "_walk_table", counting_walk_table)
@@ -194,7 +241,10 @@ def test_walk_stops_in_the_chunk_where_the_horizon_falls(monkeypatch):
     # about 900 steps per replication at this instance's jump rate of about 6
     est = simulate(params, policy, horizon=150.0, replications=2, seed=3)
     table = tables[0]
-    assert 0 < table.nxt.lookups <= est.replications * (sim.CHUNK // len(table.place))
+    # each lookup goes through the composed table, 2m steps at a time
+    assert table.blocks == 2
+    per_lookup = 2 * len(table.place)
+    assert 0 < table.step.lookups <= est.replications * (sim.CHUNK // per_lookup)
 
 
 class _CountingRng:
