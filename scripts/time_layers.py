@@ -25,8 +25,8 @@ a third line runs that shape under the threshold-9 policy, whose two, like
 most sim-grid policies', halve the steps the simulator takes per table
 lookup.  Every line takes each state's jump rate from lam and
 `service_rates`, which every version of the package exports.  Before the
-table, each layer is called once untimed at the first column, so that the
-first cell is not timed cold.  The next line times the
+table, each layer is called WARMUP_CALLS times untimed at the first column,
+so that the first cell is not timed cold.  The next line times the
 enumeration oracle: `brute_force_optimal` at example-1 rates and costs,
 P=5, N=2K, at K=16, 20, 22 and 24 (the enumeration cap), best of 3.  The
 last line gives the package's size: the lines of its modules (as
@@ -81,6 +81,9 @@ COLUMNS = [(0.5, n) for n in (100, 1_000, 10_000, 100_000)] + [
     (beta, 100_000) for beta in (0.8, 1.0, 1.2)
 ]
 REPEATS = 3
+# Untimed calls of each layer before the table.  After one, the first column
+# still read 25-45% above the next in a probe; after ten, about 5-10%.
+WARMUP_CALLS = 10
 # A package without a kept record has nothing to drop.
 forget_record = getattr(stockrationing.chain, "_forget_last_record", lambda: None)
 ENUMERATION_KS = (16, 20, 22, 24)
@@ -181,8 +184,10 @@ def main():
     columns = [f"β={b:g} N={n:,}" for b, n in COLUMNS]
     timed = {}    # every timed number at full precision, by name
     for call in layers.values():
-        with contextlib.suppress(StockRationingError):
-            call(params(*COLUMNS[0]), Policy.all_ones(15))
+        for _ in range(WARMUP_CALLS):
+            forget_record()
+            with contextlib.suppress(StockRationingError):
+                call(params(*COLUMNS[0]), Policy.all_ones(15))
     print("| layer | " + " | ".join(columns) + " |")
     print("|---" * (len(COLUMNS) + 1) + "|")
     for name, call in layers.items():

@@ -85,15 +85,6 @@ def _table(params, policy):
     return sim._walk_table(up / rate)
 
 
-def _block_size(params, policy):
-    return len(_table(params, policy).place)
-
-
-def _steps_per_lookup(params, policy):
-    table = _table(params, policy)
-    return len(table.place) * table.blocks
-
-
 def _assert_matches_reference_walk(params, policy, horizon, seed):
     est = simulate(params, policy, horizon=horizon, replications=2, seed=seed)
     etas, occupancy = reference_simulate(params, policy, horizon, 2, seed)
@@ -119,29 +110,40 @@ def test_blocked_walk_matches_reference_walk_on_random_instances():
         _assert_matches_reference_walk(p, pol, horizon=5000.0, seed=200 + i)
 
 
-@pytest.mark.parametrize("params, policy, block, per_lookup", [
+# (params, policy, block size m, steps per lookup): 2m where the composed
+# table is built, m where the walk falls back to the m-block table
+WALK_CASES = [
     # N = 1: pup is (1, 0), no interior cut
     (_example1_rates(1, 1), Policy((0,)), 8, 16),
-    # one cut at N = 3: the largest one-cut chain whose composed table fits
-    (_example1_rates(3, 3), Policy.all_ones(3), 8, 16),
     # K = N, a mixed policy: two cuts
     (_example1_rates(12, 12), Policy((0, 1) * 6), 4, 8),
-    # two cuts at sim-grid's largest shape
-    (_example1_rates(19, 10), Policy((0,) * 4 + (1,) * 6), 4, 8),
     # all-ones, and all-zeros with K = N: one cut, composed table too large
     (_example1_rates(20, 6), Policy.all_ones(6), 8, 8),
     (_example1_rates(20, 20), Policy((0,) * 20), 8, 8),
-    # one cut, composed table small enough, but 301 states do not fit a byte
-    (_example1_rates(300, 15), Policy.all_ones(15), 4, 4),
     # example 1, then capacities whose tables allow only shorter blocks
     (_example1_rates(100, 15), THETA9, 4, 4),
     (_example1_rates(1000, 15), THETA9, 2, 2),
     (_example1_rates(4000, 15), THETA9, 1, 1),
-])
-def test_blocked_walk_matches_reference_walk(params, policy, block, per_lookup):
-    assert _block_size(params, policy) == block
-    assert _steps_per_lookup(params, policy) == per_lookup
+    # one cut at N = 3: the largest one-cut chain whose composed table fits
+    (_example1_rates(3, 3), Policy.all_ones(3), 8, 16),
+    # two cuts at sim-grid's largest shape
+    (_example1_rates(19, 10), Policy((0,) * 4 + (1,) * 6), 4, 8),
+    # one cut, composed table small enough, but 301 states do not fit a byte
+    (_example1_rates(300, 15), Policy.all_ones(15), 4, 4),
+]
+
+
+@pytest.mark.parametrize("params, policy, block", [case[:3] for case in WALK_CASES])
+def test_blocked_walk_matches_reference_walk(params, policy, block):
+    assert len(_table(params, policy).place) == block
     _assert_matches_reference_walk(params, policy, horizon=8000.0, seed=block)
+
+
+@pytest.mark.parametrize("params, policy, block, per_lookup", WALK_CASES)
+def test_walk_takes_its_steps_per_lookup(params, policy, block, per_lookup):
+    table = _table(params, policy)
+    assert len(table.place) == block
+    assert len(table.place) * table.blocks == per_lookup
 
 
 @pytest.mark.parametrize("params, policy", [
