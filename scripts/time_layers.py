@@ -36,7 +36,11 @@ Times print to three significant digits.  The output ends with one JSON line
 that holds every timed number at full precision as [value, unit], in ms or
 M events/s, keyed by name: "<layer> <column>" for a table cell, "simulator
 (<label>)" for a simulator line and "enumeration K=<k>" for an enumeration
-cell; a cell that raises has no entry.  Run from the repository root:
+cell; a cell that raises has no entry.  Each table cell also has
+"<layer> <column> / reference": its time over the best of 3 of
+`reference_call`, a fixed call that touches no package code, timed in the
+same process right before the cell, so that a ratio moves less than a raw
+time with the machine's speed.  Run from the repository root:
 
     PYTHONPATH=src python scripts/time_layers.py
 
@@ -99,6 +103,16 @@ def best_time(fn) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def reference_call() -> float:
+    """A fixed call that touches no package code, timed right before each
+    table cell: about as many small numpy calls as a small-N layer makes,
+    and one pass over an array of 10,000 floats."""
+    x = np.linspace(1.0, 2.0, 16)
+    for _ in range(60):
+        x = np.sqrt(x * x + 1.0)
+    return float(np.cumsum(np.arange(10_000.0))[-1] + x.sum())
 
 
 def fmt(seconds: float) -> str:
@@ -194,12 +208,14 @@ def main():
         cells = []
         for (beta, n), column in zip(COLUMNS, columns):
             p, pol = params(beta, n), Policy.all_ones(15)
+            reference = best_time(reference_call)
             seconds = timed_or_none(lambda: call(p, pol))
             if seconds is None:
                 cells.append("raises")
                 continue
             cells.append(fmt(seconds))
             timed[f"{name} {column}"] = [seconds * 1e3, "ms"]
+            timed[f"{name} {column} / reference"] = [seconds / reference, "ratio"]
         print(f"| `{name}` | " + " | ".join(cells) + " |")
     print()
     ones = Policy.all_ones(15)

@@ -19,7 +19,6 @@ from .model import (
 from .chain import (
     ChainRecord,
     NumericalOverflow,
-    StationaryDistribution,
     average_profit,
     average_profits,
     chain_record,
@@ -28,7 +27,6 @@ from .chain import (
 )
 from .poisson import (
     PoissonSolution,
-    RealizationFactors,
     potential_for_reward,
     realization_factors_from_potential,
     solve_poisson,

@@ -8,13 +8,13 @@ is solved once, in `chain_record`, in ratio form and in O(K): weights on
 states 0..K on a scale that cannot overflow, and closed-form sums for the
 segment, taken relative to its heavier end, so no weight overflows or
 underflows at any N.  The record gives the profit split eta = D - P*F, the
-realization factors behind the flip margins G(i) + b on 1..K, pi and the
-potential g.
+realization factors behind the flip margins G(i) + b on 1..K, and, each
+computed once when first read, pi and the special potential g (g(0) = 0).
 D and F need four sums over states 0..K; `ChainRecord.parts` turns them into
 the total weight and D's and F's numerators for each row of a stack
 (`average_profits`) or of the two half-stacks the exact oracle searches.
-The last policy's record and its cut pass are kept in one slot, so calls that
-ask about one policy in turn solve it once; a kept record's arrays are read-only.
+The last policy's record, with its cut pass, pi and g, is kept in one slot, so
+calls that ask about one policy in turn solve it once; its arrays are read-only.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ BRUTE_FORCE_TIE_BAND = 1e-12
 
 class NumericalOverflow(StockRationingError):
     """The weights on states 0..K span more than float64's exponent range."""
-
-
-@dataclass(frozen=True)
-class StationaryDistribution:
-    pi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -126,9 +121,10 @@ class ChainRecord:
         """The average profit eta = D - P*F."""
         return self.d_coef - penalty * self.f_coef
 
-    def stationary(self) -> np.ndarray:
+    @cached_property
+    def pi(self) -> np.ndarray:
         """pi on states 0..N of a one-policy record; above K the weights are
-        powers of beta."""
+        powers of beta.  Read-only."""
         p = self.params
         k = p.threshold
         pi = np.empty(p.capacity + 1)
@@ -137,11 +133,13 @@ class ChainRecord:
         if _log_beta(p) > 0:
             offsets -= p.capacity - k
         pi[k + 1 :] = _exp(offsets * _log_beta(p) + self.scales[2]) / self.parts[0]
+        pi.setflags(write=False)
         return pi
 
-    def potential(self) -> np.ndarray:
+    @cached_property
+    def g(self) -> np.ndarray:
         """Special potential (first entry zero) of -B g = f - eta*e for a
-        one-policy record and its own reward.
+        one-policy record and its own reward.  Read-only.
 
         G(i) = g(i-1) - g(i) on 1..min(K+1, N) are the cut factors.  Above
         that, the cut-flow identity
@@ -170,6 +168,7 @@ class ChainRecord:
                 _segment_reward(p, k, sums, False) - eta * sums[0]) / p.lam
         g = np.zeros(n + 1)
         np.cumsum(-g_diff, out=g[1:])
+        g.setflags(write=False)
         return g
 
     @cached_property
@@ -384,9 +383,11 @@ def _compensated_cumsum(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def stationary_distribution(params: SystemParams, policy: Policy) -> StationaryDistribution:
-    """Product-form stationary law, normalized relative to its largest weight."""
-    return StationaryDistribution(pi=chain_record(params, policy).stationary())
+def stationary_distribution(params: SystemParams, policy: Policy) -> ChainRecord:
+    """The policy's record, with its product-form stationary law `pi` solved."""
+    record = chain_record(params, policy)
+    record.pi
+    return record
 
 
 def average_profit(params: SystemParams, policy: Policy) -> float:

@@ -24,7 +24,7 @@ from . import __version__
 from .chain import average_profit, profit_linear_form, stationary_distribution
 from .model import PARAM_JSON_KEYS, Policy, StockRationingError, SystemParams, reward_structure
 from .optimizer import global_optimal
-from .poisson import realization_factors_from_potential, solve_poisson
+from .poisson import solve_poisson
 from .sensitivity import penalty_roots
 from .sim import simulate
 from .staticpol import optimal_static_threshold, static_profit_closed_form
@@ -146,10 +146,8 @@ def _emit_csv(args, header: list[str], rows: list[tuple]) -> None:
 
 def cmd_solve(args) -> int:
     params, policy = _load_inputs(args)
-    dist = stationary_distribution(params, policy)
-    form = profit_linear_form(params, policy)
+    record = stationary_distribution(params, policy)
     sol = solve_poisson(params, policy, shift=args.shift)
-    factors = realization_factors_from_potential(sol)
     profile = penalty_roots(params, policy)
     if args.format == "csv":
         header = ["state", "pi", "g", "g_diff", "penalty_root", "sorted_rank"]
@@ -159,9 +157,9 @@ def cmd_solve(args) -> int:
             rows.append(
                 (
                     i,
-                    float(dist.pi[i]),
+                    float(record.pi[i]),
                     float(sol.g[i]),
-                    float(factors.g_diff[i - 1]) if i >= 1 else "",
+                    float(sol.g_diff[i - 1]) if i >= 1 else "",
                     float(profile.roots[i - 1]) if 1 <= i <= params.threshold else "",
                     rank.get(i, "") if 1 <= i <= params.threshold else "",
                 )
@@ -174,13 +172,13 @@ def cmd_solve(args) -> int:
                 "params": params.to_json_dict(),
                 "policy": policy.to_json_list(),
                 "eta": sol.eta,
-                "d_coef": form.d_coef,
-                "f_coef": form.f_coef,
-                "pi": dist.pi,
+                "d_coef": record.d_coef,
+                "f_coef": record.f_coef,
+                "pi": record.pi,
                 "g": sol.g,
                 "shift": sol.shift,
                 "poisson_residual": sol.residual,
-                "g_diff": factors.g_diff,
+                "g_diff": sol.g_diff,
                 "offset_b": sol.offset_b,
                 "penalty_roots": profile.roots,
                 "p_low": profile.p_low,

@@ -5,7 +5,8 @@ normalized dense solve), the general and single-flip performance
 differences, the static-threshold sign margins and the class-property check
 are test-only references on top of the public API.  `exact_chain` evaluates
 the documented model in exact rationals: pi, the profit split D and F, and
-the flip-margin coefficients num and den through the cut-flow identity.
+through the cut-flow identity the split G_B, G_A of the realization factors
+on every state and the flip-margin coefficients num and den.
 `log_weight_reference` rebuilds one policy's chain from the model's
 definition with numpy and `math.fsum` only: stationary weights from
 log-ratios summed from the heavier end and shifted by their maximum, so
@@ -29,7 +30,6 @@ import numpy as np
 from stockrationing import (
     Policy,
     PoissonSolution,
-    RealizationFactors,
     StockRationingError,
     SystemParams,
     average_profit,
@@ -42,6 +42,13 @@ from stockrationing import (
 from stockrationing.poisson import _poisson_residual
 from stockrationing.sensitivity import SIGN_ZERO_BAND
 from stockrationing.sim import CHUNK, WARMUP_FRACTION, _replication_rng
+
+
+@dataclass(frozen=True)
+class ReferenceFactors:
+    """g_diff[i-1] holds a reference route's G(i) = g(i-1) - g(i), i = 1..N."""
+
+    g_diff: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -165,12 +172,13 @@ def solve_poisson_normalized(params: SystemParams, policy: Policy) -> PoissonSol
         residual=residual,
         eta=eta,
         offset_b=params.price + params.c_lost2 - params.penalty,
+        g_diff=g[:-1] - g[1:],
     )
 
 
 def realization_factors_recurrence(
     params: SystemParams, policy: Policy, eta: float | None = None
-) -> RealizationFactors:
+) -> ReferenceFactors:
     """Forward recurrence for G with the terminal row as a consistency gate.
 
     The system has one more equation than unknowns; the spare terminal row
@@ -191,7 +199,7 @@ def realization_factors_recurrence(
         raise InconsistentTermination(
             f"terminal row off by {terminal_gap:.3e}; eta wrong or forward sweep unstable"
         )
-    return RealizationFactors(g_diff=g_diff)
+    return ReferenceFactors(g_diff=g_diff)
 
 
 def realization_factor_closed_form(
@@ -344,6 +352,8 @@ class ExactChain:
     f_coef: Fraction
     num: list[Fraction]
     den: list[Fraction]
+    g_b: list[Fraction]
+    g_a: list[Fraction]
 
 
 def exact_chain(params: SystemParams, decisions) -> ExactChain:
@@ -360,8 +370,9 @@ def exact_chain(params: SystemParams, decisions) -> ExactChain:
     b and a.  The flip margin at position i is num_i - P*den_i with num_i =
     R + c_lost2 + G_B(i) and den_i = 1 + G_A(i), where by the cut-flow
     identity lam * xi_{i-1} * G_B(i) = sum_{j<i} xi_j (b_j - D), and the
-    same for G_A with a and F.  Every float parameter is read exactly as its
-    binary value.
+    same for G_A with a and F.  G_B and G_A are given on every state
+    i = 1..N, so G(i) = g(i-1) - g(i) = G_B(i) - P*G_A(i) there.  Every
+    float parameter is read exactly as its binary value.
     """
     lam, mu1, mu2, c_hold, c_lost1, c_lost2, c_buy, c_opp, price = (
         Fraction(getattr(params, name))
@@ -388,15 +399,16 @@ def exact_chain(params: SystemParams, decisions) -> ExactChain:
     mass = sum(weights)
     d_coef = sum(w * r for w, r in zip(weights, b)) / mass
     f_coef = sum(w * r for w, r in zip(weights, a)) / mass
-    num, den = [], []
+    g_b, g_a = [], []
     cut_b = cut_a = Fraction(0)
-    for i in range(1, k + 1):
+    for i in range(1, n + 1):
         cut_b += weights[i - 1] * (b[i - 1] - d_coef)
         cut_a += weights[i - 1] * (a[i - 1] - f_coef)
-        num.append(price + c_lost2 + cut_b / (lam * weights[i - 1]))
-        den.append(1 + cut_a / (lam * weights[i - 1]))
+        g_b.append(cut_b / (lam * weights[i - 1]))
+        g_a.append(cut_a / (lam * weights[i - 1]))
     return ExactChain(pi=[w / mass for w in weights], d_coef=d_coef, f_coef=f_coef,
-                      num=num, den=den)
+                      num=[price + c_lost2 + x for x in g_b[:k]], den=[1 + x for x in g_a[:k]],
+                      g_b=g_b, g_a=g_a)
 
 
 def exact_profit(params: SystemParams, decisions) -> Fraction:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -59,6 +60,10 @@ class TestStationaryDistribution:
     def test_unit_instance_serve(self, unit_params):
         dist = stationary_distribution(unit_params, Policy((1,)))
         np.testing.assert_allclose(dist.pi, [4 / 7, 2 / 7, 1 / 7], atol=1e-15)
+
+    def test_is_the_policy_record(self, example1_params):
+        pol = Policy.all_ones(15)
+        assert stationary_distribution(example1_params, pol) is chain_record(example1_params, pol)
 
     def test_matches_dense_solve_on_random_instances(self):
         rng = np.random.default_rng(1)
@@ -401,14 +406,31 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _counting_view(monkeypatch, name):
+    calls = []
+    view = getattr(chain.ChainRecord, name)
+
+    def counted(record):
+        calls.append(name)
+        return view.func(record)
+
+    counted_view = cached_property(counted)
+    counted_view.__set_name__(chain.ChainRecord, name)
+    monkeypatch.setattr(chain.ChainRecord, name, counted_view)
+    return calls
+
+
 def test_one_solve_sequence_builds_one_head_and_one_cut_pass(example1_params, monkeypatch):
     heads = _counting(monkeypatch, "_head_weights")
     cut_passes = _counting(monkeypatch, "_compensated_cumsum")
+    pis, gs = _counting_view(monkeypatch, "pi"), _counting_view(monkeypatch, "g")
     pol = Policy.all_ones(15)
     _solve_sequence(example1_params, pol)
     # equal by value, not the same objects: still the kept record
-    penalty_roots(SystemParams(**vars(example1_params)), Policy(pol.decisions))
-    assert (len(heads), len(cut_passes)) == (1, 1)
+    same = SystemParams(**vars(example1_params)), Policy(pol.decisions)
+    penalty_roots(*same)
+    solve_poisson(*same, shift=2.0)
+    assert (len(heads), len(cut_passes), len(pis), len(gs)) == (1, 1, 1, 1)
 
 
 def test_every_other_policy_or_penalty_gets_a_fresh_record(example1_params, monkeypatch):
@@ -428,8 +450,9 @@ def test_every_other_policy_or_penalty_gets_a_fresh_record(example1_params, monk
 
 def test_kept_record_arrays_are_read_only(example1_params):
     record = chain_record(example1_params, Policy.all_ones(15))
+    unshifted = solve_poisson(example1_params, Policy.all_ones(15)).g
     for array in (record.decisions, record.weights, record.base, record.cut_factors,
-                  record.rewards):
+                  record.rewards, record.pi, record.g, unshifted):
         with pytest.raises(ValueError):
             array[0] = 0.0
 

@@ -75,6 +75,15 @@ class TestSolve:
         assert shifted["g"] == pytest.approx([g + 2.5 for g in base["g"]], abs=1e-12)
         assert shifted["g_diff"] == pytest.approx(base["g_diff"], abs=1e-12)
 
+    @pytest.mark.parametrize("shift", ["inf", "nan"])
+    def test_non_finite_shift_is_usage_error(self, config_path, capsys, shift):
+        code, out, err = run_cli(
+            ["solve", "--config", config_path(SMALL), "--policy", "zeros",
+             "--shift", shift, "--format", "csv"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "shift" in err
+
     def test_csv_format(self, config_path, capsys):
         code, out, _ = run_cli(
             ["solve", "--config", config_path(SMALL), "--policy", "zeros",

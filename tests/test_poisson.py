@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockrationing import (
+    InvalidParameter,
     Policy,
     SystemParams,
     average_profit,
@@ -20,6 +21,7 @@ from stockrationing.chain import _compensated_cumsum
 from conftest import dense_potential, random_params, random_policy
 from oracles import (
     InconsistentTermination,
+    exact_chain,
     realization_factor_closed_form,
     realization_factors_recurrence,
     single_flip_difference,
@@ -47,9 +49,48 @@ class TestSolvePoisson:
                          c_hold=1, c_lost1=3, c_lost2=1, c_buy=2, c_opp=1,
                          price=5, penalty=2)
         pol = Policy(tuple(bits))
-        base = realization_factors_from_potential(solve_poisson(p, pol))
-        moved = realization_factors_from_potential(solve_poisson(p, pol, shift=im + xi))
-        np.testing.assert_allclose(moved.g_diff, base.g_diff, atol=1e-9)
+        base = solve_poisson(p, pol)
+        moved = solve_poisson(p, pol, shift=im + xi)
+        np.testing.assert_array_equal(moved.g_diff, base.g_diff, strict=True)
+        assert moved.residual == base.residual
+
+    def test_huge_shift_moves_neither_factors_nor_residual(self):
+        # g + 1e20 rounds every entry to a multiple of 2**14, so differences
+        # or a residual taken from the shifted g read 0 and ~66 here
+        p = SystemParams(lam=3.0, mu1=4.0, mu2=2.0, capacity=6, threshold=3,
+                         c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1,
+                         price=15, penalty=5.0)
+        pol = Policy.all_ones(3)
+        base = solve_poisson(p, pol)
+        moved = solve_poisson(p, pol, shift=1e20)
+        np.testing.assert_array_equal(moved.g_diff, base.g_diff, strict=True)
+        assert moved.residual == base.residual
+        assert base.g_diff[0] == pytest.approx(-16.105, abs=1e-3)
+        np.testing.assert_array_equal(moved.g, base.g + 1e20)
+
+    @pytest.mark.parametrize("shift", [math.inf, -math.inf, math.nan])
+    def test_non_finite_shift_is_invalid_parameter(self, unit_params, shift):
+        with pytest.raises(InvalidParameter, match="shift"):
+            solve_poisson(unit_params, Policy((0,)), shift=shift)
+
+    def test_g_diff_matches_exact_rationals_on_every_state(self):
+        # G(i) = G_B(i) - P*G_A(i) on states 1..N from the cut-flow identity in
+        # exact rationals.  The draws include expanding-drift instances,
+        # ((mu1 + mu2)/lam)**N > 1e3, where the recurrence lanes below cannot
+        # serve as a reference.
+        rng = np.random.default_rng(22)
+        regimes = []
+        for _ in range(60):
+            p = random_params(rng, k_max=12, n_max=40)
+            pol = random_policy(rng, p.threshold)
+            exact = exact_chain(p, pol.decisions)
+            g_b, g_a = np.array(exact.g_b, dtype=float), np.array(exact.g_a, dtype=float)
+            scale = 1 + np.max(np.abs(g_b)) + p.penalty * np.max(np.abs(g_a))
+            err = np.max(np.abs(solve_poisson(p, pol).g_diff - (g_b - p.penalty * g_a)))
+            assert err <= 1e-12 * scale
+            regimes.append((p.lam > p.mu1 + p.mu2, ((p.mu1 + p.mu2) / p.lam) ** p.capacity > 1e3))
+        assert {up for up, _ in regimes} == {False, True}
+        assert sum(amp for _, amp in regimes) >= 10
 
     def test_special_solution_starts_at_zero(self):
         rng = np.random.default_rng(11)
@@ -116,8 +157,8 @@ class TestSolvePoissonNormalized:
         for _ in range(10):
             p = random_params(rng, k_max=8, n_max=30)
             pol = random_policy(rng, p.threshold)
-            g1 = realization_factors_from_potential(solve_poisson(p, pol)).g_diff
-            g2 = realization_factors_from_potential(solve_poisson_normalized(p, pol)).g_diff
+            g1 = solve_poisson(p, pol).g_diff
+            g2 = solve_poisson_normalized(p, pol).g_diff
             scale = max(1.0, np.max(np.abs(g1)))
             np.testing.assert_allclose(g1, g2, atol=1e-9 * scale)
 
@@ -133,13 +174,12 @@ class TestRealizationFactors:
     def test_from_potential_shape_and_shift_invariance(self, unit_params):
         sol0 = solve_poisson(unit_params, Policy((0,)))
         sol1 = solve_poisson(unit_params, Policy((0,)), shift=4.0 - 2.0)
-        f0 = realization_factors_from_potential(sol0)
-        f1 = realization_factors_from_potential(sol1)
-        assert len(f0.g_diff) == unit_params.capacity
-        np.testing.assert_allclose(f0.g_diff, f1.g_diff, atol=1e-12)
+        assert realization_factors_from_potential(sol0) is sol0
+        assert len(sol0.g_diff) == unit_params.capacity
+        np.testing.assert_allclose(sol0.g_diff, sol1.g_diff, atol=1e-12)
 
     def test_unit_instance_values(self, unit_params):
-        fac = realization_factors_from_potential(solve_poisson(unit_params, Policy((0,))))
+        fac = solve_poisson(unit_params, Policy((0,)))
         np.testing.assert_allclose(fac.g_diff, [-14.6, -11.2], atol=1e-12)
 
     def test_recurrence_hand_values(self, unit_params):
@@ -176,7 +216,7 @@ class TestRealizationFactors:
             p = stable_random_params(rng, k_max=12, n_max=50)
             pol = random_policy(rng, p.threshold)
             eta = average_profit(p, pol)
-            g1 = realization_factors_from_potential(solve_poisson(p, pol)).g_diff
+            g1 = solve_poisson(p, pol).g_diff
             g2 = realization_factors_recurrence(p, pol, eta).g_diff
             g3 = np.array([
                 realization_factor_closed_form(p, pol, eta, i)
@@ -199,7 +239,7 @@ class TestRealizationFactors:
             done += 1
             pol = random_policy(rng, p.threshold)
             eta = average_profit(p, pol)
-            g1 = realization_factors_from_potential(solve_poisson(p, pol)).g_diff
+            g1 = solve_poisson(p, pol).g_diff
             g2 = realization_factors_recurrence(p, pol, eta).g_diff
             g3 = np.array([
                 realization_factor_closed_form(p, pol, eta, i)
