@@ -96,10 +96,12 @@ class ChainRecord:
 
     @cached_property
     def rewards(self) -> np.ndarray:
-        """Rows B and A of one policy's reward f = B - P*A on states 0..K."""
-        rewards = np.multiply.outer(_serve_gain(self.params),
-                                    np.concatenate(([0.0], self.decisions)))
-        rewards[0] += self.base
+        """Rows B and A of f = B - P*A on states 0..K: (2, K+1), or (m, 2, K+1)."""
+        d = self.decisions
+        rewards = np.zeros(d.shape[:-1] + (2, d.shape[-1] + 1))
+        np.multiply(d[..., None, :], np.array(_serve_gain(self.params))[:, None],
+                    out=rewards[..., 1:])
+        rewards[..., 0, :] += self.base
         rewards.setflags(write=False)
         return rewards
 
@@ -171,11 +173,19 @@ class ChainRecord:
         g.setflags(write=False)
         return g
 
+    def check_cuts(self, row) -> None:
+        """NumericalOverflow if a cut of chain `row` (() if one) divides by a flushed weight."""
+        w = self.weights[row][: min(self.params.threshold + 1, self.params.capacity)]
+        if w.min() < TINY:
+            raise NumericalOverflow(
+                "weights on states 0..K span more than float64's range: "
+                f"{int(np.sum(w < TINY))} cuts would divide by a flushed weight")
+
     @cached_property
     def cut_factors(self) -> np.ndarray:
         """Rows G_B and G_A of G(i) = g(i-1) - g(i) = G_B - P*G_A at positions
-        1..min(K+1, N) of a one-policy record; the margin at i <= K is
-        (R + c_lost2 + G_B) - P(1 + G_A).
+        1..min(K+1, N), (2, min(K+1, N)) for one policy and (m, 2, min(K+1, N))
+        for a stack; the margin at i <= K is (R + c_lost2 + G_B) - P(1 + G_A).
 
         The cut-flow identity of the birth-death equation, summed over rows
         0..i-1, gives
@@ -186,39 +196,40 @@ class ChainRecord:
         weight sums over states 0..K, where the sum from i up adds the
         segment's closed form.  Each cut is taken from the end with less
         mass, which bounds its rounding.  The pass runs once per record, and
-        its array is read-only.
+        its array is read-only.  A stack's rows equal their one-policy records
+        bit for bit; one record raises where `check_cuts` does, a stack does not.
         """
         p = self.params
         k = p.threshold
         w, (head_scale, tail_scale, *_), (norm, *_) = self.weights, self.scales, self.parts
-        n_cuts = min(k + 1, p.capacity)
-        if w[:n_cuts].min() < TINY:
-            raise NumericalOverflow(
-                "weights on states 0..K span more than float64's range: "
-                f"{int(np.sum(w[:n_cuts] < TINY))} cuts would divide by a flushed weight")
-        (w_sum, m_sum, top), seg = self.tail
-        d_coef, f_coef = self.d_coef, self.f_coef
-        coef = np.array([[d_coef], [f_coef]])
-        b_head, a_head = self.rewards @ w
-        dev = np.empty((2, k + 2))
-        np.multiply(w, self.rewards - coef, out=dev[:, :-1])
+        w_cut = w[..., : min(k + 1, p.capacity)]
+        if w.ndim > 1:
+            w_cut = np.where(w_cut < TINY, 1.0, w_cut)
+        elif w_cut.min() < TINY:
+            self.check_cuts(())
+        ((w_sum, m_sum, top), seg), d_coef, f_coef = self.tail, self.d_coef, self.f_coef
+        # Per-chain values (a stack's are (m,)) meet transposed arrays, stack axis last.
+        coef = np.array([d_coef, f_coef]).T[..., None]
+        b_head, a_head = (self.rewards @ w[..., None]).T[0]
+        dev = np.empty(w.shape[:-1] + (2, k + 2))
+        np.multiply(w[..., None, :], self.rewards - coef, out=dev[..., :-1])
         # The segment's deficit on the head's scale, from its own closed form.
-        dev[0, -1] = tail_scale * (seg * w.sum() - b_head * w_sum) / norm
-        dev[1, -1] = -tail_scale * a_head * w_sum / norm
+        dev[..., 0, -1] = tail_scale * (seg * w.sum(axis=-1) - b_head * w_sum) / norm
+        dev[..., 1, -1] = -tail_scale * a_head * w_sum / norm
         # A state's deviation f_j - eta rounds at eps (|f_j| + |eta|), so
         # that, weighted, is the mass an end's sum carries.
         level = p.price * (p.mu1 + p.mu2) - p.c_hold * k - p.c_buy * p.lam
-        tail_mass = tail_scale * np.array([
-            [(abs(level) + abs(d_coef)) * w_sum + p.c_hold * m_sum
-             + abs(p.c_buy - p.c_opp) * p.lam * top],
-            [f_coef * w_sum],
-        ])
-        mass = head_scale * (w * (np.abs(self.rewards) + np.abs(coef))).cumsum(axis=1)
+        tail_mass = (tail_scale * np.array([(abs(level) + abs(d_coef)) * w_sum + p.c_hold * m_sum
+                                            + abs(p.c_buy - p.c_opp) * p.lam * top,
+                                            f_coef * w_sum])).T[..., None]
+        mass = (w[..., None, :] * (np.abs(self.rewards) + np.abs(coef))).cumsum(axis=-1)
+        mass = (head_scale * mass.T).T
         # Rows 0-1 run up from state 0; rows 2-3 run down from the segment,
         # so their entries reversed are the sums from state i = 1..K+1 up.
-        runs = _compensated_cumsum(np.concatenate((dev[:, :-1], dev[:, :0:-1])))
-        cut = np.where(mass <= 0.5 * (mass[:, -1:] + tail_mass), runs[:2], -runs[2:, ::-1])
-        cut = cut[:, :n_cuts] / (p.lam * w[:n_cuts])
+        runs = _compensated_cumsum(np.concatenate((dev[..., :-1], dev[..., :0:-1]), axis=-2))
+        cut = np.where(mass <= 0.5 * (mass[..., -1:] + tail_mass),
+                       runs[..., :2, :], -runs[..., 2:, ::-1])
+        cut = cut[..., : w_cut.shape[-1]] / (p.lam * w_cut[..., None, :])
         cut.setflags(write=False)
         return cut
 
@@ -355,9 +366,11 @@ def chain_record(params: SystemParams, policy: Policy | np.ndarray) -> ChainReco
             raise LengthMismatch(f"decisions of shape {d.shape} need shape (m, K={k})")
     w, _, log_k = _head_weights(params, d)
     base = _base_rewards(params, k)
-    # einsum casts a stack's integer rows in buffers, not in a copy
+    # einsum casts a stack's integer rows in buffers, not in a copy; a
+    # stack's base sums are batched dot products, bit for bit each row's own
     served = np.einsum("...i,...i->...", d, w[..., 1:])
-    record = ChainRecord(params, (w.sum(axis=-1), served, w @ base, log_k), d, w, base)
+    b_sum = (w[..., None, :] @ base)[..., 0][()]
+    record = ChainRecord(params, (w.sum(axis=-1), served, b_sum, log_k), d, w, base)
     if isinstance(policy, Policy):
         for array in (d, w, base):
             array.setflags(write=False)

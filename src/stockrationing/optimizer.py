@@ -5,8 +5,8 @@ penalties make serving optimal everywhere, and in between the optimum is a
 threshold policy only after permuting positions by ascending penalty root:
 an optimum carries its own permutation and zero count (`sort_perm`, `n0`),
 and `restore_threshold` maps them back to the policy.
-The regime gates are checked on the all-zeros and all-ones policies; the
-optimum itself comes from Howard policy iteration on the flip margins.  The
+The regime gates are checked on the all-zeros and all-ones rows of one stacked
+chain record; the optimum comes from Howard policy iteration on the flip margins.  The
 exact oracle over all 2^K policies, K <= ENUMERATION_CAP, is Dinkelbach's
 parametric search (Management Science 1967) over two half-stacks: it stops
 once a step finds no better profit, and near-ties go to the first policy.
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TINY, ChainRecord, NumericalOverflow, _head_weights, _tie_floor
+from .chain import TINY, ChainRecord, NumericalOverflow, _head_weights, _tie_floor, chain_record
 from .model import ENUMERATION_CAP, CapExceeded, Policy, SystemParams, _base_rewards
-from .sensitivity import penalty_roots
+from .sensitivity import _margins, _signs
 
 ORACLE_MATCH_TOL = 1e-9
 # brute_force_optimal: TINY lost to an underflow, over a denominator > e**-300; 128 KB of pairs
@@ -70,46 +70,45 @@ def global_optimal(params: SystemParams, check_oracle: bool = False) -> Optimize
     flipped positions, each term positive, so every step raises eta strictly
     and the loop ends at a gain-optimal policy (Howard's algorithm: Puterman,
     Markov Decision Processes, 1994, 8.6; Cao, Stochastic Learning and
-    Optimization, 2007); its eta is D - P*F from the last profile's chain
-    record.  `check_oracle` cross-checks against the exact `brute_force_optimal`.
+    Optimization, 2007); its eta is D - P*F from the last policy's record.  The
+    gate rows share one record, not kept, and only a gate row that is read
+    raises NumericalOverflow.  `check_oracle` cross-checks `brute_force_optimal`.
     """
-    k = params.threshold
-    p = params.penalty
-    policy = Policy.all_zeros(k)
-    profile = penalty_roots(params, policy)
-    region = "HighPenalty"
-    if p < profile.p_high:
-        ones_profile = penalty_roots(params, Policy.all_ones(k))
-        region = "Middle"
-        if ones_profile.p_low > 0 and p <= ones_profile.p_low:
-            region, policy, profile = "LowPenalty", Policy.all_ones(k), ones_profile
+    k, p = params.threshold, params.penalty
+    gates = chain_record(params, np.arange(2.0)[:, None].repeat(k, axis=1))
+
+    def gate(row):        # the all-zeros (0) or all-ones (1) row's margins, eta and decisions
+        gates.check_cuts(row)
+        return _margins(params, gates.cut_factors[row]), gates.eta(p)[row], gates.decisions[row]
+
+    region, ((num, den, roots), eta, decisions) = "HighPenalty", gate(0)
+    if p < max(0.0, float(roots.max())):
+        region, ones = "Middle", gate(1)
+        p_low = float(ones[0][2].min())
+        if p_low > 0 and p <= p_low:
+            region, ((num, den, roots), eta, decisions) = "LowPenalty", ones
 
     iterations = 0
     while True:
-        labels = profile.signs(p)
-        improved = Policy(
-            tuple(d if lab == 0 else int(lab > 0) for d, lab in zip(policy.decisions, labels))
-        )
-        if improved == policy:
+        labels = _signs(num, den, p)
+        improved = np.where(labels, labels > 0, decisions)
+        if (improved == decisions).all():
             break
-        policy, profile = improved, penalty_roots(params, improved)
+        decisions, record = improved, chain_record(params, Policy(tuple(improved.tolist())))
+        (num, den, roots), eta = _margins(params, record.cut_factors), record.eta(p)
         iterations += 1
 
-    eta = profile.form.eta(p)
+    eta = float(eta)
     oracle_confirmed: bool | None = None
     if check_oracle:
         _, bf_eta = brute_force_optimal(params)
         oracle_confirmed = abs(bf_eta - eta) <= ORACLE_MATCH_TOL * max(1.0, abs(bf_eta))
 
     return OptimizerResult(
-        policy=policy,
-        eta=eta,
-        region=region,
-        n0=int(np.sum(profile.roots < p)) if region == "Middle" else None,
-        sort_perm=profile.sort_perm,
-        oracle_confirmed=oracle_confirmed,
-        iterations=iterations,
-    )
+        policy=Policy(tuple(decisions.tolist())), eta=eta, region=region,
+        n0=int(np.sum(roots < p)) if region == "Middle" else None,
+        sort_perm=tuple((np.argsort(roots, kind="stable") + 1).tolist()),
+        oracle_confirmed=oracle_confirmed, iterations=iterations)
 
 
 def brute_force_optimal(params: SystemParams) -> tuple[Policy, float]:

@@ -44,9 +44,23 @@ class PenaltyProfile:
 
     def signs(self, penalty: float) -> np.ndarray:
         """classify_sign labels of this profile's margins at the given penalty."""
-        value = self.num - penalty * self.den
-        band = SIGN_ZERO_BAND * np.maximum(1.0, np.abs(self.num) + np.abs(penalty * self.den))
-        return np.where(value > band, 1, np.where(value < -band, -1, 0))
+        return _signs(self.num, self.den, penalty)
+
+
+def _signs(num: np.ndarray, den: np.ndarray, penalty: float) -> np.ndarray:
+    """Labels in {-1, 0, +1} of the margins num - P*den, zero inside the band."""
+    value = num - penalty * den
+    band = SIGN_ZERO_BAND * np.maximum(1.0, np.abs(num) + np.abs(penalty * den))
+    return np.where(value > band, 1, np.where(value < -band, -1, 0))
+
+
+def _margins(params: SystemParams, cut: np.ndarray) -> tuple:
+    """num, den and roots of the margins num - P*den on 1..K from cut rows G_B, G_A."""
+    num = (params.price + params.c_lost2) + cut[0, : params.threshold]
+    den = 1.0 + cut[1, : params.threshold]
+    degenerate = np.abs(den) <= DEGENERATE_COEF_TOL
+    return num, den, np.where(degenerate, np.where(num >= 0, np.inf, -np.inf),
+                              num / np.where(degenerate, 1.0, den))
 
 
 def penalty_roots(params: SystemParams, policy: Policy) -> PenaltyProfile:
@@ -57,22 +71,11 @@ def penalty_roots(params: SystemParams, policy: Policy) -> PenaltyProfile:
     parts of the reward f = B - P*A, read off the policy's chain record.
     """
     record = chain_record(params, policy)
-    cut_b, cut_a = record.cut_factors[:, : params.threshold]
-    num = (params.price + params.c_lost2) + cut_b
-    den = 1.0 + cut_a
-    degenerate = np.abs(den) <= DEGENERATE_COEF_TOL
-    roots = np.where(degenerate, np.where(num >= 0, np.inf, -np.inf),
-                     num / np.where(degenerate, 1.0, den))
+    num, den, roots = _margins(params, record.cut_factors)
     order = np.argsort(roots, kind="stable")
-    return PenaltyProfile(
-        roots=roots,
-        p_high=max(0.0, float(roots.max())),
-        p_low=float(roots.min()),
-        sort_perm=tuple((order + 1).tolist()),
-        num=num,
-        den=den,
-        form=record,
-    )
+    return PenaltyProfile(roots=roots, p_high=max(0.0, float(roots.max())),
+                          p_low=float(roots.min()), sort_perm=tuple((order + 1).tolist()),
+                          num=num, den=den, form=record)
 
 
 def classify_sign(params: SystemParams, policy: Policy, penalty: float) -> np.ndarray:

@@ -14,7 +14,10 @@ nothing overflows or underflows at any N, the reward split f = B - P*A, and
 the flip-margin coefficients G(i) + b = num - P*den on positions 1..K from
 the cut-flow identity, each cut summed exactly from the end with less mass.
 `reference_profit` gives eta by the exact route up to N = 40 and from the
-log weights above.  `reference_simulate` walks the simulator's jump chain
+log weights above.  `reference_global_optimal` is policy iteration built on
+the public `penalty_roots`, one profile per gate and per step, and
+`gain_bounds` brackets the optimal gain by one Bellman step of the
+uniformised MDP.  `reference_simulate` walks the simulator's jump chain
 one step per Python iteration on the package's own draws, the walk that
 `sim` blocks into table lookups, so the two must agree bit for bit.
 """
@@ -28,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from stockrationing import (
+    OptimizerResult,
     Policy,
     PoissonSolution,
     StockRationingError,
@@ -247,6 +251,61 @@ def single_flip_difference(params: SystemParams, d: Policy, i: int) -> float:
     pi_prime = stationary_distribution(params, d_prime).pi
     margin = profile.num[i - 1] - params.penalty * profile.den[i - 1]
     return float(params.mu2 * pi_prime[i] * (d_prime[i - 1] - d[i - 1]) * margin)
+
+
+def reference_global_optimal(params: SystemParams) -> OptimizerResult:
+    """Howard policy iteration on one `penalty_roots` profile per policy.
+
+    The all-zeros profile's p_high and, below it, the all-ones profile's
+    p_low pick the region and the start; each step serves where the start's
+    margin is positive, withholds where it is negative, keeps the decision
+    in the zero band and profiles the improved policy afresh.
+    """
+    k, p = params.threshold, params.penalty
+    policy = Policy.all_zeros(k)
+    profile = penalty_roots(params, policy)
+    region = "HighPenalty"
+    if p < profile.p_high:
+        ones = penalty_roots(params, Policy.all_ones(k))
+        region = "Middle"
+        if ones.p_low > 0 and p <= ones.p_low:
+            region, policy, profile = "LowPenalty", Policy.all_ones(k), ones
+    iterations = 0
+    while True:
+        labels = profile.signs(p)
+        improved = Policy(tuple(d if lab == 0 else int(lab > 0)
+                                for d, lab in zip(policy.decisions, labels)))
+        if improved == policy:
+            break
+        policy, profile = improved, penalty_roots(params, improved)
+        iterations += 1
+    return OptimizerResult(
+        policy=policy, eta=profile.form.eta(p), region=region,
+        n0=int(np.sum(profile.roots < p)) if region == "Middle" else None,
+        sort_perm=profile.sort_perm, oracle_confirmed=None, iterations=iterations)
+
+
+def gain_bounds(params: SystemParams, h: np.ndarray) -> tuple[float, float]:
+    """Bounds Lam*min(Th - h) <= eta* <= Lam*max(Th - h) on the optimal gain
+    from one Bellman step T at any h on states 0..N (MacQueen 1966; Odoni 1969).
+
+    Uniformised at Lam = lam + mu1 + mu2, a step from state i earns f(i, a)/Lam
+    and moves up with probability lam/Lam below N and down with v(i, a)/Lam,
+    a being to serve or withhold Class 2 on 1..K.  So Th - h is
+    max_a (f_a + Q_a h)/Lam with the generator Q_a, taken on the differences
+    of h so that h's own size does not cancel.
+    """
+    k = params.threshold
+    lam_total = params.lam + params.mu1 + params.mu2
+    steps = []
+    for policy in (Policy.all_zeros(k), Policy.all_ones(k)):
+        up, _ = jump_rates(params, policy)
+        down = np.append(0.0, service_rates(params, policy))
+        diff = np.diff(h)
+        q_h = up * np.append(diff, 0.0) - down * np.append(0.0, diff)
+        steps.append((reward_structure(params, policy) + q_h) / lam_total)
+    step = np.maximum(*steps)
+    return lam_total * float(step.min()), lam_total * float(step.max())
 
 
 def threshold_margins(params: SystemParams, theta: int) -> dict[str, float]:

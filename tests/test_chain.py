@@ -558,3 +558,57 @@ def test_threads_sharing_the_record_slot_get_their_own_policy(example1_params):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+@pytest.mark.parametrize("log_weights", [False, True], ids=["ratio-weights", "log-weights"])
+def test_stack_rows_equal_their_one_policy_records(log_weights):
+    # The stack's sums are batched dot products and its cut pass is the one
+    # the single records take, so every row's cuts and profit match its own
+    # record's bit for bit in either branch of _head_weights.  Log weights
+    # need K log(lam/mu1) of at least 600 nats; 11 nats a state stays below
+    # the 708 at which a weight flushes.
+    rng = np.random.default_rng(21 + log_weights)
+    for _ in range(20):
+        k = int(rng.integers(55, 61)) if log_weights else int(rng.integers(1, 61))
+        n = int(rng.integers(k, 3 * k + 1))
+        if log_weights:
+            mu1, mu2 = 1.0, math.exp(rng.uniform(8.0, 14.0))
+            lam = math.exp(11.0)
+        else:
+            mu1, mu2 = (math.exp(x) for x in rng.uniform(-3.0, 3.0, 2))
+            lam = (mu1 + mu2) * math.exp(rng.uniform(-3.0, 3.0))
+        p = SystemParams(lam=lam, mu1=mu1, mu2=mu2, capacity=n, threshold=k,
+                         penalty=float(rng.uniform(0.0, 30.0)), **EX1_COSTS)
+        rows = rng.integers(0, 2, (int(rng.integers(2, 7)), k))
+        assert (chain._head_weights(p, rows)[1] is not None) == log_weights
+        stack = chain_record(p, rows)
+        etas = average_profits(p, rows)
+        for row, cuts, eta in zip(rows, stack.cut_factors, etas):
+            record = chain_record(p, Policy(tuple(row.tolist())))
+            np.testing.assert_array_equal(cuts, record.cut_factors, strict=True)
+            assert eta.hex() == average_profit(p, Policy(tuple(row.tolist()))).hex()
+
+
+def test_stack_with_a_flushed_row_keeps_its_other_rows():
+    # beta = 1/1002 over K = 200 states: the all-ones row's weights fall past
+    # float range, the all-zeros row's, halving per state, do not.  The stack
+    # cuts its other rows with no RuntimeWarning; only `check_cuts` on the
+    # flushed row raises, as that row's own record does.
+    p = SystemParams(lam=1.0, mu1=2.0, mu2=1000.0, capacity=400, threshold=200,
+                     penalty=1.0, **EX1_COSTS)
+    rows = np.array([[0] * 200, [1] * 200, [0] * 150 + [1] * 50])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = chain_record(p, rows)
+        cuts = stack.cut_factors
+        for i in (0, 2):
+            stack.check_cuts(i)
+            assert np.all(np.isfinite(cuts[i]))
+            np.testing.assert_array_equal(
+                cuts[i], chain_record(p, Policy(tuple(rows[i].tolist()))).cut_factors)
+        with pytest.raises(chain.NumericalOverflow) as flushed:
+            stack.check_cuts(1)
+        with pytest.raises(chain.NumericalOverflow) as single:
+            penalty_roots(p, Policy.all_ones(200))
+    assert str(flushed.value) == str(single.value)
+    assert "98 cuts would divide by a flushed weight" in str(flushed.value)

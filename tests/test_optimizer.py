@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,21 +11,29 @@ from hypothesis import strategies as st
 from stockrationing import (
     ENUMERATION_CAP,
     CapExceeded,
+    NumericalOverflow,
     Policy,
+    StockRationingError,
     SystemParams,
     average_profit,
     average_profits,
     brute_force_optimal,
+    chain,
+    chain_record,
     classify_sign,
     global_optimal,
     penalty_roots,
     restore_threshold,
+    reward_structure,
     static_profit_closed_form,
 )
 from stockrationing import optimizer
 from stockrationing.chain import BRUTE_FORCE_TIE_BAND, _first_best, _head_weights
+from stockrationing.optimizer import EPS
+from stockrationing.sensitivity import SIGN_ZERO_BAND
 
 from conftest import random_params, random_policy
+from oracles import gain_bounds, reference_global_optimal
 
 
 class TestClassifyRegion:
@@ -415,3 +424,130 @@ class TestMonotoneChains:
     def test_penalty_override(self, unit_params):
         # low regime: all-ones is optimal below the root at 1.4
         assert self.never_gains(unit_params.with_penalty(0.5), Policy((1,)), (1,))
+
+
+EX1_COSTS = dict(c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15)
+
+
+def _outcome(solver, p):
+    """Every field of a solver's result, eta by float.hex, or its typed error."""
+    try:
+        r = solver(p)
+    except StockRationingError as error:
+        return type(error), str(error)
+    return (r.policy, float(r.eta).hex(), r.region, r.n0, r.sort_perm, r.iterations,
+            r.oracle_confirmed)
+
+
+@st.composite
+def optimizer_params(draw):
+    """K <= 60 and N <= 3K; lam/(mu1 + mu2) from e**-4 to e**4, or exactly 1;
+    mu2/mu1 from e**-3 to e**12; P = 0 or log-uniform on e**-3..e**8."""
+    k = draw(st.integers(1, 60))
+    mu1 = math.exp(draw(st.floats(-3.0, 3.0)))
+    mu2 = mu1 * math.exp(draw(st.floats(-3.0, 12.0)))
+    beta = draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0)))
+    penalty = draw(st.one_of(st.just(0.0), st.floats(-3.0, 8.0).map(math.exp)))
+    c_hold, c_lost1, c_lost2, c_buy, c_opp, price = draw(
+        st.lists(st.floats(0.0, 20.0), min_size=6, max_size=6))
+    return SystemParams(lam=(mu1 + mu2) * math.exp(beta), mu1=mu1, mu2=mu2,
+                        capacity=draw(st.integers(k, 3 * k)), threshold=k, c_hold=c_hold,
+                        c_lost1=c_lost1, c_lost2=c_lost2, c_buy=c_buy, c_opp=c_opp,
+                        price=price, penalty=penalty)
+
+
+@given(p=optimizer_params())
+@settings(max_examples=150, deadline=None)
+def test_global_optimal_is_the_per_profile_iteration(p):
+    # The gates read two rows of one stacked record and the steps read
+    # margins alone; the reference builds a `penalty_roots` profile per gate
+    # and per step.  Every field, eta's bits and any typed error agree.
+    assert _outcome(global_optimal, p) == _outcome(reference_global_optimal, p)
+
+
+@pytest.mark.parametrize("rates, penalty, region", [
+    (dict(lam=1.0, mu1=2.0, mu2=1000.0, capacity=400, threshold=200), 1e4, "HighPenalty"),
+    (dict(lam=3.0, mu1=4.0, mu2=2.0, capacity=2000, threshold=2000), 1e5, "HighPenalty"),
+    (dict(lam=1.0, mu1=2.0, mu2=1000.0, capacity=400, threshold=200), 1.0, None),
+], ids=["beta-1e-3-high", "example-1-rates-k2000-high", "beta-1e-3-below-p-high"])
+def test_flushed_all_ones_row_raises_only_when_read(rates, penalty, region):
+    # The all-ones row's weights fall past float range and the all-zeros
+    # row's do not.  At P >= p_high that row is never read: the answer is
+    # HighPenalty with no RuntimeWarning.  Below p_high it is read, and the
+    # error is the all-ones profile's.
+    p = SystemParams(penalty=penalty, **rates, **EX1_COSTS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(global_optimal, p)
+        want = _outcome(reference_global_optimal, p)
+    assert got == want
+    if region is None:
+        assert got[0] is NumericalOverflow and "cuts would divide by a flushed weight" in got[1]
+    else:
+        assert got[2] == region
+
+
+def _count_passes(monkeypatch):
+    calls = []
+    for name in ("_head_weights", "_compensated_cumsum"):
+        original = getattr(chain, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(chain, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("penalty, region", [
+    (0.1, "LowPenalty"), (10.0, "Middle"), (40.0, "HighPenalty")])
+def test_gates_take_one_record_and_each_step_one_more(penalty, region, monkeypatch):
+    # Both gate rows come from one head and one cut pass; each Howard step
+    # solves its policy once.  The record slot starts empty, so no step
+    # finds its policy there.
+    p = SystemParams(lam=3.0, mu1=4.0, mu2=2.0, capacity=200, threshold=40, c_hold=1,
+                     c_lost1=1.2, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=penalty)
+    calls = _count_passes(monkeypatch)
+    res = global_optimal(p)
+    assert res.region == region
+    assert (res.iterations > 0) == (region == "Middle")
+    assert calls.count("_head_weights") == calls.count("_compensated_cumsum") == 1 + res.iterations
+
+
+@st.composite
+def bellman_params(draw):
+    """K <= N <= 400 in both drift regimes, with K times the largest log rate
+    ratio below 650 nats, so that no weight on 0..K flushes."""
+    k = draw(st.integers(1, 400))
+    mu2 = min(math.exp(draw(st.floats(-3.0, 3.0))), math.expm1(600.0 / k))
+    reach = min(4.0, 650.0 / k - math.log1p(mu2))     # of log(lam/(mu1 + mu2))
+    lam = (1.0 + mu2) * math.exp(draw(st.floats(-1.0, 1.0)) * reach)
+    c_hold, c_lost1, c_lost2, c_buy, c_opp, price = draw(
+        st.lists(st.floats(0.0, 10.0), min_size=6, max_size=6))
+    penalty = draw(st.one_of(st.just(0.0), st.floats(-3.0, 5.0).map(math.exp)))
+    return SystemParams(lam=lam, mu1=1.0, mu2=mu2, capacity=draw(st.integers(k, 400)),
+                        threshold=k, c_hold=c_hold, c_lost1=c_lost1, c_lost2=c_lost2,
+                        c_buy=c_buy, c_opp=c_opp, price=price, penalty=penalty)
+
+
+@given(p=bellman_params())
+@settings(max_examples=60, deadline=None)
+def test_optimal_gain_lies_in_one_bellman_steps_bounds(p):
+    # At h = g of the returned policy, f + Q h is eta at every state for the
+    # policy's own actions, so the lower bound is eta and the upper bound
+    # exceeds it by mu2 times the largest wrong-signed flip margin: a
+    # certificate of optimality well past the enumeration cap.  Rounding:
+    # f + Q h is taken to 16 eps of max|f| + Lam*max|h|; and the optimizer
+    # keeps a decision whose margin lies in the zero band SIGN_ZERO_BAND.
+    res = global_optimal(p)
+    g = chain_record(p, res.policy).g
+    lo, hi = gain_bounds(p, g)
+    profile = penalty_roots(p, res.policy)
+    lam_total = p.lam + p.mu1 + p.mu2
+    rounding = 16 * EPS * (np.max(np.abs(reward_structure(p, res.policy)))
+                           + lam_total * np.max(np.abs(g)))
+    band = p.mu2 * SIGN_ZERO_BAND * max(
+        1.0, float(np.max(np.abs(profile.num) + p.penalty * np.abs(profile.den))))
+    assert lo - rounding <= res.eta <= hi + rounding
+    assert hi - lo <= rounding + band
