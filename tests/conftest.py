@@ -45,6 +45,19 @@ def random_params(rng, k_max=10, n_max=20, rate_lo=0.5, rate_hi=5.0, cost_hi=10.
     )
 
 
+def counting(monkeypatch, name):
+    """Wrap `chain.<name>` for the test; the returned list grows by one per call."""
+    calls = []
+    original = getattr(chain, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(chain, name, counted)
+    return calls
+
+
 def random_policy(rng, k):
     return Policy(tuple(int(b) for b in rng.integers(0, 2, k)))
 

@@ -26,7 +26,7 @@ from stockrationing import (
     stationary_distribution,
 )
 
-from conftest import dense_stationary, random_params, random_policy
+from conftest import counting, dense_stationary, random_params, random_policy
 from oracles import dense_generator, exact_chain, exact_profit, reference_profit, reward_split
 
 rates = st.floats(0.5, 5.0, allow_nan=False)
@@ -394,18 +394,6 @@ def _solve_sequence(p, pol):
             profile.num, profile.den, profile.roots)
 
 
-def _counting(monkeypatch, name):
-    calls = []
-    original = getattr(chain, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(chain, name, counted)
-    return calls
-
-
 def _counting_view(monkeypatch, name):
     calls = []
     view = getattr(chain.ChainRecord, name)
@@ -421,8 +409,8 @@ def _counting_view(monkeypatch, name):
 
 
 def test_one_solve_sequence_builds_one_head_and_one_cut_pass(example1_params, monkeypatch):
-    heads = _counting(monkeypatch, "_head_weights")
-    cut_passes = _counting(monkeypatch, "_compensated_cumsum")
+    heads = counting(monkeypatch, "_head_weights")
+    cut_passes = counting(monkeypatch, "_compensated_cumsum")
     pis, gs = _counting_view(monkeypatch, "pi"), _counting_view(monkeypatch, "g")
     pol = Policy.all_ones(15)
     _solve_sequence(example1_params, pol)
@@ -439,7 +427,7 @@ def test_every_other_policy_or_penalty_gets_a_fresh_record(example1_params, monk
     for key, params, pol in (("a", p, a), ("b", p, b), ("p", p.with_penalty(3.0), a)):
         chain._forget_last_record()
         cold[key] = _solve_sequence(params, pol)
-    heads = _counting(monkeypatch, "_head_weights")
+    heads = counting(monkeypatch, "_head_weights")
     for key, params, pol in (("a", p, a), ("b", p, b), ("a", p, a), ("p", p.with_penalty(3.0), a)):
         record = chain_record(params, pol)
         for got, want in zip(_solve_sequence(params, pol), cold[key]):

@@ -18,7 +18,6 @@ from stockrationing import (
     average_profit,
     average_profits,
     brute_force_optimal,
-    chain,
     chain_record,
     classify_sign,
     global_optimal,
@@ -32,7 +31,7 @@ from stockrationing.chain import BRUTE_FORCE_TIE_BAND, _first_best, _head_weight
 from stockrationing.optimizer import EPS
 from stockrationing.sensitivity import SIGN_ZERO_BAND
 
-from conftest import random_params, random_policy
+from conftest import counting, random_params, random_policy
 from oracles import gain_bounds, reference_global_optimal
 
 
@@ -487,19 +486,6 @@ def test_flushed_all_ones_row_raises_only_when_read(rates, penalty, region):
         assert got[2] == region
 
 
-def _count_passes(monkeypatch):
-    calls = []
-    for name in ("_head_weights", "_compensated_cumsum"):
-        original = getattr(chain, name)
-
-        def counted(*args, name=name, original=original, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(chain, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("penalty, region", [
     (0.1, "LowPenalty"), (10.0, "Middle"), (40.0, "HighPenalty")])
 def test_gates_take_one_record_and_each_step_one_more(penalty, region, monkeypatch):
@@ -508,11 +494,12 @@ def test_gates_take_one_record_and_each_step_one_more(penalty, region, monkeypat
     # finds its policy there.
     p = SystemParams(lam=3.0, mu1=4.0, mu2=2.0, capacity=200, threshold=40, c_hold=1,
                      c_lost1=1.2, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=penalty)
-    calls = _count_passes(monkeypatch)
+    heads = counting(monkeypatch, "_head_weights")
+    cut_passes = counting(monkeypatch, "_compensated_cumsum")
     res = global_optimal(p)
     assert res.region == region
     assert (res.iterations > 0) == (region == "Middle")
-    assert calls.count("_head_weights") == calls.count("_compensated_cumsum") == 1 + res.iterations
+    assert len(heads) == len(cut_passes) == 1 + res.iterations
 
 
 @st.composite
