@@ -456,7 +456,7 @@ def optimizer_params(draw):
 
 
 @given(p=optimizer_params())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_global_optimal_is_the_per_profile_iteration(p):
     # The gates read two rows of one stacked record and the steps read
     # margins alone; the reference builds a `penalty_roots` profile per gate
@@ -519,7 +519,7 @@ def bellman_params(draw):
 
 
 @given(p=bellman_params())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_optimal_gain_lies_in_one_bellman_steps_bounds(p):
     # At h = g of the returned policy, f + Q h is eta at every state for the
     # policy's own actions, so the lower bound is eta and the upper bound
