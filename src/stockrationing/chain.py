@@ -9,7 +9,8 @@ states 0..K on a scale that cannot overflow, and closed-form sums for the
 segment, taken relative to its heavier end, so no weight overflows or
 underflows at any N.  The record gives the profit split eta = D - P*F, the
 realization factors behind the flip margins G(i) + b on 1..K, and, each
-computed once when first read, pi and the special potential g (g(0) = 0).
+computed once when first read, pi and the special potential g (g(0) = 0),
+in O(N) from one table of the segment's powers of beta.
 D and F need four sums over states 0..K; `ChainRecord.parts` turns them into
 the total weight and D's and F's numerators for each row of a stack
 (`average_profits`) or of the two half-stacks the exact oracle searches.
@@ -124,52 +125,89 @@ class ChainRecord:
         return self.d_coef - penalty * self.f_coef
 
     @cached_property
+    def powers(self) -> np.ndarray:
+        """Q[t] = q**t for t = 0..N-K, q = min(beta, 1/beta): the segment's
+        weights relative to its heavier end, which pi and g read.  Read-only."""
+        p = self.params
+        powers = _exp(-abs(_log_beta(p)) * np.arange(p.capacity - p.threshold + 1.0))
+        powers.setflags(write=False)
+        return powers
+
+    @cached_property
     def pi(self) -> np.ndarray:
-        """pi on states 0..N of a one-policy record; above K the weights are
-        powers of beta.  Read-only."""
+        """pi on states 0..N of a one-policy record; above K, `powers` times one
+        scalar, reversed when beta > 1.  Read-only."""
         p = self.params
         k = p.threshold
         pi = np.empty(p.capacity + 1)
         pi[: k + 1] = self.weights * (self.scales[0] / self.parts[0])
-        offsets = np.arange(1.0, p.capacity - k + 1)
-        if _log_beta(p) > 0:
-            offsets -= p.capacity - k
-        pi[k + 1 :] = _exp(offsets * _log_beta(p) + self.scales[2]) / self.parts[0]
+        powers = self.powers[-2::-1] if _log_beta(p) > 0 else self.powers[1:]
+        np.multiply(powers, math.exp(self.scales[2]) / self.parts[0], out=pi[k + 1 :])
         pi.setflags(write=False)
         return pi
 
     @cached_property
     def g(self) -> np.ndarray:
         """Special potential (first entry zero) of -B g = f - eta*e for a
-        one-policy record and its own reward.  Read-only.
+        one-policy record and its own reward: the running sum of its steps
+        g(i) - g(i-1) = -G(i).  Read-only.
 
-        G(i) = g(i-1) - g(i) on 1..min(K+1, N) are the cut factors.  Above
-        that, the cut-flow identity
+        G(i) on 1..min(K+1, N) are the cut factors.  Above them the cut-flow
+        identity
 
             lam * xi_{i-1} * G(i) = sum_{j<i} xi_j * (f_j - eta)
                                   = -sum_{j>=i} xi_j * (f_j - eta)
 
-        sums a segment above K in closed form: for beta <= 1 the states i..N,
-        whose weights fall away from i - 1; for beta > 1 the states K+1..i-1
-        below it, plus the cut at K+1 carried up by beta**-(i-1-K).  g is then
-        one running sum.
+        sums c powers of q, the reward at j > K being L - c_hold j, plus
+        Delta lam at N (L = R(mu1 + mu2) - c_buy lam, Delta = c_buy - c_opp):
+        for beta < 1 over the c = M - r states i..N (M = N-K, r = i-1-K),
+        whose weights fall away from i - 1; for beta > 1 over the c = r
+        states K+1..i-1, plus the cut at K+1 carried up by beta**-r.  With
+        x = -|log beta|, eps = expm1(x), w = 1/expm1(-x) = -e**x/eps and
+        P = Q[c] of `powers`, the sums take two bases, P and E = P - 1:
+
+            beta < 1:  G = -[E (eta - L + c_hold (K+1+w+r)) + c_hold c P] w/lam - Delta P,
+            beta > 1:  G = P G(K+1) + [E (L - c_hold (K-w) - eta) + c_hold r]/(eps lam),
+
+        which cancel by about 1/(c |x|), as `_h` does; at beta = 1 the sum is
+        arithmetic, G = c (eta - L + c_hold (K + (M+r+1)/2))/lam - Delta.
+        Where c |x| < SERIES_BAND, E loses more than that to rounding, so
+        those entries, next to N for beta < 1 and next to K for beta > 1,
+        take `_tail_sums` and `_segment_reward`.
         """
         p = self.params
-        k, n = p.threshold, p.capacity
-        eta = self.eta(p.penalty)
-        g_diff = np.empty(n)
-        cut_b, cut_a = self.cut_factors
-        g_diff[: len(cut_b)] = cut_b - p.penalty * cut_a
-        r = np.arange(1.0, n - k)          # G(K+1+r) for r = 1..N-K-1
-        if len(r) and _log_beta(p) <= 0:
-            sums = _tail_sums(p, n - k - r)
-            g_diff[k + 1 :] = (eta * sums[0] - _segment_reward(p, k + r, sums, True)) / p.lam
-        elif len(r):
-            sums = _tail_sums(p, r)
-            g_diff[k + 1 :] = _exp(-r * _log_beta(p)) * g_diff[k] + (
-                _segment_reward(p, k, sums, False) - eta * sums[0]) / p.lam
-        g = np.zeros(n + 1)
-        np.cumsum(-g_diff, out=g[1:])
+        k, m = p.threshold, p.capacity - p.threshold
+        g = np.zeros(p.capacity + 1)
+        steps, (cut_b, cut_a) = g[1:], self.cut_factors
+        np.negative(cut_b - p.penalty * cut_a, out=steps[: len(cut_b)])
+        eta, x, r = self.eta(p.penalty), -abs(_log_beta(p)), np.arange(1.0, m)
+        gap, delta = eta - (p.price * (p.mu1 + p.mu2) - p.c_buy * p.lam), p.c_buy - p.c_opp
+        if x == 0.0:
+            steps[k + 1 :] = delta - r[::-1] * (gap + p.c_hold * (k + 0.5 + 0.5 * (r + m))) / p.lam
+        elif m > 1:
+            band = min(m - 1, math.ceil(SERIES_BAND / -x) - 1)
+            eps = math.expm1(x)
+            w, hold = -math.exp(x) / eps, p.c_hold * r
+            if _log_beta(p) < 0:         # beta < 1: the band ends the segment
+                out = m - 1 - band
+                seg, power = steps[k + 1 : k + 1 + out], self.powers[m - 1 : band : -1]
+                np.multiply(power - 1.0, gap + p.c_hold * (k + 1 + w) + hold[:out], out=seg)
+                seg += hold[::-1][:out] * power
+                seg *= w / p.lam
+                seg += delta * power
+                if band:
+                    sums = _tail_sums(p, m - r[out:])
+                    steps[k + 1 + out :] = (
+                        _segment_reward(p, k + r[out:], sums, True) - eta * sums[0]) / p.lam
+            else:                        # beta > 1: the band starts it
+                seg, power = steps[k + 1 :], self.powers[1:m]
+                np.multiply(power, steps[k], out=seg)
+                seg[band:] += ((power[band:] - 1.0) * (gap + p.c_hold * (k - w))
+                               - hold[band:]) / (eps * p.lam)
+                if band:
+                    sums = _tail_sums(p, r[:band])
+                    seg[:band] += (eta * sums[0] - _segment_reward(p, k, sums, False)) / p.lam
+        np.cumsum(steps, out=steps)
         g.setflags(write=False)
         return g
 
@@ -249,19 +287,12 @@ def _log_beta(params: SystemParams) -> float:
 
 
 def _h(z):
-    """1/expm1(z) - 1/z for z >= 0, by its series where the difference cancels."""
-    def series(z):
-        z2 = z * z
-        return -0.5 + z * (1 / 12 - z2 * (1 / 720 - z2 * (1 / 30240 - z2 / 1209600)))
-
-    if isinstance(z, float):
-        return series(z) if z < SERIES_BAND else 1.0 / math.expm1(min(z, 700.0)) - 1.0 / z
-    big = np.maximum(z, SERIES_BAND)
-    h = 1.0 / np.expm1(np.minimum(big, 700.0)) - 1.0 / big
-    small = z < SERIES_BAND
-    if small.any():
-        h[small] = series(z[small])
-    return h
+    """1/expm1(z) - 1/z for z >= 0, by its series where the difference
+    cancels; an array's entries all lie there."""
+    if isinstance(z, float) and z >= SERIES_BAND:
+        return 1.0 / math.expm1(min(z, 700.0)) - 1.0 / z
+    z2 = z * z
+    return -0.5 + z * (1 / 12 - z2 * (1 / 720 - z2 * (1 / 30240 - z2 / 1209600)))
 
 
 def _tail_sums(params: SystemParams, n):
@@ -275,18 +306,16 @@ def _tail_sums(params: SystemParams, n):
     sum of q**t over t < n is expm1(n x) / expm1(x), and the mean of t
     under those weights is h(-x) - n h(-n x) for h(z) = 1/expm1(z) - 1/z,
     which never cancels; near beta = 1, where h itself would, its series
-    takes over.  `n` is a count or an array of counts.
+    takes over.  `n` is a count, or an array of counts inside that band.
     """
-    x = -abs(_log_beta(params))
-    scalar = isinstance(n, int)
+    x, lib = -abs(_log_beta(params)), math if isinstance(n, int) else np
     nx = n * x
-    e0 = n * 1.0 if x == 0.0 else (math if scalar else np).expm1(nx) / math.expm1(x)
+    e0 = n * 1.0 if x == 0.0 else lib.expm1(nx) / math.expm1(x)
     e1 = e0 * (_h(-x) - n * _h(-nx))
     if _log_beta(params) > 0:
         return e0, n * e0 - e1, (n > 0) * 1.0
     beta = math.exp(x)
-    top = math.exp(nx) if scalar else _exp(nx)
-    return beta * e0, beta * (e0 + e1), top * (n > 0)
+    return beta * e0, beta * (e0 + e1), lib.exp(nx) * (n > 0)
 
 
 def _segment_reward(params: SystemParams, base, sums, reaches_top: bool):

@@ -168,9 +168,11 @@ class Policy:
     decisions: tuple[int, ...]
 
     def __post_init__(self):
-        if not all(d in (0, 1) for d in self.decisions):
+        # count compares each value with 0 and 1 as `in` does, without a Python-level loop
+        d = tuple(self.decisions)
+        if d.count(0) + d.count(1) != len(d):
             raise StockRationingError(f"decisions must be 0/1, got {self.decisions!r}")
-        object.__setattr__(self, "decisions", tuple(int(d) for d in self.decisions))
+        object.__setattr__(self, "decisions", tuple(map(int, d)))
 
     def __len__(self) -> int:
         return len(self.decisions)

@@ -44,12 +44,16 @@ class PoissonSolution:
 
 
 def _poisson_residual(params, policy, g, f, eta) -> float:
-    # -B g - (f - eta), where B g = lam * (g(i+1) - g(i)) + v_i * (g(i-1) - g(i))
-    dg = g[1:] - g[:-1]
-    r = eta - f
-    r[:-1] -= params.lam * dg
-    r[1:] += service_rates(params, policy) * dg
-    return float(np.max(np.abs(r)))
+    """max |(-B g) - (f - eta)| over states 0..N; f's buffer is overwritten."""
+    return _factor_residual(params, policy, g[:-1] - g[1:], f, eta)
+
+
+def _factor_residual(params, policy, g_diff, f, eta) -> float:
+    """The same from G = g_diff: row i is lam G(i+1) - v_i G(i) - (f_i - eta), negated in f."""
+    r = np.subtract(f, eta, out=f)
+    r[:-1] -= params.lam * g_diff
+    r[1:] += service_rates(params, policy) * g_diff
+    return float(np.abs(r, out=r).max())
 
 
 def potential_for_reward(record: ChainRecord) -> np.ndarray:
@@ -70,7 +74,8 @@ def solve_poisson(params: SystemParams, policy: Policy, shift: float = 0.0) -> P
     record = chain_record(params, policy)
     eta = record.eta(params.penalty)
     g = potential_for_reward(record)
-    residual = _poisson_residual(params, policy, g, reward_structure(params, policy), eta)
+    g_diff = g[:-1] - g[1:]
+    residual = _factor_residual(params, policy, g_diff, reward_structure(params, policy), eta)
     # The g(0)-direction vector (1, v(d_1) * inv(-reduced B) @ e_1) is the
     # all-ones vector identically: the reduced matrix maps ones to
     # v(d_1) * e_1 because all other row sums vanish.
@@ -80,7 +85,7 @@ def solve_poisson(params: SystemParams, policy: Policy, shift: float = 0.0) -> P
         residual=residual,
         eta=eta,
         offset_b=params.price + params.c_lost2 - params.penalty,
-        g_diff=g[:-1] - g[1:],
+        g_diff=g_diff,
     )
 
 

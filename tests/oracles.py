@@ -285,6 +285,52 @@ def reference_global_optimal(params: SystemParams) -> OptimizerResult:
         sort_perm=profile.sort_perm, oracle_confirmed=None, iterations=iterations)
 
 
+def _reference_h(z: np.ndarray) -> np.ndarray:
+    """1/expm1(z) - 1/z for z >= 0, by its series below z = 0.15."""
+    def series(z):
+        z2 = z * z
+        return -0.5 + z * (1 / 12 - z2 * (1 / 720 - z2 * (1 / 30240 - z2 / 1209600)))
+
+    big = np.maximum(z, 0.15)
+    h = 1.0 / np.expm1(np.minimum(big, 700.0)) - 1.0 / big
+    small = z < 0.15
+    h[small] = series(z[small])
+    return h
+
+
+def reference_segment_g(params: SystemParams, policy: Policy) -> np.ndarray:
+    """G(i) on i = K+2..N, entry by entry from the cut-flow identity, the
+    route the chain record took before its power table.
+
+    For each i, the weight sum, the offset-weighted sum and the top weight
+    of the segment that the identity sums, N - i + 1 states above i - 1 for
+    beta <= 1 and i - 1 - K states above K for beta > 1, come from expm1 of
+    the count times x = -|log beta| and from _reference_h, and give the
+    segment's reward sum; beta > 1 adds the cut at K+1 carried up by
+    beta**-(i-1-K).  eta and G(K+1) are the package's.
+    """
+    p = params
+    k, n = p.threshold, p.capacity
+    log_beta = math.log(p.lam / (p.mu1 + p.mu2))
+    x = -abs(log_beta)
+    eta = average_profit(p, policy)
+    cut = solve_poisson(p, policy).g_diff[k]
+    level = p.price * (p.mu1 + p.mu2) - p.c_buy * p.lam
+    r = np.arange(1.0, n - k)
+    counts = n - k - r if log_beta <= 0 else r
+    nx = counts * x
+    e0 = counts * 1.0 if x == 0.0 else np.expm1(nx) / math.expm1(x)
+    e1 = e0 * (_reference_h(np.array([-x]))[0] - counts * _reference_h(-nx))
+    if log_beta <= 0:
+        beta = math.exp(x)
+        w_sum, m_sum, top = beta * e0, beta * (e0 + e1), np.exp(nx)
+        reward = ((level - p.c_hold * (k + r)) * w_sum - p.c_hold * m_sum
+                  + (p.c_buy - p.c_opp) * p.lam * top)
+        return (eta * w_sum - reward) / p.lam
+    reward = (level - p.c_hold * k) * e0 - p.c_hold * (counts * e0 - e1)
+    return np.exp(-r * log_beta) * cut + (reward - eta * e0) / p.lam
+
+
 def gain_bounds(params: SystemParams, h: np.ndarray) -> tuple[float, float]:
     """Bounds Lam*min(Th - h) <= eta* <= Lam*max(Th - h) on the optimal gain
     from one Bellman step T at any h on states 0..N (MacQueen 1966; Odoni 1969).
@@ -306,6 +352,60 @@ def gain_bounds(params: SystemParams, h: np.ndarray) -> tuple[float, float]:
         steps.append((reward_structure(params, policy) + q_h) / lam_total)
     step = np.maximum(*steps)
     return lam_total * float(step.min()), lam_total * float(step.max())
+
+
+@dataclass(frozen=True)
+class ColdGain:
+    """A bracket lo <= eta* <= hi of the optimal gain after `sweeps` sweeps;
+    each bound is exact up to `rounding`.  `stalled` says that the width
+    stopped shrinking before it reached 2 * rounding."""
+
+    lo: float
+    hi: float
+    rounding: float
+    sweeps: int
+    stalled: bool
+
+
+def rvi_gain(params: SystemParams, max_sweeps: int = 200_000) -> ColdGain:
+    """The optimal gain by relative value iteration from h = 0, bracketed by
+    the MacQueen-Odoni bounds of `gain_bounds` at every sweep (MacQueen 1966;
+    Odoni 1969; Puterman 1994, 8.5).
+
+    It assumes no product form and no structure of the optimum.  A sweep
+    takes the Bellman step of the uniformised MDP, Lam (Th - h) = max_a
+    (f_a + Q_a h) with actions serve or withhold on 1..K, and moves h to
+    Th - (Th)(0).  Each entry of Lam (Th - h) rounds at most at
+    8 eps (max|f| + Lam max|h|): its differences of h, each within
+    2 max|h|, meet rates that sum to at most Lam, and the update of h
+    itself rounds at eps |h|, so below that floor a sweep cannot narrow the
+    bracket.  The iteration stops when the width reaches twice the floor,
+    or, checked every 2(N+1) sweeps, the time the bounds take to hear of
+    every state, when the width has not shrunk since the last check.
+    """
+    k, n = params.threshold, params.capacity
+    lam_total = params.lam + params.mu1 + params.mu2
+    actions = [(reward_structure(params, policy), service_rates(params, policy))
+               for policy in (Policy.all_zeros(k), Policy.all_ones(k))]
+    f_max = max(float(np.max(np.abs(f))) for f, _ in actions)
+    h = np.zeros(n + 1)
+    steps = np.empty((2, n + 1))
+    checked = math.inf
+    for sweep in range(1, max_sweeps + 1):
+        diff = np.diff(h)
+        for step, (f, v) in zip(steps, actions):
+            np.copyto(step, f)
+            step[:-1] += params.lam * diff
+            step[1:] -= v * diff
+        best = steps.max(axis=0)
+        lo, hi = float(best.min()), float(best.max())
+        rounding = 8 * np.finfo(float).eps * (f_max + lam_total * float(np.max(np.abs(h))))
+        stalled = sweep % (2 * (n + 1)) == 0 and hi - lo >= checked
+        if hi - lo <= 2 * rounding or stalled or sweep == max_sweeps:
+            return ColdGain(lo, hi, rounding, sweep, hi - lo > 2 * rounding)
+        if sweep % (2 * (n + 1)) == 0:
+            checked = hi - lo
+        h += (best - best[0]) / lam_total
 
 
 def threshold_margins(params: SystemParams, theta: int) -> dict[str, float]:

@@ -440,7 +440,7 @@ def test_kept_record_arrays_are_read_only(example1_params):
     record = chain_record(example1_params, Policy.all_ones(15))
     unshifted = solve_poisson(example1_params, Policy.all_ones(15)).g
     for array in (record.decisions, record.weights, record.base, record.cut_factors,
-                  record.rewards, record.pi, record.g, unshifted):
+                  record.rewards, record.powers, record.pi, record.g, unshifted):
         with pytest.raises(ValueError):
             array[0] = 0.0
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from stockrationing import (
     NonPositiveRate,
     Policy,
     PriorityViolation,
+    StockRationingError,
     SystemParams,
     brute_force_optimal,
     reward_structure,
@@ -224,6 +226,21 @@ class TestPolicy:
     def test_rejects_non_binary(self):
         with pytest.raises(Exception):
             Policy((0, 2))
+
+    @pytest.mark.parametrize("value", [1.0, np.int64(1), np.float64(0.0), True],
+                             ids=["float", "int64", "float64", "bool"])
+    def test_accepts_values_equal_to_zero_or_one(self, value):
+        pol = Policy((0, value, 1))
+        assert pol.decisions == (0, int(value), 1)
+        assert all(type(d) is int for d in pol.decisions)
+
+    @pytest.mark.parametrize("value", [2, 0.5, -1, "1", None, math.nan],
+                             ids=["two", "half", "minus-one", "string", "none", "nan"])
+    def test_rejects_any_other_value_with_a_typed_error(self, value):
+        decisions = (1, value, 0)
+        with pytest.raises(StockRationingError) as err:
+            Policy(decisions)
+        assert str(err.value) == f"decisions must be 0/1, got {decisions!r}"
 
     def test_flip_is_involution(self):
         pol = Policy((0, 1, 1, 0))

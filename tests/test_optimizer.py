@@ -32,7 +32,7 @@ from stockrationing.optimizer import EPS
 from stockrationing.sensitivity import SIGN_ZERO_BAND
 
 from conftest import counting, random_params, random_policy
-from oracles import gain_bounds, reference_global_optimal
+from oracles import gain_bounds, reference_global_optimal, rvi_gain
 
 
 class TestClassifyRegion:
@@ -538,3 +538,31 @@ def test_optimal_gain_lies_in_one_bellman_steps_bounds(p):
         1.0, float(np.max(np.abs(profile.num) + p.penalty * np.abs(profile.den))))
     assert lo - rounding <= res.eta <= hi + rounding
     assert hi - lo <= rounding + band
+
+
+@given(k=st.integers(1, 200), extra=st.integers(0, 199), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_optimal_gain_lies_in_the_cold_value_iteration_bracket(k, extra, seed):
+    # K <= N <= 200 in both drift regimes with |log beta| in [0.11, 2], so
+    # beta lies outside [0.9, 1.1], where value iteration from h = 0 takes
+    # a few thousand sweeps; K log(lam/mu1) stays below 650 nats, so no
+    # weight on 0..K flushes.  Each bound of the bracket is exact up to its
+    # rounding; below eta* by the zero band's largest wrong-signed margin, as
+    # in the one-step bounds above, the optimizer may keep a decision.  The
+    # width closes to twice the rounding floor, or stalls just above it: in
+    # 600 scratch draws at most 3.3 times the floor.
+    rng = np.random.default_rng(seed)
+    mu2 = min(math.exp(rng.uniform(-3.0, 3.0)), math.expm1(650.0 / k - 2.0))
+    lam = (1.0 + mu2) * math.exp(rng.choice([-1.0, 1.0]) * rng.uniform(0.11, 2.0))
+    c = rng.uniform(0.0, 10.0, 6)
+    penalty = 0.0 if rng.random() < 0.2 else math.exp(rng.uniform(-3.0, 5.0))
+    p = SystemParams(lam=lam, mu1=1.0, mu2=mu2, capacity=min(200, k + extra), threshold=k,
+                     c_hold=c[0], c_lost1=c[1], c_lost2=c[2], c_buy=c[3], c_opp=c[4],
+                     price=c[5], penalty=penalty)
+    cold = rvi_gain(p)
+    res = global_optimal(p)
+    profile = penalty_roots(p, res.policy)
+    band = p.mu2 * SIGN_ZERO_BAND * max(
+        1.0, float(np.max(np.abs(profile.num) + p.penalty * np.abs(profile.den))))
+    assert cold.lo - cold.rounding - band <= res.eta <= cold.hi + cold.rounding
+    assert cold.hi - cold.lo <= 8 * cold.rounding

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from stockrationing import (
     service_rates,
     stationary_distribution,
 )
-from stockrationing.chain import _compensated_cumsum
+from stockrationing.chain import SERIES_BAND, _compensated_cumsum, chain_record
 
 from conftest import dense_potential, random_params, random_policy
 from oracles import (
@@ -24,6 +25,7 @@ from oracles import (
     exact_chain,
     realization_factor_closed_form,
     realization_factors_recurrence,
+    reference_segment_g,
     single_flip_difference,
     solve_poisson_normalized,
 )
@@ -273,6 +275,63 @@ def test_compensated_prefix_sum_within_two_ulps_of_absolute_sum():
 
 
 EPS = float(np.finfo(float).eps)
+SEGMENT_N_MAX = 20_000
+
+
+@given(
+    side=st.sampled_from(["balanced", "in-band", "outside"]),
+    sign=st.sampled_from([-1, 1]),
+    k=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    bits=st.lists(st.integers(0, 1), min_size=40, max_size=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_segment_matches_per_entry_route_and_exact_rationals(side, sign, k, seed, bits):
+    # beta = 1 exactly, or e**(sign u) with u log-uniform on [1e-9, 5].  The
+    # entries with c |log beta| < SERIES_BAND, c the count the cut-flow
+    # identity sums, take the series; so N - K is drawn log-uniform at or
+    # below b = ceil(SERIES_BAND / u), where all of them do, or above it,
+    # u then being large enough that b < N - K <= 2e4 - K can hold.
+    rng = np.random.default_rng(seed)
+    m_max = SEGMENT_N_MAX - k
+    mu1, mu2 = rng.uniform(0.5, 5.0, 2)
+    lam, lo, hi = mu1 + mu2, 2, m_max
+    if side != "balanced":
+        u_min = 1e-9 if side == "in-band" else SERIES_BAND / (m_max - 2)
+        lam *= math.exp(sign * math.exp(rng.uniform(math.log(u_min), math.log(5.0))))
+        band = math.ceil(SERIES_BAND / abs(math.log(lam / (mu1 + mu2))))
+        lo, hi = (lo, min(max(band, lo), hi)) if side == "in-band" else (band + 1, hi)
+    m = min(hi, round(math.exp(rng.uniform(math.log(lo), math.log(hi + 0.5)))))
+    c = rng.uniform(0.0, 10.0, 7)
+    p = SystemParams(lam=float(lam), mu1=float(mu1), mu2=float(mu2), capacity=k + m, threshold=k,
+                     c_hold=c[0], c_lost1=c[1], c_lost2=c[2], c_buy=c[3], c_opp=c[4],
+                     price=c[5], penalty=c[6])
+    pol = Policy(tuple(bits[:k]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_poisson(p, pol)
+        pi = stationary_distribution(p, pol).pi
+        want = reference_segment_g(p, pol)
+    record = chain_record(p, pol)
+    # The head, bit for bit: pi on 0..K is the head weights on the chain's
+    # scale, and g on 0..K+1 is the running sum of the negated cut factors.
+    cut_b, cut_a = record.cut_factors
+    head_g = np.concatenate(([0.0], np.cumsum(-(cut_b - p.penalty * cut_a))))
+    np.testing.assert_array_equal(sol.g[: k + 2], head_g, strict=True)
+    np.testing.assert_array_equal(pi[: k + 1], record.weights * (record.scales[0] / record.parts[0]))
+    # Above K+1 against the per-entry route.  g's running sum rounds g(i) at
+    # eps |g(i)| <= eps N max|G|, so G read back off g carries up to about
+    # 4.4e-12 max|G| at N = 2e4; the two routes differ by ~1e-13 before it.
+    got = sol.g_diff
+    scale = float(np.max(np.abs(got)))
+    assert np.max(np.abs(got[k + 1 :] - want)) <= 1e-11 * scale
+    if p.capacity <= 40:
+        exact = exact_chain(p, pol.decisions)
+        g_b, g_a = np.array(exact.g_b, dtype=float), np.array(exact.g_a, dtype=float)
+        scale = 1 + np.max(np.abs(g_b)) + p.penalty * np.max(np.abs(g_a))
+        assert np.max(np.abs(got - (g_b - p.penalty * g_a))) <= 1e-12 * scale
+
+
 DRIFTS = (0.95, 1.0, 1.05)
 CAPACITIES = (1_000, 10_000, 100_000)
 def large_grid():
