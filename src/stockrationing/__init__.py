@@ -31,7 +31,7 @@ from .poisson import (
     realization_factors_from_potential,
     solve_poisson,
 )
-from .sensitivity import PenaltyProfile, classify_sign, penalty_roots
+from .sensitivity import classify_sign, penalty_roots
 from .optimizer import OptimizerResult, brute_force_optimal, global_optimal, restore_threshold
 from .staticpol import ThetaOutOfRange, optimal_static_threshold, static_profit_closed_form
 from .sim import SimEstimate, simulate

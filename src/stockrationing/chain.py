@@ -8,9 +8,9 @@ is solved once, in `chain_record`, in ratio form and in O(K): weights on
 states 0..K on a scale that cannot overflow, and closed-form sums for the
 segment, taken relative to its heavier end, so no weight overflows or
 underflows at any N.  The record gives the profit split eta = D - P*F, the
-realization factors behind the flip margins G(i) + b on 1..K, and, each
-computed once when first read, pi and the special potential g (g(0) = 0),
-in O(N) from one table of the segment's powers of beta.
+flip margins G(i) + b = num - P*den on 1..K with their penalty roots and
+signs, and, each computed once when first read, pi and the special potential
+g (g(0) = 0), in O(N) from one table of the segment's powers of beta.
 D and F need four sums over states 0..K; `ChainRecord.parts` turns them into
 the total weight and D's and F's numerators for each row of a stack
 (`average_profits`) or of the two half-stacks the exact oracle searches.
@@ -42,6 +42,8 @@ from .model import (
 SERIES_BAND = 0.15
 TINY = 2.2250738585072014e-308     # the smallest normal float64
 BRUTE_FORCE_TIE_BAND = 1e-12
+DEGENERATE_COEF_TOL = 1e-12
+SIGN_ZERO_BAND = 1e-9
 
 
 class NumericalOverflow(StockRationingError):
@@ -103,8 +105,7 @@ class ChainRecord:
         np.multiply(d[..., None, :], np.array(_serve_gain(self.params))[:, None],
                     out=rewards[..., 1:])
         rewards[..., 0, :] += self.base
-        rewards.setflags(write=False)
-        return rewards
+        return _read_only(rewards)
 
     def _mean(self, part: int):
         mean = self.parts[part] / self.parts[0]
@@ -129,9 +130,7 @@ class ChainRecord:
         """Q[t] = q**t for t = 0..N-K, q = min(beta, 1/beta): the segment's
         weights relative to its heavier end, which pi and g read.  Read-only."""
         p = self.params
-        powers = _exp(-abs(_log_beta(p)) * np.arange(p.capacity - p.threshold + 1.0))
-        powers.setflags(write=False)
-        return powers
+        return _read_only(_exp(-abs(_log_beta(p)) * np.arange(p.capacity - p.threshold + 1.0)))
 
     @cached_property
     def pi(self) -> np.ndarray:
@@ -143,8 +142,7 @@ class ChainRecord:
         pi[: k + 1] = self.weights * (self.scales[0] / self.parts[0])
         powers = self.powers[-2::-1] if _log_beta(p) > 0 else self.powers[1:]
         np.multiply(powers, math.exp(self.scales[2]) / self.parts[0], out=pi[k + 1 :])
-        pi.setflags(write=False)
-        return pi
+        return _read_only(pi)
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -208,8 +206,7 @@ class ChainRecord:
                     sums = _tail_sums(p, r[:band])
                     seg[:band] += (eta * sums[0] - _segment_reward(p, k, sums, False)) / p.lam
         np.cumsum(steps, out=steps)
-        g.setflags(write=False)
-        return g
+        return _read_only(g)
 
     def check_cuts(self, row) -> None:
         """NumericalOverflow if a cut of chain `row` (() if one) divides by a flushed weight."""
@@ -267,9 +264,51 @@ class ChainRecord:
         runs = _compensated_cumsum(np.concatenate((dev[..., :-1], dev[..., :0:-1]), axis=-2))
         cut = np.where(mass <= 0.5 * (mass[..., -1:] + tail_mass),
                        runs[..., :2, :], -runs[..., 2:, ::-1])
-        cut = cut[..., : w_cut.shape[-1]] / (p.lam * w_cut[..., None, :])
-        cut.setflags(write=False)
-        return cut
+        return _read_only(cut[..., : w_cut.shape[-1]] / (p.lam * w_cut[..., None, :]))
+
+    @cached_property
+    def num(self) -> np.ndarray:
+        """R + c_lost2 + G_B on positions 1..K, (K,) or (m, K): the flip margin
+        G(i) + b is num - P*den, with den = 1 + G_A.  Read-only."""
+        p = self.params
+        return _read_only((p.price + p.c_lost2) + self.cut_factors[..., 0, : p.threshold])
+
+    @cached_property
+    def den(self) -> np.ndarray:
+        """1 + G_A on positions 1..K, the margins' P-coefficient.  Read-only."""
+        return _read_only(1.0 + self.cut_factors[..., 1, : self.params.threshold])
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """The penalty costs num/den at which the margins vanish; where den
+        does, an infinite root with num's sign.  Read-only."""
+        num, den = self.num, self.den
+        degenerate = np.abs(den) <= DEGENERATE_COEF_TOL
+        return _read_only(np.where(degenerate, np.where(num >= 0, np.inf, -np.inf),
+                                   num / np.where(degenerate, 1.0, den)))
+
+    def signs(self, penalty: float) -> np.ndarray:
+        """Labels in {-1, 0, +1} of the margins at the given penalty; zero
+        inside the zero band SIGN_ZERO_BAND, or for a NaN."""
+        num, den = self.num, self.den
+        value = num - penalty * den
+        band = SIGN_ZERO_BAND * np.maximum(1.0, np.abs(num) + np.abs(penalty * den))
+        return np.where(value > band, 1, np.where(value < -band, -1, 0))
+
+    @cached_property
+    def sort_perm(self) -> tuple[int, ...]:
+        """A one-policy record's 1-based positions by ascending root, ties in
+        position order."""
+        return tuple((np.argsort(self.roots, kind="stable") + 1).tolist())
+
+    # A one-policy record's critical penalties: its largest root or zero, and its least.
+    p_high = property(lambda self: max(0.0, float(self.roots.max())))
+    p_low = property(lambda self: float(self.roots.min()))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _exp(z: np.ndarray) -> np.ndarray:

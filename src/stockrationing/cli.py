@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .chain import average_profit, profit_linear_form, stationary_distribution
 from .model import PARAM_JSON_KEYS, Policy, StockRationingError, SystemParams, reward_structure
-from .optimizer import global_optimal
+from .optimizer import ORACLE_MATCH_TOL, brute_force_optimal, global_optimal
 from .poisson import solve_poisson
 from .sensitivity import penalty_roots
 from .sim import simulate
@@ -47,8 +47,10 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}")
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"config {path} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}")
     if not isinstance(data, dict):
@@ -103,7 +105,7 @@ def _parse_grid(spec: str) -> list[float]:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 1:
                 raise UsageError(f"grid count must be >= 1, got {count}")
-            values = list(np.linspace(start, stop, count))
+            values = np.linspace(start, stop, count).tolist()
         else:
             values = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
@@ -117,8 +119,11 @@ def _parse_grid(spec: str) -> list[float]:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -192,13 +197,14 @@ def cmd_solve(args) -> int:
 def cmd_optimize(args) -> int:
     config = _load_config(args.config)
     params = _params_from_config(config, args.penalty)
-    result = global_optimal(params, check_oracle=args.oracle)
-    payload = result.to_json_dict()
-    payload["iterations"] = result.iterations
-    _emit_json(args, payload)
-    if result.oracle_confirmed is False:
-        return 1
-    return 0
+    result = global_optimal(params)
+    confirmed = None
+    if args.oracle:
+        eta = brute_force_optimal(params)[1]
+        confirmed = abs(eta - result.eta) <= ORACLE_MATCH_TOL * max(1.0, abs(eta))
+    _emit_json(args, {**result.to_json_dict(), "oracle_confirmed": confirmed,
+                      "iterations": result.iterations})
+    return 1 if confirmed is False else 0
 
 
 def _at(params: SystemParams, var: str, value: float) -> SystemParams:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .chain import TINY, ChainRecord, NumericalOverflow, _head_weights, _tie_floor, chain_record
 from .model import ENUMERATION_CAP, CapExceeded, Policy, SystemParams, _base_rewards
-from .sensitivity import _margins, _signs
 
 ORACLE_MATCH_TOL = 1e-9
 # brute_force_optimal: TINY lost to an underflow, over a denominator > e**-300; 128 KB of pairs
@@ -43,21 +42,14 @@ class OptimizerResult:
     region: str
     n0: int | None
     sort_perm: tuple[int, ...]
-    oracle_confirmed: bool | None
     iterations: int             # policy-improvement steps taken
 
     def to_json_dict(self) -> dict:
-        return {
-            "policy": self.policy.to_json_list(),
-            "eta": self.eta,
-            "region": self.region,
-            "n0": self.n0,
-            "sort_perm": list(self.sort_perm),
-            "oracle_confirmed": self.oracle_confirmed,
-        }
+        return {"policy": self.policy.to_json_list(), "eta": self.eta, "region": self.region,
+                "n0": self.n0, "sort_perm": list(self.sort_perm)}
 
 
-def global_optimal(params: SystemParams, check_oracle: bool = False) -> OptimizerResult:
+def global_optimal(params: SystemParams) -> OptimizerResult:
     """Optimal dynamic policy for the configured penalty cost, by policy iteration.
 
     The region is HighPenalty when P reaches p_high of the all-zeros
@@ -72,43 +64,34 @@ def global_optimal(params: SystemParams, check_oracle: bool = False) -> Optimize
     Markov Decision Processes, 1994, 8.6; Cao, Stochastic Learning and
     Optimization, 2007); its eta is D - P*F from the last policy's record.  The
     gate rows share one record, not kept, and only a gate row that is read
-    raises NumericalOverflow.  `check_oracle` cross-checks `brute_force_optimal`.
+    raises NumericalOverflow.
     """
     k, p = params.threshold, params.penalty
-    gates = chain_record(params, np.arange(2.0)[:, None].repeat(k, axis=1))
-
-    def gate(row):        # the all-zeros (0) or all-ones (1) row's margins, eta and decisions
-        gates.check_cuts(row)
-        return _margins(params, gates.cut_factors[row]), gates.eta(p)[row], gates.decisions[row]
-
-    region, ((num, den, roots), eta, decisions) = "HighPenalty", gate(0)
-    if p < max(0.0, float(roots.max())):
-        region, ones = "Middle", gate(1)
-        p_low = float(ones[0][2].min())
+    record = chain_record(params, np.arange(2.0)[:, None].repeat(k, axis=1))
+    region, row = "HighPenalty", 0      # the gates' all-zeros (0) or all-ones (1) row
+    record.check_cuts(0)
+    if p < max(0.0, float(record.roots[0].max())):
+        region = "Middle"
+        record.check_cuts(1)
+        p_low = float(record.roots[1].min())
         if p_low > 0 and p <= p_low:
-            region, ((num, den, roots), eta, decisions) = "LowPenalty", ones
+            region, row = "LowPenalty", 1
+    decisions, labels, eta = record.decisions[row], record.signs(p)[row], record.eta(p)[row]
 
     iterations = 0
     while True:
-        labels = _signs(num, den, p)
         improved = np.where(labels, labels > 0, decisions)
         if (improved == decisions).all():
             break
-        decisions, record = improved, chain_record(params, Policy(tuple(improved.tolist())))
-        (num, den, roots), eta = _margins(params, record.cut_factors), record.eta(p)
+        record = chain_record(params, Policy(tuple(improved.tolist())))
+        decisions, row, labels, eta = improved, (), record.signs(p), record.eta(p)
         iterations += 1
 
-    eta = float(eta)
-    oracle_confirmed: bool | None = None
-    if check_oracle:
-        _, bf_eta = brute_force_optimal(params)
-        oracle_confirmed = abs(bf_eta - eta) <= ORACLE_MATCH_TOL * max(1.0, abs(bf_eta))
-
+    roots = record.roots[row]           # row () is a one-policy record's whole array
     return OptimizerResult(
-        policy=Policy(tuple(decisions.tolist())), eta=eta, region=region,
+        policy=Policy(tuple(decisions.tolist())), eta=float(eta), region=region,
         n0=int(np.sum(roots < p)) if region == "Middle" else None,
-        sort_perm=tuple((np.argsort(roots, kind="stable") + 1).tolist()),
-        oracle_confirmed=oracle_confirmed, iterations=iterations)
+        sort_perm=tuple((np.argsort(roots, kind="stable") + 1).tolist()), iterations=iterations)
 
 
 def brute_force_optimal(params: SystemParams) -> tuple[Policy, float]:

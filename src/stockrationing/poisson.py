@@ -43,13 +43,9 @@ class PoissonSolution:
     g_diff: np.ndarray
 
 
-def _poisson_residual(params, policy, g, f, eta) -> float:
-    """max |(-B g) - (f - eta)| over states 0..N; f's buffer is overwritten."""
-    return _factor_residual(params, policy, g[:-1] - g[1:], f, eta)
-
-
 def _factor_residual(params, policy, g_diff, f, eta) -> float:
-    """The same from G = g_diff: row i is lam G(i+1) - v_i G(i) - (f_i - eta), negated in f."""
+    """max |(-B g) - (f - eta)| over states 0..N from G = g_diff: row i is
+    lam G(i+1) - v_i G(i) - (f_i - eta), negated in f's buffer, which is overwritten."""
     r = np.subtract(f, eta, out=f)
     r[:-1] -= params.lam * g_diff
     r[1:] += service_rates(params, policy) * g_diff

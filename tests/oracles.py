@@ -43,8 +43,8 @@ from stockrationing import (
     solve_poisson,
     stationary_distribution,
 )
-from stockrationing.poisson import _poisson_residual
-from stockrationing.sensitivity import SIGN_ZERO_BAND
+from stockrationing.chain import SIGN_ZERO_BAND
+from stockrationing.poisson import _factor_residual
 from stockrationing.sim import CHUNK, WARMUP_FRACTION, _replication_rng
 
 
@@ -169,14 +169,15 @@ def solve_poisson_normalized(params: SystemParams, policy: Policy) -> PoissonSol
         g = np.linalg.solve(a, f)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
-    residual = _poisson_residual(params, policy, g, f, eta)
+    g_diff = g[:-1] - g[1:]
+    residual = _factor_residual(params, policy, g_diff, f, eta)
     return PoissonSolution(
         g=g,
         shift=float(g[0]),
         residual=residual,
         eta=eta,
         offset_b=params.price + params.c_lost2 - params.penalty,
-        g_diff=g[:-1] - g[1:],
+        g_diff=g_diff,
     )
 
 
@@ -280,9 +281,9 @@ def reference_global_optimal(params: SystemParams) -> OptimizerResult:
         policy, profile = improved, penalty_roots(params, improved)
         iterations += 1
     return OptimizerResult(
-        policy=policy, eta=profile.form.eta(p), region=region,
+        policy=policy, eta=profile.eta(p), region=region,
         n0=int(np.sum(profile.roots < p)) if region == "Middle" else None,
-        sort_perm=profile.sort_perm, oracle_confirmed=None, iterations=iterations)
+        sort_perm=profile.sort_perm, iterations=iterations)
 
 
 def _reference_h(z: np.ndarray) -> np.ndarray:

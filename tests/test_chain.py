@@ -440,7 +440,8 @@ def test_kept_record_arrays_are_read_only(example1_params):
     record = chain_record(example1_params, Policy.all_ones(15))
     unshifted = solve_poisson(example1_params, Policy.all_ones(15)).g
     for array in (record.decisions, record.weights, record.base, record.cut_factors,
-                  record.rewards, record.powers, record.pi, record.g, unshifted):
+                  record.rewards, record.powers, record.pi, record.g, unshifted,
+                  record.num, record.den, record.roots):
         with pytest.raises(ValueError):
             array[0] = 0.0
 
@@ -551,8 +552,8 @@ def test_threads_sharing_the_record_slot_get_their_own_policy(example1_params):
 @pytest.mark.parametrize("log_weights", [False, True], ids=["ratio-weights", "log-weights"])
 def test_stack_rows_equal_their_one_policy_records(log_weights):
     # The stack's sums are batched dot products and its cut pass is the one
-    # the single records take, so every row's cuts and profit match its own
-    # record's bit for bit in either branch of _head_weights.  Log weights
+    # the single records take, so every row's cuts, margins, roots, signs and
+    # profit match its own record's bit for bit in either branch of _head_weights.  Log weights
     # need K log(lam/mu1) of at least 600 nats; 11 nats a state stays below
     # the 708 at which a weight flushes.
     rng = np.random.default_rng(21 + log_weights)
@@ -571,9 +572,13 @@ def test_stack_rows_equal_their_one_policy_records(log_weights):
         assert (chain._head_weights(p, rows)[1] is not None) == log_weights
         stack = chain_record(p, rows)
         etas = average_profits(p, rows)
-        for row, cuts, eta in zip(rows, stack.cut_factors, etas):
+        signs = stack.signs(p.penalty)
+        for i, (row, cuts, eta) in enumerate(zip(rows, stack.cut_factors, etas)):
             record = chain_record(p, Policy(tuple(row.tolist())))
             np.testing.assert_array_equal(cuts, record.cut_factors, strict=True)
+            for got, want in ((stack.num[i], record.num), (stack.den[i], record.den),
+                              (stack.roots[i], record.roots), (signs[i], record.signs(p.penalty))):
+                np.testing.assert_array_equal(got, want, strict=True)
             assert eta.hex() == average_profit(p, Policy(tuple(row.tolist()))).hex()
 
 

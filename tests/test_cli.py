@@ -2,11 +2,12 @@ import csv
 import io
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stockrationing import SystemParams, cli
+from stockrationing import Policy, SystemParams, cli
 from stockrationing.cli import main
 
 EX1 = {
@@ -108,6 +109,26 @@ class TestOptimize:
         assert report["region"] == "LowPenalty"
         assert report["oracle_confirmed"] is True
 
+    def test_report_key_order_without_oracle(self, config_path, capsys):
+        code, out, _ = run_cli(["optimize", "--config", config_path(SMALL)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert list(report) == ["policy", "eta", "region", "n0", "sort_perm",
+                                "oracle_confirmed", "iterations"]
+        assert report["oracle_confirmed"] is None
+
+    def test_oracle_mismatch_reports_false_and_exits_1(self, config_path, capsys, monkeypatch):
+        def off_by_one(params):
+            return Policy.all_ones(params.threshold), 6.0    # the optimum's eta is 5
+
+        monkeypatch.setattr(cli, "brute_force_optimal", off_by_one)
+        code, out, _ = run_cli(["optimize", "--config", config_path(SMALL), "--oracle"], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["eta"] == pytest.approx(5.0, abs=1e-9)
+        assert report["oracle_confirmed"] is False
+        assert list(report)[-2:] == ["oracle_confirmed", "iterations"]
+
     def test_high_penalty_region(self, config_path, capsys):
         cfg = dict(SMALL, params=dict(SMALL["params"], penalty_p=10))
         code, out, _ = run_cli(["optimize", "--config", config_path(cfg), "--oracle"], capsys)
@@ -145,6 +166,33 @@ class TestErrorMapping:
         )
         assert code == 2
         assert "grid" in err
+
+    @pytest.mark.parametrize("case", ["config-is-a-directory", "config-not-utf8",
+                                      "optimize-out-dir-missing", "reproduce-out-dir-missing"])
+    def test_unreadable_or_unwritable_path_is_usage_error(self, tmp_path, config_path, capsys,
+                                                          case):
+        missing = str(tmp_path / "missing" / "x.out")
+        if case == "config-is-a-directory":
+            path, argv = str(tmp_path), ["solve", "--config", str(tmp_path), "--policy", "ones"]
+        elif case == "config-not-utf8":
+            path = str(tmp_path / "latin1.json")
+            Path(path).write_bytes(json.dumps(SMALL).encode().replace(b"{", b"{\xff", 1))
+            argv = ["solve", "--config", path, "--policy", "ones"]
+        elif case == "optimize-out-dir-missing":
+            path, argv = missing, ["optimize", "--config", config_path(SMALL), "--out", missing]
+        else:
+            path, argv = missing, ["reproduce", "example3", "--out", missing]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert path in err and "Traceback" not in err
+
+    def test_grid_values_are_reported_as_plain_floats(self, config_path, capsys):
+        code, _, err = run_cli(
+            ["sweep", "--config", config_path(SMALL), "--var", "lambda",
+             "--grid", "0:2:3", "--policy", "ones"], capsys
+        )
+        assert code == 2
+        assert "got 0.0" in err and "np." not in err
 
     def test_malformed_policy_is_usage_error(self, config_path, capsys):
         code, _, err = run_cli(
