@@ -553,9 +553,9 @@ def test_threads_sharing_the_record_slot_get_their_own_policy(example1_params):
 def test_stack_rows_equal_their_one_policy_records(log_weights):
     # The stack's sums are batched dot products and its cut pass is the one
     # the single records take, so every row's cuts, margins, roots, signs and
-    # profit match its own record's bit for bit in either branch of _head_weights.  Log weights
-    # need K log(lam/mu1) of at least 600 nats; 11 nats a state stays below
-    # the 708 at which a weight flushes.
+    # profit match its own record's bit for bit in either branch of
+    # _head_weights.  Log weights need K log(lam/mu1) of at least 600 nats;
+    # 11 nats a state stays below the 708 at which a weight flushes.
     rng = np.random.default_rng(21 + log_weights)
     for _ in range(20):
         k = int(rng.integers(55, 61)) if log_weights else int(rng.integers(1, 61))

@@ -27,9 +27,8 @@ from stockrationing import (
     static_profit_closed_form,
 )
 from stockrationing import optimizer
-from stockrationing.chain import BRUTE_FORCE_TIE_BAND, _first_best, _head_weights
+from stockrationing.chain import BRUTE_FORCE_TIE_BAND, SIGN_ZERO_BAND, _first_best, _head_weights
 from stockrationing.optimizer import EPS
-from stockrationing.chain import SIGN_ZERO_BAND
 
 from conftest import counting, random_params, random_policy
 from oracles import gain_bounds, reference_global_optimal, rvi_gain
