@@ -10,8 +10,12 @@ computes it when first read.  The `solve` row times the four calls behind
 `profit_linear_form`, `solve_poisson` and `penalty_roots`.  The chain keeps the last policy's record; the kept record
 is dropped before each timed call, outside the timed interval, so that
 every cell times a solve and not a lookup.  The first four columns
-use example 1's supply rate, lam=3, so lam/(mu1+mu2) = 0.5; the last three
-take N=1e5 at lam/(mu1+mu2) = 0.8, 1 and 1.2.  A cell reads "raises" when
+use example 1's supply rate, lam=3, so lam/(mu1+mu2) = 0.5; the next three
+take N=1e5 at lam/(mu1+mu2) = 0.8, 1 and 1.2.  The last two take the shape
+of perfbench's large-n instances, N=3,162 at lam/(mu1+mu2) = 0.95 and 1.05:
+the only columns whose potential g has entries in the series band next to
+N or K (see `ChainRecord.g`), and where a record's fixed cost per call
+shows beside its O(N) work.  A cell reads "raises" when
 the call raises StockRationingError.  A line below the table gives the
 simulator's speed: events per second of `simulate` at example 1 (N=100,
 all-ones policy, horizon 2e4, 4 replications), best of 3, with the events
@@ -83,7 +87,7 @@ from stockrationing import (  # noqa: E402
 
 COLUMNS = [(0.5, n) for n in (100, 1_000, 10_000, 100_000)] + [
     (beta, 100_000) for beta in (0.8, 1.0, 1.2)
-]
+] + [(beta, 3_162) for beta in (0.95, 1.05)]
 REPEATS = 3
 # Untimed calls of each layer before the table.  After one, the first column
 # still read 25-45% above the next in a probe; after ten, about 5-10%.

@@ -9,8 +9,8 @@ states 0..K on a scale that cannot overflow, and closed-form sums for the
 segment, taken relative to its heavier end, so no weight overflows or
 underflows at any N.  The record gives the profit split eta = D - P*F, the
 flip margins G(i) + b = num - P*den on 1..K with their penalty roots and
-signs, and, each computed once when first read, pi and the special potential
-g (g(0) = 0), in O(N) from one table of the segment's powers of beta.
+signs, and, each computed once when first read, pi, the special potential
+g (g(0) = 0) and its Poisson residual, in O(N) from one table of beta's powers.
 D and F need four sums over states 0..K; `ChainRecord.parts` turns them into
 the total weight and D's and F's numerators for each row of a stack
 (`average_profits`) or of the two half-stacks the exact oracle searches.
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +47,18 @@ SIGN_ZERO_BAND = 1e-9
 
 class NumericalOverflow(StockRationingError):
     """The weights on states 0..K span more than float64's exponent range."""
+
+
+class _view:
+    """A record view: computed when first read and kept in the instance's
+    __dict__, which later reads find first.  functools.cached_property does
+    the same, but on Python 3.11 it takes a lock on every first read."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, record, owner=None):
+        return self if record is None else record.__dict__.setdefault(self.name, self.func(record))
 
 
 @dataclass(frozen=True)
@@ -76,20 +87,22 @@ class ChainRecord:
     weights: np.ndarray | None = None
     base: np.ndarray | None = None
 
-    @cached_property
+    @_view
     def tail(self) -> tuple:
+        # Weighted penalty-free reward R(mu1 + mu2) - c_hold j - c_buy lam, c_opp at N.
         p = self.params
-        sums = _tail_sums(p, p.capacity - p.threshold)
-        return sums, _segment_reward(p, p.threshold, sums, True)
+        w_sum, m_sum, top = sums = _tail_sums(p, p.capacity - p.threshold)
+        level = (p.price * (p.mu1 + p.mu2) - p.c_buy * p.lam) - p.c_hold * p.threshold
+        return sums, level * w_sum - p.c_hold * m_sum + (p.c_buy - p.c_opp) * p.lam * top
 
-    @cached_property
+    @_view
     def scales(self) -> tuple:
         p = self.params
         tail_log = self.head[3] + max((p.capacity - p.threshold) * _log_beta(p), 0.0)
         shift = np.maximum(tail_log, 0.0)
         return np.exp(-shift), np.exp(tail_log - shift), tail_log - shift, shift
 
-    @cached_property
+    @_view
     def parts(self) -> tuple:
         (w_sum, served, b_sum, _), (head_scale, tail_scale, *_) = self.head, self.scales
         gain_b, gain_a = _serve_gain(self.params)
@@ -97,7 +110,7 @@ class ChainRecord:
                 head_scale * (b_sum + gain_b * served) + tail_scale * self.tail[1],
                 head_scale * gain_a * served)
 
-    @cached_property
+    @_view
     def rewards(self) -> np.ndarray:
         """Rows B and A of f = B - P*A on states 0..K: (2, K+1), or (m, 2, K+1)."""
         d = self.decisions
@@ -111,12 +124,12 @@ class ChainRecord:
         mean = self.parts[part] / self.parts[0]
         return float(mean) if np.ndim(mean) == 0 else mean
 
-    @cached_property
+    @_view
     def d_coef(self):
         """D, the stationary mean of B: a float, or one entry per stack row."""
         return self._mean(1)
 
-    @cached_property
+    @_view
     def f_coef(self):
         """F, the stationary mean of A: a float, or one entry per stack row."""
         return self._mean(2)
@@ -125,14 +138,14 @@ class ChainRecord:
         """The average profit eta = D - P*F."""
         return self.d_coef - penalty * self.f_coef
 
-    @cached_property
+    @_view
     def powers(self) -> np.ndarray:
         """Q[t] = q**t for t = 0..N-K, q = min(beta, 1/beta): the segment's
         weights relative to its heavier end, which pi and g read.  Read-only."""
         p = self.params
         return _read_only(_exp(-abs(_log_beta(p)) * np.arange(p.capacity - p.threshold + 1.0)))
 
-    @cached_property
+    @_view
     def pi(self) -> np.ndarray:
         """pi on states 0..N of a one-policy record; above K, `powers` times one
         scalar, reversed when beta > 1.  Read-only."""
@@ -144,7 +157,7 @@ class ChainRecord:
         np.multiply(powers, math.exp(self.scales[2]) / self.parts[0], out=pi[k + 1 :])
         return _read_only(pi)
 
-    @cached_property
+    @_view
     def g(self) -> np.ndarray:
         """Special potential (first entry zero) of -B g = f - eta*e for a
         one-policy record and its own reward: the running sum of its steps
@@ -171,7 +184,9 @@ class ChainRecord:
         arithmetic, G = c (eta - L + c_hold (K + (M+r+1)/2))/lam - Delta.
         Where c |x| < SERIES_BAND, E loses more than that to rounding, so
         those entries, next to N for beta < 1 and next to K for beta > 1,
-        take `_tail_sums` and `_segment_reward`.
+        sum their states' deviations f_j - eta directly: weighted relative to
+        the band's heavier end, in one compensated running sum from the end
+        each entry's sum starts at, then carried to i - 1's scale.
         """
         p = self.params
         k, m = p.threshold, p.capacity - p.threshold
@@ -193,20 +208,43 @@ class ChainRecord:
                 seg += hold[::-1][:out] * power
                 seg *= w / p.lam
                 seg += delta * power
-                if band:
-                    sums = _tail_sums(p, m - r[out:])
-                    steps[k + 1 + out :] = (
-                        _segment_reward(p, k + r[out:], sums, True) - eta * sums[0]) / p.lam
+                if band:                 # states N-band+1..N, on N-band's scale
+                    dev = self.powers[1 : band + 1] * -(gap + p.c_hold * (k + 1 + r[out:]))
+                    dev[-1] += delta * p.lam * self.powers[band]
+                    steps[k + 1 + out :] = (_compensated_cumsum(dev[::-1])[::-1]
+                                            / (p.lam * self.powers[:band]))
             else:                        # beta > 1: the band starts it
                 seg, power = steps[k + 1 :], self.powers[1:m]
                 np.multiply(power, steps[k], out=seg)
                 seg[band:] += ((power[band:] - 1.0) * (gap + p.c_hold * (k - w))
                                - hold[band:]) / (eps * p.lam)
-                if band:
-                    sums = _tail_sums(p, r[:band])
-                    seg[:band] += (eta * sums[0] - _segment_reward(p, k, sums, False)) / p.lam
+                if band:                 # states K+1..K+band, on K+band's scale
+                    weights = self.powers[band - 1 :: -1]
+                    seg[:band] += (_compensated_cumsum(weights * (gap + p.c_hold * (k + r[:band])))
+                                   / (p.lam * weights))
         np.cumsum(steps, out=steps)
         return _read_only(g)
+
+    @_view
+    def g_diff(self) -> np.ndarray:
+        """G(i) = g(i-1) - g(i) on 1..N of a one-policy record, off `g`.  Read-only."""
+        return _read_only(self.g[:-1] - self.g[1:])
+
+    @_view
+    def residual(self) -> float:
+        """max |(-B g) - (f - eta)| over states 0..N of a one-policy record:
+        row i is lam G(i+1) - v_i G(i) - (f_i - eta), negated.  f is B - P*A
+        of `rewards` on 0..K and the segment's affine reward above, with
+        Delta lam at N; v is mu1 + mu2 d_i on 1..K and mu1 + mu2 above."""
+        p, g_diff, k = self.params, self.g_diff, self.params.threshold
+        r = _base_rewards(p, p.capacity)
+        np.subtract(self.rewards[0], p.penalty * self.rewards[1], out=r[: k + 1])
+        r[k + 1 :] += _serve_gain(p)[0]
+        r -= self.eta(p.penalty)
+        r[:-1] -= p.lam * g_diff
+        r[1 : k + 1] += (p.mu1 + p.mu2 * self.decisions) * g_diff[:k]
+        r[k + 1 :] += (p.mu1 + p.mu2) * g_diff[k:]
+        return float(np.abs(r, out=r).max())
 
     def check_cuts(self, row) -> None:
         """NumericalOverflow if a cut of chain `row` (() if one) divides by a flushed weight."""
@@ -216,7 +254,7 @@ class ChainRecord:
                 "weights on states 0..K span more than float64's range: "
                 f"{int(np.sum(w < TINY))} cuts would divide by a flushed weight")
 
-    @cached_property
+    @_view
     def cut_factors(self) -> np.ndarray:
         """Rows G_B and G_A of G(i) = g(i-1) - g(i) = G_B - P*G_A at positions
         1..min(K+1, N), (2, min(K+1, N)) for one policy and (m, 2, min(K+1, N))
@@ -266,24 +304,26 @@ class ChainRecord:
                        runs[..., :2, :], -runs[..., 2:, ::-1])
         return _read_only(cut[..., : w_cut.shape[-1]] / (p.lam * w_cut[..., None, :]))
 
-    @cached_property
+    @_view
     def num(self) -> np.ndarray:
         """R + c_lost2 + G_B on positions 1..K, (K,) or (m, K): the flip margin
         G(i) + b is num - P*den, with den = 1 + G_A.  Read-only."""
         p = self.params
         return _read_only((p.price + p.c_lost2) + self.cut_factors[..., 0, : p.threshold])
 
-    @cached_property
+    @_view
     def den(self) -> np.ndarray:
         """1 + G_A on positions 1..K, the margins' P-coefficient.  Read-only."""
         return _read_only(1.0 + self.cut_factors[..., 1, : self.params.threshold])
 
-    @cached_property
+    @_view
     def roots(self) -> np.ndarray:
         """The penalty costs num/den at which the margins vanish; where den
         does, an infinite root with num's sign.  Read-only."""
         num, den = self.num, self.den
         degenerate = np.abs(den) <= DEGENERATE_COEF_TOL
+        if not degenerate.any():
+            return _read_only(num / den)
         return _read_only(np.where(degenerate, np.where(num >= 0, np.inf, -np.inf),
                                    num / np.where(degenerate, 1.0, den)))
 
@@ -295,7 +335,7 @@ class ChainRecord:
         band = SIGN_ZERO_BAND * np.maximum(1.0, np.abs(num) + np.abs(penalty * den))
         return np.where(value > band, 1, np.where(value < -band, -1, 0))
 
-    @cached_property
+    @_view
     def sort_perm(self) -> tuple[int, ...]:
         """A one-policy record's 1-based positions by ascending root, ties in
         position order."""
@@ -312,7 +352,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _exp(z: np.ndarray) -> np.ndarray:
-    """exp(z), zero where it underflows; numpy's exp is slow on those."""
+    """exp(z), zero where it underflows; numpy's exp is slow on those, so
+    they are masked out when there are any."""
+    if z.min() > -746.0:
+        return np.exp(z)
     return np.exp(z, out=np.zeros(z.shape), where=z > -746.0)
 
 
@@ -325,16 +368,16 @@ def _log_beta(params: SystemParams) -> float:
     return _log_ratio(params.lam, params.mu1 + params.mu2)
 
 
-def _h(z):
+def _h(z: float) -> float:
     """1/expm1(z) - 1/z for z >= 0, by its series where the difference
-    cancels; an array's entries all lie there."""
-    if isinstance(z, float) and z >= SERIES_BAND:
+    cancels."""
+    if z >= SERIES_BAND:
         return 1.0 / math.expm1(min(z, 700.0)) - 1.0 / z
     z2 = z * z
     return -0.5 + z * (1 / 12 - z2 * (1 / 720 - z2 * (1 / 30240 - z2 / 1209600)))
 
 
-def _tail_sums(params: SystemParams, n):
+def _tail_sums(params: SystemParams, n: int) -> tuple:
     """Weight sum, offset-weighted sum and top weight of n states above a base.
 
     Above K every state serves both classes, so along a segment of n states
@@ -345,29 +388,16 @@ def _tail_sums(params: SystemParams, n):
     sum of q**t over t < n is expm1(n x) / expm1(x), and the mean of t
     under those weights is h(-x) - n h(-n x) for h(z) = 1/expm1(z) - 1/z,
     which never cancels; near beta = 1, where h itself would, its series
-    takes over.  `n` is a count, or an array of counts inside that band.
+    takes over.
     """
-    x, lib = -abs(_log_beta(params)), math if isinstance(n, int) else np
+    x = -abs(_log_beta(params))
     nx = n * x
-    e0 = n * 1.0 if x == 0.0 else lib.expm1(nx) / math.expm1(x)
+    e0 = n * 1.0 if x == 0.0 else math.expm1(nx) / math.expm1(x)
     e1 = e0 * (_h(-x) - n * _h(-nx))
     if _log_beta(params) > 0:
         return e0, n * e0 - e1, (n > 0) * 1.0
     beta = math.exp(x)
-    return beta * e0, beta * (e0 + e1), lib.exp(nx) * (n > 0)
-
-
-def _segment_reward(params: SystemParams, base, sums, reaches_top: bool):
-    """Weighted penalty-free reward of a segment above `base` from its _tail_sums.
-
-    The reward at offset m is R(mu1 + mu2) - c_hold (base + m) - c_buy lam,
-    and the top state N, if the segment reaches it, swaps c_buy for c_opp.
-    """
-    p = params
-    w_sum, m_sum, top = sums
-    level = (p.price * (p.mu1 + p.mu2) - p.c_buy * p.lam) - p.c_hold * base
-    total = level * w_sum - p.c_hold * m_sum
-    return total + (p.c_buy - p.c_opp) * p.lam * top if reaches_top else total
+    return beta * e0, beta * (e0 + e1), math.exp(nx) * (n > 0)
 
 
 def _head_weights(p: SystemParams, d: np.ndarray) -> tuple:

@@ -408,9 +408,10 @@ def reproduce(target: str) -> tuple[bool, list[str], list[str], list[tuple]]:
 
 def cmd_reproduce(args) -> int:
     ok, lines, header, rows = reproduce(args.target)
-    print("\n".join(lines))
+    # The CSV first, so a run that cannot write it prints no verdicts.
     if args.out:
         _emit_csv(args, header, rows)
+    print("\n".join(lines))
     return 0 if ok else 1
 
 

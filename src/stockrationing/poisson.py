@@ -9,9 +9,10 @@ G(i) = g(i-1) - g(i) are what every downstream formula consumes, and they
 are invariant to the shift, so they are read off the special solution.
 
 The policy's chain record solves for g (`ChainRecord.g`) in the
-cut-flow form of the equation.  The tests check it against a dense solve,
-the forward recurrence read off the equation rows and that recurrence's
-unrolled sum.
+cut-flow form of the equation, and reads G and the equation's residual off
+it (`ChainRecord.g_diff`, `ChainRecord.residual`).  The tests check it
+against a dense solve, the forward recurrence read off the equation rows
+and that recurrence's unrolled sum.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InvalidParameter, Policy, SystemParams, reward_structure, service_rates
+from .model import InvalidParameter, Policy, SystemParams
 from .chain import ChainRecord, chain_record
 
 
@@ -43,15 +44,6 @@ class PoissonSolution:
     g_diff: np.ndarray
 
 
-def _factor_residual(params, policy, g_diff, f, eta) -> float:
-    """max |(-B g) - (f - eta)| over states 0..N from G = g_diff: row i is
-    lam G(i+1) - v_i G(i) - (f_i - eta), negated in f's buffer, which is overwritten."""
-    r = np.subtract(f, eta, out=f)
-    r[:-1] -= params.lam * g_diff
-    r[1:] += service_rates(params, policy) * g_diff
-    return float(np.abs(r, out=r).max())
-
-
 def potential_for_reward(record: ChainRecord) -> np.ndarray:
     """The record's special potential (g(0) = 0): `ChainRecord.g`."""
     return record.g
@@ -68,20 +60,17 @@ def solve_poisson(params: SystemParams, policy: Policy, shift: float = 0.0) -> P
     if not math.isfinite(shift):
         raise InvalidParameter(f"shift must be finite, got {shift!r}")
     record = chain_record(params, policy)
-    eta = record.eta(params.penalty)
     g = potential_for_reward(record)
-    g_diff = g[:-1] - g[1:]
-    residual = _factor_residual(params, policy, g_diff, reward_structure(params, policy), eta)
     # The g(0)-direction vector (1, v(d_1) * inv(-reduced B) @ e_1) is the
     # all-ones vector identically: the reduced matrix maps ones to
     # v(d_1) * e_1 because all other row sums vanish.
     return PoissonSolution(
         g=g + shift if shift != 0.0 else g,
         shift=shift,
-        residual=residual,
-        eta=eta,
+        residual=record.residual,
+        eta=record.eta(params.penalty),
         offset_b=params.price + params.c_lost2 - params.penalty,
-        g_diff=g_diff,
+        g_diff=record.g_diff,
     )
 
 

@@ -14,7 +14,9 @@ nothing overflows or underflows at any N, the reward split f = B - P*A, and
 the flip-margin coefficients G(i) + b = num - P*den on positions 1..K from
 the cut-flow identity, each cut summed exactly from the end with less mass.
 `reference_profit` gives eta by the exact route up to N = 40 and from the
-log weights above.  `reference_global_optimal` is policy iteration built on
+log weights above.  `factor_residual` takes the Poisson residual with f and
+the service rates rebuilt on 0..N from the public `reward_structure` and
+`service_rates`, the independent check of the record's residual view.  `reference_global_optimal` is policy iteration built on
 the public `penalty_roots`, one profile per gate and per step, and
 `gain_bounds` brackets the optimal gain by one Bellman step of the
 uniformised MDP.  `reference_simulate` walks the simulator's jump chain
@@ -44,7 +46,6 @@ from stockrationing import (
     stationary_distribution,
 )
 from stockrationing.chain import SIGN_ZERO_BAND
-from stockrationing.poisson import _factor_residual
 from stockrationing.sim import CHUNK, WARMUP_FRACTION, _replication_rng
 
 
@@ -143,6 +144,17 @@ def dense_generator(params: SystemParams, policy: Policy) -> np.ndarray:
     return np.diag(-rate) + np.diag(service_rates(params, policy), -1) + np.diag(up[:-1], 1)
 
 
+def factor_residual(params, policy, g_diff, f, eta) -> float:
+    """max |(-B g) - (f - eta)| over states 0..N from G = g_diff, f being the
+    policy's `reward_structure` and v its `service_rates`, both rebuilt on
+    0..N: row i is lam G(i+1) - v_i G(i) - (f_i - eta), negated in f's
+    buffer, which is overwritten."""
+    r = np.subtract(f, eta, out=f)
+    r[:-1] -= params.lam * g_diff
+    r[1:] += service_rates(params, policy) * g_diff
+    return float(np.abs(r, out=r).max())
+
+
 class SingularSystem(StockRationingError):
     pass
 
@@ -170,7 +182,7 @@ def solve_poisson_normalized(params: SystemParams, policy: Policy) -> PoissonSol
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
     g_diff = g[:-1] - g[1:]
-    residual = _factor_residual(params, policy, g_diff, f, eta)
+    residual = factor_residual(params, policy, g_diff, f, eta)
     return PoissonSolution(
         g=g,
         shift=float(g[0]),

@@ -1,6 +1,9 @@
+import dataclasses
+import importlib
 import math
 import warnings
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,9 +444,34 @@ def test_kept_record_arrays_are_read_only(example1_params):
     unshifted = solve_poisson(example1_params, Policy.all_ones(15)).g
     for array in (record.decisions, record.weights, record.base, record.cut_factors,
                   record.rewards, record.powers, record.pi, record.g, unshifted,
-                  record.num, record.den, record.roots):
+                  record.g_diff, record.num, record.den, record.roots):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_record_views_are_kept_on_first_read_and_stay_read_only(example1_params, monkeypatch):
+    # A view is computed on its first read and kept in the record's __dict__,
+    # where every later read finds the same object; the frozen record still
+    # refuses assignment to it.
+    record = chain_record(example1_params, Policy.all_ones(15))
+    views = [name for name, value in vars(chain.ChainRecord).items()
+             if isinstance(value, chain._view)]
+    assert {"tail", "pi", "g", "g_diff", "residual", "cut_factors", "roots"} <= set(views)
+    assert not set(views) & set(vars(record))
+    for name in views:
+        first = getattr(record, name)
+        assert vars(record)[name] is first and getattr(record, name) is first
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, first)
+    # perfbench's span tracer wraps the public functions of each layer
+    # module; the private descriptor and the views it holds are none of them.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+    for layer in tracing.LAYERS:
+        importlib.import_module(f"stockrationing.{layer}")
+    traced = {fn for _, fn in tracing._public_functions()}
+    assert chain.chain_record in traced and chain._view not in traced
+    assert not traced & {getattr(chain.ChainRecord, name).func for name in views}
 
 
 @pytest.mark.parametrize("lam, mu, state", [(1e-300, 1e300, 0), (1e300, 1e-300, -1)],

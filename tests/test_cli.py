@@ -182,9 +182,11 @@ class TestErrorMapping:
             path, argv = missing, ["optimize", "--config", config_path(SMALL), "--out", missing]
         else:
             path, argv = missing, ["reproduce", "example3", "--out", missing]
-        code, _, err = run_cli(argv, capsys)
+        code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert path in err and "Traceback" not in err
+        if case == "reproduce-out-dir-missing":
+            assert out == ""    # no verdicts from a run whose CSV was not written
 
     def test_grid_values_are_reported_as_plain_floats(self, config_path, capsys):
         code, _, err = run_cli(

@@ -13,6 +13,7 @@ from stockrationing import (
     SystemParams,
     average_profit,
     realization_factors_from_potential,
+    reward_structure,
     solve_poisson,
     service_rates,
     stationary_distribution,
@@ -23,6 +24,7 @@ from conftest import dense_potential, random_params, random_policy
 from oracles import (
     InconsistentTermination,
     exact_chain,
+    factor_residual,
     realization_factor_closed_form,
     realization_factors_recurrence,
     reference_segment_g,
@@ -272,6 +274,31 @@ def test_compensated_prefix_sum_within_two_ulps_of_absolute_sum():
         assert exact[j - 1] == math.fsum(a[:j].tolist())
     err = np.abs(_compensated_cumsum(a) - exact)
     assert np.all(err <= 2 * np.spacing(np.cumsum(np.abs(a))))
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0], ids=["down-drift", "balanced", "up-drift"])
+@pytest.mark.parametrize("extra", [0, 1, 40, 3_000], ids=["N=K", "N=K+1", "N=K+40", "N=K+3000"])
+def test_residual_view_equals_the_rebuilt_o_n_route_bit_for_bit(beta, extra):
+    # The record's residual reads f on 0..K from its rewards, f above K from
+    # the segment's affine reward and v from its decisions; the oracle
+    # rebuilds f and v on 0..N from reward_structure and service_rates.
+    # Both take the same float operations, so the same bits, and a shift of
+    # 1e20, which rounds g's entries to multiples of 2**14, moves neither.
+    rng = np.random.default_rng(round(100 * beta) + extra)
+    for _ in range(4):
+        k = int(rng.integers(1, 16))
+        mu1, mu2 = rng.uniform(0.5, 5.0, 2)
+        c = rng.uniform(0.0, 10.0, 7)
+        p = SystemParams(lam=beta * (mu1 + mu2), mu1=mu1, mu2=mu2, capacity=k + extra,
+                         threshold=k, c_hold=c[0], c_lost1=c[1], c_lost2=c[2], c_buy=c[3],
+                         c_opp=c[4], price=c[5], penalty=c[6])
+        pol = random_policy(rng, k)
+        sol = solve_poisson(p, pol)
+        want = factor_residual(p, pol, sol.g_diff, reward_structure(p, pol), sol.eta)
+        assert sol.residual == want and chain_record(p, pol).residual == want
+        moved = solve_poisson(p, pol, shift=1e20)
+        assert moved.residual == want
+        np.testing.assert_array_equal(moved.g_diff, sol.g_diff, strict=True)
 
 
 EPS = float(np.finfo(float).eps)
