@@ -5,9 +5,9 @@ Each cell is the best of 3 wall-clock timings (time.perf_counter) of one
 call at example-1 service rates (mu1=4, mu2=2) and costs, K=15, P=5; the
 layers that take a policy use the all-ones policy.  The `profit_linear_form`
 row reads the split's eta inside the timed call, because a chain record
-computes it when first read.  The `solve` row times the four calls behind
-`stockrationing solve` on that policy as one: `stationary_distribution`,
-`profit_linear_form`, `solve_poisson` and `penalty_roots`.  The chain keeps the last policy's record; the kept record
+computes it when first read.  The `solve` row times perfbench's solve op
+on that policy as one: `stationary_distribution`, `profit_linear_form`,
+`solve_poisson` and `penalty_roots` (its fifth call returns its argument).  The chain keeps the last policy's record; the kept record
 is dropped before each timed call, outside the timed interval, so that
 every cell times a solve and not a lookup.  The first four columns
 use example 1's supply rate, lam=3, so lam/(mu1+mu2) = 0.5; the next three

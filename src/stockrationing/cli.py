@@ -1,10 +1,12 @@
 """Command-line front end: solve, optimize, sweep, simulate, reproduce.
 
-Configuration comes from a JSON file (--config) holding the system
-parameters under "params" (or as the whole object) plus optional
+Every command but reproduce needs a JSON file (--config) holding the
+system parameters under "params" (or as the whole object) plus optional
 command-specific entries; command-line flags override the file.  All
-outputs are deterministic given the config and seed.  Exit status is 0 on
-success, 1 when a requested check fails, 2 on usage or parse errors.
+outputs are deterministic given the config and seed.  JSON has no
+infinities, so solve writes an infinite penalty root, p_low or p_high as
+the string "inf" or "-inf".  Exit status is 0 on success, 1 when a
+requested check fails, 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -41,9 +43,7 @@ def _load_fixture(name: str) -> dict:
     return json.loads(FIXTURES.joinpath(f"{name}.json").read_text())
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -129,47 +129,34 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2, default=_json_default) + "\n")
+    _emit(args, json.dumps(payload, indent=2, default=np.ndarray.tolist, allow_nan=False) + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _json_float(x: float) -> float | str:
+    """x, or the string "inf" or "-inf" where it is infinite."""
+    return str(x) if math.isinf(x) else x
 
 
-def _emit_csv(args, header: list[str], rows: list[tuple]) -> None:
+def _emit_csv(args, header: list[str], rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
+    writer.writerows(rows)
     _emit(args, buf.getvalue())
 
 
 def cmd_solve(args) -> int:
     params, policy = _load_inputs(args)
-    record = stationary_distribution(params, policy)
+    record = penalty_roots(params, policy)
     sol = solve_poisson(params, policy, shift=args.shift)
-    profile = penalty_roots(params, policy)
     if args.format == "csv":
-        header = ["state", "pi", "g", "g_diff", "penalty_root", "sorted_rank"]
-        rank = {pos: j + 1 for j, pos in enumerate(profile.sort_perm)}
-        rows = []
-        for i in range(params.capacity + 1):
-            rows.append(
-                (
-                    i,
-                    float(record.pi[i]),
-                    float(sol.g[i]),
-                    float(sol.g_diff[i - 1]) if i >= 1 else "",
-                    float(profile.roots[i - 1]) if 1 <= i <= params.threshold else "",
-                    rank.get(i, "") if 1 <= i <= params.threshold else "",
-                )
-            )
-        _emit_csv(args, header, rows)
+        # States 0..N; g_diff starts at 1, and the roots and their ranks fill 1..K.
+        pad = [""] * (params.capacity - params.threshold)
+        rank = np.argsort(record.sort_perm) + 1
+        _emit_csv(args, ["state", "pi", "g", "g_diff", "penalty_root", "sorted_rank"],
+                  zip(range(params.capacity + 1), record.pi.tolist(), sol.g.tolist(),
+                      ["", *sol.g_diff.tolist()], ["", *record.roots.tolist(), *pad],
+                      ["", *rank.tolist(), *pad]))
     else:
         _emit_json(
             args,
@@ -185,10 +172,10 @@ def cmd_solve(args) -> int:
                 "poisson_residual": sol.residual,
                 "g_diff": sol.g_diff,
                 "offset_b": sol.offset_b,
-                "penalty_roots": profile.roots,
-                "p_low": profile.p_low,
-                "p_high": profile.p_high,
-                "sort_perm": list(profile.sort_perm),
+                "penalty_roots": [_json_float(root) for root in record.roots.tolist()],
+                "p_low": _json_float(record.p_low),
+                "p_high": _json_float(record.p_high),
+                "sort_perm": record.sort_perm,
             },
         )
     return 0
@@ -245,18 +232,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     params, policy = _load_inputs(args)
-    estimate = simulate(
-        params,
-        policy,
-        horizon=args.horizon,
-        replications=args.replications,
-        seed=args.seed,
-    )
+    estimate = simulate(params, policy, horizon=args.horizon,
+                        replications=args.replications, seed=args.seed)
     eta = average_profit(params, policy)
     z = (estimate.eta_hat - eta) / estimate.std_err if estimate.std_err > 0 else 0.0
     if args.format == "csv":
-        rows = [(rep, float(v)) for rep, v in enumerate(estimate.rep_estimates)]
-        _emit_csv(args, ["rep", "eta_hat_rep"], rows)
+        _emit_csv(args, ["rep", "eta_hat_rep"], enumerate(estimate.rep_estimates.tolist()))
     else:
         _emit_json(
             args,
@@ -428,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Every command that loads a config shares these; the rest are declared
     # only on the commands that read them.
     loaded = argparse.ArgumentParser(add_help=False)
-    loaded.add_argument("--config", help="JSON config with params and options")
+    loaded.add_argument("--config", required=True, help="JSON config with params and options")
     loaded.add_argument("--out", help="write output to this path instead of stdout")
     loaded.add_argument("--penalty", type=float, default=None, help="override penalty cost")
     policy_help = '"zeros", "ones", comma list or JSON array'

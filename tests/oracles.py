@@ -394,7 +394,10 @@ def rvi_gain(params: SystemParams, max_sweeps: int = 200_000) -> ColdGain:
     itself rounds at eps |h|, so below that floor a sweep cannot narrow the
     bracket.  The iteration stops when the width reaches twice the floor,
     or, checked every 2(N+1) sweeps, the time the bounds take to hear of
-    every state, when the width has not shrunk since the last check.
+    every state, when the width has not shrunk since the last check and is
+    within 8 times the floor.  Far above the floor, a width that holds still
+    is a plateau the iteration leaves later: at K = N = 67 one stays 0.75
+    wide from about sweep 1,000 to 20,000 and closes by sweep 50,000.
     """
     k, n = params.threshold, params.capacity
     lam_total = params.lam + params.mu1 + params.mu2
@@ -413,7 +416,7 @@ def rvi_gain(params: SystemParams, max_sweeps: int = 200_000) -> ColdGain:
         best = steps.max(axis=0)
         lo, hi = float(best.min()), float(best.max())
         rounding = 8 * np.finfo(float).eps * (f_max + lam_total * float(np.max(np.abs(h))))
-        stalled = sweep % (2 * (n + 1)) == 0 and hi - lo >= checked
+        stalled = sweep % (2 * (n + 1)) == 0 and checked <= hi - lo <= 8 * rounding
         if hi - lo <= 2 * rounding or stalled or sweep == max_sweeps:
             return ColdGain(lo, hi, rounding, sweep, hi - lo > 2 * rounding)
         if sweep % (2 * (n + 1)) == 0:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockrationing import (
+    LengthMismatch,
     Policy,
     StockRationingError,
     SystemParams,
@@ -575,6 +576,14 @@ def test_threads_sharing_the_record_slot_get_their_own_policy(example1_params):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 4), (2, 2), (1, 2, 3)])
+def test_stack_of_the_wrong_shape_is_a_length_mismatch(example1_params, shape):
+    # K = 3: a stack needs shape (m, 3), and a bare row must be a Policy.
+    p = dataclasses.replace(example1_params, capacity=5, threshold=3)
+    with pytest.raises(LengthMismatch, match=rf"shape \({', '.join(map(str, shape))},?\)"):
+        chain_record(p, np.zeros(shape, dtype=int))
 
 
 @pytest.mark.parametrize("log_weights", [False, True], ids=["ratio-weights", "log-weights"])

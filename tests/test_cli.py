@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stockrationing import Policy, SystemParams, cli
+from stockrationing import Policy, SystemParams, cli, penalty_roots, solve_poisson
 from stockrationing.cli import main
 
 EX1 = {
@@ -15,6 +15,16 @@ EX1 = {
         "lambda": 3, "mu1": 4, "mu2": 2, "capacity_n": 100, "threshold_k": 15,
         "c_hold": 1, "c_lost1": 4, "c_lost2": 1, "c_buy": 5, "c_opp": 1,
         "price_r": 15, "penalty_p": 10,
+    }
+}
+
+# mu2 = 1e13 makes both coefficients of the margin at state 3 of policy
+# (0, 0, 1) about 1e-13, so its root and p_high are +inf.
+DEGENERATE = {
+    "params": {
+        "lambda": 2, "mu1": 1, "mu2": 1e13, "capacity_n": 5, "threshold_k": 3,
+        "c_hold": 1, "c_lost1": 4, "c_lost2": 1, "c_buy": 5, "c_opp": 1,
+        "price_r": 15, "penalty_p": 2,
     }
 }
 
@@ -94,6 +104,38 @@ class TestSolve:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["state", "pi", "g", "g_diff", "penalty_root", "sorted_rank"]
         assert len(rows) == 4
+
+    def test_csv_columns_are_the_record_columns(self, config_path, capsys):
+        cfg = dict(EX1, params=dict(EX1["params"], capacity_n=40, threshold_k=12))
+        # sort_perm ends (..., 12, 10, 11), a 3-cycle, so it is not its own inverse
+        policy = Policy((0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1))
+        code, out, _ = run_cli(["solve", "--config", config_path(cfg), "--format", "csv",
+                                "--policy", "0,1,1,0,0,1,0,1,1,0,0,1"], capsys)
+        assert code == 0
+        params = SystemParams.from_json_dict(cfg["params"])
+        record, sol = penalty_roots(params, policy), solve_poisson(params, policy)
+        state, pi, g, g_diff, root, rank = zip(*list(csv.reader(io.StringIO(out)))[1:])
+        assert state == tuple(str(i) for i in range(41))
+        assert [float(x) for x in pi] == record.pi.tolist()
+        assert [float(x) for x in g] == sol.g.tolist()
+        assert [float(x) for x in g_diff[1:]] == sol.g_diff.tolist()
+        assert [float(x) for x in root[1:13]] == record.roots.tolist()
+        # sorted_rank inverts sort_perm: position sort_perm[j] has rank j + 1
+        assert [int(rank[pos]) for pos in record.sort_perm] == list(range(1, 13))
+        assert {g_diff[0], root[0], rank[0], *root[13:], *rank[13:]} == {""}
+
+    def test_infinite_values_are_json_strings(self, config_path, capsys):
+        def no_constants(name):
+            raise AssertionError(f"bare {name} in JSON output")
+
+        args = ["solve", "--config", config_path(DEGENERATE), "--policy", "0,0,1"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        report = json.loads(out, parse_constant=no_constants)
+        assert report["penalty_roots"][2] == "inf" and report["p_high"] == "inf"
+        assert all(isinstance(x, float) for x in report["penalty_roots"][:2] + report["pi"])
+        code, out, _ = run_cli(args + ["--format", "csv"], capsys)
+        assert (code, out.splitlines()[4].split(",")[4:]) == (0, ["inf", "3"])
 
 
 class TestOptimize:
@@ -187,6 +229,33 @@ class TestErrorMapping:
         assert path in err and "Traceback" not in err
         if case == "reproduce-out-dir-missing":
             assert out == ""    # no verdicts from a run whose CSV was not written
+
+    @pytest.mark.parametrize("grid, message", [
+        ("1:2", "start:stop:count"), ("1:2:0", "count must be >= 1"),
+        ("1,inf", "must be finite"), ("nan:1:3", "must be finite"),
+    ])
+    def test_grid_shape_count_and_finiteness_are_checked(self, config_path, capsys, grid,
+                                                         message):
+        code, out, err = run_cli(
+            ["sweep", "--config", config_path(SMALL), "--var", "penalty",
+             "--grid", grid, "--policy", "ones"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_config_that_is_not_an_object_is_usage_error(self, config_path, capsys):
+        code, _, err = run_cli(["optimize", "--config", config_path([SMALL])], capsys)
+        assert code == 2
+        assert "config must be a JSON object" in err
+
+    @pytest.mark.parametrize("argv", [["solve", "--policy", "zeros"], ["optimize"],
+                                      ["sweep", "--var", "theta"],
+                                      ["simulate", "--policy", "ones"]])
+    def test_missing_config_is_named(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
 
     def test_grid_values_are_reported_as_plain_floats(self, config_path, capsys):
         code, _, err = run_cli(

@@ -102,6 +102,19 @@ class TestValidation:
         with pytest.raises(InvalidParameter):
             SystemParams.from_json_dict(data)
 
+    @pytest.mark.parametrize("key", ["lambda", "mu1", "mu2", "capacity_n", "threshold_k"])
+    def test_from_json_dict_names_a_missing_required_key(self, example1_params, key):
+        data = example1_params.to_json_dict()
+        del data[key]
+        with pytest.raises(StockRationingError, match=f"missing required parameter keys: .*{key}"):
+            SystemParams.from_json_dict(data)
+
+    def test_from_json_dict_takes_integral_float_n_and_k_as_ints(self, example1_params):
+        data = dict(example1_params.to_json_dict(), capacity_n=100.0, threshold_k=15.0)
+        params = SystemParams.from_json_dict(data)
+        assert params == example1_params
+        assert type(params.capacity) is int and type(params.threshold) is int
+
     @pytest.mark.parametrize("penalty", [float("nan"), float("inf"), -float("inf"), -1.0])
     def test_with_penalty_rejects_non_finite_or_negative(self, example1_params, penalty):
         with pytest.raises(InvalidParameter):

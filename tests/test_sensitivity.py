@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from stockrationing import Policy, average_profit, classify_sign, penalty_roots
+from stockrationing import Policy, SystemParams, average_profit, classify_sign, penalty_roots
+from stockrationing.chain import DEGENERATE_COEF_TOL
 
 from conftest import random_params, random_policy
-from oracles import class_property_check, difference_general, single_flip_difference
+from oracles import class_property_check, difference_general, exact_chain, single_flip_difference
 
 
 class TestDifferenceGeneral:
@@ -104,6 +105,22 @@ class TestPenaltyRoots:
             assert sorted(prof.sort_perm) == list(range(1, p.threshold + 1))
             sorted_roots = prof.roots[[i - 1 for i in prof.sort_perm]]
             assert np.all(np.diff(sorted_roots) >= 0)
+
+    def test_vanishing_coefficient_gives_an_infinite_root_with_num_sign(self):
+        # mu2 = 1e13 nearly empties state 3 once it serves Class 2, so both
+        # coefficients of the margin there are about 1e-13: den is 2.1e-13,
+        # inside the degenerate band in exact rationals too, and num > 0.
+        p = SystemParams(lam=2.0, mu1=1.0, mu2=1e13, capacity=5, threshold=3, c_hold=1,
+                         c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=2.0)
+        prof = penalty_roots(p, Policy((0, 0, 1)))
+        exact = exact_chain(p, (0, 0, 1))
+        assert 0 < exact.den[2] < DEGENERATE_COEF_TOL and exact.num[2] > 0
+        assert abs(prof.den[2]) <= DEGENERATE_COEF_TOL < prof.den[:2].min()
+        assert prof.num[2] > 0
+        assert prof.roots[2] == np.inf and np.isfinite(prof.roots[:2]).all()
+        assert prof.roots[:2] == pytest.approx(np.divide(prof.num[:2], prof.den[:2]), rel=1e-15)
+        assert (prof.p_high, prof.sort_perm) == (np.inf, (1, 2, 3))
+        assert prof.signs(p.penalty)[2] == 0
 
     def test_sort_ties_keep_position_order(self):
         # duplicate roots arise for repeated structure; the permutation must

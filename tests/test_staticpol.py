@@ -6,6 +6,7 @@ import pytest
 
 from stockrationing import (
     Policy,
+    StockRationingError,
     SystemParams,
     ThetaOutOfRange,
     average_profit,
@@ -127,6 +128,10 @@ class TestOptimalStaticThreshold:
     def test_restricted_range(self, example1_params):
         theta, eta = optimal_static_threshold(example1_params, thetas=range(3, 6))
         assert theta in (3, 4, 5)
+
+    def test_empty_range_is_an_error(self, example1_params):
+        with pytest.raises(StockRationingError, match="empty theta range"):
+            optimal_static_threshold(example1_params, thetas=range(4, 4))
 
     def test_near_tie_goes_to_the_smaller_theta(self, monkeypatch):
         # theta = 2 lies within the tie band of the best, theta = 3, though
