@@ -33,6 +33,9 @@ table, each layer is called WARMUP_CALLS times untimed at the first column,
 so that the first cell is not timed cold.  The next line times the
 enumeration oracle: `brute_force_optimal` at example-1 rates and costs,
 P=5, N=2K, at K=16, 20, 22 and 24 (the enumeration cap), best of 3.  The
+line after it times `global_optimal` where the weights on states 0..K span
+many blocks: at example-1 rates and costs, P=5, K=N=2,000 and K=N=1e5, best
+of 3, with each run's policy-iteration steps.  The
 last line gives the package's size: the lines of its modules (as
 `wc -l src/stockrationing/*.py` counts them), the number of names it
 exports, and how many parameters of the exported functions have a default.
@@ -40,7 +43,8 @@ Times print to three significant digits.  The output ends with one JSON line
 that holds every timed number at full precision as [value, unit], in ms or
 M events/s, keyed by name: "<layer> <column>" for a table cell, "simulator
 (<label>)" for a simulator line and "enumeration K=<k>" for an enumeration
-cell; a cell that raises has no entry.  Each table cell also has
+cell and "global_optimal K=N=<k>" for a large-K cell; a cell that raises
+has no entry.  Each table cell also has
 "<layer> <column> / reference": its time over the best of 3 of
 `reference_call`, a fixed call that touches no package code, timed in the
 same process right before the cell, so that a ratio moves less than a raw
@@ -95,6 +99,7 @@ WARMUP_CALLS = 10
 # A package without a kept record has nothing to drop.
 forget_record = getattr(stockrationing.chain, "_forget_last_record", lambda: None)
 ENUMERATION_KS = (16, 20, 22, 24)
+LARGE_KS = (2_000, 100_000)
 SIM_GRID_JUMP_RATE = 2.0
 THRESHOLD_9 = Policy(tuple(int(i >= 9) for i in range(1, 16)))
 
@@ -174,6 +179,16 @@ def enumeration_speed(timed: dict) -> str:
     return "enumeration: " + ", ".join(cells) + " (example-1 rates, N=2K, best of 3)"
 
 
+def large_k_speed(timed: dict) -> str:
+    cells = []
+    for k in LARGE_KS:
+        p = dataclasses.replace(params(0.5, k), threshold=k)
+        seconds = best_time(lambda: global_optimal(p))
+        timed[f"global_optimal K=N={k}"] = [seconds * 1e3, "ms"]
+        cells.append(f"K=N={k:,} {fmt(seconds)} ({global_optimal(p).iterations} steps)")
+    return "global_optimal: " + ", ".join(cells) + " (example-1 rates, best of 3)"
+
+
 def footprint() -> str:
     modules = sorted(Path(stockrationing.__file__).parent.glob("*.py"))
     lines = sum(path.read_text().count("\n") for path in modules)
@@ -228,6 +243,7 @@ def main():
     for name, pol in (("all-ones", ones), ("threshold-9", THRESHOLD_9)):
         print(simulator_speed(sim_grid_shape(pol), pol, name, 5000.0, 10, sim_grid, timed))
     print(enumeration_speed(timed))
+    print(large_k_speed(timed))
     print(footprint())
     print(json.dumps(timed))
 

@@ -18,7 +18,6 @@ from .model import (
 )
 from .chain import (
     ChainRecord,
-    NumericalOverflow,
     average_profit,
     average_profits,
     chain_record,

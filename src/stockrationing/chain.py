@@ -5,15 +5,13 @@ of the states's active demand classes, so the stationary weights have the
 usual product form.  The policy moves only states 1..K; above K the chain is
 one policy-free geometric segment in beta = lam/(mu1 + mu2).  So one policy
 is solved once, in `chain_record`, in ratio form and in O(K): weights on
-states 0..K on a scale that cannot overflow, and closed-form sums for the
-segment, taken relative to its heavier end, so no weight overflows or
-underflows at any N.  The record gives the profit split eta = D - P*F, the
-flip margins G(i) + b = num - P*den on 1..K with their penalty roots and
-signs, and, each computed once when first read, pi, the special potential
-g (g(0) = 0) and its Poisson residual, in O(N) from one table of beta's powers.
-D and F need four sums over states 0..K; `ChainRecord.parts` turns them into
-the total weight and D's and F's numerators for each row of a stack
-(`average_profits`) or of the two half-stacks the exact oracle searches.
+states 0..K in blocks of running products and closed-form sums for the
+segment, finite at any K or N.  The record gives eta = D - P*F, the flip margins
+G(i) + b = num - P*den on 1..K with their penalty roots and signs, and, each
+computed once when first read, pi, the special potential g (g(0) = 0) and its
+Poisson residual, in O(N) from one table of beta's powers.
+D and F need four sums over states 0..K, which `ChainRecord.parts` turns into
+the total weight and D's and F's numerators for a stack's rows or the oracle's.
 The last policy's record, with its cut pass, pi and g, is kept in one slot, so
 calls that ask about one policy in turn solve it once; its arrays are read-only.
 """
@@ -28,7 +26,6 @@ import numpy as np
 from .model import (
     LengthMismatch,
     Policy,
-    StockRationingError,
     SystemParams,
     _base_rewards,
     _serve_gain,
@@ -45,10 +42,6 @@ DEGENERATE_COEF_TOL = 1e-12
 SIGN_ZERO_BAND = 1e-9
 
 
-class NumericalOverflow(StockRationingError):
-    """The weights on states 0..K span more than float64's exponent range."""
-
-
 class _view:
     """A record view: computed when first read and kept in the instance's
     __dict__, which later reads find first.  functools.cached_property does
@@ -63,22 +56,19 @@ class _view:
 
 @dataclass(frozen=True)
 class ChainRecord:
-    """One policy's chain, or each row's of a stack of policies, solved once
-    in ratio form.
+    """One policy's chain, or each row's of a stack, solved once in ratio form.
 
     `head` holds four sums over states 0..K per chain (arrays for a stack):
     the weight sum, the served weight sum_i d_i w_i, the weighted sum of the
-    all-zeros policy's B row `base` and the log of state K's weight, on a
-    scale whose largest weight lies between 1 and e**600.  Serving Class 2
-    at a state in 1..K adds a fixed `_serve_gain` to B and A, so they fix D
-    and F (`d_coef`, `f_coef` and `eta`); the `decisions` ((K,) or (m, K)),
-    `weights` and `base` behind them are kept when known.  The segment above
-    K, whose _tail_sums and weighted B no policy changes (`tail`), enters
-    through its reference state, K when beta <= 1 and N when beta > 1, at
-    log_K + max((N-K) log(beta), 0) on the head's scale.  The chain's scale shifts that down
-    to one when it is larger: `scales` take the head's and the reference's
-    weights there, both at most one, with the latter's log and the shift,
-    and `parts` are the total weight and the numerators of D and F.
+    all-zeros policy's B row `base` and the log of state K's weight, on the
+    head's scale (`_head_weights`).  Serving Class 2 at a state in 1..K adds
+    a fixed `_serve_gain` to B and A, so they fix D and F (`d_coef`, `f_coef`
+    and `eta`); the `decisions`, `weights`, `blocks` and `base` behind them
+    are kept when known.  The segment (`tail`) enters at its heavier end, K+1
+    when beta <= 1 and N when beta > 1, at log_K + lead, lead = max(log beta,
+    (N-K) log beta), shifted to one when larger: `scales` are the head's and
+    that end's weights, the latter's log, the shift and lead; `parts` the
+    total weight and the numerators of D and F.
     """
 
     params: SystemParams
@@ -86,6 +76,7 @@ class ChainRecord:
     decisions: np.ndarray | None = None
     weights: np.ndarray | None = None
     base: np.ndarray | None = None
+    blocks: np.ndarray | None = None
 
     @_view
     def tail(self) -> tuple:
@@ -97,10 +88,10 @@ class ChainRecord:
 
     @_view
     def scales(self) -> tuple:
-        p = self.params
-        tail_log = self.head[3] + max((p.capacity - p.threshold) * _log_beta(p), 0.0)
-        shift = np.maximum(tail_log, 0.0)
-        return np.exp(-shift), np.exp(tail_log - shift), tail_log - shift, shift
+        p, m = self.params, self.params.capacity - self.params.threshold
+        lead = max(log_beta := _log_beta(p), m * log_beta) if m else 0.0
+        shift = np.maximum(tail_log := self.head[3] + lead, 0.0)
+        return np.exp(-shift), np.exp(tail_log - shift), tail_log - shift, shift, lead
 
     @_view
     def parts(self) -> tuple:
@@ -153,7 +144,7 @@ class ChainRecord:
         k = p.threshold
         pi = np.empty(p.capacity + 1)
         pi[: k + 1] = self.weights * (self.scales[0] / self.parts[0])
-        powers = self.powers[-2::-1] if _log_beta(p) > 0 else self.powers[1:]
+        powers = self.powers[-2::-1] if _log_beta(p) > 0 else self.powers[:-1]
         np.multiply(powers, math.exp(self.scales[2]) / self.parts[0], out=pi[k + 1 :])
         return _read_only(pi)
 
@@ -206,7 +197,7 @@ class ChainRecord:
                 seg, power = steps[k + 1 : k + 1 + out], self.powers[m - 1 : band : -1]
                 np.multiply(power - 1.0, gap + p.c_hold * (k + 1 + w) + hold[:out], out=seg)
                 seg += hold[::-1][:out] * power
-                seg *= w / p.lam
+                seg /= -eps * (p.mu1 + p.mu2)    # times w/lam, with no rate ratio
                 seg += delta * power
                 if band:                 # states N-band+1..N, on N-band's scale
                     dev = self.powers[1 : band + 1] * -(gap + p.c_hold * (k + 1 + r[out:]))
@@ -246,63 +237,86 @@ class ChainRecord:
         r[k + 1 :] += (p.mu1 + p.mu2) * g_diff[k:]
         return float(np.abs(r, out=r).max())
 
-    def check_cuts(self, row) -> None:
-        """NumericalOverflow if a cut of chain `row` (() if one) divides by a flushed weight."""
-        w = self.weights[row][: min(self.params.threshold + 1, self.params.capacity)]
-        if w.min() < TINY:
-            raise NumericalOverflow(
-                "weights on states 0..K span more than float64's range: "
-                f"{int(np.sum(w < TINY))} cuts would divide by a flushed weight")
-
     @_view
     def cut_factors(self) -> np.ndarray:
         """Rows G_B and G_A of G(i) = g(i-1) - g(i) = G_B - P*G_A at positions
         1..min(K+1, N), (2, min(K+1, N)) for one policy and (m, 2, min(K+1, N))
         for a stack; the margin at i <= K is (R + c_lost2 + G_B) - P(1 + G_A).
 
-        The cut-flow identity of the birth-death equation, summed over rows
-        0..i-1, gives
+        By the cut-flow identity, summed over rows 0..i-1,
 
-            lam * xi_{i-1} * G(i) = sum_{j<i} xi_j * (f_j - eta),
+            lam xi_{i-1} G(i) = sum_{j<i} xi_j (f_j - eta) = -sum_{j>=i} xi_j (f_j - eta),
 
-        and the sum from i up is its negative, so each G(i) is a ratio of
-        weight sums over states 0..K, where the sum from i up adds the
-        segment's closed form.  Each cut is taken from the end with less
-        mass, which bounds its rounding.  The pass runs once per record, and
-        its array is read-only.  A stack's rows equal their one-policy records
-        bit for bit; one record raises where `check_cuts` does, a stack does not.
+        the segment's closed form joining the sum from i up.  Both run in one
+        compensated pass over the `blocks` on their first states' scales and
+        are carried into the next block times v_s/(lam w_{s-1}), s its first
+        state, or its inverse going down.  The sum below i is divided by
+        w_{i-1} and lam, the sum from i up by w_i and v_i (lam xi_{i-1} =
+        v_i xi_i), so no rate ratio is formed.  Each cut takes the end with
+        less weight on the chain's scale.  The pass runs once per record, its
+        array is read-only, and a stack's rows equal their records bit for bit.
         """
-        p = self.params
-        k = p.threshold
-        w, (head_scale, tail_scale, *_), (norm, *_) = self.weights, self.scales, self.parts
-        w_cut = w[..., : min(k + 1, p.capacity)]
-        if w.ndim > 1:
-            w_cut = np.where(w_cut < TINY, 1.0, w_cut)
-        elif w_cut.min() < TINY:
-            self.check_cuts(())
-        ((w_sum, m_sum, top), seg), d_coef, f_coef = self.tail, self.d_coef, self.f_coef
+        p, (w_sum, served, b_sum, _) = self.params, self.head
+        k, (head_scale, tail_scale, _, shift, lead) = p.threshold, self.scales
+        ((t_sum, _, _), seg), d_coef, f_coef = self.tail, self.d_coef, self.f_coef
+        run, d, (gain_b, gain_a) = self.blocks, self.decisions, _serve_gain(p)
+        (nb, length), w = run.shape[-2:], run.reshape(run.shape[:-2] + (-1,))[..., : k + 1]
+        # B and A over m 2**e, where lam = m 2**n and 2**e is above their size, so that no
+        # weighted deviation leaves float range; a cut is a sum over a weight, times 2**(e-n).
+        m, n = math.frexp(p.lam)
+        size_b = (p.price * (p.mu1 + p.mu2) + p.c_lost1 * p.mu1 + p.c_lost2 * p.mu2
+                  + (p.c_buy + p.c_opp) * p.lam + p.c_hold * p.capacity)
+        e_b, e_a = max(math.frexp(size_b)[1], -1000), max(math.frexp(gain_a)[1], -1000)
+        unit_b, unit_a = math.ldexp(1.0 / m, -e_b), math.ldexp(1.0 / m, -e_a)
+        unit, exps = np.array((unit_b, unit_a))[:, None], np.array((e_b - n, e_a - n))[:, None]
         # Per-chain values (a stack's are (m,)) meet transposed arrays, stack axis last.
         coef = np.array([d_coef, f_coef]).T[..., None]
-        b_head, a_head = (self.rewards @ w[..., None]).T[0]
-        dev = np.empty(w.shape[:-1] + (2, k + 2))
-        np.multiply(w[..., None, :], self.rewards - coef, out=dev[..., :-1])
-        # The segment's deficit on the head's scale, from its own closed form.
-        dev[..., 0, -1] = tail_scale * (seg * w.sum(axis=-1) - b_head * w_sum) / norm
-        dev[..., 1, -1] = -tail_scale * a_head * w_sum / norm
-        # A state's deviation f_j - eta rounds at eps (|f_j| + |eta|), so
-        # that, weighted, is the mass an end's sum carries.
-        level = p.price * (p.mu1 + p.mu2) - p.c_hold * k - p.c_buy * p.lam
-        tail_mass = (tail_scale * np.array([(abs(level) + abs(d_coef)) * w_sum + p.c_hold * m_sum
-                                            + abs(p.c_buy - p.c_opp) * p.lam * top,
-                                            f_coef * w_sum])).T[..., None]
-        mass = (w[..., None, :] * (np.abs(self.rewards) + np.abs(coef))).cumsum(axis=-1)
-        mass = (head_scale * mass.T).T
-        # Rows 0-1 run up from state 0; rows 2-3 run down from the segment,
-        # so their entries reversed are the sums from state i = 1..K+1 up.
-        runs = _compensated_cumsum(np.concatenate((dev[..., :-1], dev[..., :0:-1]), axis=-2))
-        cut = np.where(mass <= 0.5 * (mass[..., -1:] + tail_mass),
-                       runs[..., :2, :], -runs[..., 2:, ::-1])
-        return _read_only(cut[..., : w_cut.shape[-1]] / (p.lam * w_cut[..., None, :]))
+        dev = np.zeros(run.shape[:-2] + (4, nb * length))
+        np.multiply(w[..., None, :], (self.rewards - coef) * unit, out=dev[..., :2, : k + 1])
+        np.negative(dev[..., :2, ::-1], out=dev[..., 2:, :])
+        # The segment's deficit, on the last block's scale, starts the sums down the top.
+        z_b = (seg * w_sum - (b_sum + gain_b * served) * t_sum) / self.parts[0]
+        z_a = -gain_a * served * t_sum / self.parts[0]
+        to_last = np.exp(lead - shift) * w[..., -1]
+        dev[..., 2:, -1 - k] -= (to_last * np.array((z_b * unit_b, z_a * unit_a))).T
+        # Rows 0-1 run up from state 0 and rows 2-3, negated, down from the top, block by block.
+        runs = _compensated_cumsum(dev.reshape(dev.shape[:-1] + (nb, length)))
+        s = slice(length - 1, k, length)    # each block's first state s after the first: s - 1
+        runs_by_block, runs = runs, runs.reshape(runs.shape[:-2] + (-1,))
+        # Less weight bounds a cut's rounding, and the error D's and F's carry into it.
+        lower = (self.weights[..., :k].cumsum(axis=-1) * head_scale[..., None]
+                 <= (0.5 * self.parts[0])[..., None])[..., None, :]
+        sums = np.where(lower, runs[..., :2, :k], runs[..., 2:, ::-1][..., 1 : k + 1])
+        cut = np.empty(sums.shape[:-1] + (k + 1,))
+        if nb == 1:
+            np.ldexp(sums / w[..., None, :k], exps, out=cut[..., :k])
+        else:    # carries as mantissa and power of two into each position's block, by its end
+            with np.errstate(over="ignore", invalid="ignore"):    # a cut past float range is inf
+                (m_v, n_v), (m_w, n_w) = np.frexp(p.mu1 + p.mu2 * d[..., s]), np.frexp(w[..., s])
+                f_m, f_n = m_v / (m * m_w), n_v - n - n_w    # v_s / (lam w_{s-1}), going up
+                f_m, f_n = (np.stack((x, x, y[..., ::-1], y[..., ::-1]), -2)
+                            for x, y in ((f_m, 1.0 / f_m), (f_n, -f_n)))
+                c_m, c_n = np.zeros(f_m.shape[:-1] + (nb,)), np.zeros(f_m.shape[:-1] + (nb,), int)
+                for b in range(1, nb):
+                    r_m, r_n = np.frexp(runs_by_block[..., b - 1, -1])
+                    e = np.where(c_m[..., b - 1] != 0.0, np.maximum(c_n[..., b - 1], r_n), r_n)
+                    total = np.ldexp(c_m[..., b - 1], c_n[..., b - 1] - e) + np.ldexp(r_m, r_n - e)
+                    c_m[..., b], c_n[..., b] = np.frexp(total * f_m[..., b - 1])
+                    c_n[..., b] += e + f_n[..., b - 1]
+                c_m, c_n = (np.where(lower, np.repeat(c[..., :2, :], length, -1)[..., :k],
+                                     np.repeat(c[..., 2:, ::-1], length, -1)[..., 1 : k + 1])
+                            for c in (c_m, c_n))
+                # From a block's first state up: over v and its weight 1 there, not lam w.
+                sums[..., s] -= (own := np.where(lower[..., s], 0.0, sums[..., s]))
+                c_m[..., s] -= (own_c := np.where(lower[..., s], 0.0, c_m[..., s]))
+                cut[..., :k] = (np.ldexp(sums / w[..., None, :k], exps)
+                                + np.ldexp(c_m / w[..., None, :k], exps + c_n))
+                m_v, n_v = m / m_v[..., None, :], exps + n - n_v[..., None, :]
+                cut[..., s] += np.ldexp(own * m_v, n_v) + np.ldexp(own_c * m_v, n_v + c_n[..., s])
+        # From K+1 up: the deficit over lam xi_K, or (mu1 + mu2) xi_{K+1} when beta <= 1.
+        at_k1 = -np.exp(lead - shift) / p.lam if lead > 0.0 else -1.0 / (p.mu1 + p.mu2)
+        cut[..., 0, k], cut[..., 1, k] = at_k1 * z_b, at_k1 * z_a
+        return _read_only(cut[..., : min(k + 1, p.capacity)])
 
     @_view
     def num(self) -> np.ndarray:
@@ -381,62 +395,54 @@ def _tail_sums(params: SystemParams, n: int) -> tuple:
     """Weight sum, offset-weighted sum and top weight of n states above a base.
 
     Above K every state serves both classes, so along a segment of n states
-    above a base state the weights are powers of beta.  They are taken
-    relative to the base when beta <= 1 and to the segment's top state when
-    beta > 1, so none exceeds one; the offsets run 1..n from the base, and
-    an empty segment has no top.  With q = min(beta, 1/beta) = exp(x), the
-    sum of q**t over t < n is expm1(n x) / expm1(x), and the mean of t
-    under those weights is h(-x) - n h(-n x) for h(z) = 1/expm1(z) - 1/z,
-    which never cancels; near beta = 1, where h itself would, its series
-    takes over.
+    above a base the weights are powers of beta, relative to its heavier end
+    (its first state when beta <= 1, its top when beta > 1); the offsets run
+    1..n from the base.  With q = min(beta, 1/beta) = exp(x), the sum of q**t
+    over t < n is expm1(n x) / expm1(x), and the mean of t under those
+    weights is h(-x) - n h(-n x) for h(z) = 1/expm1(z) - 1/z, which never
+    cancels; near beta = 1, where h itself would, its series takes over.
     """
-    x = -abs(_log_beta(params))
+    x = -abs(log_beta := _log_beta(params))
     nx = n * x
     e0 = n * 1.0 if x == 0.0 else math.expm1(nx) / math.expm1(x)
     e1 = e0 * (_h(-x) - n * _h(-nx))
-    if _log_beta(params) > 0:
+    if log_beta > 0:
         return e0, n * e0 - e1, (n > 0) * 1.0
-    beta = math.exp(x)
-    return beta * e0, beta * (e0 + e1), math.exp(nx) * (n > 0)
+    return e0, e0 + e1, math.exp(nx - x) if n else 0.0
 
 
 def _head_weights(p: SystemParams, d: np.ndarray) -> tuple:
-    """Weights on states 0..n of each row of d, n its length, and the logs
-    of state 0's and state n's.
+    """Weights on states 0..n of each row of d, n its length, on the head's
+    scale; their blocks; and the logs of state 0's and state n's weight there.
 
-    Their scale puts each row's largest weight between 1 and e**600.  While
-    K rate ratios cannot grow past that, whatever n is, nor a weight above 1
-    times a reward past e**700, the weights are relative to state 0, one running
-    product of the ratios, and state 0's log is None; otherwise they come
-    from summed log-ratios, relative to the row's largest.  Either way the
-    rows make one array, updated in place.
+    A block holds all n+1 states while n rate ratios span at most 600 nats,
+    else as many as keep its running product of the ratios from its first
+    state within e**+-600: the `blocks`, (..., nb, length), padded.  A block
+    is placed by its largest weight, at its log over the row's heaviest
+    block's, so the head's largest weight is 1, and one that underflows there
+    carries no mass.
     """
-    r_hold, r_serve = p.lam / p.mu1, p.lam / (p.mu1 + p.mu2)
-    span = p.threshold * math.log(max(r_hold, 1.0))
-    # With lam <= mu1 no ratio exceeds 1, so no weight does.  Otherwise a
-    # weight times an entry of B or A, none of which exceeds `bound` in size,
-    # must stay below e**700.
-    ratios = span == 0.0
-    if 0.0 < span < 600.0:
-        bound = ((p.price + p.c_lost1 + p.c_lost2) * (p.mu1 + p.mu2)
-                 + (p.c_buy + p.c_opp) * p.lam + p.c_hold * p.capacity + (1.0 + p.penalty) * p.mu2)
-        ratios = span + math.log1p(bound) < 700.0
-    w = np.empty(d.shape[:-1] + (d.shape[-1] + 1,))
-    w[..., 0] = 1.0
-    steps = w[..., 1:]
+    n, step = d.shape[-1], max(_log_ratio(p.lam, p.mu1), -_log_beta(p))    # largest |log ratio|
+    length = n + 1 if n * step <= 600.0 else int(600.0 / step) + 1
+    run = np.empty(d.shape[:-1] + (n // length + 1, length))
+    flat = run.reshape(d.shape[:-1] + (-1,))
     # Each step's ratio is picked by its decision, one rounding from the
     # rates, so nothing cancels when mu2 >> mu1.
-    if ratios:
-        steps[...] = np.where(d, r_serve, r_hold)
-        np.cumprod(steps, axis=-1, out=steps)
-        # An underflowed state n outweighs no state; its log is floored.
-        return w, None, np.log(np.maximum(w[..., -1], TINY))
-    steps[...] = np.where(d, _log_beta(p), _log_ratio(p.lam, p.mu1))
-    np.cumsum(steps, axis=-1, out=steps)
-    w[..., 0] = 0.0
-    w -= w.max(axis=-1, keepdims=True)
-    logs = w[..., 0].copy(), w[..., -1].copy()
-    return np.exp(w, out=w), *logs
+    flat[..., 1 : n + 1] = np.where(d, p.lam / (p.mu1 + p.mu2), p.lam / p.mu1)
+    flat[..., n + 1 :] = run[..., 0] = 1.0    # the padding and each block's first state
+    np.cumprod(run, axis=-1, out=run)
+    placed, log_top = flat[..., : n + 1], 0.0
+    if p.lam > p.mu1:    # else each block's first weight is its largest; its last if beta >= 1
+        top = run[..., -1:] if p.lam >= p.mu1 + p.mu2 else run.max(axis=-1, keepdims=True)
+        placed, log_top = (run / top).reshape(flat.shape)[..., : n + 1], np.log(top[..., 0])
+    if length > n:    # one block, at level 0: state 0's weight is 1 over the largest
+        return placed, run, (-log_top[..., 0] if p.lam > p.mu1 else 0.0), np.log(placed[..., n])
+    levels = np.zeros(run.shape[:-1]) + log_top
+    levels[..., 1:] += np.cumsum(np.log(run[..., :-1, -1]) + np.where(
+        d[..., length - 1 :: length], _log_beta(p), _log_ratio(p.lam, p.mu1)), axis=-1)
+    levels -= levels.max(axis=-1, keepdims=True)
+    logs = (levels - log_top)[..., 0], levels[..., -1] + np.log(placed[..., n])
+    return placed * np.repeat(np.exp(levels), length, axis=-1)[..., : n + 1], run, *logs
 
 
 _last_record = (None, None, None)    # (params, policy, record) of the last Policy solved
@@ -462,15 +468,15 @@ def chain_record(params: SystemParams, policy: Policy | np.ndarray) -> ChainReco
         d = np.asarray(policy)
         if d.ndim != 2 or d.shape[1] != k:
             raise LengthMismatch(f"decisions of shape {d.shape} need shape (m, K={k})")
-    w, _, log_k = _head_weights(params, d)
+    w, blocks, _, log_k = _head_weights(params, d)
     base = _base_rewards(params, k)
     # einsum casts a stack's integer rows in buffers, not in a copy; a
     # stack's base sums are batched dot products, bit for bit each row's own
     served = np.einsum("...i,...i->...", d, w[..., 1:])
     b_sum = (w[..., None, :] @ base)[..., 0][()]
-    record = ChainRecord(params, (w.sum(axis=-1), served, b_sum, log_k), d, w, base)
+    record = ChainRecord(params, (w.sum(axis=-1), served, b_sum, log_k), d, w, base, blocks)
     if isinstance(policy, Policy):
-        for array in (d, w, base):
+        for array in (d, w, base, blocks):
             array.setflags(write=False)
         _last_record = params, policy, record
     return record

@@ -14,16 +14,17 @@ once a step finds no better profit, and near-ties go to the first policy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TINY, ChainRecord, NumericalOverflow, _head_weights, _tie_floor, chain_record
+from .chain import TINY, ChainRecord, _head_weights, _tie_floor, chain_record
 from .model import ENUMERATION_CAP, CapExceeded, Policy, SystemParams, _base_rewards
 
 ORACLE_MATCH_TOL = 1e-9
-# brute_force_optimal: TINY lost to an underflow, over a denominator > e**-300; 128 KB of pairs
-EPS, UNDERFLOW, TIE_BLOCK = float(np.finfo(float).eps), TINY * float(np.exp(300.0)), 1 << 14
+# brute_force_optimal: the float epsilon, and 128 KB of pairs
+EPS, TIE_BLOCK = float(np.finfo(float).eps), 1 << 14
 
 
 def restore_threshold(sort_perm: tuple[int, ...], n_zeros: int) -> Policy:
@@ -63,16 +64,13 @@ def global_optimal(params: SystemParams) -> OptimizerResult:
     and the loop ends at a gain-optimal policy (Howard's algorithm: Puterman,
     Markov Decision Processes, 1994, 8.6; Cao, Stochastic Learning and
     Optimization, 2007); its eta is D - P*F from the last policy's record.  The
-    gate rows share one record, not kept, and only a gate row that is read
-    raises NumericalOverflow.
+    gate rows share one record, which is not kept.
     """
     k, p = params.threshold, params.penalty
     record = chain_record(params, np.arange(2.0)[:, None].repeat(k, axis=1))
     region, row = "HighPenalty", 0      # the gates' all-zeros (0) or all-ones (1) row
-    record.check_cuts(0)
     if p < max(0.0, float(record.roots[0].max())):
         region = "Middle"
-        record.check_cuts(1)
         p_low = float(record.roots[1].min())
         if p_low > 0 and p <= p_low:
             region, row = "LowPenalty", 1
@@ -101,16 +99,16 @@ def brute_force_optimal(params: SystemParams) -> tuple[Policy, float]:
     With high bits a on 1..h, h = K // 2, product-form weights make policy
     a * 2**(K-h) + b earn (p x_a + q y_b) / (p + q v_b) (Horowitz and Sahni,
     JACM 1974): x_a is D - P*F on a's states 0..h, y_b and v_b the numerator
-    and weight of b's states above and the segment, on a scale e**L keeping
-    both terms in float range, and q, p <= 1, q = w_a / U_a as is at L = 0.
-    A pair beats g iff q (y_b - g v_b) + p (x_a - g) > 0, so a row beating g
-    anywhere beats it at its level's column maximising y - g v.  Each step
-    scores every row there; eta, the best profit found, rises until a step
-    finds none above it.  g sits 8 eps of the largest |x| or |y / v|, plus
-    UNDERFLOW, below the tie band's floor, so the last step also finds every
-    row that can reach the floor.  Those are scored at every column,
-    TIE_BLOCK pairs at a time; the first policy within the band of their best
-    wins, so near-ties go to the lexicographically smallest vector.
+    and weight of b's states above and the segment, on state h's scale times
+    e**-600L, L a column's level, so that v times `size`, the largest of 1,
+    |x| and |y / v|, lies in (1, e**600] where L > 0; q, p <= 1, q = w_a /
+    U_a as is at L = 0.  A pair beats g iff q (y_b - g v_b) + p (x_a - g) > 0,
+    so a row beating g anywhere beats it at its level's column maximising
+    y - g v.  Each step scores every row there; eta, the best profit found,
+    rises until a step finds none above it.  g sits 8 eps of `size`, plus TINY
+    over the least denominator, below the tie band's floor, so the last step
+    finds every row that can reach the floor; those are scored at every column,
+    TIE_BLOCK pairs at a time, and the lexicographically first in their band wins.
     """
     k, penalty = params.threshold, params.penalty
     if k > ENUMERATION_CAP:
@@ -118,39 +116,36 @@ def brute_force_optimal(params: SystemParams) -> tuple[Policy, float]:
     h, m = k // 2, k - k // 2
     b_bits = np.unpackbits(np.arange(1 << m, dtype=">u2")[:, None].view(np.uint8), axis=1)[:, -m:]
     a_bits = b_bits[:: 1 << (m - h), :h]
-    w_b, log_b0, log_bm = _head_weights(params, b_bits)
-    w_a, _, log_ah = (w_b, log_b0, log_bm) if h == m else _head_weights(params, a_bits)
+    w_b, _, log_b0, log_bm = _head_weights(params, b_bits)
+    w_a, _, _, log_ah = (w_b, None, log_b0, log_bm) if h == m else _head_weights(params, a_bits)
     base, w_b = _base_rewards(params, k), w_b[:, 1:]
     halves = ChainRecord(params, tuple(np.concatenate(z) for z in zip(    # b's, then a's
         (w_b.sum(1), np.einsum("ij,ij->i", b_bits, w_b), w_b @ base[h + 1 :], log_bm),
         (w_a.sum(1), np.einsum("ij,ij->i", a_bits, w_a[:, 1:]), w_a @ base[: h + 1],
          np.full(1 << h, -np.inf)))))    # no segment
     (v, u), (d_b, d_a), (f_b, f_a) = ((z[: 1 << m], z[1 << m :]) for z in halves.parts)
-    x, log_ratio = (d_a - penalty * f_a) / u, log_ah - np.log(u)
-    lift = halves.scales[3][: 1 << m] - (0.0 if log_b0 is None else log_b0)  # to state h's scale
-    level = np.maximum(np.ceil((np.log(np.maximum(v, TINY)) + lift - 300) / 600), 0).astype(int)
-    with np.errstate(over="ignore"):     # an overflow fails the finiteness check below
-        y, v = np.array((d_b - penalty * f_b, v)) * np.exp(lift - 600.0 * level)
-    levels = np.bincount(level).nonzero()[0]
+    x, log_ratio, y = (d_a - penalty * f_a) / u, log_ah - np.log(u), d_b - penalty * f_b
+    # 5e-324 keeps each v > 0; a flushed column (y = v = 0) earns x_a in every pair: ratio 0
+    ratio = y / np.maximum(v, 5e-324)
+    a, b = x.argmax(), ratio.argmax()     # start from the best high half with the best low half
+    size = max(x.item(a), ratio.item(b), -x.item(x.argmin()), -ratio.item(ratio.argmin()), 1.0)
+    lift = halves.scales[3][: 1 << m] - log_b0    # to state h's scale
+    level = np.maximum(np.ceil((np.log(np.maximum(v, TINY)) + lift + math.log(size)) / 600) - 1, 0)
+    y, v = np.array((y, v)) * np.exp(lift - 600.0 * level)
+    levels = np.bincount(level.astype(int)).nonzero()[0]
     col = levels.searchsorted(level)          # each column's level, as an index into levels
     t = log_ratio[:, None] + 600.0 * levels
     q, p = np.exp(np.minimum(t, 0.0)), np.exp(np.minimum(-t, 0.0))
     q[:, 0] = w_a[:, h] / u if levels[0] == 0 else q[:, 0]
-    # 5e-324 keeps each v > 0; a flushed column (y = v = 0) earns x_a in every pair: ratio 0
-    ratio = y / np.maximum(v, 5e-324)
     px, y_l, v_l, by_col = p * x[:, None], y[None], v[None], slice(None)
     if len(levels) > 1:        # each level's columns, masked apart from the others'
         on = col == np.arange(len(levels))[:, None]
         y_l, v_l, by_col = np.where(on, y, -np.inf), np.where(on, v, 0.0), col
-    a, b = x.argmax(), ratio.argmax()     # start from the best high half with the best low half
-    size = max(x.item(a), ratio.item(b), -x.item(x.argmin()), -ratio.item(ratio.argmin()))
     q_ab, p_ab = q.item(a, col[b]), p.item(a, col[b])
     top, eta = (q_ab * y.item(b) + p_ab * x.item(a)) / (q_ab * v.item(b) + p_ab), -np.inf
-    if not np.isfinite(top):
-        raise NumericalOverflow(f"the parametric search starts from a profit of {top}")
     while top > eta:
         eta, floor = top, _tie_floor(top)
-        slack = 8 * EPS * (size + abs(floor)) + UNDERFLOW
+        slack = 8 * EPS * (size + abs(floor)) + TINY * size
         best = (y_l - (floor - slack) * v_l).argmax(1)
         etas = (q * y[best] + px) / (q * v[best] + p)
         top = etas.item(etas.argmax())

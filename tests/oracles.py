@@ -6,7 +6,8 @@ differences, the static-threshold sign margins and the class-property check
 are test-only references on top of the public API.  `exact_chain` evaluates
 the documented model in exact rationals: pi, the profit split D and F, and
 through the cut-flow identity the split G_B, G_A of the realization factors
-on every state and the flip-margin coefficients num and den.
+on every state and the flip-margin coefficients num and den; `decimal_chain`
+gives pi, D, F, num and den in 60-digit decimals at any K and N.
 `log_weight_reference` rebuilds one policy's chain from the model's
 definition with numpy and `math.fsum` only: stationary weights from
 log-ratios summed from the heavier end and shifted by their maximum, so
@@ -26,7 +27,10 @@ one step per Python iteration on the package's own draws, the walk that
 
 from __future__ import annotations
 
+import decimal
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,6 +67,7 @@ class ChainReference:
     f_coef: float
     num: np.ndarray
     den: np.ndarray
+    size: np.ndarray | None = None    # (2, K): the sizes num's and den's rounding scales with
 
 
 def reward_split(p, decisions) -> tuple[np.ndarray, np.ndarray]:
@@ -549,28 +554,9 @@ def exact_chain(params: SystemParams, decisions) -> ExactChain:
     i = 1..N, so G(i) = g(i-1) - g(i) = G_B(i) - P*G_A(i) there.  Every
     float parameter is read exactly as its binary value.
     """
-    lam, mu1, mu2, c_hold, c_lost1, c_lost2, c_buy, c_opp, price = (
-        Fraction(getattr(params, name))
-        for name in ("lam", "mu1", "mu2", "c_hold", "c_lost1", "c_lost2",
-                     "c_buy", "c_opp", "price")
-    )
+    lam, weights, b, a, _ = _model_terms(params, decisions, Fraction)
+    price, c_lost2 = Fraction(params.price), Fraction(params.c_lost2)
     n, k = params.capacity, params.threshold
-    weights, b, a = [], [], []
-    weight = Fraction(1)
-    for i in range(n + 1):
-        served1 = mu1 if i > 0 else 0
-        served2 = mu2 if i > k or (i > 0 and decisions[i - 1]) else 0
-        b.append(
-            price * (served1 + served2)
-            - c_hold * i
-            - c_lost1 * (mu1 - served1)
-            - c_lost2 * (mu2 - served2)
-            - (c_opp if i == n else c_buy) * lam
-        )
-        a.append(served2 if 0 < i <= k else Fraction(0))
-        if i > 0:
-            weight *= lam / (served1 + served2)
-        weights.append(weight)
     mass = sum(weights)
     d_coef = sum(w * r for w, r in zip(weights, b)) / mass
     f_coef = sum(w * r for w, r in zip(weights, a)) / mass
@@ -584,6 +570,80 @@ def exact_chain(params: SystemParams, decisions) -> ExactChain:
     return ExactChain(pi=[w / mass for w in weights], d_coef=d_coef, f_coef=f_coef,
                       num=[price + c_lost2 + x for x in g_b[:k]], den=[1 + x for x in g_a[:k]],
                       g_b=g_b, g_a=g_a)
+
+
+def _model_terms(params: SystemParams, decisions, number) -> tuple:
+    """lam and the weights xi_i, rewards b_i and a_i on states 0..N of the
+    documented model, and the size of b_i's terms (the sum of their absolute
+    values), in the number type `number` (Fraction or Decimal), which reads
+    every float parameter as its exact binary value."""
+    lam, mu1, mu2, c_hold, c_lost1, c_lost2, c_buy, c_opp, price = (
+        number(getattr(params, name))
+        for name in ("lam", "mu1", "mu2", "c_hold", "c_lost1", "c_lost2",
+                     "c_buy", "c_opp", "price")
+    )
+    n, k = params.capacity, params.threshold
+    weights, b, a, b_size = [], [], [], []
+    weight = number(1)
+    for i in range(n + 1):
+        served1 = mu1 if i > 0 else 0
+        served2 = mu2 if i > k or (i > 0 and decisions[i - 1]) else 0
+        terms = (price * (served1 + served2), c_hold * i, c_lost1 * (mu1 - served1),
+                 c_lost2 * (mu2 - served2), (c_opp if i == n else c_buy) * lam)
+        b.append(terms[0] - sum(terms[1:]))
+        b_size.append(sum(terms))
+        a.append(served2 if 0 < i <= k else number(0))
+        if i > 0:
+            weight *= lam / (served1 + served2)
+        weights.append(weight)
+    return lam, weights, b, a, b_size
+
+
+def decimal_chain(params: SystemParams, decisions) -> ChainReference:
+    """The documented model for one policy in 60-digit decimal arithmetic,
+    for K and N past `exact_chain`'s reach.
+
+    The weights are `_model_terms`' product form with an exponent range of
+    +-10**12, so none overflows or underflows at any K or N.  D and F are
+    the weighted means of b and a, and pi the weights over their sum.  The
+    flip margins' coefficients come from the cut-flow identity, each cut
+    taken from its lighter end: the side of i whose states carry less of
+    sum_j xi_j (|b_j| + |D|), or of xi_j (a_j + F).  The sum from i up is
+    summed directly, from state N down; as the total minus the sum below i
+    it would cancel to nothing where the sum below i is the heavier.  `size`
+    holds |R + c_lost2| and 1 plus that end's sum of xi_j (size of b_j's
+    terms + |D|), or of xi_j (a_j + F), each term at least the smallest
+    normal float, over lam xi_{i-1}: the scale of each coefficient's rounding
+    in floats.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 60, 10**12, -(10**12)
+        lam, weights, b, a, b_size = _model_terms(params, decisions, decimal.Decimal)
+        offset = decimal.Decimal(params.price) + decimal.Decimal(params.c_lost2)
+        smallest = decimal.Decimal(sys.float_info.min)    # below it a float keeps no digits
+        total = sum(weights)
+        coefs = [sum(w * r for w, r in zip(weights, rewards)) / total for rewards in (b, a)]
+        cuts, sizes = [], []
+        for rewards, coef, terms in zip((b, a), coefs, (b_size, a)):
+            dev = [w * (r - coef) for w, r in zip(weights, rewards)]
+            mass = [w * (abs(r) + abs(coef)) for w, r in zip(weights, rewards)]
+            scale = [w * (t + abs(coef) + smallest) for w, t in zip(weights, terms)]
+            below_dev, below_mass, below_scale = ([0, *itertools.accumulate(z)]
+                                                  for z in (dev, mass, scale))
+            above_dev, above_mass, above_scale = ([*itertools.accumulate(z[::-1])][::-1]
+                                                  for z in (dev, mass, scale))
+            lighter = [below_mass[i] <= above_mass[i] for i in range(params.threshold + 1)]
+            cuts.append([(below_dev[i] if lighter[i] else -above_dev[i]) / (lam * weights[i - 1])
+                         for i in range(1, params.threshold + 1)])
+            sizes.append([(below_scale[i] if lighter[i] else above_scale[i])
+                          / (lam * weights[i - 1]) for i in range(1, params.threshold + 1)])
+        return ChainReference(
+            pi=np.array([float(w / total) for w in weights]),
+            d_coef=float(coefs[0]), f_coef=float(coefs[1]),
+            num=np.array([float(offset + g) for g in cuts[0]]),
+            den=np.array([float(1 + g) for g in cuts[1]]),
+            size=np.array([[float(abs(offset) + s) for s in sizes[0]],
+                           [float(1 + s) for s in sizes[1]]]))
 
 
 def exact_profit(params: SystemParams, decisions) -> Fraction:

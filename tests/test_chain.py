@@ -29,9 +29,17 @@ from stockrationing import (
     solve_poisson,
     stationary_distribution,
 )
+from stockrationing.optimizer import ORACLE_MATCH_TOL
 
 from conftest import counting, dense_stationary, random_params, random_policy
-from oracles import dense_generator, exact_chain, exact_profit, reference_profit, reward_split
+from oracles import (
+    decimal_chain,
+    dense_generator,
+    exact_chain,
+    exact_profit,
+    reference_profit,
+    reward_split,
+)
 
 rates = st.floats(0.5, 5.0, allow_nan=False)
 costs = st.floats(0.0, 10.0, allow_nan=False)
@@ -332,7 +340,8 @@ def test_serving_ratio_exact_when_class2_rate_dominates(mu2):
 
 def test_steep_head_takes_log_ratios():
     # lam/mu1 = 1e5 over K = 60 states: a running product of the rate ratios
-    # would pass e**690, so the weights on 0..K come from log-ratios instead.
+    # would pass e**690, so the weights on 0..K take two blocks (they took
+    # log-ratios before blocks).
     from stockrationing import SystemParams, average_profits, penalty_roots
 
     from oracles import log_weight_reference
@@ -349,20 +358,28 @@ def test_steep_head_takes_log_ratios():
         assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
 
-def test_head_beyond_float_range_raises_typed_error():
-    # K = N = 2000 at example-1 rates, all-ones: the weights on 0..K fall by
-    # half per state, past float range, so the cut ratios cannot be formed.
-    # pi and eta only lose states of negligible weight and stay accurate.
-    from stockrationing import NumericalOverflow, SystemParams, penalty_roots, solve_poisson
-
-    p = SystemParams(lam=3.0, mu1=4.0, mu2=2.0, capacity=2000, threshold=2000, c_hold=1,
-                     c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=5.0)
-    pol = Policy.all_ones(2000)
-    assert average_profit(p, pol) == pytest.approx(reference_profit(p, pol.decisions), rel=1e-12)
-    # The record is kept, but a failed cut pass is not: every call raises.
-    for solve in (penalty_roots, penalty_roots, solve_poisson):
-        with pytest.raises(NumericalOverflow):
-            solve(p, pol)
+def test_head_beyond_float_range_gives_finite_answers():
+    # K = N = 2000 at example-1 rates: the weights on 0..K fall by half
+    # (all-ones) or by a quarter (all-zeros) per state, past float range,
+    # over three or six blocks.  D, F and the margins match the 60-digit
+    # reference relative to scale, and the Poisson residual lies within
+    # rounding of the rewards and of g, whose differences it takes.
+    p = SystemParams(lam=3.0, mu1=4.0, mu2=2.0, capacity=2000, threshold=2000, penalty=5.0,
+                     **EX1_COSTS)
+    for pol in (Policy.all_ones(2000), Policy.all_zeros(2000)):
+        ref = decimal_chain(p, pol.decisions)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile, sol = penalty_roots(p, pol), solve_poisson(p, pol)
+        b, a = reward_split(p, pol.decisions)
+        assert abs(profile.d_coef - ref.d_coef) <= 1e-13 * np.max(np.abs(b))
+        assert abs(profile.f_coef - ref.f_coef) <= 1e-13 * p.mu2
+        scale = 1 + np.max(np.abs(ref.num)) + p.penalty * np.max(np.abs(ref.den))
+        got, want = profile.num - p.penalty * profile.den, ref.num - p.penalty * ref.den
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        lam_total = p.lam + p.mu1 + p.mu2
+        assert sol.residual <= 64 * np.finfo(float).eps * (
+            np.max(np.abs(b - p.penalty * a)) + lam_total * np.max(np.abs(sol.g)))
 
 
 def test_scalar_profit_allocates_no_length_n_array():
@@ -493,12 +510,19 @@ def test_rate_quotients_beyond_float_range_give_finite_answers_or_typed_errors(l
         "brute_force_optimal": lambda: strict(brute_force_optimal, p)[1],
         "optimal_static_threshold": lambda: optimal_static_threshold(p)[1],
     }
+    answered = set()
     for name, call in calls.items():
         try:
             value = call()
         except StockRationingError:
             continue
+        answered.add(name)
         assert np.all(np.isfinite(value)), name
+    # Blocks of one state each answer every layer that reads the cuts, and
+    # the exact oracle agrees with policy iteration.
+    assert {"solve_poisson", "penalty_roots", "global_optimal", "brute_force_optimal"} <= answered
+    eta = global_optimal(p).eta
+    assert abs(brute_force_optimal(p)[1] - eta) <= ORACLE_MATCH_TOL * max(1.0, abs(eta))
     # The chain sits at state 0 or N, so eta is that state's reward.
     f = reward_structure(p, pol)[state]
     assert average_profit(p, pol) == pytest.approx(f, rel=1e-12)
@@ -586,18 +610,18 @@ def test_stack_of_the_wrong_shape_is_a_length_mismatch(example1_params, shape):
         chain_record(p, np.zeros(shape, dtype=int))
 
 
-@pytest.mark.parametrize("log_weights", [False, True], ids=["ratio-weights", "log-weights"])
-def test_stack_rows_equal_their_one_policy_records(log_weights):
+@pytest.mark.parametrize("many_blocks", [False, True], ids=["one-block", "many-blocks"])
+def test_stack_rows_equal_their_one_policy_records(many_blocks):
     # The stack's sums are batched dot products and its cut pass is the one
     # the single records take, so every row's cuts, margins, roots, signs and
-    # profit match its own record's bit for bit in either branch of
-    # _head_weights.  Log weights need K log(lam/mu1) of at least 600 nats;
-    # 11 nats a state stays below the 708 at which a weight flushes.
-    rng = np.random.default_rng(21 + log_weights)
+    # profit match its own record's bit for bit, with one block of weights
+    # on 0..K or several.  Several blocks need K log(lam/mu1) above 600
+    # nats; at 11 nats a state, 55 states or more take two blocks.
+    rng = np.random.default_rng(21 + many_blocks)
     for _ in range(20):
-        k = int(rng.integers(55, 61)) if log_weights else int(rng.integers(1, 61))
+        k = int(rng.integers(55, 61)) if many_blocks else int(rng.integers(1, 61))
         n = int(rng.integers(k, 3 * k + 1))
-        if log_weights:
+        if many_blocks:
             mu1, mu2 = 1.0, math.exp(rng.uniform(8.0, 14.0))
             lam = math.exp(11.0)
         else:
@@ -606,7 +630,7 @@ def test_stack_rows_equal_their_one_policy_records(log_weights):
         p = SystemParams(lam=lam, mu1=mu1, mu2=mu2, capacity=n, threshold=k,
                          penalty=float(rng.uniform(0.0, 30.0)), **EX1_COSTS)
         rows = rng.integers(0, 2, (int(rng.integers(2, 7)), k))
-        assert (chain._head_weights(p, rows)[1] is not None) == log_weights
+        assert (chain_record(p, rows).blocks.shape[-2] > 1) == many_blocks
         stack = chain_record(p, rows)
         etas = average_profits(p, rows)
         signs = stack.signs(p.penalty)
@@ -621,24 +645,20 @@ def test_stack_rows_equal_their_one_policy_records(log_weights):
 
 def test_stack_with_a_flushed_row_keeps_its_other_rows():
     # beta = 1/1002 over K = 200 states: the all-ones row's weights fall past
-    # float range, the all-zeros row's, halving per state, do not.  The stack
-    # cuts its other rows with no RuntimeWarning; only `check_cuts` on the
-    # flushed row raises, as that row's own record does.
+    # float range, the all-zeros row's, halving per state, do not.  With no
+    # RuntimeWarning every row's cuts are finite and equal its own record's
+    # bit for bit, and its margins match the 60-digit reference.
     p = SystemParams(lam=1.0, mu1=2.0, mu2=1000.0, capacity=400, threshold=200,
                      penalty=1.0, **EX1_COSTS)
     rows = np.array([[0] * 200, [1] * 200, [0] * 150 + [1] * 50])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         stack = chain_record(p, rows)
-        cuts = stack.cut_factors
-        for i in (0, 2):
-            stack.check_cuts(i)
-            assert np.all(np.isfinite(cuts[i]))
-            np.testing.assert_array_equal(
-                cuts[i], chain_record(p, Policy(tuple(rows[i].tolist()))).cut_factors)
-        with pytest.raises(chain.NumericalOverflow) as flushed:
-            stack.check_cuts(1)
-        with pytest.raises(chain.NumericalOverflow) as single:
-            penalty_roots(p, Policy.all_ones(200))
-    assert str(flushed.value) == str(single.value)
-    assert "98 cuts would divide by a flushed weight" in str(flushed.value)
+        for i, row in enumerate(rows):
+            record = chain_record(p, Policy(tuple(row.tolist())))
+            assert np.all(np.isfinite(stack.cut_factors[i]))
+            np.testing.assert_array_equal(stack.cut_factors[i], record.cut_factors)
+            ref = decimal_chain(p, row)
+            scale = 1 + np.max(np.abs(ref.num)) + p.penalty * np.max(np.abs(ref.den))
+            got = record.num - p.penalty * record.den
+            assert np.max(np.abs(got - (ref.num - p.penalty * ref.den))) <= 1e-13 * scale

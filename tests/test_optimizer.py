@@ -5,13 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stockrationing import (
     ENUMERATION_CAP,
     CapExceeded,
-    NumericalOverflow,
     Policy,
     StockRationingError,
     SystemParams,
@@ -27,11 +26,23 @@ from stockrationing import (
     static_profit_closed_form,
 )
 from stockrationing import optimizer
-from stockrationing.chain import BRUTE_FORCE_TIE_BAND, SIGN_ZERO_BAND, _first_best, _head_weights
+from stockrationing.chain import (
+    BRUTE_FORCE_TIE_BAND,
+    SIGN_ZERO_BAND,
+    TINY,
+    _first_best,
+    _head_weights,
+)
 from stockrationing.optimizer import EPS
 
 from conftest import counting, random_params, random_policy
-from oracles import gain_bounds, reference_global_optimal, rvi_gain
+from oracles import (
+    decimal_chain,
+    exact_chain,
+    gain_bounds,
+    reference_global_optimal,
+    rvi_gain,
+)
 
 
 class TestClassifyRegion:
@@ -254,15 +265,17 @@ def test_enumeration_matches_policy_iteration_at_larger_k(p):
 @pytest.mark.parametrize("k, log_hold", [(12, 52.0), (11, 56.0), (16, 95.0), (16, 120.0)])
 @pytest.mark.parametrize("serve", [1.0, 1e3])
 def test_split_enumeration_in_the_log_weight_branch(k, log_hold, serve):
-    # K log(lam/mu1) = 624 and 616 nats, past the 600 that switches the
-    # weights to logs, while each head stays in float range; at K = 16 a
-    # half's 8 log(lam/mu1) = 760 and 960 nats do not, so a low half's
+    # K log(lam/mu1) = 624 and 616 nats, past the 600 that one block of
+    # weights spans (and that switched the weights to logs before blocks):
+    # the head takes several blocks, each half one.  At K = 16 a half's
+    # 8 log(lam/mu1) = 760 and 960 nats take several too, and a low half's
     # weight sum passes float range on the high half's scale.  mu2 = 1e3 lam
     # makes serving ratios fall below one, so the halves' scales cross
     lam = math.exp(log_hold)
     p = SystemParams(lam=lam, mu1=1.0, mu2=serve * lam, capacity=k + 8, threshold=k,
                      c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=5.0)
-    assert _head_weights(p, np.zeros((1, k), dtype=int))[1] is not None    # log weights
+    blocks = [_head_weights(p, np.zeros((1, n), dtype=int))[1].shape[-2] for n in (k, k - k // 2)]
+    assert blocks[0] > 1 and (blocks[1] > 1) == (k == 16)
     policy, eta = brute_force_optimal(p)
     ref_policy, ref_eta = explicit_optimum(p)
     assert policy.decisions == ref_policy
@@ -372,8 +385,8 @@ class TestGlobalOptimal:
             assert gain <= 1e-9 * max(1.0, abs(res.eta)), i
 
     def test_strong_upward_drift_optimum(self):
-        # lam/(mu1 + mu2) = 5 at N = 500: the raw weights 5**500 overflow, and
-        # the optimizer raised NumericalOverflow on this well-defined model.
+        # lam/(mu1 + mu2) = 5 at N = 500: the raw weights 5**500 overflow, which
+        # once made the optimizer fail on this well-defined model.
         # The reference sums log-weights from state N with math.fsum.
         from oracles import log_weight_reference, reward_split
 
@@ -471,23 +484,24 @@ def test_global_optimal_is_the_per_profile_iteration(p):
 @pytest.mark.parametrize("rates, penalty, region", [
     (dict(lam=1.0, mu1=2.0, mu2=1000.0, capacity=400, threshold=200), 1e4, "HighPenalty"),
     (dict(lam=3.0, mu1=4.0, mu2=2.0, capacity=2000, threshold=2000), 1e5, "HighPenalty"),
-    (dict(lam=1.0, mu1=2.0, mu2=1000.0, capacity=400, threshold=200), 1.0, None),
+    (dict(lam=1.0, mu1=2.0, mu2=1000.0, capacity=400, threshold=200), 1.0, "Middle"),
 ], ids=["beta-1e-3-high", "example-1-rates-k2000-high", "beta-1e-3-below-p-high"])
-def test_flushed_all_ones_row_raises_only_when_read(rates, penalty, region):
-    # The all-ones row's weights fall past float range and the all-zeros
-    # row's do not.  At P >= p_high that row is never read: the answer is
-    # HighPenalty with no RuntimeWarning.  Below p_high it is read, and the
-    # error is the all-ones profile's.
+def test_all_ones_row_beyond_float_range_is_answered(rates, penalty, region):
+    # The all-ones row's weights span more than float range and the
+    # all-zeros row's do not.  Both gate rows and every step are answered
+    # with no RuntimeWarning, as the per-profile iteration answers, and eta
+    # lies in one Bellman step's bounds at the returned policy's own g.
     p = SystemParams(penalty=penalty, **rates, **EX1_COSTS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _outcome(global_optimal, p)
         want = _outcome(reference_global_optimal, p)
-    assert got == want
-    if region is None:
-        assert got[0] is NumericalOverflow and "cuts would divide by a flushed weight" in got[1]
-    else:
-        assert got[2] == region
+        g = chain_record(p, got[0]).g
+    assert got == want and got[2] == region
+    lo, hi = gain_bounds(p, g)
+    rounding = 16 * EPS * (np.max(np.abs(reward_structure(p, got[0])))
+                           + (p.lam + p.mu1 + p.mu2) * np.max(np.abs(g)))
+    assert lo - rounding <= float.fromhex(got[1]) <= hi + rounding
 
 
 @pytest.mark.parametrize("penalty, region", [
@@ -508,12 +522,12 @@ def test_gates_take_one_record_and_each_step_one_more(penalty, region, monkeypat
 
 @st.composite
 def bellman_params(draw):
-    """K <= N <= 400 in both drift regimes, with K times the largest log rate
-    ratio below 650 nats, so that no weight on 0..K flushes."""
+    """K <= N <= 400 in both drift regimes: mu2/mu1 from e**-3 to e**3 and
+    lam/(mu1 + mu2) from e**-4 to e**4, so the weights on 0..K may span
+    thousands of nats."""
     k = draw(st.integers(1, 400))
-    mu2 = min(math.exp(draw(st.floats(-3.0, 3.0))), math.expm1(600.0 / k))
-    reach = min(4.0, 650.0 / k - math.log1p(mu2))     # of log(lam/(mu1 + mu2))
-    lam = (1.0 + mu2) * math.exp(draw(st.floats(-1.0, 1.0)) * reach)
+    mu2 = math.exp(draw(st.floats(-3.0, 3.0)))
+    lam = (1.0 + mu2) * math.exp(draw(st.floats(-4.0, 4.0)))
     c_hold, c_lost1, c_lost2, c_buy, c_opp, price = draw(
         st.lists(st.floats(0.0, 10.0), min_size=6, max_size=6))
     penalty = draw(st.one_of(st.just(0.0), st.floats(-3.0, 5.0).map(math.exp)))
@@ -542,6 +556,62 @@ def test_optimal_gain_lies_in_one_bellman_steps_bounds(p):
         1.0, float(np.max(np.abs(profile.num) + p.penalty * np.abs(profile.den))))
     assert lo - rounding <= res.eta <= hi + rounding
     assert hi - lo <= rounding + band
+
+
+@st.composite
+def wide_params(draw):
+    """Rates log-uniform over e**+-50 under a common scale from e**-650 to
+    e**650, mu2/mu1 from 1e-9 to 1e9, costs and P up to 1e6, K <= N <= 2000
+    (K = N about half the time).  A draw whose rewards pass float range has
+    no float profit, so those corners are skipped."""
+    scale = draw(st.floats(-650.0, 650.0))
+    lam, mu1 = (math.exp(scale + draw(st.floats(-50.0, 50.0))) for _ in range(2))
+    mu2 = mu1 * math.exp(draw(st.floats(-math.log(1e9), math.log(1e9))))
+    c_hold, c_lost1, c_lost2, c_buy, c_opp, price, penalty = costs = draw(
+        st.lists(st.floats(0.0, 1e6), min_size=7, max_size=7))
+    assume(max(lam, mu1, mu2) * (1.0 + max(costs)) < 1e300)
+    k = draw(st.integers(1, 2000))
+    return SystemParams(lam=lam, mu1=mu1, mu2=mu2, threshold=k,
+                        capacity=draw(st.one_of(st.just(k), st.integers(k, 2000))),
+                        c_hold=c_hold, c_lost1=c_lost1, c_lost2=c_lost2, c_buy=c_buy,
+                        c_opp=c_opp, price=price, penalty=penalty)
+
+
+@given(p=wide_params())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_wide_draw_matches_the_references_at_any_k(p):
+    # The weights on 0..K take as many blocks as their span needs.  D, F and
+    # the returned policy's margins match exact_chain (N <= 40) or the
+    # 60-digit decimal reference, relative to their rounding scales: the size
+    # of B's terms and mu2, floored at the smallest normal float, and each
+    # coefficient's `size`, floored at e**600 times that: a cut's sum runs on
+    # its block's first state's scale, up to e**600 from the weight it is
+    # divided by, and may pass through the subnormal range there, as D and F
+    # may.  eta lies in one Bellman step's bounds at that policy's own g, to
+    # rounding and the subnormal spacing.  A policy that Howard's steps pass
+    # on the way may have margins past float range, which warn.
+    res = global_optimal(p)
+    record = chain_record(p, res.policy)
+    g = record.g
+    d = res.policy.decisions
+    dec = decimal_chain(p, d)
+    ref = exact_chain(p, d) if p.capacity <= 40 else dec
+    terms = (p.price * (p.mu1 + p.mu2) + p.c_lost1 * p.mu1 + p.c_lost2 * p.mu2
+             + (p.c_buy + p.c_opp) * p.lam + p.c_hold * p.capacity)
+    assert abs(record.d_coef - float(ref.d_coef)) <= 1e-13 * max(terms, TINY)
+    assert abs(record.f_coef - float(ref.f_coef)) <= 1e-13 * max(p.mu2, TINY)
+    margin = np.array(ref.num, dtype=float) - p.penalty * np.array(ref.den, dtype=float)
+    size = np.maximum(dec.size[0] + (p.penalty * dec.size[1] if p.penalty else 0.0),
+                      TINY * math.exp(600.0))
+    # The segment's weights are exp((N-K) log beta), which rounds at (N-K) |log beta| eps
+    # and carries that into D and F, and so into the margins.
+    segment = (p.capacity - p.threshold) * abs(math.log(p.lam) - math.log(p.mu1 + p.mu2))
+    tol = 1e-13 + 8 * EPS * segment
+    assert np.all(np.abs(record.num - p.penalty * record.den - margin) <= tol * size)
+    lo, hi = gain_bounds(p, g)
+    rounding = 16 * EPS * (np.max(np.abs(reward_structure(p, res.policy)))
+                           + (p.lam + p.mu1 + p.mu2) * np.max(np.abs(g)) + TINY)
+    assert lo - rounding <= res.eta <= hi + rounding
 
 
 @given(k=st.integers(1, 200), extra=st.integers(0, 199), seed=st.integers(0, 2**32 - 1))
