@@ -35,7 +35,14 @@ enumeration oracle: `brute_force_optimal` at example-1 rates and costs,
 P=5, N=2K, at K=16, 20, 22 and 24 (the enumeration cap), best of 3.  The
 line after it times `global_optimal` where the weights on states 0..K span
 many blocks: at example-1 rates and costs, P=5, K=N=2,000 and K=N=1e5, best
-of 3, with each run's policy-iteration steps.  The
+of 3, with each run's policy-iteration steps.  The `record` line times a
+chain record's fixed cost at the shape of perfbench's large-n instances
+(lam=6.3, mu1=4, mu2=2, N=3,162, example-1 costs, P=5) with K=15 and 40:
+`chain_record` with its `roots`, `signs(P)` and `eta(P)` read, on a mixed
+policy (serving where i is not a multiple of 3) with the kept record
+dropped first, and on the two-row stack of the all-zeros and all-ones
+rows that `global_optimal` gates on, each the best of RECORD_REPEATS
+calls.  The
 last line gives the package's size: the lines of its modules (as
 `wc -l src/stockrationing/*.py` counts them), the number of names it
 exports, and how many parameters of the exported functions have a default.
@@ -43,8 +50,9 @@ Times print to three significant digits.  The output ends with one JSON line
 that holds every timed number at full precision as [value, unit], in ms or
 M events/s, keyed by name: "<layer> <column>" for a table cell, "simulator
 (<label>)" for a simulator line and "enumeration K=<k>" for an enumeration
-cell and "global_optimal K=N=<k>" for a large-K cell; a cell that raises
-has no entry.  Each table cell also has
+cell, "global_optimal K=N=<k>" for a large-K cell and "record K=<k>" and
+"gates K=<k>" for the record line; a cell that raises has no entry.  Each
+table cell and each record-line cell also has
 "<layer> <column> / reference": its time over the best of 3 of
 `reference_call`, a fixed call that touches no package code, timed in the
 same process right before the cell, so that a ratio moves less than a raw
@@ -79,6 +87,7 @@ from stockrationing import (  # noqa: E402
     SystemParams,
     average_profit,
     brute_force_optimal,
+    chain_record,
     global_optimal,
     optimal_static_threshold,
     penalty_roots,
@@ -100,13 +109,15 @@ WARMUP_CALLS = 10
 forget_record = getattr(stockrationing.chain, "_forget_last_record", lambda: None)
 ENUMERATION_KS = (16, 20, 22, 24)
 LARGE_KS = (2_000, 100_000)
+RECORD_KS = (15, 40)
+RECORD_REPEATS = 300    # microsecond calls: the best of many
 SIM_GRID_JUMP_RATE = 2.0
 THRESHOLD_9 = Policy(tuple(int(i >= 9) for i in range(1, 16)))
 
 
-def best_time(fn) -> float:
+def best_time(fn, repeats: int = REPEATS) -> float:
     best = float("inf")
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         forget_record()
         start = time.perf_counter()
         fn()
@@ -189,6 +200,27 @@ def large_k_speed(timed: dict) -> str:
     return "global_optimal: " + ", ".join(cells) + " (example-1 rates, best of 3)"
 
 
+def record_speed(timed: dict) -> str:
+    cells = []
+    for k in RECORD_KS:
+        p = SystemParams(lam=6.3, mu1=4.0, mu2=2.0, capacity=3_162, threshold=k,
+                         c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=5.0)
+        mixed = Policy(tuple(int(i % 3 != 0) for i in range(1, k + 1)))
+        gates = np.arange(2.0)[:, None].repeat(k, axis=1)
+        for name, arg in (("record", mixed), ("gates", gates)):
+            def call(arg=arg):
+                record = chain_record(p, arg)
+                return record.roots, record.signs(p.penalty), record.eta(p.penalty)
+
+            reference = best_time(reference_call)
+            seconds = best_time(call, RECORD_REPEATS)
+            timed[f"{name} K={k}"] = [seconds * 1e3, "ms"]
+            timed[f"{name} K={k} / reference"] = [seconds / reference, "ratio"]
+            cells.append(f"{name} K={k} {seconds * 1e6:.1f} µs")
+    return ("record: " + ", ".join(cells)
+            + f" (lam=6.3, mu1=4, mu2=2, N=3,162, P=5, best of {RECORD_REPEATS})")
+
+
 def footprint() -> str:
     modules = sorted(Path(stockrationing.__file__).parent.glob("*.py"))
     lines = sum(path.read_text().count("\n") for path in modules)
@@ -244,6 +276,7 @@ def main():
         print(simulator_speed(sim_grid_shape(pol), pol, name, 5000.0, 10, sim_grid, timed))
     print(enumeration_speed(timed))
     print(large_k_speed(timed))
+    print(record_speed(timed))
     print(footprint())
     print(json.dumps(timed))
 

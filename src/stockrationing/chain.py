@@ -10,8 +10,8 @@ segment, finite at any K or N.  The record gives eta = D - P*F, the flip margins
 G(i) + b = num - P*den on 1..K with their penalty roots and signs, and, each
 computed once when first read, pi, the special potential g (g(0) = 0) and its
 Poisson residual, in O(N) from one table of beta's powers.
-D and F need four sums over states 0..K, which `ChainRecord.parts` turns into
-the total weight and D's and F's numerators for a stack's rows or the oracle's.
+D and F need three weighted sums over states 0..K, which `ChainRecord.parts`
+joins with the segment's for a stack's rows or the oracle's halves.
 The last policy's record, with its cut pass, pi and g, is kept in one slot, so
 calls that ask about one policy in turn solve it once; its arrays are read-only.
 """
@@ -40,6 +40,7 @@ TINY = 2.2250738585072014e-308     # the smallest normal float64
 BRUTE_FORCE_TIE_BAND = 1e-12
 DEGENERATE_COEF_TOL = 1e-12
 SIGN_ZERO_BAND = 1e-9
+_HUGE = 1.7976931348623157e308     # the largest float64
 
 
 class _view:
@@ -58,31 +59,27 @@ class _view:
 class ChainRecord:
     """One policy's chain, or each row's of a stack, solved once in ratio form.
 
-    `head` holds four sums over states 0..K per chain (arrays for a stack):
-    the weight sum, the served weight sum_i d_i w_i, the weighted sum of the
-    all-zeros policy's B row `base` and the log of state K's weight, on the
-    head's scale (`_head_weights`).  Serving Class 2 at a state in 1..K adds
-    a fixed `_serve_gain` to B and A, so they fix D and F (`d_coef`, `f_coef`
-    and `eta`); the `decisions`, `weights`, `blocks` and `base` behind them
-    are kept when known.  The segment (`tail`) enters at its heavier end, K+1
-    when beta <= 1 and N when beta > 1, at log_K + lead, lead = max(log beta,
-    (N-K) log beta), shifted to one when larger: `scales` are the head's and
-    that end's weights, the latter's log, the shift and lead; `parts` the
-    total weight and the numerators of D and F.
+    `head`, (3, K+1) per chain and (m, 3, K+1) for a stack, holds the weights
+    on states 0..K on the head's scale (`_head_weights`) and there the rows B
+    and A of the reward f = B - P*A; `sums` the sums of the weights and of B
+    and A weighted by them and the log of state K's weight, floats for one
+    policy and arrays for a stack.  The segment (`tail`) enters at its heavier
+    end, K+1 when beta <= 1 and N when beta > 1, at log_K + lead, lead =
+    max(log beta, (N-K) log beta), shifted to one when larger: `scales` are
+    the head's and that end's weights, the latter's log, the shift and lead;
+    `parts` the total weight and the numerators of D and F.
     """
 
     params: SystemParams
-    head: tuple
+    sums: tuple
+    head: np.ndarray | None = None
     decisions: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    base: np.ndarray | None = None
     blocks: np.ndarray | None = None
 
     @_view
     def tail(self) -> tuple:
         # Weighted penalty-free reward R(mu1 + mu2) - c_hold j - c_buy lam, c_opp at N.
-        p = self.params
-        w_sum, m_sum, top = sums = _tail_sums(p, p.capacity - p.threshold)
+        w_sum, m_sum, top = sums = _tail_sums(p := self.params, p.capacity - p.threshold)
         level = (p.price * (p.mu1 + p.mu2) - p.c_buy * p.lam) - p.c_hold * p.threshold
         return sums, level * w_sum - p.c_hold * m_sum + (p.c_buy - p.c_opp) * p.lam * top
 
@@ -90,40 +87,24 @@ class ChainRecord:
     def scales(self) -> tuple:
         p, m = self.params, self.params.capacity - self.params.threshold
         lead = max(log_beta := _log_beta(p), m * log_beta) if m else 0.0
-        shift = np.maximum(tail_log := self.head[3] + lead, 0.0)
-        return np.exp(-shift), np.exp(tail_log - shift), tail_log - shift, shift, lead
+        shift = max(t, 0.0) if isinstance(t := self.sums[3] + lead, float) else np.maximum(t, 0.0)
+        scales = np.exp((-shift, t := t - shift))    # numpy's exp, which a stack's rows take
+        return (*(scales.tolist() if scales.ndim == 1 else scales), t, shift, lead)
 
     @_view
     def parts(self) -> tuple:
-        (w_sum, served, b_sum, _), (head_scale, tail_scale, *_) = self.head, self.scales
-        gain_b, gain_a = _serve_gain(self.params)
-        return (head_scale * w_sum + tail_scale * self.tail[0][0],
-                head_scale * (b_sum + gain_b * served) + tail_scale * self.tail[1],
-                head_scale * gain_a * served)
+        (w_sum, b_sum, a_sum, _), (head_scale, tail_scale, *_) = self.sums, self.scales
+        (t_sum, _, _), seg = self.tail
+        return (head_scale * w_sum + tail_scale * t_sum, head_scale * b_sum + tail_scale * seg,
+                head_scale * a_sum)
 
-    @_view
-    def rewards(self) -> np.ndarray:
-        """Rows B and A of f = B - P*A on states 0..K: (2, K+1), or (m, 2, K+1)."""
-        d = self.decisions
-        rewards = np.zeros(d.shape[:-1] + (2, d.shape[-1] + 1))
-        np.multiply(d[..., None, :], np.array(_serve_gain(self.params))[:, None],
-                    out=rewards[..., 1:])
-        rewards[..., 0, :] += self.base
-        return _read_only(rewards)
+    # Views of `head`: the weights on 0..K, (K+1,) or (m, K+1), and rows B and A there.
+    weights = property(lambda self: self.head[..., 0, :])
+    rewards = property(lambda self: self.head[..., 1:, :])
 
-    def _mean(self, part: int):
-        mean = self.parts[part] / self.parts[0]
-        return float(mean) if np.ndim(mean) == 0 else mean
-
-    @_view
-    def d_coef(self):
-        """D, the stationary mean of B: a float, or one entry per stack row."""
-        return self._mean(1)
-
-    @_view
-    def f_coef(self):
-        """F, the stationary mean of A: a float, or one entry per stack row."""
-        return self._mean(2)
+    # D and F, the stationary means of B and A: floats, or one entry per stack row.
+    d_coef = property(lambda self: self.parts[1] / self.parts[0])
+    f_coef = property(lambda self: self.parts[2] / self.parts[0])
 
     def eta(self, penalty: float):
         """The average profit eta = D - P*F."""
@@ -140,8 +121,7 @@ class ChainRecord:
     def pi(self) -> np.ndarray:
         """pi on states 0..N of a one-policy record; above K, `powers` times one
         scalar, reversed when beta > 1.  Read-only."""
-        p = self.params
-        k = p.threshold
+        p, k = self.params, self.params.threshold
         pi = np.empty(p.capacity + 1)
         pi[: k + 1] = self.weights * (self.scales[0] / self.parts[0])
         powers = self.powers[-2::-1] if _log_beta(p) > 0 else self.powers[:-1]
@@ -184,7 +164,7 @@ class ChainRecord:
         g = np.zeros(p.capacity + 1)
         steps, (cut_b, cut_a) = g[1:], self.cut_factors
         np.negative(cut_b - p.penalty * cut_a, out=steps[: len(cut_b)])
-        eta, x, r = self.eta(p.penalty), -abs(_log_beta(p)), np.arange(1.0, m)
+        eta, x, r = self.eta(p.penalty), -abs(log_beta := _log_beta(p)), np.arange(1.0, m)
         gap, delta = eta - (p.price * (p.mu1 + p.mu2) - p.c_buy * p.lam), p.c_buy - p.c_opp
         if x == 0.0:
             steps[k + 1 :] = delta - r[::-1] * (gap + p.c_hold * (k + 0.5 + 0.5 * (r + m))) / p.lam
@@ -192,7 +172,7 @@ class ChainRecord:
             band = min(m - 1, math.ceil(SERIES_BAND / -x) - 1)
             eps = math.expm1(x)
             w, hold = -math.exp(x) / eps, p.c_hold * r
-            if _log_beta(p) < 0:         # beta < 1: the band ends the segment
+            if log_beta < 0:             # beta < 1: the band ends the segment
                 out = m - 1 - band
                 seg, power = steps[k + 1 : k + 1 + out], self.powers[m - 1 : band : -1]
                 np.multiply(power - 1.0, gap + p.c_hold * (k + 1 + w) + hold[:out], out=seg)
@@ -213,7 +193,7 @@ class ChainRecord:
                     weights = self.powers[band - 1 :: -1]
                     seg[:band] += (_compensated_cumsum(weights * (gap + p.c_hold * (k + r[:band])))
                                    / (p.lam * weights))
-        np.cumsum(steps, out=steps)
+        np.add.accumulate(steps, out=steps)
         return _read_only(g)
 
     @_view
@@ -248,75 +228,80 @@ class ChainRecord:
             lam xi_{i-1} G(i) = sum_{j<i} xi_j (f_j - eta) = -sum_{j>=i} xi_j (f_j - eta),
 
         the segment's closed form joining the sum from i up.  Both run in one
-        compensated pass over the `blocks` on their first states' scales and
-        are carried into the next block times v_s/(lam w_{s-1}), s its first
+        compensated pass over the `blocks` (one block is the head's weights)
+        and are carried into the next block times v_s/(lam w_{s-1}), s its first
         state, or its inverse going down.  The sum below i is divided by
         w_{i-1} and lam, the sum from i up by w_i and v_i (lam xi_{i-1} =
         v_i xi_i), so no rate ratio is formed.  Each cut takes the end with
         less weight on the chain's scale.  The pass runs once per record, its
         array is read-only, and a stack's rows equal their records bit for bit.
         """
-        p, (w_sum, served, b_sum, _) = self.params, self.head
-        k, (head_scale, tail_scale, _, shift, lead) = p.threshold, self.scales
-        ((t_sum, _, _), seg), d_coef, f_coef = self.tail, self.d_coef, self.f_coef
-        run, d, (gain_b, gain_a) = self.blocks, self.decisions, _serve_gain(p)
-        (nb, length), w = run.shape[-2:], run.reshape(run.shape[:-2] + (-1,))[..., : k + 1]
+        p, k = self.params, self.params.threshold
+        (w_sum, b_sum, a_sum, _), (head_scale, _, _, shift, lead) = self.sums, self.scales
+        ((t_sum, _, _), seg), (whole, *_) = self.tail, self.parts    # whole: the total weight
+        # States lead and a stack's rows trail, so that per-chain values (floats, or a
+        # stack's (m,) arrays) broadcast.  Up to 64 states lead the memory too, for contiguous
+        # running sums; past that numpy would step rows of four, so the columns lead.
+        head, run = self.head.T, self.blocks    # w: the blocks' weights, state by state
+        (nb, length), w = run.shape[-2:], run.reshape(run.shape[:-2] + (-1,)).T
+        order = "C" if nb * length <= 64 else "F"
         # B and A over m 2**e, where lam = m 2**n and 2**e is above their size, so that no
         # weighted deviation leaves float range; a cut is a sum over a weight, times 2**(e-n).
         m, n = math.frexp(p.lam)
         size_b = (p.price * (p.mu1 + p.mu2) + p.c_lost1 * p.mu1 + p.c_lost2 * p.mu2
                   + (p.c_buy + p.c_opp) * p.lam + p.c_hold * p.capacity)
-        e_b, e_a = max(math.frexp(size_b)[1], -1000), max(math.frexp(gain_a)[1], -1000)
+        e_b, e_a = max(math.frexp(size_b)[1], -1000), max(math.frexp(p.mu2)[1], -1000)
         unit_b, unit_a = math.ldexp(1.0 / m, -e_b), math.ldexp(1.0 / m, -e_a)
-        unit, exps = np.array((unit_b, unit_a))[:, None], np.array((e_b - n, e_a - n))[:, None]
-        # Per-chain values (a stack's are (m,)) meet transposed arrays, stack axis last.
-        coef = np.array([d_coef, f_coef]).T[..., None]
-        dev = np.zeros(run.shape[:-2] + (4, nb * length))
-        np.multiply(w[..., None, :], (self.rewards - coef) * unit, out=dev[..., :2, : k + 1])
-        np.negative(dev[..., :2, ::-1], out=dev[..., 2:, :])
+        exps = np.array((e_b - n, e_a - n)).reshape((2,) + (1,) * (w.ndim - 1))
+        # Columns 0-1 run up from state 0 and 2-3, negated, down from the top, block by block.
+        dev = np.zeros((nb * length, 4) + head.shape[2:], order=order)
+        up = dev[: k + 1, :2]
+        np.subtract(head[:, 1:], np.array((self.d_coef, self.f_coef)), out=up)
+        up[:, 0] *= unit_b
+        up[:, 1] *= unit_a
+        up *= w[: k + 1, None]
         # The segment's deficit, on the last block's scale, starts the sums down the top.
-        z_b = (seg * w_sum - (b_sum + gain_b * served) * t_sum) / self.parts[0]
-        z_a = -gain_a * served * t_sum / self.parts[0]
-        to_last = np.exp(lead - shift) * w[..., -1]
-        dev[..., 2:, -1 - k] -= (to_last * np.array((z_b * unit_b, z_a * unit_a))).T
-        # Rows 0-1 run up from state 0 and rows 2-3, negated, down from the top, block by block.
-        runs = _compensated_cumsum(dev.reshape(dev.shape[:-1] + (nb, length)))
+        z_b, z_a = (seg * w_sum - b_sum * t_sum) / whole, -a_sum * t_sum / whole
+        to_last = (lift := np.exp(lead - shift)) * w[k]
+        np.negative(dev[::-1, :2], out=dev[:, 2:])
+        dev[-1 - k, 2:] -= (to_last * (z_b * unit_b), to_last * (z_a * unit_a))
+        runs = _compensated_cumsum(dev.reshape((nb, length) + dev.shape[1:]).swapaxes(0, 1))
         s = slice(length - 1, k, length)    # each block's first state s after the first: s - 1
-        runs_by_block, runs = runs, runs.reshape(runs.shape[:-2] + (-1,))
+        runs_by_block, runs = runs, runs.swapaxes(0, 1).reshape(dev.shape)
         # Less weight bounds a cut's rounding, and the error D's and F's carry into it.
-        lower = (self.weights[..., :k].cumsum(axis=-1) * head_scale[..., None]
-                 <= (0.5 * self.parts[0])[..., None])[..., None, :]
-        sums = np.where(lower, runs[..., :2, :k], runs[..., 2:, ::-1][..., 1 : k + 1])
-        cut = np.empty(sums.shape[:-1] + (k + 1,))
+        lower = (np.add.accumulate(head[:k, 0]) * head_scale <= 0.5 * whole)[:, None]
+        sums = np.where(lower, runs[:k, :2], runs[::-1, 2:][1 : k + 1])
+        cut = np.empty((k + 1,) + sums.shape[1:], order=order)
         if nb == 1:
-            np.ldexp(sums / w[..., None, :k], exps, out=cut[..., :k])
+            np.ldexp(sums / w[:k, None], exps, out=cut[:k])
         else:    # carries as mantissa and power of two into each position's block, by its end
             with np.errstate(over="ignore", invalid="ignore"):    # a cut past float range is inf
-                (m_v, n_v), (m_w, n_w) = np.frexp(p.mu1 + p.mu2 * d[..., s]), np.frexp(w[..., s])
+                d = self.decisions.T
+                (m_v, n_v), (m_w, n_w) = np.frexp(p.mu1 + p.mu2 * d[s]), np.frexp(w[s])
                 f_m, f_n = m_v / (m * m_w), n_v - n - n_w    # v_s / (lam w_{s-1}), going up
-                f_m, f_n = (np.stack((x, x, y[..., ::-1], y[..., ::-1]), -2)
+                f_m, f_n = (np.stack((x, x, y[::-1], y[::-1]), 1)
                             for x, y in ((f_m, 1.0 / f_m), (f_n, -f_n)))
-                c_m, c_n = np.zeros(f_m.shape[:-1] + (nb,)), np.zeros(f_m.shape[:-1] + (nb,), int)
+                c_m, c_n = np.zeros((nb,) + f_m.shape[1:]), np.zeros((nb,) + f_m.shape[1:], int)
                 for b in range(1, nb):
-                    r_m, r_n = np.frexp(runs_by_block[..., b - 1, -1])
-                    e = np.where(c_m[..., b - 1] != 0.0, np.maximum(c_n[..., b - 1], r_n), r_n)
-                    total = np.ldexp(c_m[..., b - 1], c_n[..., b - 1] - e) + np.ldexp(r_m, r_n - e)
-                    c_m[..., b], c_n[..., b] = np.frexp(total * f_m[..., b - 1])
-                    c_n[..., b] += e + f_n[..., b - 1]
-                c_m, c_n = (np.where(lower, np.repeat(c[..., :2, :], length, -1)[..., :k],
-                                     np.repeat(c[..., 2:, ::-1], length, -1)[..., 1 : k + 1])
+                    r_m, r_n = np.frexp(runs_by_block[-1, b - 1])
+                    e = np.where(c_m[b - 1] != 0.0, np.maximum(c_n[b - 1], r_n), r_n)
+                    total = np.ldexp(c_m[b - 1], c_n[b - 1] - e) + np.ldexp(r_m, r_n - e)
+                    c_m[b], c_n[b] = np.frexp(total * f_m[b - 1])
+                    c_n[b] += e + f_n[b - 1]
+                c_m, c_n = (np.where(lower, np.repeat(c[:, :2].T, length, -1).T[:k],
+                                     np.repeat(c[::-1, 2:].T, length, -1).T[1 : k + 1])
                             for c in (c_m, c_n))
                 # From a block's first state up: over v and its weight 1 there, not lam w.
-                sums[..., s] -= (own := np.where(lower[..., s], 0.0, sums[..., s]))
-                c_m[..., s] -= (own_c := np.where(lower[..., s], 0.0, c_m[..., s]))
-                cut[..., :k] = (np.ldexp(sums / w[..., None, :k], exps)
-                                + np.ldexp(c_m / w[..., None, :k], exps + c_n))
-                m_v, n_v = m / m_v[..., None, :], exps + n - n_v[..., None, :]
-                cut[..., s] += np.ldexp(own * m_v, n_v) + np.ldexp(own_c * m_v, n_v + c_n[..., s])
+                sums[s] -= (own := np.where(lower[s], 0.0, sums[s]))
+                c_m[s] -= (own_c := np.where(lower[s], 0.0, c_m[s]))
+                cut[:k] = (np.ldexp(sums / w[:k, None], exps)
+                           + np.ldexp(c_m / w[:k, None], exps + c_n))
+                m_v, n_v = m / m_v[:, None], n - n_v[:, None] + exps
+                cut[s] += np.ldexp(own * m_v, n_v) + np.ldexp(own_c * m_v, n_v + c_n[s])
         # From K+1 up: the deficit over lam xi_K, or (mu1 + mu2) xi_{K+1} when beta <= 1.
-        at_k1 = -np.exp(lead - shift) / p.lam if lead > 0.0 else -1.0 / (p.mu1 + p.mu2)
-        cut[..., 0, k], cut[..., 1, k] = at_k1 * z_b, at_k1 * z_a
-        return _read_only(cut[..., : min(k + 1, p.capacity)])
+        at_k1 = -lift / p.lam if lead > 0.0 else -1.0 / (p.mu1 + p.mu2)
+        cut[k] = at_k1 * z_b, at_k1 * z_a
+        return _read_only(cut[: min(k + 1, p.capacity)].T)
 
     @_view
     def num(self) -> np.ndarray:
@@ -335,19 +320,21 @@ class ChainRecord:
         """The penalty costs num/den at which the margins vanish; where den
         does, an infinite root with num's sign.  Read-only."""
         num, den = self.num, self.den
-        degenerate = np.abs(den) <= DEGENERATE_COEF_TOL
-        if not degenerate.any():
+        if np.abs(den).min(initial=np.inf) > DEGENERATE_COEF_TOL:
             return _read_only(num / den)
+        degenerate = np.abs(den) <= DEGENERATE_COEF_TOL
         return _read_only(np.where(degenerate, np.where(num >= 0, np.inf, -np.inf),
                                    num / np.where(degenerate, 1.0, den)))
 
     def signs(self, penalty: float) -> np.ndarray:
         """Labels in {-1, 0, +1} of the margins at the given penalty; zero
-        inside the zero band SIGN_ZERO_BAND, or for a NaN."""
-        num, den = self.num, self.den
-        value = num - penalty * den
-        band = SIGN_ZERO_BAND * np.maximum(1.0, np.abs(num) + np.abs(penalty * den))
-        return np.where(value > band, 1, np.where(value < -band, -1, 0))
+        inside the zero band SIGN_ZERO_BAND, or for a NaN.  At P = 0 they are
+        num's: P*den is not formed, so an infinite den leaves them defined.  The
+        band stops at its largest finite value, so an infinite margin keeps its sign."""
+        num, p_den = self.num, penalty * self.den if penalty else 0.0
+        value, band = num - p_den, np.abs(num) + abs(p_den)
+        band = np.minimum(SIGN_ZERO_BAND * np.maximum(band, 1.0, out=band), SIGN_ZERO_BAND * _HUGE)
+        return np.subtract(value > band, value < -band, dtype=int)
 
     @_view
     def sort_perm(self) -> tuple[int, ...]:
@@ -375,7 +362,7 @@ def _exp(z: np.ndarray) -> np.ndarray:
 
 def _log_ratio(a: float, b: float) -> float:
     """log(a / b), as log(a) - log(b) where a / b is not a normal float."""
-    return math.log(a / b) if TINY <= a / b < math.inf else math.log(a) - math.log(b)
+    return math.log(q) if TINY <= (q := a / b) < math.inf else math.log(a) - math.log(b)
 
 
 def _log_beta(params: SystemParams) -> float:
@@ -412,37 +399,42 @@ def _tail_sums(params: SystemParams, n: int) -> tuple:
 
 
 def _head_weights(p: SystemParams, d: np.ndarray) -> tuple:
-    """Weights on states 0..n of each row of d, n its length, on the head's
-    scale; their blocks; and the logs of state 0's and state n's weight there.
+    """A new head array, (..., 3, n+1) for d's rows of length n: row 0 the
+    weights on states 0..n on the head's scale, rows 1 and 2 zeros left for B
+    and A; their blocks; and the logs of state 0's and state n's weight there.
 
     A block holds all n+1 states while n rate ratios span at most 600 nats,
-    else as many as keep its running product of the ratios from its first
-    state within e**+-600: the `blocks`, (..., nb, length), padded.  A block
-    is placed by its largest weight, at its log over the row's heaviest
-    block's, so the head's largest weight is 1, and one that underflows there
-    carries no mass.
+    and is then row 0 itself, else as many as keep its running product of
+    the ratios from its first state within e**+-600: the `blocks`, (..., nb,
+    length), padded.  A block is placed by its largest weight, at its log
+    over the row's heaviest block's, so the head's largest weight is 1, and
+    one that underflows there carries no mass.
     """
     n, step = d.shape[-1], max(_log_ratio(p.lam, p.mu1), -_log_beta(p))    # largest |log ratio|
     length = n + 1 if n * step <= 600.0 else int(600.0 / step) + 1
-    run = np.empty(d.shape[:-1] + (n // length + 1, length))
+    head, one = np.zeros(d.shape[:-1] + (3, n + 1)), length > n    # one block: row 0 itself
+    run = head[..., :1, :] if one else np.empty(d.shape[:-1] + (n // length + 1, length))
     flat = run.reshape(d.shape[:-1] + (-1,))
     # Each step's ratio is picked by its decision, one rounding from the
     # rates, so nothing cancels when mu2 >> mu1.
     flat[..., 1 : n + 1] = np.where(d, p.lam / (p.mu1 + p.mu2), p.lam / p.mu1)
     flat[..., n + 1 :] = run[..., 0] = 1.0    # the padding and each block's first state
-    np.cumprod(run, axis=-1, out=run)
+    np.multiply.accumulate(run, axis=-1, out=run)
     placed, log_top = flat[..., : n + 1], 0.0
     if p.lam > p.mu1:    # else each block's first weight is its largest; its last if beta >= 1
-        top = run[..., -1:] if p.lam >= p.mu1 + p.mu2 else run.max(axis=-1, keepdims=True)
-        placed, log_top = (run / top).reshape(flat.shape)[..., : n + 1], np.log(top[..., 0])
-    if length > n:    # one block, at level 0: state 0's weight is 1 over the largest
-        return placed, run, (-log_top[..., 0] if p.lam > p.mu1 else 0.0), np.log(placed[..., n])
+        top = run[..., -1:].copy() if p.lam >= p.mu1 + p.mu2 else run.max(axis=-1, keepdims=True)
+        placed = np.divide(run, top, out=run if one else None).reshape(flat.shape)[..., : n + 1]
+        log_top = np.log(top[..., 0])
+    if one:    # at level 0: state 0's weight is 1 over the largest
+        return head, run, (-log_top[..., 0] if p.lam > p.mu1 else 0.0), np.log(placed[..., n])
     levels = np.zeros(run.shape[:-1]) + log_top
     levels[..., 1:] += np.cumsum(np.log(run[..., :-1, -1]) + np.where(
         d[..., length - 1 :: length], _log_beta(p), _log_ratio(p.lam, p.mu1)), axis=-1)
     levels -= levels.max(axis=-1, keepdims=True)
     logs = (levels - log_top)[..., 0], levels[..., -1] + np.log(placed[..., n])
-    return placed * np.repeat(np.exp(levels), length, axis=-1)[..., : n + 1], run, *logs
+    np.multiply(placed, np.repeat(np.exp(levels), length, axis=-1)[..., : n + 1],
+                out=head[..., 0, :])
+    return head, run, *logs
 
 
 _last_record = (None, None, None)    # (params, policy, record) of the last Policy solved
@@ -468,22 +460,28 @@ def chain_record(params: SystemParams, policy: Policy | np.ndarray) -> ChainReco
         d = np.asarray(policy)
         if d.ndim != 2 or d.shape[1] != k:
             raise LengthMismatch(f"decisions of shape {d.shape} need shape (m, K={k})")
-    w, blocks, _, log_k = _head_weights(params, d)
-    base = _base_rewards(params, k)
-    # einsum casts a stack's integer rows in buffers, not in a copy; a
-    # stack's base sums are batched dot products, bit for bit each row's own
-    served = np.einsum("...i,...i->...", d, w[..., 1:])
-    b_sum = (w[..., None, :] @ base)[..., 0][()]
-    record = ChainRecord(params, (w.sum(axis=-1), served, b_sum, log_k), d, w, base, blocks)
-    if isinstance(policy, Policy):
-        for array in (d, w, base, blocks):
-            array.setflags(write=False)
-        _last_record = params, policy, record
+    head, blocks, _, log_k = _head_weights(params, d)
+    # B and A: the all-zeros policy's rewards, plus `_serve_gain` where d serves
+    w, (gain_b, gain_a) = head[..., 0, :], _serve_gain(params)
+    np.multiply(d, gain_b, out=head[..., 1, 1:])
+    np.multiply(d, gain_a, out=head[..., 2, 1:])
+    head[..., 1, :] += _base_rewards(params, k)
+    # The sums of the weights and of B and A weighted by them; a stack's are
+    # batched products, bit for bit each row's own.
+    w_sum, b_a = w.sum(axis=-1), np.matmul(head[..., 1:, :], w[..., None])
+    head.setflags(write=False)
+    if not isinstance(policy, Policy):
+        return ChainRecord(params, (w_sum, b_a[..., 0, 0], b_a[..., 1, 0], log_k), head, d, blocks)
+    (b_sum,), (a_sum,) = b_a.tolist()
+    record = ChainRecord(params, (float(w_sum), b_sum, a_sum, float(log_k)), head, d, blocks)
+    for array in (d, blocks):
+        array.setflags(write=False)
+    _last_record = params, policy, record
     return record
 
 
 def _compensated_cumsum(a: np.ndarray) -> np.ndarray:
-    """Compensated running sums along the last axis.
+    """Compensated running sums along the first axis.
 
     A plain running sum s = cumsum(a) rounds once per step.  TwoSum (Knuth;
     Ogita, Rump and Oishi, Accurate Sum and Dot Product, 2005) recovers each
@@ -492,11 +490,11 @@ def _compensated_cumsum(a: np.ndarray) -> np.ndarray:
     within a few ulps of its absolute sum instead of an error that grows
     with the length.  All of it is whole-array arithmetic.
     """
-    s = a.cumsum(axis=-1)
-    prev, t = s[..., :-1], s[..., 1:]
+    s = np.add.accumulate(a)
+    prev, t = s[:-1], s[1:]
     z = t - prev
-    err = (prev - (t - z)) + (a[..., 1:] - z)
-    t += err.cumsum(axis=-1)
+    err = (prev - (t - z)) + (a[1:] - z)
+    t += np.add.accumulate(err)
     return s
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TINY, ChainRecord, _head_weights, _tie_floor, chain_record
-from .model import ENUMERATION_CAP, CapExceeded, Policy, SystemParams, _base_rewards
+from .model import ENUMERATION_CAP, CapExceeded, Policy, SystemParams, _base_rewards, _serve_gain
 
 ORACLE_MATCH_TOL = 1e-9
 # brute_force_optimal: the float epsilon, and 128 KB of pairs
@@ -116,12 +116,14 @@ def brute_force_optimal(params: SystemParams) -> tuple[Policy, float]:
     h, m = k // 2, k - k // 2
     b_bits = np.unpackbits(np.arange(1 << m, dtype=">u2")[:, None].view(np.uint8), axis=1)[:, -m:]
     a_bits = b_bits[:: 1 << (m - h), :h]
-    w_b, _, log_b0, log_bm = _head_weights(params, b_bits)
-    w_a, _, _, log_ah = (w_b, None, log_b0, log_bm) if h == m else _head_weights(params, a_bits)
-    base, w_b = _base_rewards(params, k), w_b[:, 1:]
+    head_b, _, log_b0, log_bm = _head_weights(params, b_bits)
+    head_a, _, _, log_ah = (head_b, None, 0, log_bm) if h == m else _head_weights(params, a_bits)
+    (w_a, w_b), base = (head_a[:, 0], head_b[:, 0, 1:]), _base_rewards(params, k)
+    served_b = np.einsum("ij,ij->i", b_bits, w_b)
+    served_a, (gain_b, gain_a) = np.einsum("ij,ij->i", a_bits, w_a[:, 1:]), _serve_gain(params)
     halves = ChainRecord(params, tuple(np.concatenate(z) for z in zip(    # b's, then a's
-        (w_b.sum(1), np.einsum("ij,ij->i", b_bits, w_b), w_b @ base[h + 1 :], log_bm),
-        (w_a.sum(1), np.einsum("ij,ij->i", a_bits, w_a[:, 1:]), w_a @ base[: h + 1],
+        (w_b.sum(1), w_b @ base[h + 1 :] + gain_b * served_b, gain_a * served_b, log_bm),
+        (w_a.sum(1), w_a @ base[: h + 1] + gain_b * served_a, gain_a * served_a,
          np.full(1 << h, -np.inf)))))    # no segment
     (v, u), (d_b, d_a), (f_b, f_a) = ((z[: 1 << m], z[1 << m :]) for z in halves.parts)
     x, log_ratio, y = (d_a - penalty * f_a) / u, log_ah - np.log(u), d_b - penalty * f_b

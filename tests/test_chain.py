@@ -383,24 +383,64 @@ def test_head_beyond_float_range_gives_finite_answers():
 
 
 def test_scalar_profit_allocates_no_length_n_array():
-    # eta is read off the record's sums over states 0..K, so at N = 1e6 a
-    # call allocates O(K) memory: a length-N vector of floats would be 8 MB
+    # eta, the margins' signs and the optimum are read off the record's sums
+    # and cuts over states 0..K, so at N = 1e6 each call allocates O(K)
+    # memory: a length-N vector of floats would be 8 MB.  The optimum is
+    # taken in all three penalty regions, with every Howard step's record.
     import tracemalloc
 
     from stockrationing import SystemParams
 
     p = SystemParams(lam=3.0, mu1=4.0, mu2=2.0, capacity=10**6, threshold=15, c_hold=1,
                      c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=5.0)
-    pol = Policy.all_ones(15)
-    average_profit(p, pol)
-    chain._forget_last_record()    # so the measured call builds its record
-    tracemalloc.start()
-    try:
-        average_profit(p, pol)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024
+    wide = dataclasses.replace(p, threshold=40, c_lost1=1.2)
+    mixed = Policy(tuple(int(i % 3 != 0) for i in range(40)))
+    regions = {}
+    calls = [lambda: average_profit(p, Policy.all_ones(15)),
+             lambda: penalty_roots(wide, mixed).signs(wide.penalty)]
+    for penalty in (0.1, 10.0, 40.0):    # LowPenalty, Middle, HighPenalty
+        q = wide.with_penalty(penalty)
+        calls.append(lambda q=q: regions.setdefault(global_optimal(q).region, q))
+    for call in calls:
+        call()
+        chain._forget_last_record()    # so the measured call builds its record
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+    assert set(regions) == {"LowPenalty", "Middle", "HighPenalty"}
+
+
+def test_signs_at_zero_penalty_take_num_where_den_is_infinite():
+    # The second Howard step of lam = 1, mu1 = 0.223, mu2 = 90, K = N = 818
+    # at P = 1000 solves a policy with a deep valley of weights, whose margins
+    # pass float range: den is infinite only where num is.  At P = 0 no P*den
+    # is formed (0 * inf is NaN), so each label is num's sign, with no
+    # RuntimeWarning, and an infinite num keeps its sign past the band.
+    p = SystemParams(lam=1.0, mu1=0.223, mu2=90.0, capacity=818, threshold=818,
+                     penalty=1000.0, **EX1_COSTS)
+    with warnings.catch_warnings():    # at P = 1000, inf - inf labels a margin 0
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert global_optimal(p).region == "Middle"    # Howard starts from the all-zeros row
+        gates = chain_record(p, np.arange(2.0)[:, None].repeat(818, axis=1))
+        decisions, labels = gates.decisions[0], gates.signs(p.penalty)[0]
+        for _ in range(2):
+            decisions = np.where(labels, labels > 0, decisions)
+            record = chain_record(p, Policy(tuple(decisions.tolist())))
+            labels = record.signs(p.penalty)
+    infinite = np.isinf(record.den)
+    assert infinite.any() and np.isinf(record.num[infinite]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_zero = record.signs(0.0)
+    num = record.num
+    want = np.where(np.abs(num) > chain.SIGN_ZERO_BAND * np.maximum(1.0, np.abs(num)),
+                    np.sign(num), 0)
+    want[np.isinf(num)] = np.sign(num[np.isinf(num)])
+    np.testing.assert_array_equal(at_zero, want)
 
 
 EX1_COSTS = dict(c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15)
@@ -460,7 +500,7 @@ def test_every_other_policy_or_penalty_gets_a_fresh_record(example1_params, monk
 def test_kept_record_arrays_are_read_only(example1_params):
     record = chain_record(example1_params, Policy.all_ones(15))
     unshifted = solve_poisson(example1_params, Policy.all_ones(15)).g
-    for array in (record.decisions, record.weights, record.base, record.cut_factors,
+    for array in (record.decisions, record.head, record.weights, record.cut_factors,
                   record.rewards, record.powers, record.pi, record.g, unshifted,
                   record.g_diff, record.num, record.den, record.roots):
         with pytest.raises(ValueError):
