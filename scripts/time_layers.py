@@ -7,7 +7,10 @@ layers that take a policy use the all-ones policy.  The `profit_linear_form`
 row reads the split's eta inside the timed call, because a chain record
 computes it when first read.  The `solve` row times perfbench's solve op
 on that policy as one: `stationary_distribution`, `profit_linear_form`,
-`solve_poisson` and `penalty_roots` (its fifth call returns its argument).  The chain keeps the last policy's record; the kept record
+`solve_poisson` and `penalty_roots`, leaving out the op's fourth call,
+`realization_factors_from_potential`, which returns its argument.  These
+readers are imported from their modules, which the package no longer
+imports itself.  The chain keeps the last policy's record; the kept record
 is dropped before each timed call, outside the timed interval, so that
 every cell times a solve and not a lookup.  The first four columns
 use example 1's supply rate, lam=3, so lam/(mu1+mu2) = 0.5; the next three
@@ -90,13 +93,12 @@ from stockrationing import (  # noqa: E402
     chain_record,
     global_optimal,
     optimal_static_threshold,
-    penalty_roots,
-    profit_linear_form,
     service_rates,
     simulate,
-    solve_poisson,
-    stationary_distribution,
 )
+from stockrationing.chain import profit_linear_form, stationary_distribution  # noqa: E402
+from stockrationing.poisson import solve_poisson  # noqa: E402
+from stockrationing.sensitivity import penalty_roots  # noqa: E402
 
 COLUMNS = [(0.5, n) for n in (100, 1_000, 10_000, 100_000)] + [
     (beta, 100_000) for beta in (0.8, 1.0, 1.2)

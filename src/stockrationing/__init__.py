@@ -16,21 +16,7 @@ from .model import (
     reward_structure,
     service_rates,
 )
-from .chain import (
-    ChainRecord,
-    average_profit,
-    average_profits,
-    chain_record,
-    profit_linear_form,
-    stationary_distribution,
-)
-from .poisson import (
-    PoissonSolution,
-    potential_for_reward,
-    realization_factors_from_potential,
-    solve_poisson,
-)
-from .sensitivity import classify_sign, penalty_roots
+from .chain import ChainRecord, average_profit, average_profits, chain_record
 from .optimizer import OptimizerResult, brute_force_optimal, global_optimal, restore_threshold
 from .staticpol import ThetaOutOfRange, optimal_static_threshold, static_profit_closed_form
 from .sim import SimEstimate, simulate

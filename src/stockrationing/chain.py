@@ -113,9 +113,15 @@ class ChainRecord:
     @_view
     def powers(self) -> np.ndarray:
         """Q[t] = q**t for t = 0..N-K, q = min(beta, 1/beta): the segment's
-        weights relative to its heavier end, which pi and g read.  Read-only."""
-        p = self.params
-        return _read_only(_exp(-abs(_log_beta(p)) * np.arange(p.capacity - p.threshold + 1.0)))
+        weights relative to its heavier end, which pi and g read.  Read-only.
+        Only the entries with t |log beta| < 746 are exponentiated: past it
+        exp underflows to zero, and numpy's exp is slow there."""
+        p, x = self.params, -abs(_log_beta(self.params))
+        m = p.capacity - p.threshold
+        n = m + 1 if x * m > -746.0 else math.ceil(-746.0 / x)
+        powers = np.zeros(m + 1)
+        np.exp(x * np.arange(float(n)), out=powers[:n])
+        return _read_only(powers)
 
     @_view
     def pi(self) -> np.ndarray:
@@ -352,14 +358,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _exp(z: np.ndarray) -> np.ndarray:
-    """exp(z), zero where it underflows; numpy's exp is slow on those, so
-    they are masked out when there are any."""
-    if z.min() > -746.0:
-        return np.exp(z)
-    return np.exp(z, out=np.zeros(z.shape), where=z > -746.0)
-
-
 def _log_ratio(a: float, b: float) -> float:
     """log(a / b), as log(a) - log(b) where a / b is not a normal float."""
     return math.log(q) if TINY <= (q := a / b) < math.inf else math.log(a) - math.log(b)
@@ -398,10 +396,11 @@ def _tail_sums(params: SystemParams, n: int) -> tuple:
     return e0, e0 + e1, math.exp(nx - x) if n else 0.0
 
 
-def _head_weights(p: SystemParams, d: np.ndarray) -> tuple:
-    """A new head array, (..., 3, n+1) for d's rows of length n: row 0 the
-    weights on states 0..n on the head's scale, rows 1 and 2 zeros left for B
-    and A; their blocks; and the logs of state 0's and state n's weight there.
+def _head_weights(p: SystemParams, d: np.ndarray, rows: int) -> tuple:
+    """A new head array, (..., rows, n+1) for d's decision rows of length n:
+    row 0 the weights on states 0..n on the head's scale, any further rows
+    zeros left for the caller (a chain record's B and A); their blocks; and
+    the logs of state 0's and state n's weight there.
 
     A block holds all n+1 states while n rate ratios span at most 600 nats,
     and is then row 0 itself, else as many as keep its running product of
@@ -412,7 +411,7 @@ def _head_weights(p: SystemParams, d: np.ndarray) -> tuple:
     """
     n, step = d.shape[-1], max(_log_ratio(p.lam, p.mu1), -_log_beta(p))    # largest |log ratio|
     length = n + 1 if n * step <= 600.0 else int(600.0 / step) + 1
-    head, one = np.zeros(d.shape[:-1] + (3, n + 1)), length > n    # one block: row 0 itself
+    head, one = np.zeros(d.shape[:-1] + (rows, n + 1)), length > n    # one block: row 0 itself
     run = head[..., :1, :] if one else np.empty(d.shape[:-1] + (n // length + 1, length))
     flat = run.reshape(d.shape[:-1] + (-1,))
     # Each step's ratio is picked by its decision, one rounding from the
@@ -460,7 +459,7 @@ def chain_record(params: SystemParams, policy: Policy | np.ndarray) -> ChainReco
         d = np.asarray(policy)
         if d.ndim != 2 or d.shape[1] != k:
             raise LengthMismatch(f"decisions of shape {d.shape} need shape (m, K={k})")
-    head, blocks, _, log_k = _head_weights(params, d)
+    head, blocks, _, log_k = _head_weights(params, d, 3)
     # B and A: the all-zeros policy's rewards, plus `_serve_gain` where d serves
     w, (gain_b, gain_a) = head[..., 0, :], _serve_gain(params)
     np.multiply(d, gain_b, out=head[..., 1, 1:])
@@ -499,7 +498,9 @@ def _compensated_cumsum(a: np.ndarray) -> np.ndarray:
 
 
 def stationary_distribution(params: SystemParams, policy: Policy) -> ChainRecord:
-    """The policy's record, with its product-form stationary law `pi` solved."""
+    """The policy's record, with its product-form stationary law `pi` solved.
+    Kept only as an entry point that perfbench traces, until ROADMAP item 3
+    deletes it; the package reads `chain_record(params, policy).pi`."""
     record = chain_record(params, policy)
     record.pi
     return record
@@ -527,5 +528,7 @@ def _first_best(etas: np.ndarray) -> int:
 
 
 def profit_linear_form(params: SystemParams, policy: Policy) -> ChainRecord:
-    """The policy's record, whose eta(P) = d_coef - P*f_coef splits eta."""
+    """The policy's record, whose eta(P) = d_coef - P*f_coef splits eta.
+    Kept only as an entry point that perfbench traces, until ROADMAP item 3
+    deletes it; the package reads `chain_record`."""
     return chain_record(params, policy)

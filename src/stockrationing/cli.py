@@ -3,7 +3,9 @@
 Every command but reproduce needs a JSON file (--config) holding the
 system parameters under "params" (or as the whole object) plus optional
 command-specific entries; command-line flags override the file.  All
-outputs are deterministic given the config and seed.  JSON has no
+outputs are deterministic given the config and seed.  solve writes the
+views of one chain record (`chain_record`); its --shift, which must be
+finite, moves g alone, not g_diff or the Poisson residual.  JSON has no
 infinities, so solve writes an infinite penalty root, p_low or p_high as
 the string "inf" or "-inf".  Exit status is 0 on success, 1 when a
 requested check fails, 2 on usage or parse errors.
@@ -23,11 +25,9 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .chain import average_profit, profit_linear_form, stationary_distribution
+from .chain import average_profit, chain_record
 from .model import PARAM_JSON_KEYS, Policy, StockRationingError, SystemParams, reward_structure
 from .optimizer import ORACLE_MATCH_TOL, brute_force_optimal, global_optimal
-from .poisson import solve_poisson
-from .sensitivity import penalty_roots
 from .sim import simulate
 from .staticpol import optimal_static_threshold, static_profit_closed_form
 
@@ -147,15 +147,17 @@ def _emit_csv(args, header: list[str], rows) -> None:
 
 def cmd_solve(args) -> int:
     params, policy = _load_inputs(args)
-    record = penalty_roots(params, policy)
-    sol = solve_poisson(params, policy, shift=args.shift)
+    record, shift = chain_record(params, policy), args.shift
+    if not math.isfinite(shift):
+        raise UsageError(f"shift must be finite, got {shift!r}")
+    g = record.g + shift if shift != 0.0 else record.g    # g(0) = shift
     if args.format == "csv":
         # States 0..N; g_diff starts at 1, and the roots and their ranks fill 1..K.
         pad = [""] * (params.capacity - params.threshold)
         rank = np.argsort(record.sort_perm) + 1
         _emit_csv(args, ["state", "pi", "g", "g_diff", "penalty_root", "sorted_rank"],
-                  zip(range(params.capacity + 1), record.pi.tolist(), sol.g.tolist(),
-                      ["", *sol.g_diff.tolist()], ["", *record.roots.tolist(), *pad],
+                  zip(range(params.capacity + 1), record.pi.tolist(), g.tolist(),
+                      ["", *record.g_diff.tolist()], ["", *record.roots.tolist(), *pad],
                       ["", *rank.tolist(), *pad]))
     else:
         _emit_json(
@@ -163,15 +165,15 @@ def cmd_solve(args) -> int:
             {
                 "params": params.to_json_dict(),
                 "policy": policy.to_json_list(),
-                "eta": sol.eta,
+                "eta": record.eta(params.penalty),
                 "d_coef": record.d_coef,
                 "f_coef": record.f_coef,
                 "pi": record.pi,
-                "g": sol.g,
-                "shift": sol.shift,
-                "poisson_residual": sol.residual,
-                "g_diff": sol.g_diff,
-                "offset_b": sol.offset_b,
+                "g": g,
+                "shift": shift,
+                "poisson_residual": record.residual,
+                "g_diff": record.g_diff,
+                "offset_b": params.price + params.c_lost2 - params.penalty,
                 "penalty_roots": [_json_float(root) for root in record.roots.tolist()],
                 "p_low": _json_float(record.p_low),
                 "p_high": _json_float(record.p_high),
@@ -272,7 +274,7 @@ def _table2_rows(spec: dict, params: SystemParams) -> list[dict]:
     """
     rows = []
     for name, literal in spec["policies"].items():
-        roots = penalty_roots(params, _parse_policy(literal, params.threshold)).roots
+        roots = chain_record(params, _parse_policy(literal, params.threshold)).roots
         for i, want in enumerate(spec["reference"][name]):
             got = params.price + params.c_lost2 if i == 0 else float(roots[i - 1])
             tol = spec["abs_tolerance"]
@@ -334,9 +336,9 @@ def _check(name: str, spec: dict, params: SystemParams, policy: Policy | None,
             var, grid = spec["sweep"]["var"], spec["sweep"]["grid"]
             coeffs = np.polyfit(grid, etas, 1)
             resid = float(np.max(np.abs(np.asarray(etas) - np.polyval(coeffs, grid))))
-            f_coef = profit_linear_form(params, policy).f_coef
+            f_coef = chain_record(params, policy).f_coef
             # eta = D - P*F by construction, so each is also held to pi @ f
-            gap = max(abs(eta - float(stationary_distribution(q, policy).pi
+            gap = max(abs(eta - float(chain_record(q, policy).pi
                                       @ reward_structure(q, policy))) / max(1.0, abs(eta))
                       for q, eta in zip((_at(params, var, v) for v in grid), etas))
             return resid < 1e-9 and gap <= 1e-9, (

@@ -116,8 +116,9 @@ def brute_force_optimal(params: SystemParams) -> tuple[Policy, float]:
     h, m = k // 2, k - k // 2
     b_bits = np.unpackbits(np.arange(1 << m, dtype=">u2")[:, None].view(np.uint8), axis=1)[:, -m:]
     a_bits = b_bits[:: 1 << (m - h), :h]
-    head_b, _, log_b0, log_bm = _head_weights(params, b_bits)
-    head_a, _, _, log_ah = (head_b, None, 0, log_bm) if h == m else _head_weights(params, a_bits)
+    head_b, _, log_b0, log_bm = _head_weights(params, b_bits, 1)    # the weights row alone
+    head_a, _, _, log_ah = ((head_b, None, 0, log_bm) if h == m
+                            else _head_weights(params, a_bits, 1))
     (w_a, w_b), base = (head_a[:, 0], head_b[:, 0, 1:]), _base_rewards(params, k)
     served_b = np.einsum("ij,ij->i", b_bits, w_b)
     served_a, (gain_b, gain_a) = np.einsum("ij,ij->i", a_bits, w_a[:, 1:]), _serve_gain(params)

@@ -13,6 +13,8 @@ cut-flow form of the equation, and reads G and the equation's residual off
 it (`ChainRecord.g_diff`, `ChainRecord.residual`).  The tests check it
 against a dense solve, the forward recurrence read off the equation rows
 and that recurrence's unrolled sum.
+`stockrationing` does not import this module; perfbench traces its names
+until ROADMAP item 3 deletes them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ class PoissonSolution:
     g_diff[i-1] holds G(i) = g(i-1) - g(i) for i = 1..N, and residual is the
     infinity norm of (-B g) - (f - eta*e); both are taken on the special
     solution, so no shift moves them.  offset_b is the reward margin
-    R + c_lost2 - P that accompanies G in every comparison formula.
+    R + c_lost2 - P that accompanies G in every comparison formula.  Kept
+    only for perfbench, which reads these fields, until ROADMAP item 3.
     """
 
     g: np.ndarray
@@ -45,7 +48,8 @@ class PoissonSolution:
 
 
 def potential_for_reward(record: ChainRecord) -> np.ndarray:
-    """The record's special potential (g(0) = 0): `ChainRecord.g`."""
+    """The record's special potential (g(0) = 0): `ChainRecord.g`.  Kept
+    only as an entry point that perfbench traces, until ROADMAP item 3."""
     return record.g
 
 
@@ -55,7 +59,8 @@ def solve_poisson(params: SystemParams, policy: Policy, shift: float = 0.0) -> P
     Returns the special solution (zero first entry) plus a uniform shift,
     which is g(0); it moves every entry of g equally, so G and the residual
     are read off the special solution.  A shift that is not finite raises
-    InvalidParameter.
+    InvalidParameter.  Kept only as an entry point that perfbench traces,
+    until ROADMAP item 3 deletes it.
     """
     if not math.isfinite(shift):
         raise InvalidParameter(f"shift must be finite, got {shift!r}")
@@ -75,6 +80,6 @@ def solve_poisson(params: SystemParams, policy: Policy, shift: float = 0.0) -> P
 
 
 def realization_factors_from_potential(sol: PoissonSolution) -> PoissonSolution:
-    """`sol` itself, whose g_diff holds G; kept because perfbench's solve op
-    calls it."""
+    """`sol` itself, whose g_diff holds G.  Kept only as an entry point that
+    perfbench traces, until ROADMAP item 3 deletes it."""
     return sol

@@ -18,7 +18,7 @@ the cut-flow identity, each cut summed exactly from the end with less mass.
 log weights above.  `factor_residual` takes the Poisson residual with f and
 the service rates rebuilt on 0..N from the public `reward_structure` and
 `service_rates`, the independent check of the record's residual view.  `reference_global_optimal` is policy iteration built on
-the public `penalty_roots`, one profile per gate and per step, and
+the public `chain_record`, one record per gate and per step, and
 `gain_bounds` brackets the optimal gain by one Bellman step of the
 uniformised MDP.  `reference_simulate` walks the simulator's jump chain
 one step per Python iteration on the package's own draws, the walk that
@@ -39,17 +39,15 @@ import numpy as np
 from stockrationing import (
     OptimizerResult,
     Policy,
-    PoissonSolution,
     StockRationingError,
     SystemParams,
     average_profit,
-    penalty_roots,
+    chain_record,
     reward_structure,
     service_rates,
-    solve_poisson,
-    stationary_distribution,
 )
 from stockrationing.chain import SIGN_ZERO_BAND
+from stockrationing.poisson import PoissonSolution
 from stockrationing.sim import CHUNK, WARMUP_FRACTION, _replication_rng
 
 
@@ -175,11 +173,11 @@ def solve_poisson_normalized(params: SystemParams, policy: Policy) -> PoissonSol
     """Potential normalized so that its stationary mean equals eta.
 
     Adding the rank-one term e*pi to -B makes the system nonsingular; the
-    unique solution differs from any solve_poisson output by a constant
-    shift, so all realization factors agree.
+    unique solution differs from the record's special potential `g` by a
+    constant shift, so all realization factors agree.
     """
     f = reward_structure(params, policy)
-    dist = stationary_distribution(params, policy)
+    dist = chain_record(params, policy)
     eta = float(dist.pi @ f)
     a = -dense_generator(params, policy) + np.outer(np.ones(params.capacity + 1), dist.pi)
     try:
@@ -252,27 +250,27 @@ def difference_general(params: SystemParams, d: Policy, d_prime: Policy) -> floa
     Evaluates pi' @ ((B' - B) g + (f' - f)) literally; materializing the
     dense generators is cheap at these state-space sizes.
     """
-    g = solve_poisson(params, d).g
+    g = chain_record(params, d).g
     b_d = dense_generator(params, d)
     b_dp = dense_generator(params, d_prime)
     f_d = reward_structure(params, d)
     f_dp = reward_structure(params, d_prime)
-    pi_prime = stationary_distribution(params, d_prime).pi
+    pi_prime = chain_record(params, d_prime).pi
     return float(pi_prime @ ((b_dp - b_d) @ g + (f_dp - f_d)))
 
 
 def single_flip_difference(params: SystemParams, d: Policy, i: int) -> float:
     """eta(d') - eta(d) for d' = d with position i flipped, from d's own flip
     margin and the flipped policy's law: mu2 * pi'(i) * (d'_i - d_i) * (G(i) + b)."""
-    profile = penalty_roots(params, d)
+    profile = chain_record(params, d)
     d_prime = d.flip(i)
-    pi_prime = stationary_distribution(params, d_prime).pi
+    pi_prime = chain_record(params, d_prime).pi
     margin = profile.num[i - 1] - params.penalty * profile.den[i - 1]
     return float(params.mu2 * pi_prime[i] * (d_prime[i - 1] - d[i - 1]) * margin)
 
 
 def reference_global_optimal(params: SystemParams) -> OptimizerResult:
-    """Howard policy iteration on one `penalty_roots` profile per policy.
+    """Howard policy iteration on one chain record per policy.
 
     The all-zeros profile's p_high and, below it, the all-ones profile's
     p_low pick the region and the start; each step serves where the start's
@@ -281,10 +279,10 @@ def reference_global_optimal(params: SystemParams) -> OptimizerResult:
     """
     k, p = params.threshold, params.penalty
     policy = Policy.all_zeros(k)
-    profile = penalty_roots(params, policy)
+    profile = chain_record(params, policy)
     region = "HighPenalty"
     if p < profile.p_high:
-        ones = penalty_roots(params, Policy.all_ones(k))
+        ones = chain_record(params, Policy.all_ones(k))
         region = "Middle"
         if ones.p_low > 0 and p <= ones.p_low:
             region, policy, profile = "LowPenalty", Policy.all_ones(k), ones
@@ -295,7 +293,7 @@ def reference_global_optimal(params: SystemParams) -> OptimizerResult:
                                 for d, lab in zip(policy.decisions, labels)))
         if improved == policy:
             break
-        policy, profile = improved, penalty_roots(params, improved)
+        policy, profile = improved, chain_record(params, improved)
         iterations += 1
     return OptimizerResult(
         policy=policy, eta=profile.eta(p), region=region,
@@ -332,7 +330,7 @@ def reference_segment_g(params: SystemParams, policy: Policy) -> np.ndarray:
     log_beta = math.log(p.lam / (p.mu1 + p.mu2))
     x = -abs(log_beta)
     eta = average_profit(p, policy)
-    cut = solve_poisson(p, policy).g_diff[k]
+    cut = chain_record(p, policy).g_diff[k]
     level = p.price * (p.mu1 + p.mu2) - p.c_buy * p.lam
     r = np.arange(1.0, n - k)
     counts = n - k - r if log_beta <= 0 else r
@@ -443,7 +441,7 @@ def threshold_margins(params: SystemParams, theta: int) -> dict[str, float]:
     k = params.threshold
 
     def margin(t, i):
-        profile = penalty_roots(params, Policy(tuple(int(j >= t) for j in range(1, k + 1))))
+        profile = chain_record(params, Policy(tuple(int(j >= t) for j in range(1, k + 1))))
         return float(profile.num[i - 1] - params.penalty * profile.den[i - 1])
 
     margins = {}
@@ -479,7 +477,7 @@ def class_property_check(
     """
     work = params.with_penalty(penalty)
     positions = tuple(i for i in range(1, len(d) + 1) if d[i - 1] != c[i - 1])
-    profile = penalty_roots(work, d)
+    profile = chain_record(work, d)
     if penalty >= profile.p_high:
         regime = "high"
     elif profile.p_low > 0 and 0 <= penalty <= profile.p_low:
@@ -489,7 +487,7 @@ def class_property_check(
     if not positions:
         return ClassPropertyReport(regime, (), np.array([]), True, 0.0, True)
 
-    c_profile = penalty_roots(work, c)
+    c_profile = chain_record(work, c)
     values = np.array([c_profile.num[i - 1] - penalty * c_profile.den[i - 1] for i in positions])
     tol = SIGN_ZERO_BAND * max(1.0, float(np.max(np.abs(values))))
     if regime == "high":
@@ -503,11 +501,11 @@ def class_property_check(
     # surviving margin by the stationary-probability ratio at that position.
     max_resid = 0.0
     prev, prev_profile = d, profile
-    pi_prev = stationary_distribution(work, prev).pi
+    pi_prev = chain_record(work, prev).pi
     for pos in positions:
         cur = prev.flip(pos)
-        cur_profile = penalty_roots(work, cur)
-        pi_cur = stationary_distribution(work, cur).pi
+        cur_profile = chain_record(work, cur)
+        pi_cur = chain_record(work, cur).pi
         lhs = cur_profile.num[pos - 1] - penalty * cur_profile.den[pos - 1]
         rhs = (pi_cur[pos] / pi_prev[pos]) * (
             prev_profile.num[pos - 1] - penalty * prev_profile.den[pos - 1])

@@ -26,15 +26,14 @@ from stockrationing import (
     SystemParams,
     average_profit,
     brute_force_optimal,
+    chain_record,
     global_optimal,
     optimal_static_threshold,
-    penalty_roots,
-    realization_factors_from_potential,
     restore_threshold,
     simulate,
-    solve_poisson,
 )
 from stockrationing.cli import reproduce
+from stockrationing.poisson import realization_factors_from_potential, solve_poisson
 
 from conftest import random_params, random_policy
 from oracles import (
@@ -419,13 +418,13 @@ def test_criterion_12_monotone_chains():
 
     # high lane on the scaled benchmark instance: penalty above every
     # policy's high critical value
-    pen_high = max(penalty_roots(ex1_small, pol).p_high for pol in policies) + 1.0
+    pen_high = max(chain_record(ex1_small, pol).p_high for pol in policies) + 1.0
     n_high = exhaustive_lane(ex1_small, pen_high, Policy.all_zeros(6))
 
     # both lanes on the instance whose low critical values are all positive
-    pen_high2 = max(penalty_roots(LOW_REGIME, pol).p_high for pol in policies) + 1.0
+    pen_high2 = max(chain_record(LOW_REGIME, pol).p_high for pol in policies) + 1.0
     n_high2 = exhaustive_lane(LOW_REGIME, pen_high2, Policy.all_zeros(6))
-    pen_low = 0.5 * min(penalty_roots(LOW_REGIME, pol).p_low for pol in policies)
+    pen_low = 0.5 * min(chain_record(LOW_REGIME, pol).p_low for pol in policies)
     assert pen_low > 0
     n_low = exhaustive_lane(LOW_REGIME, pen_low, Policy.all_ones(6))
 

@@ -22,14 +22,13 @@ from stockrationing import (
     chain_record,
     global_optimal,
     optimal_static_threshold,
-    penalty_roots,
-    profit_linear_form,
     reward_structure,
     service_rates,
-    solve_poisson,
-    stationary_distribution,
 )
+from stockrationing.chain import profit_linear_form, stationary_distribution
 from stockrationing.optimizer import ORACLE_MATCH_TOL
+from stockrationing.poisson import solve_poisson
+from stockrationing.sensitivity import penalty_roots
 
 from conftest import counting, dense_stationary, random_params, random_policy
 from oracles import (
@@ -66,23 +65,24 @@ class TestGenerator:
 
 class TestStationaryDistribution:
     def test_unit_instance_reject(self, unit_params):
-        dist = stationary_distribution(unit_params, Policy((0,)))
+        dist = chain_record(unit_params, Policy((0,)))
         np.testing.assert_allclose(dist.pi, [0.4, 0.4, 0.2], atol=1e-15)
 
     def test_unit_instance_serve(self, unit_params):
-        dist = stationary_distribution(unit_params, Policy((1,)))
+        dist = chain_record(unit_params, Policy((1,)))
         np.testing.assert_allclose(dist.pi, [4 / 7, 2 / 7, 1 / 7], atol=1e-15)
 
     def test_is_the_policy_record(self, example1_params):
-        pol = Policy.all_ones(15)
-        assert stationary_distribution(example1_params, pol) is chain_record(example1_params, pol)
+        # pi is read off the record that the slot keeps for an equal policy
+        record = chain_record(example1_params, Policy.all_ones(15))
+        assert record is chain_record(example1_params, Policy.all_ones(15))
 
     def test_matches_dense_solve_on_random_instances(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             p = random_params(rng, k_max=10, n_max=50)
             pol = random_policy(rng, p.threshold)
-            dist = stationary_distribution(p, pol)
+            dist = chain_record(p, pol)
             np.testing.assert_allclose(dist.pi, dense_stationary(p, pol), atol=1e-9)
 
     def test_stationarity_and_normalization(self):
@@ -90,7 +90,7 @@ class TestStationaryDistribution:
         for _ in range(20):
             p = random_params(rng, k_max=8, n_max=40)
             pol = random_policy(rng, p.threshold)
-            dist = stationary_distribution(p, pol)
+            dist = chain_record(p, pol)
             assert abs(dist.pi.sum() - 1.0) < 1e-12
             assert np.all(dist.pi >= 0)
             resid = dist.pi @ dense_generator(p, pol)
@@ -119,11 +119,11 @@ class TestAverageProfit:
 
 class TestProfitLinearForm:
     def test_all_zeros_has_zero_penalty_coefficient(self, example1_params):
-        form = profit_linear_form(example1_params, Policy.all_zeros(15))
+        form = chain_record(example1_params, Policy.all_zeros(15))
         assert form.f_coef == 0.0
 
     def test_unit_instance_serve_coefficients(self, unit_params):
-        form = profit_linear_form(unit_params, Policy((1,)))
+        form = chain_record(unit_params, Policy((1,)))
         assert form.d_coef == pytest.approx(5.0, abs=1e-12)
         assert form.f_coef == pytest.approx(2 / 7, abs=1e-14)
         for pen in (0.0, 1.4, 7.0):
@@ -151,7 +151,7 @@ class TestProfitLinearForm:
         for _ in range(20):
             p = random_params(rng)
             pol = random_policy(rng, p.threshold)
-            assert profit_linear_form(p, pol).f_coef >= 0.0
+            assert chain_record(p, pol).f_coef >= 0.0
 
     @given(lam=rates, mu1=rates, mu2=rates, c_hold=costs, price=costs,
            bits=st.lists(st.integers(0, 1), min_size=3, max_size=3),
@@ -165,7 +165,7 @@ class TestProfitLinearForm:
                          c_hold=c_hold, c_lost1=2, c_lost2=1, c_buy=1, c_opp=1,
                          price=price, penalty=0.0)
         pol = Policy(tuple(bits))
-        form = profit_linear_form(p, pol)
+        form = chain_record(p, pol)
         for pen in pens:
             direct = float(exact_profit(p.with_penalty(pen), bits))
             assert direct == pytest.approx(form.eta(pen), rel=1e-10, abs=1e-10)
@@ -174,7 +174,7 @@ class TestProfitLinearForm:
 def test_profit_split_is_the_policy_record(example1_params):
     p = example1_params
     bits = (1, 0) * 7 + (1,)
-    record = profit_linear_form(p, Policy(bits))
+    record = chain_record(p, Policy(bits))
     assert record is chain_record(p, Policy(bits))
     exact = exact_chain(p, bits)
     assert type(record.d_coef) is float and type(record.f_coef) is float
@@ -203,12 +203,12 @@ def test_strong_upward_drift_matches_log_weights():
     log_w = -np.concatenate((np.cumsum(np.log(p.lam / service_rates(p, pol))[::-1])[::-1], [0.0]))
     ref = np.exp(log_w)
     ref /= math.fsum(ref)
-    pi = stationary_distribution(p, pol).pi
+    pi = chain_record(p, pol).pi
     assert np.max(np.abs(pi - ref)) <= 1e-15
     f = reward_structure(p, pol)
     eta = math.fsum(ref * f)
     assert average_profit(p, pol) == pytest.approx(eta, rel=1e-13, abs=1e-300)
-    assert profit_linear_form(p, pol).eta(p.penalty) == pytest.approx(eta, rel=1e-13, abs=1e-300)
+    assert chain_record(p, pol).eta(p.penalty) == pytest.approx(eta, rel=1e-13, abs=1e-300)
 
 
 def test_reward_identity_at_threshold_equal_capacity():
@@ -222,7 +222,7 @@ def test_reward_identity_at_threshold_equal_capacity():
     f = reward_structure(p, Policy((1, 0, 1)))
     # state 3: R(mu1+mu2) - C1*3 - C4*lam - P*mu2
     assert f[3] == pytest.approx(8 * 3 - 3 - 2 * 1.5 - 3 * 2)
-    dist = stationary_distribution(p, Policy((1, 0, 1)))
+    dist = chain_record(p, Policy((1, 0, 1)))
     assert abs(dist.pi.sum() - 1.0) < 1e-12
 
 
@@ -262,7 +262,7 @@ def test_ratio_form_matches_log_weight_reference_over_drift_range(
         log_beta, log_n, k_frac, mu1_share, costs, bits):
     # lam/(mu1 + mu2) from 1e-3 to 1e3 and N up to 1e5: the raw weights
     # would span up to 1e5 * log(1e3) nats, far past float range.
-    from stockrationing import SystemParams, penalty_roots, solve_poisson
+    from stockrationing import SystemParams
 
     from oracles import log_weight_reference, reward_split
 
@@ -273,23 +273,21 @@ def test_ratio_form_matches_log_weight_reference_over_drift_range(
                      threshold=k, c_hold=c_hold, c_lost1=c_lost1, c_lost2=c_lost2, c_buy=c_buy,
                      c_opp=c_opp, price=price, penalty=penalty)
     pol = Policy(tuple(bits[:k]))
-    pi = stationary_distribution(p, pol).pi
-    form = profit_linear_form(p, pol)
-    profile = penalty_roots(p, pol)
-    sol = solve_poisson(p, pol)
-    for values in (pi, sol.g, profile.num, profile.den, [sol.eta, form.d_coef, form.f_coef]):
+    record = chain_record(p, pol)
+    for values in (record.pi, record.g, record.num, record.den,
+                   [record.eta(p.penalty), record.d_coef, record.f_coef]):
         assert np.all(np.isfinite(values))
     rate = p.lam + p.mu1 + p.mu2
-    assert sol.residual <= max(1e-9, 16 * EPS * (1 + np.max(np.abs(sol.g))) * rate)
+    assert record.residual <= max(1e-9, 16 * EPS * (1 + np.max(np.abs(record.g))) * rate)
 
     ref = log_weight_reference(p, pol.decisions)
     b, _ = reward_split(p, pol.decisions)
-    assert abs(form.d_coef - ref.d_coef) <= 1e-12 * (1 + np.max(np.abs(b)))
-    assert abs(form.f_coef - ref.f_coef) <= 1e-12 * p.mu2
+    assert abs(record.d_coef - ref.d_coef) <= 1e-12 * (1 + np.max(np.abs(b)))
+    assert abs(record.f_coef - ref.f_coef) <= 1e-12 * p.mu2
     scale = 1 + np.max(np.abs(ref.num)) + penalty * np.max(np.abs(ref.den))
-    margin = profile.num - penalty * profile.den
+    margin = record.num - penalty * record.den
     assert np.max(np.abs(margin - (ref.num - penalty * ref.den))) <= 1e-10 * scale
-    assert np.max(np.abs(pi - ref.pi)) <= 1e-12
+    assert np.max(np.abs(record.pi - ref.pi)) <= 1e-12
 
 
 @pytest.mark.parametrize("rates", [
@@ -302,24 +300,22 @@ def test_ratio_form_matches_log_weight_reference_over_drift_range(
 def test_kernel_matches_exact_rational_oracle(rates):
     # pi, D, F and the flip margins against the model in exact rationals, at
     # the tolerances of the log-weight property above
-    from stockrationing import SystemParams, penalty_roots
+    from stockrationing import SystemParams
 
     p = SystemParams(**rates, c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15,
                      penalty=5.0)
     bits = tuple(np.random.default_rng(p.capacity).integers(0, 2, p.threshold).tolist())
     pol = Policy(bits)
     exact = exact_chain(p, bits)
-    form = profit_linear_form(p, pol)
-    profile = penalty_roots(p, pol)
+    record = chain_record(p, pol)
     b, _ = reward_split(p, bits)
-    assert abs(form.d_coef - float(exact.d_coef)) <= 1e-12 * (1 + np.max(np.abs(b)))
-    assert abs(form.f_coef - float(exact.f_coef)) <= 1e-12 * p.mu2
+    assert abs(record.d_coef - float(exact.d_coef)) <= 1e-12 * (1 + np.max(np.abs(b)))
+    assert abs(record.f_coef - float(exact.f_coef)) <= 1e-12 * p.mu2
     num, den = np.array(exact.num, dtype=float), np.array(exact.den, dtype=float)
     scale = 1 + np.max(np.abs(num)) + p.penalty * np.max(np.abs(den))
-    margin = profile.num - p.penalty * profile.den
+    margin = record.num - p.penalty * record.den
     assert np.max(np.abs(margin - (num - p.penalty * den))) <= 1e-10 * scale
-    pi = stationary_distribution(p, pol).pi
-    assert np.max(np.abs(pi - np.array(exact.pi, dtype=float))) <= 1e-12
+    assert np.max(np.abs(record.pi - np.array(exact.pi, dtype=float))) <= 1e-12
 
 
 @pytest.mark.parametrize("mu2", [1e3, 1e6, 1e9])
@@ -335,14 +331,14 @@ def test_serving_ratio_exact_when_class2_rate_dominates(mu2):
     pol = Policy.all_ones(6)
     exact = float(exact_profit(p, (1,) * 6))
     assert average_profit(p, pol) == pytest.approx(exact, rel=1e-13, abs=0)
-    assert profit_linear_form(p, pol).eta(p.penalty) == pytest.approx(exact, rel=1e-13, abs=0)
+    assert chain_record(p, pol).eta(p.penalty) == pytest.approx(exact, rel=1e-13, abs=0)
 
 
 def test_steep_head_takes_log_ratios():
     # lam/mu1 = 1e5 over K = 60 states: a running product of the rate ratios
     # would pass e**690, so the weights on 0..K take two blocks (they took
     # log-ratios before blocks).
-    from stockrationing import SystemParams, average_profits, penalty_roots
+    from stockrationing import SystemParams, average_profits
 
     from oracles import log_weight_reference
 
@@ -352,7 +348,7 @@ def test_steep_head_takes_log_ratios():
     for row, eta in zip(rows, average_profits(p, rows)):
         ref = log_weight_reference(p, row)
         assert eta == pytest.approx(ref.d_coef - p.penalty * ref.f_coef, rel=1e-12)
-        profile = penalty_roots(p, Policy(tuple(row)))
+        profile = chain_record(p, Policy(tuple(row)))
         scale = 1 + np.max(np.abs(ref.num)) + p.penalty * np.max(np.abs(ref.den))
         got, want = profile.num - p.penalty * profile.den, ref.num - p.penalty * ref.den
         assert np.max(np.abs(got - want)) <= 1e-10 * scale
@@ -370,16 +366,31 @@ def test_head_beyond_float_range_gives_finite_answers():
         ref = decimal_chain(p, pol.decisions)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            profile, sol = penalty_roots(p, pol), solve_poisson(p, pol)
+            record = chain_record(p, pol)
+            roots, residual = record.roots, record.residual
         b, a = reward_split(p, pol.decisions)
-        assert abs(profile.d_coef - ref.d_coef) <= 1e-13 * np.max(np.abs(b))
-        assert abs(profile.f_coef - ref.f_coef) <= 1e-13 * p.mu2
+        assert abs(record.d_coef - ref.d_coef) <= 1e-13 * np.max(np.abs(b))
+        assert abs(record.f_coef - ref.f_coef) <= 1e-13 * p.mu2
         scale = 1 + np.max(np.abs(ref.num)) + p.penalty * np.max(np.abs(ref.den))
-        got, want = profile.num - p.penalty * profile.den, ref.num - p.penalty * ref.den
+        got, want = record.num - p.penalty * record.den, ref.num - p.penalty * ref.den
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
         lam_total = p.lam + p.mu1 + p.mu2
-        assert sol.residual <= 64 * np.finfo(float).eps * (
-            np.max(np.abs(b - p.penalty * a)) + lam_total * np.max(np.abs(sol.g)))
+        assert residual <= 64 * np.finfo(float).eps * (
+            np.max(np.abs(b - p.penalty * a)) + lam_total * np.max(np.abs(record.g)))
+
+
+@pytest.mark.parametrize("lam, mu, n", [
+    (3.0, 3.0, 3_162), (3.0, 3.0, 100_000), (5.7, 3.0, 3_162), (5.7, 3.0, 100_000),
+    (6.3, 3.0, 3_162), (6.3, 3.0, 100_000), (12.0, 3.0, 2_000), (6.0, 3.0, 500),
+    (6.0 * (1 + 2**-40), 3.0, 500), (1e-300, 1e300, 40)])
+def test_powers_equal_the_masked_exp_bit_for_bit(lam, mu, n):
+    # `powers` exponentiates only the entries above exp's underflow point,
+    # t |log beta| < 746, and leaves the rest zero, as masking a whole ramp did.
+    p = SystemParams(lam=lam, mu1=mu, mu2=mu, capacity=n, threshold=15, penalty=5.0,
+                     **EX1_COSTS)
+    z = -abs(chain._log_beta(p)) * np.arange(n - 15 + 1.0)
+    want = np.exp(z, out=np.zeros(z.shape), where=z > -746.0)
+    np.testing.assert_array_equal(chain_record(p, Policy.all_ones(15)).powers, want, strict=True)
 
 
 def test_scalar_profit_allocates_no_length_n_array():
@@ -397,7 +408,7 @@ def test_scalar_profit_allocates_no_length_n_array():
     mixed = Policy(tuple(int(i % 3 != 0) for i in range(40)))
     regions = {}
     calls = [lambda: average_profit(p, Policy.all_ones(15)),
-             lambda: penalty_roots(wide, mixed).signs(wide.penalty)]
+             lambda: chain_record(wide, mixed).signs(wide.penalty)]
     for penalty in (0.1, 10.0, 40.0):    # LowPenalty, Middle, HighPenalty
         q = wide.with_penalty(penalty)
         calls.append(lambda q=q: regions.setdefault(global_optimal(q).region, q))
@@ -447,12 +458,20 @@ EX1_COSTS = dict(c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15)
 
 
 def _solve_sequence(p, pol):
-    """The four calls behind `stockrationing solve`, as plain arrays and floats."""
+    """perfbench's solve op: its reader calls on one policy, which ROADMAP
+    item 3 deletes, as plain arrays and floats."""
     form = profit_linear_form(p, pol)
     sol = solve_poisson(p, pol)
     profile = penalty_roots(p, pol)
     return (stationary_distribution(p, pol).pi, form.d_coef, form.f_coef, sol.g, sol.residual,
             profile.num, profile.den, profile.roots)
+
+
+def _record_views(p, pol):
+    """The views that `stockrationing solve` reads off one policy's record."""
+    record = chain_record(p, pol)
+    return (record.pi, record.d_coef, record.f_coef, record.g, record.residual, record.num,
+            record.den, record.roots)
 
 
 def _counting_view(monkeypatch, name):
@@ -487,11 +506,11 @@ def test_every_other_policy_or_penalty_gets_a_fresh_record(example1_params, monk
     cold = {}
     for key, params, pol in (("a", p, a), ("b", p, b), ("p", p.with_penalty(3.0), a)):
         chain._forget_last_record()
-        cold[key] = _solve_sequence(params, pol)
+        cold[key] = _record_views(params, pol)
     heads = counting(monkeypatch, "_head_weights")
     for key, params, pol in (("a", p, a), ("b", p, b), ("a", p, a), ("p", p.with_penalty(3.0), a)):
         record = chain_record(params, pol)
-        for got, want in zip(_solve_sequence(params, pol), cold[key]):
+        for got, want in zip(_record_views(params, pol), cold[key]):
             np.testing.assert_array_equal(got, want, strict=True)
         assert chain_record(params, pol) is record
     assert len(heads) == 4
@@ -540,12 +559,11 @@ def test_rate_quotients_beyond_float_range_give_finite_answers_or_typed_errors(l
                      **EX1_COSTS)
     pol = Policy.all_ones(12)
     calls = {
-        "stationary_distribution": lambda: stationary_distribution(p, pol).pi,
+        "pi": lambda: chain_record(p, pol).pi,
         "average_profit": lambda: average_profit(p, pol),
-        "profit_linear_form": lambda: [profit_linear_form(p, pol).d_coef,
-                                       profit_linear_form(p, pol).f_coef],
-        "solve_poisson": lambda: solve_poisson(p, pol).g,
-        "penalty_roots": lambda: penalty_roots(p, pol).num,
+        "d_coef and f_coef": lambda: [chain_record(p, pol).d_coef, chain_record(p, pol).f_coef],
+        "g": lambda: chain_record(p, pol).g,
+        "num": lambda: chain_record(p, pol).num,
         "global_optimal": lambda: global_optimal(p).eta,
         "brute_force_optimal": lambda: strict(brute_force_optimal, p)[1],
         "optimal_static_threshold": lambda: optimal_static_threshold(p)[1],
@@ -560,7 +578,7 @@ def test_rate_quotients_beyond_float_range_give_finite_answers_or_typed_errors(l
         assert np.all(np.isfinite(value)), name
     # Blocks of one state each answer every layer that reads the cuts, and
     # the exact oracle agrees with policy iteration.
-    assert {"solve_poisson", "penalty_roots", "global_optimal", "brute_force_optimal"} <= answered
+    assert {"g", "num", "global_optimal", "brute_force_optimal"} <= answered
     eta = global_optimal(p).eta
     assert abs(brute_force_optimal(p)[1] - eta) <= ORACLE_MATCH_TOL * max(1.0, abs(eta))
     # The chain sits at state 0 or N, so eta is that state's reward.
@@ -584,9 +602,9 @@ def test_large_rate_scale_gives_finite_answers_matching_exact_chain():
     zeros = Policy.all_zeros(14)
     values = {
         "average_profit": strict(average_profit, p, zeros),
-        "d_coef": strict(profit_linear_form, p, zeros).d_coef,
-        "penalty_roots": strict(penalty_roots, p, zeros).roots,
-        "residual": strict(solve_poisson, p, zeros).residual,
+        "d_coef": strict(lambda: chain_record(p, zeros).d_coef),
+        "roots": strict(lambda: chain_record(p, zeros).roots),
+        "residual": strict(lambda: chain_record(p, zeros).residual),
         "global_optimal": strict(global_optimal, p).eta,
         "brute_force_optimal": strict(brute_force_optimal, p)[1],
     }
@@ -595,13 +613,13 @@ def test_large_rate_scale_gives_finite_answers_matching_exact_chain():
     rng = np.random.default_rng(14)
     for bits in [(0,) * 14] + [tuple(rng.integers(0, 2, 14).tolist()) for _ in range(31)]:
         exact, pol = exact_chain(p, bits), Policy(bits)
-        record, profile = profit_linear_form(p, pol), penalty_roots(p, pol)
+        record = chain_record(p, pol)
         d_exact = float(exact.d_coef)
         assert abs(record.d_coef - d_exact) <= 1e-15 * (1 + abs(d_exact))
         assert abs(record.f_coef - float(exact.f_coef)) <= 1e-15 * p.mu2
         num, den = np.array(exact.num, dtype=float), np.array(exact.den, dtype=float)
         scale = 1 + np.max(np.abs(num)) + p.penalty * np.max(np.abs(den))
-        margin = profile.num - p.penalty * profile.den
+        margin = record.num - p.penalty * record.den
         assert np.max(np.abs(margin - (num - p.penalty * den))) <= 1e-15 * scale
 
 
@@ -618,13 +636,13 @@ def test_threads_sharing_the_record_slot_get_their_own_policy(example1_params):
     cold = []
     for case in cases:
         chain._forget_last_record()
-        cold.append((penalty_roots(*case).num, profit_linear_form(*case).d_coef))
+        cold.append((chain_record(*case).num, chain_record(*case).d_coef))
     wrong = []
 
     def worker(offset):
         for step in range(300):
             j = (offset + step) % len(cases)
-            got = penalty_roots(*cases[j]).num, profit_linear_form(*cases[j]).d_coef
+            got = chain_record(*cases[j]).num, chain_record(*cases[j]).d_coef
             if not (np.array_equal(got[0], cold[j][0]) and got[1] == cold[j][1]):
                 wrong.append(j)
 

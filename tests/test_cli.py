@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stockrationing import Policy, SystemParams, cli, penalty_roots, solve_poisson
+from stockrationing import Policy, SystemParams, chain_record, cli
 from stockrationing.cli import main
 
 EX1 = {
@@ -86,14 +86,34 @@ class TestSolve:
         assert shifted["g"] == pytest.approx([g + 2.5 for g in base["g"]], abs=1e-12)
         assert shifted["g_diff"] == pytest.approx(base["g_diff"], abs=1e-12)
 
-    @pytest.mark.parametrize("shift", ["inf", "nan"])
+    @pytest.mark.parametrize("shift", ["inf", "nan", "-inf"])
     def test_non_finite_shift_is_usage_error(self, config_path, capsys, shift):
         code, out, err = run_cli(
             ["solve", "--config", config_path(SMALL), "--policy", "zeros",
-             "--shift", shift, "--format", "csv"], capsys
+             f"--shift={shift}", "--format", "csv"], capsys
         )
         assert (code, out) == (2, "")
         assert "shift" in err
+
+    def test_huge_shift_moves_g_alone(self, config_path, capsys):
+        cfg = dict(EX1, params=dict(EX1["params"], capacity_n=40))
+        base_args = ["solve", "--config", config_path(cfg), "--policy", "ones"]
+        _, out, _ = run_cli(base_args, capsys)
+        _, shifted_out, _ = run_cli(base_args + ["--shift", "1e20"], capsys)
+        base, shifted = json.loads(out), json.loads(shifted_out)
+        assert shifted["g"] == [g + 1e20 for g in base["g"]]
+        assert (shifted["g_diff"], shifted["poisson_residual"]) == (base["g_diff"],
+                                                                    base["poisson_residual"])
+        assert {**shifted, "g": base["g"], "shift": 0.0} == base
+
+    def test_penalty_flag_overrides_the_config(self, config_path, capsys):
+        args = ["solve", "--config", config_path(EX1), "--policy", "ones"]
+        _, flagged, _ = run_cli(args + ["--penalty", "2.5"], capsys)
+        cfg = dict(EX1, params=dict(EX1["params"], penalty_p=2.5))
+        _, configured, _ = run_cli(["solve", "--config", config_path(cfg), "--policy", "ones"],
+                                   capsys)
+        assert json.loads(flagged)["params"]["penalty_p"] == 2.5
+        assert flagged == configured
 
     def test_csv_format(self, config_path, capsys):
         code, out, _ = run_cli(
@@ -113,12 +133,12 @@ class TestSolve:
                                 "--policy", "0,1,1,0,0,1,0,1,1,0,0,1"], capsys)
         assert code == 0
         params = SystemParams.from_json_dict(cfg["params"])
-        record, sol = penalty_roots(params, policy), solve_poisson(params, policy)
+        record = chain_record(params, policy)
         state, pi, g, g_diff, root, rank = zip(*list(csv.reader(io.StringIO(out)))[1:])
         assert state == tuple(str(i) for i in range(41))
         assert [float(x) for x in pi] == record.pi.tolist()
-        assert [float(x) for x in g] == sol.g.tolist()
-        assert [float(x) for x in g_diff[1:]] == sol.g_diff.tolist()
+        assert [float(x) for x in g] == record.g.tolist()
+        assert [float(x) for x in g_diff[1:]] == record.g_diff.tolist()
         assert [float(x) for x in root[1:13]] == record.roots.tolist()
         # sorted_rank inverts sort_perm: position sort_perm[j] has rank j + 1
         assert [int(rank[pos]) for pos in record.sort_perm] == list(range(1, 13))
@@ -247,6 +267,13 @@ class TestErrorMapping:
         code, _, err = run_cli(["optimize", "--config", config_path([SMALL])], capsys)
         assert code == 2
         assert "config must be a JSON object" in err
+
+    @pytest.mark.parametrize("cfg", [{"mu1": 1.0}, {"params": {"mu1": 1.0}}, {"params": [1]}],
+                             ids=["bare-object", "params-object", "params-not-an-object"])
+    def test_config_without_lambda_names_params(self, config_path, capsys, cfg):
+        code, out, err = run_cli(["optimize", "--config", config_path(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == 'error: config needs a "params" object with a "lambda" key\n'
 
     @pytest.mark.parametrize("argv", [["solve", "--policy", "zeros"], ["optimize"],
                                       ["sweep", "--var", "theta"],

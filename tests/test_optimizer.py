@@ -18,9 +18,7 @@ from stockrationing import (
     average_profits,
     brute_force_optimal,
     chain_record,
-    classify_sign,
     global_optimal,
-    penalty_roots,
     restore_threshold,
     reward_structure,
     static_profit_closed_form,
@@ -51,7 +49,7 @@ class TestClassifyRegion:
     profile, Middle otherwise."""
 
     def test_unit_instance_high(self, unit_params):
-        assert penalty_roots(unit_params, Policy((0,))).p_high == pytest.approx(1.4, abs=1e-12)
+        assert chain_record(unit_params, Policy((0,))).p_high == pytest.approx(1.4, abs=1e-12)
         res = global_optimal(unit_params.with_penalty(10.0))
         assert res.region == "HighPenalty"
         assert res.policy == Policy((0,))
@@ -68,8 +66,8 @@ class TestClassifyRegion:
         middles = 0
         for _ in range(200):
             p = random_params(rng, k_min=2, k_max=8, n_max=16)
-            high = penalty_roots(p, Policy.all_zeros(p.threshold)).p_high
-            low = penalty_roots(p, Policy.all_ones(p.threshold)).p_low
+            high = chain_record(p, Policy.all_zeros(p.threshold)).p_high
+            low = chain_record(p, Policy.all_ones(p.threshold)).p_low
             res = global_optimal(p)
             if p.penalty >= high:
                 assert res.region == "HighPenalty" and res.n0 is None
@@ -77,7 +75,7 @@ class TestClassifyRegion:
                 assert res.region == "LowPenalty" and res.n0 is None
             else:
                 assert res.region == "Middle"
-                roots = penalty_roots(p, res.policy).roots
+                roots = chain_record(p, res.policy).roots
                 assert res.n0 == int(np.sum(roots < p.penalty))
                 middles += 1
         assert middles >= 20
@@ -89,7 +87,7 @@ class TestExtremePolicies:
         confirmed = 0
         while confirmed < 10:
             p = random_params(rng, k_max=8, n_max=16)
-            prof = penalty_roots(p, Policy.all_zeros(p.threshold))
+            prof = chain_record(p, Policy.all_zeros(p.threshold))
             if not np.isfinite(prof.p_high):
                 continue
             p_hi = p.with_penalty(prof.p_high + 1.0)
@@ -103,7 +101,7 @@ class TestExtremePolicies:
         confirmed = 0
         while confirmed < 10:
             p = random_params(rng, k_max=8, n_max=16)
-            prof = penalty_roots(p, Policy.all_ones(p.threshold))
+            prof = chain_record(p, Policy.all_ones(p.threshold))
             if prof.p_low <= 0:
                 continue
             p_lo = p.with_penalty(0.5 * min(prof.p_low, 1e6))
@@ -274,7 +272,8 @@ def test_split_enumeration_in_the_log_weight_branch(k, log_hold, serve):
     lam = math.exp(log_hold)
     p = SystemParams(lam=lam, mu1=1.0, mu2=serve * lam, capacity=k + 8, threshold=k,
                      c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=5.0)
-    blocks = [_head_weights(p, np.zeros((1, n), dtype=int))[1].shape[-2] for n in (k, k - k // 2)]
+    blocks = [_head_weights(p, np.zeros((1, n), dtype=int), 1)[1].shape[-2]
+              for n in (k, k - k // 2)]
     assert blocks[0] > 1 and (blocks[1] > 1) == (k == 16)
     policy, eta = brute_force_optimal(p)
     ref_policy, ref_eta = explicit_optimum(p)
@@ -322,6 +321,24 @@ def test_tie_rule_holds_across_blocks_of_rows(monkeypatch):
     assert abs(eta - ref_eta) <= 1e-13 * max(1.0, abs(ref_eta))
 
 
+def test_enumeration_at_the_cap_keeps_only_the_weights_rows():
+    # The half-stacks' heads hold one row, the weights: at K = 24 they are
+    # two (4096, 1, 13) arrays.  With the chain record's three rows, whose
+    # B and A rows the oracle never fills, the peak was 2.70 MB.
+    import tracemalloc
+
+    p = SystemParams(lam=3.0, mu1=4.0, mu2=2.0, capacity=48, threshold=24, c_hold=1,
+                     c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=5.0)
+    brute_force_optimal(p)
+    tracemalloc.start()
+    try:
+        brute_force_optimal(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2e6
+
+
 def oracle_confirms(p, res):
     """Whether the exact oracle's eta matches the result's to ORACLE_MATCH_TOL."""
     eta = brute_force_optimal(p)[1]
@@ -346,7 +363,7 @@ class TestGlobalOptimal:
         middles = 0
         while middles < 15:
             p = random_params(rng, k_min=2, k_max=10, n_max=20)
-            prof = penalty_roots(p, Policy.all_zeros(p.threshold))
+            prof = chain_record(p, Policy.all_zeros(p.threshold))
             finite = prof.roots[np.isfinite(prof.roots)]
             if len(finite) < 2 or finite.max() <= max(finite.min(), 0) + 1e-6:
                 continue
@@ -358,7 +375,7 @@ class TestGlobalOptimal:
                 continue
             middles += 1
             assert oracle_confirms(p.with_penalty(pen), res)
-            labels = classify_sign(p.with_penalty(pen), res.policy, pen)
+            labels = chain_record(p.with_penalty(pen), res.policy).signs(pen)
             for i, d in enumerate(res.policy.decisions):
                 if labels[i] > 0:
                     assert d == 1
@@ -377,7 +394,7 @@ class TestGlobalOptimal:
         assert p.threshold > ENUMERATION_CAP
         res = global_optimal(p)
         assert res.region == region
-        labels = classify_sign(p, res.policy, penalty)
+        labels = chain_record(p, res.policy).signs(penalty)
         for lab, d in zip(labels, res.policy.decisions):
             assert lab == 0 or d == int(lab > 0)
         for i in range(1, p.threshold + 1):
@@ -431,7 +448,7 @@ class TestMonotoneChains:
         rng = np.random.default_rng(61)
         p0 = random_params(rng, k_min=4, k_max=4, n_max=10)
         policies = [Policy(b) for b in itertools.product((0, 1), repeat=4)]
-        pen = max(penalty_roots(p0, pol).p_high for pol in policies) + 1.0
+        pen = max(chain_record(p0, pol).p_high for pol in policies) + 1.0
         p = p0.with_penalty(pen)
         start = Policy.all_zeros(4)
         for target in policies:
@@ -476,7 +493,7 @@ def optimizer_params(draw):
 @settings(max_examples=300, deadline=None)
 def test_global_optimal_is_the_per_profile_iteration(p):
     # The gates read two rows of one stacked record and the steps read
-    # margins alone; the reference builds a `penalty_roots` profile per gate
+    # margins alone; the reference builds a one-policy record per gate
     # and per step.  Every field, eta's bits and any typed error agree.
     assert _outcome(global_optimal, p) == _outcome(reference_global_optimal, p)
 
@@ -548,7 +565,7 @@ def test_optimal_gain_lies_in_one_bellman_steps_bounds(p):
     res = global_optimal(p)
     g = chain_record(p, res.policy).g
     lo, hi = gain_bounds(p, g)
-    profile = penalty_roots(p, res.policy)
+    profile = chain_record(p, res.policy)
     lam_total = p.lam + p.mu1 + p.mu2
     rounding = 16 * EPS * (np.max(np.abs(reward_structure(p, res.policy)))
                            + lam_total * np.max(np.abs(g)))
@@ -636,7 +653,7 @@ def test_optimal_gain_lies_in_the_cold_value_iteration_bracket(k, extra, seed):
                      price=c[5], penalty=penalty)
     cold = rvi_gain(p)
     res = global_optimal(p)
-    profile = penalty_roots(p, res.policy)
+    profile = chain_record(p, res.policy)
     band = p.mu2 * SIGN_ZERO_BAND * max(
         1.0, float(np.max(np.abs(profile.num) + p.penalty * np.abs(profile.den))))
     assert cold.lo - cold.rounding - band <= res.eta <= cold.hi + cold.rounding

@@ -12,13 +12,11 @@ from stockrationing import (
     Policy,
     SystemParams,
     average_profit,
-    realization_factors_from_potential,
     reward_structure,
-    solve_poisson,
     service_rates,
-    stationary_distribution,
 )
 from stockrationing.chain import SERIES_BAND, _compensated_cumsum, chain_record
+from stockrationing.poisson import realization_factors_from_potential, solve_poisson
 
 from conftest import dense_potential, random_params, random_policy
 from oracles import (
@@ -90,7 +88,7 @@ class TestSolvePoisson:
             exact = exact_chain(p, pol.decisions)
             g_b, g_a = np.array(exact.g_b, dtype=float), np.array(exact.g_a, dtype=float)
             scale = 1 + np.max(np.abs(g_b)) + p.penalty * np.max(np.abs(g_a))
-            err = np.max(np.abs(solve_poisson(p, pol).g_diff - (g_b - p.penalty * g_a)))
+            err = np.max(np.abs(chain_record(p, pol).g_diff - (g_b - p.penalty * g_a)))
             assert err <= 1e-12 * scale
             regimes.append((p.lam > p.mu1 + p.mu2, ((p.mu1 + p.mu2) / p.lam) ** p.capacity > 1e3))
         assert {up for up, _ in regimes} == {False, True}
@@ -100,11 +98,11 @@ class TestSolvePoisson:
         rng = np.random.default_rng(11)
         for _ in range(5):
             p = random_params(rng)
-            sol = solve_poisson(p, random_policy(rng, p.threshold))
+            sol = chain_record(p, random_policy(rng, p.threshold))
             assert sol.g[0] == 0.0
 
     def test_unit_instance_differences(self, unit_params):
-        sol = solve_poisson(unit_params, Policy((0,)))
+        sol = chain_record(unit_params, Policy((0,)))
         assert sol.g[0] - sol.g[1] == pytest.approx(-14.6, abs=1e-12)
         assert sol.g[1] - sol.g[2] == pytest.approx(-11.2, abs=1e-12)
 
@@ -113,7 +111,7 @@ class TestSolvePoisson:
         for _ in range(15):
             p = random_params(rng, k_max=8, n_max=30)
             pol = random_policy(rng, p.threshold)
-            sol = solve_poisson(p, pol)
+            sol = chain_record(p, pol)
             oracle = dense_potential(p, pol)
             scale = max(1.0, np.max(np.abs(oracle)))
             np.testing.assert_allclose(sol.g, oracle, atol=1e-8 * scale)
@@ -140,7 +138,7 @@ class TestSolvePoisson:
         for _ in range(40):
             p = random_params(rng, k_max=200, n_max=200)
             pol = random_policy(rng, p.threshold)
-            sol = solve_poisson(p, pol)
+            sol = chain_record(p, pol)
             g_scale = np.max(np.abs(sol.g[:-1] - sol.g[1:])) + 1.0
             rate = p.lam + p.mu1 + p.mu2
             assert sol.residual <= max(1e-9, 50 * np.finfo(float).eps * g_scale * rate)
@@ -153,7 +151,7 @@ class TestSolvePoissonNormalized:
             p = random_params(rng, k_max=8, n_max=30)
             pol = random_policy(rng, p.threshold)
             sol = solve_poisson_normalized(p, pol)
-            pi = stationary_distribution(p, pol).pi
+            pi = chain_record(p, pol).pi
             assert float(pi @ sol.g) == pytest.approx(sol.eta, abs=1e-9 * max(1, abs(sol.eta)))
 
     def test_same_realization_factors_as_special_route(self):
@@ -161,7 +159,7 @@ class TestSolvePoissonNormalized:
         for _ in range(10):
             p = random_params(rng, k_max=8, n_max=30)
             pol = random_policy(rng, p.threshold)
-            g1 = solve_poisson(p, pol).g_diff
+            g1 = chain_record(p, pol).g_diff
             g2 = solve_poisson_normalized(p, pol).g_diff
             scale = max(1.0, np.max(np.abs(g1)))
             np.testing.assert_allclose(g1, g2, atol=1e-9 * scale)
@@ -170,7 +168,7 @@ class TestSolvePoissonNormalized:
         rng = np.random.default_rng(18)
         p = random_params(rng, k_max=6, n_max=20)
         pol = random_policy(rng, p.threshold)
-        diff = solve_poisson_normalized(p, pol).g - solve_poisson(p, pol).g
+        diff = solve_poisson_normalized(p, pol).g - chain_record(p, pol).g
         assert np.max(diff) - np.min(diff) < 1e-9 * max(1.0, np.max(np.abs(diff)))
 
 
@@ -183,7 +181,7 @@ class TestRealizationFactors:
         np.testing.assert_allclose(sol0.g_diff, sol1.g_diff, atol=1e-12)
 
     def test_unit_instance_values(self, unit_params):
-        fac = solve_poisson(unit_params, Policy((0,)))
+        fac = chain_record(unit_params, Policy((0,)))
         np.testing.assert_allclose(fac.g_diff, [-14.6, -11.2], atol=1e-12)
 
     def test_recurrence_hand_values(self, unit_params):
@@ -220,7 +218,7 @@ class TestRealizationFactors:
             p = stable_random_params(rng, k_max=12, n_max=50)
             pol = random_policy(rng, p.threshold)
             eta = average_profit(p, pol)
-            g1 = solve_poisson(p, pol).g_diff
+            g1 = chain_record(p, pol).g_diff
             g2 = realization_factors_recurrence(p, pol, eta).g_diff
             g3 = np.array([
                 realization_factor_closed_form(p, pol, eta, i)
@@ -243,7 +241,7 @@ class TestRealizationFactors:
             done += 1
             pol = random_policy(rng, p.threshold)
             eta = average_profit(p, pol)
-            g1 = solve_poisson(p, pol).g_diff
+            g1 = chain_record(p, pol).g_diff
             g2 = realization_factors_recurrence(p, pol, eta).g_diff
             g3 = np.array([
                 realization_factor_closed_form(p, pol, eta, i)
@@ -293,12 +291,13 @@ def test_residual_view_equals_the_rebuilt_o_n_route_bit_for_bit(beta, extra):
                          threshold=k, c_hold=c[0], c_lost1=c[1], c_lost2=c[2], c_buy=c[3],
                          c_opp=c[4], price=c[5], penalty=c[6])
         pol = random_policy(rng, k)
-        sol = solve_poisson(p, pol)
-        want = factor_residual(p, pol, sol.g_diff, reward_structure(p, pol), sol.eta)
-        assert sol.residual == want and chain_record(p, pol).residual == want
+        record = chain_record(p, pol)
+        want = factor_residual(p, pol, record.g_diff, reward_structure(p, pol),
+                               record.eta(p.penalty))
+        assert record.residual == want
         moved = solve_poisson(p, pol, shift=1e20)
         assert moved.residual == want
-        np.testing.assert_array_equal(moved.g_diff, sol.g_diff, strict=True)
+        np.testing.assert_array_equal(moved.g_diff, record.g_diff, strict=True)
 
 
 EPS = float(np.finfo(float).eps)
@@ -336,20 +335,19 @@ def test_segment_matches_per_entry_route_and_exact_rationals(side, sign, k, seed
     pol = Policy(tuple(bits[:k]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = solve_poisson(p, pol)
-        pi = stationary_distribution(p, pol).pi
+        record = chain_record(p, pol)
+        g, pi, _ = record.g, record.pi, record.residual
         want = reference_segment_g(p, pol)
-    record = chain_record(p, pol)
     # The head, bit for bit: pi on 0..K is the head weights on the chain's
     # scale, and g on 0..K+1 is the running sum of the negated cut factors.
     cut_b, cut_a = record.cut_factors
     head_g = np.concatenate(([0.0], np.cumsum(-(cut_b - p.penalty * cut_a))))
-    np.testing.assert_array_equal(sol.g[: k + 2], head_g, strict=True)
+    np.testing.assert_array_equal(g[: k + 2], head_g, strict=True)
     np.testing.assert_array_equal(pi[: k + 1], record.weights * (record.scales[0] / record.parts[0]))
     # Above K+1 against the per-entry route.  g's running sum rounds g(i) at
     # eps |g(i)| <= eps N max|G|, so G read back off g carries up to about
     # 4.4e-12 max|G| at N = 2e4; the two routes differ by ~1e-13 before it.
-    got = sol.g_diff
+    got = record.g_diff
     scale = float(np.max(np.abs(got)))
     assert np.max(np.abs(got[k + 1 :] - want)) <= 1e-11 * scale
     if p.capacity <= 40:
@@ -378,7 +376,7 @@ class TestLargeCapacity:
     @pytest.mark.parametrize("beta, n", large_grid())
     def test_residual_within_criterion_05_floor(self, beta, n):
         p, pol = example1_at(beta, n)
-        sol = solve_poisson(p, pol)
+        sol = chain_record(p, pol)
         g_scale = float(np.max(np.abs(sol.g)))
         rate = p.lam + p.mu1 + p.mu2
         assert sol.residual <= 16 * EPS * (1 + g_scale) * rate
@@ -389,7 +387,7 @@ class TestLargeCapacity:
         log_w = np.concatenate(([0.0], np.cumsum(np.log(p.lam / service_rates(p, pol)))))
         ref = np.exp(log_w - log_w.max())
         ref /= ref.sum()
-        pi = stationary_distribution(p, pol).pi
+        pi = chain_record(p, pol).pi
         assert np.max(np.abs(pi - ref)) <= 1e-12
 
     @pytest.mark.parametrize("beta, n", large_grid())
@@ -407,7 +405,7 @@ class TestLargeCapacity:
         # Example-1 rates at N = 2000 with the all-ones policy: the raw weights
         # underflowed past state 1075, and the potential had 925 NaN entries.
         p, _ = example1_at(0.5, 2000)
-        sol = solve_poisson(p, Policy.all_ones(15))
+        sol = chain_record(p, Policy.all_ones(15))
         assert np.all(np.isfinite(sol.g))
         rate = p.lam + p.mu1 + p.mu2
         assert sol.residual <= 16 * EPS * (1 + float(np.max(np.abs(sol.g)))) * rate

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from stockrationing import Policy, SystemParams, average_profit, classify_sign, penalty_roots
+from stockrationing import Policy, SystemParams, average_profit, chain_record
 from stockrationing.chain import DEGENERATE_COEF_TOL
 
 from conftest import random_params, random_policy
@@ -59,7 +59,7 @@ class TestDifferenceOnePosition:
 
 class TestPenaltyRoots:
     def test_unit_instance_root(self, unit_params):
-        prof = penalty_roots(unit_params, Policy((0,)))
+        prof = chain_record(unit_params, Policy((0,)))
         assert prof.roots[0] == pytest.approx(1.4, abs=1e-12)
         assert prof.p_high == pytest.approx(1.4, abs=1e-12)
         assert prof.p_low == pytest.approx(1.4, abs=1e-12)
@@ -71,7 +71,7 @@ class TestPenaltyRoots:
         while checked < 15:
             p = random_params(rng, k_max=8, n_max=20)
             pol = random_policy(rng, p.threshold)
-            prof = penalty_roots(p, pol)
+            prof = chain_record(p, pol)
             for i in range(p.threshold):
                 root = prof.roots[i]
                 if not np.isfinite(root) or root < 0:
@@ -87,7 +87,7 @@ class TestPenaltyRoots:
         for _ in range(15):
             p = random_params(rng, k_max=10, n_max=20)
             pol = random_policy(rng, p.threshold)
-            prof = penalty_roots(p, pol)
+            prof = chain_record(p, pol)
             for i in range(p.threshold):
                 if np.isfinite(prof.roots[i]):
                     value = prof.num[i] - prof.roots[i] * prof.den[i]
@@ -98,7 +98,7 @@ class TestPenaltyRoots:
         for _ in range(10):
             p = random_params(rng, k_min=2, k_max=10)
             pol = random_policy(rng, p.threshold)
-            prof = penalty_roots(p, pol)
+            prof = chain_record(p, pol)
             assert prof.p_high >= 0
             assert prof.p_high >= np.max(prof.roots[np.isfinite(prof.roots)], initial=0)
             assert prof.p_low == np.min(prof.roots)
@@ -112,7 +112,7 @@ class TestPenaltyRoots:
         # inside the degenerate band in exact rationals too, and num > 0.
         p = SystemParams(lam=2.0, mu1=1.0, mu2=1e13, capacity=5, threshold=3, c_hold=1,
                          c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=2.0)
-        prof = penalty_roots(p, Policy((0, 0, 1)))
+        prof = chain_record(p, Policy((0, 0, 1)))
         exact = exact_chain(p, (0, 0, 1))
         assert 0 < exact.den[2] < DEGENERATE_COEF_TOL and exact.num[2] > 0
         assert abs(prof.den[2]) <= DEGENERATE_COEF_TOL < prof.den[:2].min()
@@ -133,9 +133,9 @@ class TestPenaltyRoots:
 class TestClassifySign:
     def test_unit_instance_labels(self, unit_params):
         pol = Policy((0,))
-        assert classify_sign(unit_params, pol, 10.0)[0] == -1
-        assert classify_sign(unit_params, pol, 0.0)[0] == 1
-        assert classify_sign(unit_params, pol, 1.4)[0] == 0
+        assert chain_record(unit_params, pol).signs(10.0)[0] == -1
+        assert chain_record(unit_params, pol).signs(0.0)[0] == 1
+        assert chain_record(unit_params, pol).signs(1.4)[0] == 0
 
     def test_labels_match_flip_direction(self):
         # positive label at i means flipping i to serve cannot hurt
@@ -143,7 +143,7 @@ class TestClassifySign:
         for _ in range(10):
             p = random_params(rng, k_max=6, n_max=15)
             pol = random_policy(rng, p.threshold)
-            labels = classify_sign(p, pol, p.penalty)
+            labels = chain_record(p, pol).signs(p.penalty)
             for i in range(1, p.threshold + 1):
                 flipped = pol.flip(i)
                 gap = average_profit(p, flipped) - average_profit(p, pol)
@@ -166,7 +166,7 @@ class TestClassProperty:
         p0 = random_params(rng, k_min=4, k_max=4, n_max=8)
         policies = [Policy(b) for b in itertools.product((0, 1), repeat=4)]
         # a penalty above every policy's high critical value
-        p_high_all = max(penalty_roots(p0, pol).p_high for pol in policies)
+        p_high_all = max(chain_record(p0, pol).p_high for pol in policies)
         pen = p_high_all + 1.0
         for d in policies:
             for c in policies:
@@ -180,7 +180,7 @@ class TestClassProperty:
         while found < 3:
             p0 = random_params(rng, k_min=2, k_max=5, n_max=10)
             policies = [Policy(b) for b in itertools.product((0, 1), repeat=p0.threshold)]
-            p_low_all = min(penalty_roots(p0, pol).p_low for pol in policies)
+            p_low_all = min(chain_record(p0, pol).p_low for pol in policies)
             if p_low_all <= 0:
                 continue
             found += 1

@@ -8,8 +8,8 @@ from stockrationing import (
     StockRationingError,
     SystemParams,
     average_profit,
+    chain_record,
     simulate,
-    stationary_distribution,
 )
 
 from conftest import random_params, random_policy
@@ -328,7 +328,7 @@ def test_occupancy_matches_stationary_distribution():
     rng = np.random.default_rng(70)
     p = random_params(rng, k_max=5, n_max=10)
     pol = random_policy(rng, p.threshold)
-    pi = stationary_distribution(p, pol).pi
+    pi = chain_record(p, pol).pi
     est = simulate(p, pol, horizon=5e4, replications=10, seed=21)
     for state in range(p.capacity + 1):
         se = max(est.occupancy_std_err[state], 1e-6)

@@ -11,8 +11,8 @@ from stockrationing import (
     ThetaOutOfRange,
     average_profit,
     average_profits,
+    chain_record,
     optimal_static_threshold,
-    profit_linear_form,
     reward_structure,
     static_profit_closed_form,
 )
@@ -54,7 +54,7 @@ class TestGeomSums:
             want = math.fsum(w * r for w, r in zip(xi, f)) / math.fsum(xi)
             assert eta == pytest.approx(want, rel=1e-12, abs=1e-14)
             # a stack's row is scored as its own one-policy record scores it
-            assert eta == pytest.approx(profit_linear_form(p, pol).eta(p.penalty), rel=1e-13)
+            assert eta == pytest.approx(chain_record(p, pol).eta(p.penalty), rel=1e-13)
 
 
 class TestBuildStatic:
