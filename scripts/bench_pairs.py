@@ -13,6 +13,9 @@ so that a slow phase of the machine does not fall on one side only.  Then
 the change's `scripts/time_layers.py` runs LAYER_RUNS times with each
 side's package on PYTHONPATH, the sides alternating in the same way, for
 the layer table, the simulator and enumeration lines and the footprint line.
+Those runs take glibc's mmap and trim thresholds fixed at MALLOC_ENV, so that
+how much the process freed before a call does not decide whether its
+allocations fault fresh pages.
 
 BENCH_<n>.json, at the repository root, holds the run metadata, each run's
 end-to-end metrics (the ones BENCHMARK.json lists), the median and
@@ -40,6 +43,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 LAYER_RUNS = 5
+# Fixed allocator thresholds: glibc's dynamic ones rise with the largest block
+# freed, which made time_layers' `enumeration K=24` cell re-fault 1.1 MB a call.
+MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "4194304", "MALLOC_TRIM_THRESHOLD_": "67108864"}
 
 
 def parse_args(argv):
@@ -85,7 +91,7 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def time_layers(checkout: Path) -> list[str]:
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    env = {**os.environ, **MALLOC_ENV, "PYTHONPATH": str(checkout / "src")}
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / "time_layers.py")],
                          env=env, check=True, capture_output=True, text=True).stdout
     return [line for line in out.splitlines() if line]
@@ -163,6 +169,7 @@ def main(argv=None) -> None:
             "platform": platform.platform(),
             "nproc": len(os.sched_getaffinity(0)),
             "blas_threads": 1,   # perfbench/run.py and time_layers.py pin it
+            "time_layers_env": MALLOC_ENV,
             "seconds": args.seconds,
             "command": "python scripts/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
         },

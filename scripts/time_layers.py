@@ -10,9 +10,10 @@ on that policy as one: `stationary_distribution`, `profit_linear_form`,
 `solve_poisson` and `penalty_roots`, leaving out the op's fourth call,
 `realization_factors_from_potential`, which returns its argument.  These
 readers are imported from their modules, which the package no longer
-imports itself.  The chain keeps the last policy's record; the kept record
-is dropped before each timed call, outside the timed interval, so that
-every cell times a solve and not a lookup.  The first four columns
+imports itself.  They share one cached record (in older packages the chain
+kept the last policy's record in a slot); it is emptied before each timed
+call, outside the timed interval, so that every cell times a solve and
+not a lookup.  The first four columns
 use example 1's supply rate, lam=3, so lam/(mu1+mu2) = 0.5; the next three
 take N=1e5 at lam/(mu1+mu2) = 0.8, 1 and 1.2.  The last two take the shape
 of perfbench's large-n instances, N=3,162 at lam/(mu1+mu2) = 0.95 and 1.05:
@@ -42,13 +43,12 @@ of 3, with each run's policy-iteration steps.  The `record` line times a
 chain record's fixed cost at the shape of perfbench's large-n instances
 (lam=6.3, mu1=4, mu2=2, N=3,162, example-1 costs, P=5) with K=15 and 40:
 `chain_record` with its `roots`, `signs(P)` and `eta(P)` read, on a mixed
-policy (serving where i is not a multiple of 3) with the kept record
-dropped first, and on the two-row stack of the all-zeros and all-ones
-rows that `global_optimal` gates on, each the best of RECORD_REPEATS
-calls.  The
-last line gives the package's size: the lines of its modules (as
-`wc -l src/stockrationing/*.py` counts them), the number of names it
-exports, and how many parameters of the exported functions have a default.
+policy (serving where i is not a multiple of 3), and on the two-row stack
+of the all-zeros and all-ones rows that `global_optimal` gates on, each the
+best of RECORD_REPEATS calls.  The last line gives the package's size: the
+lines of its modules (as `wc -l src/stockrationing/*.py` counts them), the
+number of names it exports, and how many parameters of the exported
+functions have a default.
 Times print to three significant digits.  The output ends with one JSON line
 that holds every timed number at full precision as [value, unit], in ms or
 M events/s, keyed by name: "<layer> <column>" for a table cell, "simulator
@@ -107,8 +107,10 @@ REPEATS = 3
 # Untimed calls of each layer before the table.  After one, the first column
 # still read 25-45% above the next in a probe; after ten, about 5-10%.
 WARMUP_CALLS = 10
-# A package without a kept record has nothing to drop.
-forget_record = getattr(stockrationing.chain, "_forget_last_record", lambda: None)
+# Empties the readers' cached record, or an older package's kept-record slot.
+forget_record = (stockrationing.chain._reader_record.cache_clear
+                 if hasattr(stockrationing.chain, "_reader_record")
+                 else getattr(stockrationing.chain, "_forget_last_record", lambda: None))
 ENUMERATION_KS = (16, 20, 22, 24)
 LARGE_KS = (2_000, 100_000)
 RECORD_KS = (15, 40)

@@ -17,6 +17,6 @@ from .model import (
     service_rates,
 )
 from .chain import ChainRecord, average_profit, average_profits, chain_record
-from .optimizer import OptimizerResult, brute_force_optimal, global_optimal, restore_threshold
+from .optimizer import OptimizerResult, brute_force_optimal, global_optimal
 from .staticpol import ThetaOutOfRange, optimal_static_threshold, static_profit_closed_form
 from .sim import SimEstimate, simulate

@@ -12,12 +12,13 @@ computed once when first read, pi, the special potential g (g(0) = 0) and its
 Poisson residual, in O(N) from one table of beta's powers.
 D and F need three weighted sums over states 0..K, which `ChainRecord.parts`
 joins with the segment's for a stack's rows or the oracle's halves.
-The last policy's record, with its cut pass, pi and g, is kept in one slot, so
-calls that ask about one policy in turn solve it once; its arrays are read-only.
+Every call builds its own record and keeps nothing; a record's arrays are
+read-only.  Only perfbench's readers below share one cached record.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -436,23 +437,11 @@ def _head_weights(p: SystemParams, d: np.ndarray, rows: int) -> tuple:
     return head, run, *logs
 
 
-_last_record = (None, None, None)    # (params, policy, record) of the last Policy solved
-
-
-def _forget_last_record() -> None:
-    global _last_record
-    _last_record = (None, None, None)
-
-
 def chain_record(params: SystemParams, policy: Policy | np.ndarray) -> ChainRecord:
     """Solve one policy, or every row of an (m, K) stack of 0/1 decision
-    rows: the weights on states 0..K and the segment above.  The last
-    Policy's record is kept and returned again for equal arguments."""
-    global _last_record
+    rows, in a new record: the weights on states 0..K and the segment above."""
     k = params.threshold
     if isinstance(policy, Policy):
-        if (kept := _last_record)[1] == policy and kept[0] == params:
-            return kept[2]
         check_policy(params, policy)
         d = policy.as_array()
     else:
@@ -475,7 +464,6 @@ def chain_record(params: SystemParams, policy: Policy | np.ndarray) -> ChainReco
     record = ChainRecord(params, (float(w_sum), b_sum, a_sum, float(log_k)), head, d, blocks)
     for array in (d, blocks):
         array.setflags(write=False)
-    _last_record = params, policy, record
     return record
 
 
@@ -497,11 +485,18 @@ def _compensated_cumsum(a: np.ndarray) -> np.ndarray:
     return s
 
 
+@functools.lru_cache(maxsize=1)
+def _reader_record(params: SystemParams, policy: Policy) -> ChainRecord:
+    """The record perfbench's readers share, so its solve op solves a policy
+    once, by `chain_record` as looked up when called, which perfbench traces."""
+    return chain_record(params, policy)
+
+
 def stationary_distribution(params: SystemParams, policy: Policy) -> ChainRecord:
     """The policy's record, with its product-form stationary law `pi` solved.
-    Kept only as an entry point that perfbench traces, until ROADMAP item 3
+    Kept only as an entry point that perfbench traces, until ROADMAP item 2
     deletes it; the package reads `chain_record(params, policy).pi`."""
-    record = chain_record(params, policy)
+    record = _reader_record(params, policy)
     record.pi
     return record
 
@@ -529,6 +524,6 @@ def _first_best(etas: np.ndarray) -> int:
 
 def profit_linear_form(params: SystemParams, policy: Policy) -> ChainRecord:
     """The policy's record, whose eta(P) = d_coef - P*f_coef splits eta.
-    Kept only as an entry point that perfbench traces, until ROADMAP item 3
+    Kept only as an entry point that perfbench traces, until ROADMAP item 2
     deletes it; the package reads `chain_record`."""
-    return chain_record(params, policy)
+    return _reader_record(params, policy)

@@ -19,6 +19,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from importlib import resources
 
@@ -65,7 +66,12 @@ def _params_from_config(config: dict, penalty: float | None = None) -> SystemPar
         raise UsageError('config needs a "params" object with a "lambda" key')
     if penalty is not None:
         raw = {**raw, "penalty_p": penalty}
-    return SystemParams.from_json_dict(raw)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        params = SystemParams.from_json_dict(raw)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return params
 
 
 def _parse_policy(literal: str | list | None, k: int) -> Policy | None:

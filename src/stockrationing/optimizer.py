@@ -3,8 +3,8 @@
 High penalties make withholding optimal everywhere below the threshold, low
 penalties make serving optimal everywhere, and in between the optimum is a
 threshold policy only after permuting positions by ascending penalty root:
-an optimum carries its own permutation and zero count (`sort_perm`, `n0`),
-and `restore_threshold` maps them back to the policy.
+an optimum carries its own permutation and zero count (`sort_perm`, `n0`):
+zeros at the first n0 sorted positions give the policy back.
 The regime gates are checked on the all-zeros and all-ones rows of one stacked
 chain record; the optimum comes from Howard policy iteration on the flip margins.  The
 exact oracle over all 2^K policies, K <= ENUMERATION_CAP, is Dinkelbach's
@@ -27,15 +27,6 @@ ORACLE_MATCH_TOL = 1e-9
 EPS, TIE_BLOCK = float(np.finfo(float).eps), 1 << 14
 
 
-def restore_threshold(sort_perm: tuple[int, ...], n_zeros: int) -> Policy:
-    """Inverse coordinate transform: zeros at the first n_zeros sorted positions."""
-    k = len(sort_perm)
-    decisions = [1] * k
-    for pos in sort_perm[:n_zeros]:
-        decisions[pos - 1] = 0
-    return Policy(tuple(decisions))
-
-
 @dataclass(frozen=True)
 class OptimizerResult:
     policy: Policy
@@ -44,6 +35,7 @@ class OptimizerResult:
     n0: int | None
     sort_perm: tuple[int, ...]
     iterations: int             # policy-improvement steps taken
+    cycle_without_improvement: bool = False    # a step returned to a visited policy
 
     def to_json_dict(self) -> dict:
         return {"policy": self.policy.to_json_list(), "eta": self.eta, "region": self.region,
@@ -64,7 +56,9 @@ def global_optimal(params: SystemParams) -> OptimizerResult:
     and the loop ends at a gain-optimal policy (Howard's algorithm: Puterman,
     Markov Decision Processes, 1994, 8.6; Cao, Stochastic Learning and
     Optimization, 2007); its eta is D - P*F from the last policy's record.  The
-    gate rows share one record, which is not kept.
+    gate rows share one record.  A margin that cancels to rounding noise can
+    pass the zero band, so a step may return to a visited policy: the loop then
+    stops at the cycle's best eta, first visited first, and says so.
     """
     k, p = params.threshold, params.penalty
     record = chain_record(params, np.arange(2.0)[:, None].repeat(k, axis=1))
@@ -76,20 +70,22 @@ def global_optimal(params: SystemParams) -> OptimizerResult:
             region, row = "LowPenalty", 1
     decisions, labels, eta = record.decisions[row], record.signs(p)[row], record.eta(p)[row]
 
-    iterations = 0
-    while True:
-        improved = np.where(labels, labels > 0, decisions)
-        if (improved == decisions).all():
+    visited, cycle = {}, False    # each visited policy's step, eta and decisions, by its bytes
+    while not ((improved := np.where(labels, labels > 0, decisions)) == decisions).all():
+        visited[decisions.tobytes()] = len(visited), eta, decisions
+        if cycle := (key := improved.tobytes()) in visited:    # stop at the cycle's best
+            _, eta, best = max(list(visited.values())[visited[key][0] :], key=lambda v: v[1])
+            record, decisions, row = chain_record(params, Policy(tuple(best.tolist()))), best, ()
             break
         record = chain_record(params, Policy(tuple(improved.tolist())))
         decisions, row, labels, eta = improved, (), record.signs(p), record.eta(p)
-        iterations += 1
 
     roots = record.roots[row]           # row () is a one-policy record's whole array
     return OptimizerResult(
         policy=Policy(tuple(decisions.tolist())), eta=float(eta), region=region,
         n0=int(np.sum(roots < p)) if region == "Middle" else None,
-        sort_perm=tuple((np.argsort(roots, kind="stable") + 1).tolist()), iterations=iterations)
+        sort_perm=tuple((np.argsort(roots, kind="stable") + 1).tolist()),
+        iterations=len(visited) - cycle, cycle_without_improvement=cycle)
 
 
 def brute_force_optimal(params: SystemParams) -> tuple[Policy, float]:

@@ -14,7 +14,7 @@ it (`ChainRecord.g_diff`, `ChainRecord.residual`).  The tests check it
 against a dense solve, the forward recurrence read off the equation rows
 and that recurrence's unrolled sum.
 `stockrationing` does not import this module; perfbench traces its names
-until ROADMAP item 3 deletes them.
+until ROADMAP item 2 deletes them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import InvalidParameter, Policy, SystemParams
-from .chain import ChainRecord, chain_record
+from .chain import ChainRecord, _reader_record
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class PoissonSolution:
     infinity norm of (-B g) - (f - eta*e); both are taken on the special
     solution, so no shift moves them.  offset_b is the reward margin
     R + c_lost2 - P that accompanies G in every comparison formula.  Kept
-    only for perfbench, which reads these fields, until ROADMAP item 3.
+    only for perfbench, which reads these fields, until ROADMAP item 2.
     """
 
     g: np.ndarray
@@ -49,7 +49,7 @@ class PoissonSolution:
 
 def potential_for_reward(record: ChainRecord) -> np.ndarray:
     """The record's special potential (g(0) = 0): `ChainRecord.g`.  Kept
-    only as an entry point that perfbench traces, until ROADMAP item 3."""
+    only as an entry point that perfbench traces, until ROADMAP item 2."""
     return record.g
 
 
@@ -60,11 +60,11 @@ def solve_poisson(params: SystemParams, policy: Policy, shift: float = 0.0) -> P
     which is g(0); it moves every entry of g equally, so G and the residual
     are read off the special solution.  A shift that is not finite raises
     InvalidParameter.  Kept only as an entry point that perfbench traces,
-    until ROADMAP item 3 deletes it.
+    until ROADMAP item 2 deletes it.
     """
     if not math.isfinite(shift):
         raise InvalidParameter(f"shift must be finite, got {shift!r}")
-    record = chain_record(params, policy)
+    record = _reader_record(params, policy)
     g = potential_for_reward(record)
     # The g(0)-direction vector (1, v(d_1) * inv(-reduced B) @ e_1) is the
     # all-ones vector identically: the reduced matrix maps ones to
@@ -81,5 +81,5 @@ def solve_poisson(params: SystemParams, policy: Policy, shift: float = 0.0) -> P
 
 def realization_factors_from_potential(sol: PoissonSolution) -> PoissonSolution:
     """`sol` itself, whose g_diff holds G.  Kept only as an entry point that
-    perfbench traces, until ROADMAP item 3 deletes it."""
+    perfbench traces, until ROADMAP item 2 deletes it."""
     return sol

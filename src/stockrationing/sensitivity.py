@@ -9,14 +9,14 @@ G(i) + b.  That quantity is affine in the penalty cost; its coefficients,
 root per position and zero-band signs are views of the policy's chain
 record (`ChainRecord.num`, `den`, `roots` and `signs`).
 `stockrationing` does not import this module; perfbench traces its names
-until ROADMAP item 3 deletes them.
+until ROADMAP item 2 deletes them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .chain import ChainRecord, chain_record
+from .chain import ChainRecord, _reader_record
 from .model import Policy, SystemParams
 
 
@@ -27,9 +27,9 @@ def penalty_roots(params: SystemParams, policy: Policy) -> ChainRecord:
     1 + G_A(i), where G_B and G_A are the realization factors of the two
     parts of the reward f = B - P*A.  The record also gives `sort_perm`,
     `p_high`, `p_low` and, through `eta`, the policy's profit.  Kept only as
-    an entry point that perfbench traces, until ROADMAP item 3 deletes it.
+    an entry point that perfbench traces, until ROADMAP item 2 deletes it.
     """
-    record = chain_record(params, policy)
+    record = _reader_record(params, policy)
     record.roots
     return record
 
@@ -40,6 +40,6 @@ def classify_sign(params: SystemParams, policy: Policy, penalty: float) -> np.nd
     A value inside the zero band (or a NaN) counts as zero; with a positive
     P-coefficient the sign is positive exactly below the root, and reversed
     when the coefficient is negative.  Kept only as an entry point that
-    perfbench traces, until ROADMAP item 3 deletes it.
+    perfbench traces, until ROADMAP item 2 deletes it.
     """
     return penalty_roots(params, policy).signs(penalty)

@@ -5,10 +5,10 @@ from stockrationing import Policy, SystemParams, chain
 
 
 @pytest.fixture(autouse=True)
-def _empty_record_slot():
-    """Start every test with no kept chain record, so a record built under
-    another test's monkeypatch never reaches this one."""
-    chain._forget_last_record()
+def _empty_reader_cache():
+    """Start every test with the readers' cached record empty, so a record
+    built under another test's monkeypatch never reaches this one."""
+    chain._reader_record.cache_clear()
 
 
 @pytest.fixture

@@ -19,8 +19,9 @@ log weights above.  `factor_residual` takes the Poisson residual with f and
 the service rates rebuilt on 0..N from the public `reward_structure` and
 `service_rates`, the independent check of the record's residual view.  `reference_global_optimal` is policy iteration built on
 the public `chain_record`, one record per gate and per step, and
-`gain_bounds` brackets the optimal gain by one Bellman step of the
-uniformised MDP.  `reference_simulate` walks the simulator's jump chain
+`restore_threshold` maps an optimum's `sort_perm` and `n0` back to its
+policy, and `gain_bounds` brackets the optimal gain by one Bellman step of
+the uniformised MDP.  `reference_simulate` walks the simulator's jump chain
 one step per Python iteration on the package's own draws, the walk that
 `sim` blocks into table lookups, so the two must agree bit for bit.
 """
@@ -299,6 +300,14 @@ def reference_global_optimal(params: SystemParams) -> OptimizerResult:
         policy=policy, eta=profile.eta(p), region=region,
         n0=int(np.sum(profile.roots < p)) if region == "Middle" else None,
         sort_perm=profile.sort_perm, iterations=iterations)
+
+
+def restore_threshold(sort_perm: tuple[int, ...], n_zeros: int) -> Policy:
+    """Inverse coordinate transform: zeros at the first n_zeros sorted positions."""
+    decisions = [1] * len(sort_perm)
+    for pos in sort_perm[:n_zeros]:
+        decisions[pos - 1] = 0
+    return Policy(tuple(decisions))
 
 
 def _reference_h(z: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ from stockrationing import (
     chain_record,
     global_optimal,
     optimal_static_threshold,
-    restore_threshold,
     simulate,
 )
 from stockrationing.cli import reproduce
@@ -42,6 +41,7 @@ from oracles import (
     exact_static_optimum,
     realization_factor_closed_form,
     realization_factors_recurrence,
+    restore_threshold,
     single_flip_difference,
     threshold_margins,
 )

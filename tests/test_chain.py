@@ -72,11 +72,6 @@ class TestStationaryDistribution:
         dist = chain_record(unit_params, Policy((1,)))
         np.testing.assert_allclose(dist.pi, [4 / 7, 2 / 7, 1 / 7], atol=1e-15)
 
-    def test_is_the_policy_record(self, example1_params):
-        # pi is read off the record that the slot keeps for an equal policy
-        record = chain_record(example1_params, Policy.all_ones(15))
-        assert record is chain_record(example1_params, Policy.all_ones(15))
-
     def test_matches_dense_solve_on_random_instances(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
@@ -175,7 +170,6 @@ def test_profit_split_is_the_policy_record(example1_params):
     p = example1_params
     bits = (1, 0) * 7 + (1,)
     record = chain_record(p, Policy(bits))
-    assert record is chain_record(p, Policy(bits))
     exact = exact_chain(p, bits)
     assert type(record.d_coef) is float and type(record.f_coef) is float
     assert record.d_coef == pytest.approx(float(exact.d_coef), rel=1e-14)
@@ -414,7 +408,6 @@ def test_scalar_profit_allocates_no_length_n_array():
         calls.append(lambda q=q: regions.setdefault(global_optimal(q).region, q))
     for call in calls:
         call()
-        chain._forget_last_record()    # so the measured call builds its record
         tracemalloc.start()
         try:
             call()
@@ -459,7 +452,7 @@ EX1_COSTS = dict(c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15)
 
 def _solve_sequence(p, pol):
     """perfbench's solve op: its reader calls on one policy, which ROADMAP
-    item 3 deletes, as plain arrays and floats."""
+    item 2 deletes, as plain arrays and floats."""
     form = profit_linear_form(p, pol)
     sol = solve_poisson(p, pol)
     profile = penalty_roots(p, pol)
@@ -467,9 +460,8 @@ def _solve_sequence(p, pol):
             profile.num, profile.den, profile.roots)
 
 
-def _record_views(p, pol):
+def _record_views(record):
     """The views that `stockrationing solve` reads off one policy's record."""
-    record = chain_record(p, pol)
     return (record.pi, record.d_coef, record.f_coef, record.g, record.residual, record.num,
             record.den, record.roots)
 
@@ -501,19 +493,16 @@ def test_one_solve_sequence_builds_one_head_and_one_cut_pass(example1_params, mo
     assert (len(heads), len(cut_passes), len(pis), len(gs)) == (1, 1, 1, 1)
 
 
-def test_every_other_policy_or_penalty_gets_a_fresh_record(example1_params, monkeypatch):
-    p, a, b = example1_params, Policy.all_ones(15), Policy.all_zeros(15)
-    cold = {}
-    for key, params, pol in (("a", p, a), ("b", p, b), ("p", p.with_penalty(3.0), a)):
-        chain._forget_last_record()
-        cold[key] = _record_views(params, pol)
+def test_equal_arguments_build_distinct_records_with_equal_views(example1_params, monkeypatch):
+    # chain_record keeps no state: a second call with equal arguments builds
+    # its own head and record, whose views equal the first's bit for bit.
     heads = counting(monkeypatch, "_head_weights")
-    for key, params, pol in (("a", p, a), ("b", p, b), ("a", p, a), ("p", p.with_penalty(3.0), a)):
-        record = chain_record(params, pol)
-        for got, want in zip(_record_views(params, pol), cold[key]):
-            np.testing.assert_array_equal(got, want, strict=True)
-        assert chain_record(params, pol) is record
-    assert len(heads) == 4
+    p, pol = example1_params, Policy((1, 0) * 7 + (1,))
+    first = chain_record(p, pol)
+    second = chain_record(SystemParams(**vars(p)), Policy(pol.decisions))    # equal, not the same
+    assert len(heads) == 2 and first is not second
+    for got, want in zip(_record_views(second), _record_views(first)):
+        np.testing.assert_array_equal(got, want, strict=True)
 
 
 def test_kept_record_arrays_are_read_only(example1_params):
@@ -621,43 +610,6 @@ def test_large_rate_scale_gives_finite_answers_matching_exact_chain():
         scale = 1 + np.max(np.abs(num)) + p.penalty * np.max(np.abs(den))
         margin = record.num - p.penalty * record.den
         assert np.max(np.abs(margin - (num - p.penalty * den))) <= 1e-15 * scale
-
-
-def test_threads_sharing_the_record_slot_get_their_own_policy(example1_params):
-    # The slot is one tuple, written in one assignment and read once, so a
-    # thread never pairs its arguments with another thread's record.  Few
-    # cases, so that threads often ask for the one another is storing.
-    import dataclasses
-    import sys
-    import threading
-
-    p, q = example1_params, dataclasses.replace(example1_params, lam=2.5)
-    cases = [(p, Policy.all_ones(15)), (p, Policy.all_zeros(15)), (q, Policy.all_ones(15))]
-    cold = []
-    for case in cases:
-        chain._forget_last_record()
-        cold.append((chain_record(*case).num, chain_record(*case).d_coef))
-    wrong = []
-
-    def worker(offset):
-        for step in range(300):
-            j = (offset + step) % len(cases)
-            got = chain_record(*cases[j]).num, chain_record(*cases[j]).d_coef
-            if not (np.array_equal(got[0], cold[j][0]) and got[1] == cold[j][1]):
-                wrong.append(j)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert wrong == []
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 4), (2, 2), (1, 2, 3)])

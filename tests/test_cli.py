@@ -214,6 +214,15 @@ class TestOptimize:
 
 
 class TestErrorMapping:
+    def test_reversed_priority_warns_once_per_run(self, config_path, capsys):
+        # The warning is one plain line on every run, however many run in
+        # one process.
+        cfg = dict(SMALL, params=dict(SMALL["params"], c_lost1=0.5))
+        args = ["optimize", "--config", config_path(cfg)]
+        runs = [run_cli(args, capsys) for _ in range(2)]
+        want = "warning: c_lost1=0.5 <= c_lost2=1: Class-1 priority assumption violated\n"
+        assert runs[0] == runs[1] and runs[0][::2] == (0, want)
+
     def test_nan_penalty_in_config_is_usage_error(self, config_path, capsys):
         cfg = dict(SMALL, params=dict(SMALL["params"], penalty_p=float("nan")))
         code, _, err = run_cli(["optimize", "--config", config_path(cfg)], capsys)

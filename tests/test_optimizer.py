@@ -19,7 +19,6 @@ from stockrationing import (
     brute_force_optimal,
     chain_record,
     global_optimal,
-    restore_threshold,
     reward_structure,
     static_profit_closed_form,
 )
@@ -30,6 +29,7 @@ from stockrationing.chain import (
     TINY,
     _first_best,
     _head_weights,
+    _tie_floor,
 )
 from stockrationing.optimizer import EPS
 
@@ -39,6 +39,7 @@ from oracles import (
     exact_chain,
     gain_bounds,
     reference_global_optimal,
+    restore_threshold,
     rvi_gain,
 )
 
@@ -469,7 +470,8 @@ def _outcome(solver, p):
         r = solver(p)
     except StockRationingError as error:
         return type(error), str(error)
-    return r.policy, float(r.eta).hex(), r.region, r.n0, r.sort_perm, r.iterations
+    return (r.policy, float(r.eta).hex(), r.region, r.n0, r.sort_perm, r.iterations,
+            r.cycle_without_improvement)
 
 
 @st.composite
@@ -525,8 +527,7 @@ def test_all_ones_row_beyond_float_range_is_answered(rates, penalty, region):
     (0.1, "LowPenalty"), (10.0, "Middle"), (40.0, "HighPenalty")])
 def test_gates_take_one_record_and_each_step_one_more(penalty, region, monkeypatch):
     # Both gate rows come from one head and one cut pass; each Howard step
-    # solves its policy once.  The record slot starts empty, so no step
-    # finds its policy there.
+    # solves its policy once.
     p = SystemParams(lam=3.0, mu1=4.0, mu2=2.0, capacity=200, threshold=40, c_hold=1,
                      c_lost1=1.2, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=penalty)
     heads = counting(monkeypatch, "_head_weights")
@@ -535,6 +536,51 @@ def test_gates_take_one_record_and_each_step_one_more(penalty, region, monkeypat
     assert res.region == region
     assert (res.iterations > 0) == (region == "Middle")
     assert len(heads) == len(cut_passes) == 1 + res.iterations
+
+
+# Instances on which a margin cancels to rounding noise that passes the zero
+# band, so that Howard's steps return to a visited policy: K = 7 with the
+# price alone, K = 6 and K = 38 at price 1e18 and 1e16 with O(1) costs, and
+# a draw where c_buy = 1.9e92 dominates.
+CYCLING = {
+    "k7-price-1e8": SystemParams(
+        lam=0.5887029699422087, mu1=4.810413218918037, mu2=3.492615165684101, capacity=26,
+        threshold=7, c_hold=0, c_lost1=0, c_lost2=0, c_buy=0, c_opp=0, price=1e8, penalty=0),
+    "k6-price-1e18": SystemParams(
+        lam=1.1408514126667733, mu1=3.770973931239683, mu2=3.9748358901042864, capacity=24,
+        threshold=6, c_hold=0.7191165165647097, c_lost1=0.37738951393758313,
+        c_lost2=0.8208012081466438, c_buy=0.29172256077745407, c_opp=0.8753800092720189,
+        price=1e18, penalty=0),
+    "k38-price-1e16": SystemParams(
+        lam=1.0883631113353454, mu1=3.8083307873039356, mu2=1.8268374115824975, capacity=43,
+        threshold=38, c_hold=0.36360972854683504, c_lost1=0.3460955758937603,
+        c_lost2=0.047663312777471156, c_buy=0.20697810841881104, c_opp=0.7490302690630336,
+        price=1e16, penalty=0),
+    "k14-c_buy-1.9e92": SystemParams(
+        lam=0.038742300659618104, mu1=4.5425156145660415, mu2=13.461319802260672, capacity=41,
+        threshold=14, c_hold=1.7755414032842408e68, c_lost1=26.361646984436465,
+        c_lost2=3.6818727121068657e33, c_buy=1.9008677551886206e92, c_opp=0.062347213853855186,
+        price=12.397472749256309, penalty=0.00332350915091899),
+}
+
+
+@pytest.mark.parametrize("p", CYCLING.values(), ids=CYCLING)
+def test_a_step_back_to_a_visited_policy_ends_the_iteration(p):
+    # The loop stops at the cycle's best policy and says so; its eta is the
+    # oracle's up to the tie band, or inside one Bellman step's bounds at its
+    # own potential beyond the enumeration cap.
+    res = global_optimal(p)
+    record = chain_record(p, res.policy)
+    assert res.cycle_without_improvement and res.iterations <= 3
+    assert res.eta == record.eta(p.penalty)
+    if p.threshold <= ENUMERATION_CAP:
+        assert res.eta >= _tie_floor(brute_force_optimal(p)[1])
+    else:
+        g = record.g
+        lo, hi = gain_bounds(p, g)
+        rounding = 16 * EPS * (np.max(np.abs(reward_structure(p, res.policy)))
+                               + (p.lam + p.mu1 + p.mu2) * np.max(np.abs(g)))
+        assert lo - rounding <= res.eta <= hi + rounding
 
 
 @st.composite
