@@ -10,10 +10,9 @@ on that policy as one: `stationary_distribution`, `profit_linear_form`,
 `solve_poisson` and `penalty_roots`, leaving out the op's fourth call,
 `realization_factors_from_potential`, which returns its argument.  These
 readers are imported from their modules, which the package no longer
-imports itself.  They share one cached record (in older packages the chain
-kept the last policy's record in a slot); it is emptied before each timed
-call, outside the timed interval, so that every cell times a solve and
-not a lookup.  The first four columns
+imports itself.  They share one cached record; it is emptied before each
+timed call, outside the timed interval, so that every cell times a solve
+and not a lookup.  The first four columns
 use example 1's supply rate, lam=3, so lam/(mu1+mu2) = 0.5; the next three
 take N=1e5 at lam/(mu1+mu2) = 0.8, 1 and 1.2.  The last two take the shape
 of perfbench's large-n instances, N=3,162 at lam/(mu1+mu2) = 0.95 and 1.05:
@@ -107,10 +106,8 @@ REPEATS = 3
 # Untimed calls of each layer before the table.  After one, the first column
 # still read 25-45% above the next in a probe; after ten, about 5-10%.
 WARMUP_CALLS = 10
-# Empties the readers' cached record, or an older package's kept-record slot.
-forget_record = (stockrationing.chain._reader_record.cache_clear
-                 if hasattr(stockrationing.chain, "_reader_record")
-                 else getattr(stockrationing.chain, "_forget_last_record", lambda: None))
+# Empties the readers' cached record.
+forget_record = stockrationing.chain._reader_record.cache_clear
 ENUMERATION_KS = (16, 20, 22, 24)
 LARGE_KS = (2_000, 100_000)
 RECORD_KS = (15, 40)

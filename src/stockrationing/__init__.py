@@ -4,11 +4,8 @@ __version__ = "0.1.0"
 
 from .model import (
     ENUMERATION_CAP,
-    BadThreshold,
     CapExceeded,
     InvalidParameter,
-    LengthMismatch,
-    NonPositiveRate,
     Policy,
     PriorityViolation,
     StockRationingError,
@@ -16,7 +13,7 @@ from .model import (
     reward_structure,
     service_rates,
 )
-from .chain import ChainRecord, average_profit, average_profits, chain_record
+from .chain import ChainRecord, average_profit, chain_record
 from .optimizer import OptimizerResult, brute_force_optimal, global_optimal
-from .staticpol import ThetaOutOfRange, optimal_static_threshold, static_profit_closed_form
+from .staticpol import optimal_static_threshold, static_profit_closed_form
 from .sim import SimEstimate, simulate

@@ -24,14 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    LengthMismatch,
-    Policy,
-    SystemParams,
-    _base_rewards,
-    _serve_gain,
-    check_policy,
-)
+from .model import InvalidParameter, Policy, SystemParams, _base_rewards, _serve_gain, check_policy
 
 # Below this z the difference 1/expm1(z) - 1/z loses more to cancellation,
 # about 4 eps / z, than its series loses to its first omitted term,
@@ -447,7 +440,7 @@ def chain_record(params: SystemParams, policy: Policy | np.ndarray) -> ChainReco
     else:
         d = np.asarray(policy)
         if d.ndim != 2 or d.shape[1] != k:
-            raise LengthMismatch(f"decisions of shape {d.shape} need shape (m, K={k})")
+            raise InvalidParameter(f"decisions of shape {d.shape} need shape (m, K={k})")
     head, blocks, _, log_k = _head_weights(params, d, 3)
     # B and A: the all-zeros policy's rewards, plus `_serve_gain` where d serves
     w, (gain_b, gain_a) = head[..., 0, :], _serve_gain(params)
@@ -504,11 +497,6 @@ def stationary_distribution(params: SystemParams, policy: Policy) -> ChainRecord
 def average_profit(params: SystemParams, policy: Policy) -> float:
     """Long-run average profit D - P*F from the policy's record, in O(K)."""
     return chain_record(params, policy).eta(params.penalty)
-
-
-def average_profits(params: SystemParams, decisions: np.ndarray) -> np.ndarray:
-    """Average profit of every row of a (m, K) stack of 0/1 decision vectors."""
-    return chain_record(params, np.asarray(decisions)).eta(params.penalty)
 
 
 def _tie_floor(best: float) -> float:

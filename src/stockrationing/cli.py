@@ -8,7 +8,7 @@ views of one chain record (`chain_record`); its --shift, which must be
 finite, moves g alone, not g_diff or the Poisson residual.  JSON has no
 infinities, so solve writes an infinite penalty root, p_low or p_high as
 the string "inf" or "-inf".  Exit status is 0 on success, 1 when a
-requested check fails, 2 on usage or parse errors.
+requested check fails, 2 on usage or parse errors and rejected input.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__
 from .chain import average_profit, chain_record
-from .model import PARAM_JSON_KEYS, Policy, StockRationingError, SystemParams, reward_structure
+from .model import (ENUMERATION_CAP, PARAM_JSON_KEYS, Policy, StockRationingError, SystemParams,
+                    reward_structure)
 from .optimizer import ORACLE_MATCH_TOL, brute_force_optimal, global_optimal
 from .sim import simulate
 from .staticpol import optimal_static_threshold, static_profit_closed_form
@@ -355,7 +356,7 @@ def _check(name: str, spec: dict, params: SystemParams, policy: Policy | None,
             found = f"all {len(rows)} entries within tolerance" if worst <= 1 else "closest match"
             return worst <= 1, (f"{found} at calibrated service price R = {params.price:g} "
                                 f"in [{lo}, {hi}]: worst scaled deviation {worst:.3f}")
-    raise StockRationingError(f"unknown check {name!r}")
+    raise ValueError(f"unknown check {name!r}")    # a broken packaged fixture, not a usage error
 
 
 def reproduce(target: str) -> tuple[bool, list[str], list[str], list[tuple]]:
@@ -432,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", parents=[loaded], help="find the optimal policy")
     p_opt.add_argument("--oracle", action="store_true", help="cross-check with the exact "
-                       "optimum over all 2^K policies, K <= 24, by Dinkelbach's parametric search")
+                       f"optimum over all 2^K policies, K <= {ENUMERATION_CAP}, by Dinkelbach's "
+                       "parametric search")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_sweep = sub.add_parser("sweep", parents=[loaded], help="grid sweeps to CSV")

@@ -22,20 +22,12 @@ ENUMERATION_CAP = 24
 
 
 class StockRationingError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class NonPositiveRate(StockRationingError):
-    pass
-
-
-class BadThreshold(StockRationingError):
-    pass
+    """Base class of the package's typed errors; any other exception is a fault."""
 
 
 class InvalidParameter(StockRationingError):
-    """A parameter is not a finite number, N or K is not an integer, or a
-    cost is negative."""
+    """A rejected input: a parameter, policy or option outside the model.
+    The message names the input and what it must be."""
 
 
 class PriorityViolation(UserWarning):
@@ -44,10 +36,6 @@ class PriorityViolation(UserWarning):
     Warning-grade: every formula stays well defined, the assumption is
     economic (Class 1 is the priority class), not mathematical.
     """
-
-
-class LengthMismatch(StockRationingError):
-    pass
 
 
 class CapExceeded(StockRationingError):
@@ -113,12 +101,11 @@ class SystemParams:
                 raise InvalidParameter(f"{field.name} must be {what}, got {value!r}")
         for name in ("lam", "mu1", "mu2"):
             if not getattr(self, name) > 0:
-                raise NonPositiveRate(
+                raise InvalidParameter(
                     f"{name} must be strictly positive, got {getattr(self, name)!r}")
         if self.capacity < 1 or self.threshold < 1 or self.threshold > self.capacity:
-            raise BadThreshold(
-                f"need 1 <= threshold K <= capacity N, got K={self.threshold}, N={self.capacity}"
-            )
+            raise InvalidParameter(f"need 1 <= threshold K <= capacity N, "
+                                   f"got K={self.threshold}, N={self.capacity}")
         for name in ("c_hold", "c_lost1", "c_lost2", "c_buy", "c_opp", "price", "penalty"):
             if getattr(self, name) < 0:
                 raise InvalidParameter(
@@ -140,7 +127,7 @@ class SystemParams:
                 kwargs[attr] = data[key]
         missing = [k for k, a in PARAM_JSON_KEYS[:5] if a not in kwargs]
         if missing:
-            raise StockRationingError(f"missing required parameter keys: {missing}")
+            raise InvalidParameter(f"missing required parameter keys: {missing}")
         for attr in ("capacity", "threshold"):
             if isinstance(kwargs[attr], float) and kwargs[attr].is_integer():
                 kwargs[attr] = int(kwargs[attr])
@@ -171,7 +158,7 @@ class Policy:
         # count compares each value with 0 and 1 as `in` does, without a Python-level loop
         d = tuple(self.decisions)
         if d.count(0) + d.count(1) != len(d):
-            raise StockRationingError(f"decisions must be 0/1, got {self.decisions!r}")
+            raise InvalidParameter(f"decisions must be 0/1, got {self.decisions!r}")
         object.__setattr__(self, "decisions", tuple(map(int, d)))
 
     def __len__(self) -> int:
@@ -203,9 +190,7 @@ class Policy:
 
 def check_policy(params: SystemParams, policy: Policy) -> None:
     if len(policy) != params.threshold:
-        raise LengthMismatch(
-            f"policy length {len(policy)} != threshold K={params.threshold}"
-        )
+        raise InvalidParameter(f"policy length {len(policy)} != threshold K={params.threshold}")
 
 
 def reward_structure(params: SystemParams, policy: Policy) -> np.ndarray:

@@ -39,8 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (InvalidParameter, Policy, StockRationingError, SystemParams,
-                    reward_structure, service_rates)
+from .model import InvalidParameter, Policy, SystemParams, reward_structure, service_rates
 
 CHUNK = 1 << 12
 # Each replication discards this fraction of its horizon as warmup.
@@ -197,7 +196,7 @@ def simulate(
     if not _is_integer(replications):
         raise InvalidParameter(f"replications must be an integer, got {replications!r}")
     if replications < 2:
-        raise StockRationingError(
+        raise InvalidParameter(
             f"need at least 2 replications for a standard error, got {replications}"
         )
     f = reward_structure(params, policy)

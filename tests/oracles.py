@@ -18,7 +18,8 @@ the cut-flow identity, each cut summed exactly from the end with less mass.
 log weights above.  `factor_residual` takes the Poisson residual with f and
 the service rates rebuilt on 0..N from the public `reward_structure` and
 `service_rates`, the independent check of the record's residual view.  `reference_global_optimal` is policy iteration built on
-the public `chain_record`, one record per gate and per step, and
+the public `chain_record`, one record per gate and per step, that stops on
+a return to a visited policy as `global_optimal` does, and
 `restore_threshold` maps an optimum's `sort_perm` and `n0` back to its
 policy, and `gain_bounds` brackets the optimal gain by one Bellman step of
 the uniformised MDP.  `reference_simulate` walks the simulator's jump chain
@@ -276,7 +277,9 @@ def reference_global_optimal(params: SystemParams) -> OptimizerResult:
     The all-zeros profile's p_high and, below it, the all-ones profile's
     p_low pick the region and the start; each step serves where the start's
     margin is positive, withholds where it is negative, keeps the decision
-    in the zero band and profiles the improved policy afresh.
+    in the zero band and profiles the improved policy afresh.  A step back
+    to a visited policy ends the iteration at the highest eta from that
+    policy's visit on, the first visited among equals, and reports a cycle.
     """
     k, p = params.threshold, params.penalty
     policy = Policy.all_zeros(k)
@@ -287,19 +290,25 @@ def reference_global_optimal(params: SystemParams) -> OptimizerResult:
         region = "Middle"
         if ones.p_low > 0 and p <= ones.p_low:
             region, policy, profile = "LowPenalty", Policy.all_ones(k), ones
-    iterations = 0
+    visited, cycle = [(policy, profile)], False
     while True:
         labels = profile.signs(p)
         improved = Policy(tuple(d if lab == 0 else int(lab > 0)
                                 for d, lab in zip(policy.decisions, labels)))
         if improved == policy:
             break
+        seen = [q for q, _ in visited]
+        if cycle := improved in seen:
+            loop = visited[seen.index(improved):]
+            policy, profile = max(loop, key=lambda step: step[1].eta(p))
+            break
         policy, profile = improved, chain_record(params, improved)
-        iterations += 1
+        visited.append((policy, profile))
     return OptimizerResult(
         policy=policy, eta=profile.eta(p), region=region,
         n0=int(np.sum(profile.roots < p)) if region == "Middle" else None,
-        sort_perm=profile.sort_perm, iterations=iterations)
+        sort_perm=profile.sort_perm, iterations=len(visited) - 1,
+        cycle_without_improvement=cycle)
 
 
 def restore_threshold(sort_perm: tuple[int, ...], n_zeros: int) -> Policy:

@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockrationing import (
-    LengthMismatch,
+    InvalidParameter,
     Policy,
     StockRationingError,
     SystemParams,
     average_profit,
-    average_profits,
     brute_force_optimal,
     chain,
     chain_record,
@@ -177,14 +176,6 @@ def test_profit_split_is_the_policy_record(example1_params):
     assert record.eta(p.penalty) == record.d_coef - p.penalty * record.f_coef
 
 
-def test_stack_record_eta_is_average_profits(example1_params):
-    rows = np.random.default_rng(9).integers(0, 2, (40, 15))
-    record = chain_record(example1_params, rows)
-    assert record.d_coef.shape == record.f_coef.shape == (40,)
-    np.testing.assert_array_equal(record.eta(example1_params.penalty),
-                                  average_profits(example1_params, rows), strict=True)
-
-
 def test_strong_upward_drift_matches_log_weights():
     # lam/(mu1 + mu2) = 5 at N = 500: the raw weights 5**500 overflow float64,
     # and the ratio form still gives pi and eta to rounding.  The reference
@@ -332,14 +323,12 @@ def test_steep_head_takes_log_ratios():
     # lam/mu1 = 1e5 over K = 60 states: a running product of the rate ratios
     # would pass e**690, so the weights on 0..K take two blocks (they took
     # log-ratios before blocks).
-    from stockrationing import SystemParams, average_profits
-
     from oracles import log_weight_reference
 
     p = SystemParams(lam=1e4, mu1=0.1, mu2=99.9, capacity=80, threshold=60, c_hold=1,
                      c_lost1=4, c_lost2=1, c_buy=5, c_opp=1, price=15, penalty=5)
     rows = np.random.default_rng(9).integers(0, 2, (6, 60))
-    for row, eta in zip(rows, average_profits(p, rows)):
+    for row, eta in zip(rows, chain_record(p, rows).eta(p.penalty)):
         ref = log_weight_reference(p, row)
         assert eta == pytest.approx(ref.d_coef - p.penalty * ref.f_coef, rel=1e-12)
         profile = chain_record(p, Policy(tuple(row)))
@@ -616,7 +605,9 @@ def test_large_rate_scale_gives_finite_answers_matching_exact_chain():
 def test_stack_of_the_wrong_shape_is_a_length_mismatch(example1_params, shape):
     # K = 3: a stack needs shape (m, 3), and a bare row must be a Policy.
     p = dataclasses.replace(example1_params, capacity=5, threshold=3)
-    with pytest.raises(LengthMismatch, match=rf"shape \({', '.join(map(str, shape))},?\)"):
+    dims = ", ".join(map(str, shape))
+    with pytest.raises(InvalidParameter,
+                       match=rf"decisions of shape \({dims},?\) need shape \(m, K=3\)"):
         chain_record(p, np.zeros(shape, dtype=int))
 
 
@@ -642,7 +633,7 @@ def test_stack_rows_equal_their_one_policy_records(many_blocks):
         rows = rng.integers(0, 2, (int(rng.integers(2, 7)), k))
         assert (chain_record(p, rows).blocks.shape[-2] > 1) == many_blocks
         stack = chain_record(p, rows)
-        etas = average_profits(p, rows)
+        etas = stack.eta(p.penalty)
         signs = stack.signs(p.penalty)
         for i, (row, cuts, eta) in enumerate(zip(rows, stack.cut_factors, etas)):
             record = chain_record(p, Policy(tuple(row.tolist())))

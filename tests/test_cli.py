@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stockrationing import Policy, SystemParams, chain_record, cli
+from stockrationing import Policy, StockRationingError, SystemParams, chain_record, cli
 from stockrationing.cli import main
 
 EX1 = {
@@ -507,6 +507,18 @@ class TestReproduce:
         ok, lines, _, _ = cli.reproduce("example4")
         assert not ok
         assert lines[0].startswith("[FAIL]") and "worst gap to pi @ f" in lines[0]
+
+    def test_unknown_check_is_a_fixture_fault_not_a_usage_error(self, monkeypatch):
+        # only a broken packaged fixture can name an unknown check, so it
+        # propagates as ValueError instead of exiting 2 as a usage error does
+        with pytest.raises(ValueError, match="unknown check 'no_such_check'") as err:
+            cli._check("no_such_check", {}, None, None, [])
+        assert not isinstance(err.value, StockRationingError)
+        fixture = cli._load_fixture("example4")
+        monkeypatch.setattr(cli, "_load_fixture",
+                            lambda name: {**fixture, "checks": ["no_such_check"]})
+        with pytest.raises(ValueError, match="unknown check"):
+            main(["reproduce", "example4"])
 
     def test_example1_reports_documented_mismatch(self, capsys):
         # the published values are not reproducible from the printed model;

@@ -15,7 +15,6 @@ from stockrationing import (
     StockRationingError,
     SystemParams,
     average_profit,
-    average_profits,
     brute_force_optimal,
     chain_record,
     global_optimal,
@@ -216,9 +215,9 @@ class TestBruteForce:
 
 
 def explicit_optimum(p):
-    """The tie rule over `average_profits` of all 2**K explicit decision rows."""
+    """The tie rule over the profits of all 2**K explicit decision rows."""
     rows = np.array(list(itertools.product((0, 1), repeat=p.threshold)))
-    etas = average_profits(p, rows)
+    etas = chain_record(p, rows).eta(p.penalty)
     best = _first_best(etas)
     return tuple(rows[best].tolist()), float(etas[best])
 
@@ -295,7 +294,7 @@ def test_enumeration_ties_within_the_band_of_the_best_policy():
     policy, eta = brute_force_optimal(p)
     assert policy.decisions == (0, 0) + (1,) * 14 + (0, 0)
     rows = (np.arange(1 << 18)[:, None] >> np.arange(17, -1, -1)) & 1
-    best = max(float(average_profits(p, rows[i : i + (1 << 16)]).max())
+    best = max(float(chain_record(p, rows[i : i + (1 << 16)]).eta(p.penalty).max())
                for i in range(0, 1 << 18, 1 << 16))
     assert eta >= best - BRUTE_FORCE_TIE_BAND * max(1.0, abs(best))
 
@@ -491,12 +490,43 @@ def optimizer_params(draw):
                         price=price, penalty=penalty)
 
 
+# Instances on which a margin cancels to rounding noise that passes the zero
+# band, so that Howard's steps return to a visited policy: K = 7 with the
+# price alone, K = 6 and K = 38 at price 1e18 and 1e16 with O(1) costs, and
+# a draw where c_buy = 1.9e92 dominates.
+CYCLING = {
+    "k7-price-1e8": SystemParams(
+        lam=0.5887029699422087, mu1=4.810413218918037, mu2=3.492615165684101, capacity=26,
+        threshold=7, c_hold=0, c_lost1=0, c_lost2=0, c_buy=0, c_opp=0, price=1e8, penalty=0),
+    "k6-price-1e18": SystemParams(
+        lam=1.1408514126667733, mu1=3.770973931239683, mu2=3.9748358901042864, capacity=24,
+        threshold=6, c_hold=0.7191165165647097, c_lost1=0.37738951393758313,
+        c_lost2=0.8208012081466438, c_buy=0.29172256077745407, c_opp=0.8753800092720189,
+        price=1e18, penalty=0),
+    "k38-price-1e16": SystemParams(
+        lam=1.0883631113353454, mu1=3.8083307873039356, mu2=1.8268374115824975, capacity=43,
+        threshold=38, c_hold=0.36360972854683504, c_lost1=0.3460955758937603,
+        c_lost2=0.047663312777471156, c_buy=0.20697810841881104, c_opp=0.7490302690630336,
+        price=1e16, penalty=0),
+    "k14-c_buy-1.9e92": SystemParams(
+        lam=0.038742300659618104, mu1=4.5425156145660415, mu2=13.461319802260672, capacity=41,
+        threshold=14, c_hold=1.7755414032842408e68, c_lost1=26.361646984436465,
+        c_lost2=3.6818727121068657e33, c_buy=1.9008677551886206e92, c_opp=0.062347213853855186,
+        price=12.397472749256309, penalty=0.00332350915091899),
+}
+
+
 @given(p=optimizer_params())
 @settings(max_examples=300, deadline=None)
+@example(p=CYCLING["k7-price-1e8"])
+@example(p=CYCLING["k6-price-1e18"])
+@example(p=CYCLING["k38-price-1e16"])
+@example(p=CYCLING["k14-c_buy-1.9e92"])
 def test_global_optimal_is_the_per_profile_iteration(p):
     # The gates read two rows of one stacked record and the steps read
     # margins alone; the reference builds a one-policy record per gate
-    # and per step.  Every field, eta's bits and any typed error agree.
+    # and per step.  Every field, eta's bits and any typed error agree,
+    # also where a step returns to a visited policy.
     assert _outcome(global_optimal, p) == _outcome(reference_global_optimal, p)
 
 
@@ -536,32 +566,6 @@ def test_gates_take_one_record_and_each_step_one_more(penalty, region, monkeypat
     assert res.region == region
     assert (res.iterations > 0) == (region == "Middle")
     assert len(heads) == len(cut_passes) == 1 + res.iterations
-
-
-# Instances on which a margin cancels to rounding noise that passes the zero
-# band, so that Howard's steps return to a visited policy: K = 7 with the
-# price alone, K = 6 and K = 38 at price 1e18 and 1e16 with O(1) costs, and
-# a draw where c_buy = 1.9e92 dominates.
-CYCLING = {
-    "k7-price-1e8": SystemParams(
-        lam=0.5887029699422087, mu1=4.810413218918037, mu2=3.492615165684101, capacity=26,
-        threshold=7, c_hold=0, c_lost1=0, c_lost2=0, c_buy=0, c_opp=0, price=1e8, penalty=0),
-    "k6-price-1e18": SystemParams(
-        lam=1.1408514126667733, mu1=3.770973931239683, mu2=3.9748358901042864, capacity=24,
-        threshold=6, c_hold=0.7191165165647097, c_lost1=0.37738951393758313,
-        c_lost2=0.8208012081466438, c_buy=0.29172256077745407, c_opp=0.8753800092720189,
-        price=1e18, penalty=0),
-    "k38-price-1e16": SystemParams(
-        lam=1.0883631113353454, mu1=3.8083307873039356, mu2=1.8268374115824975, capacity=43,
-        threshold=38, c_hold=0.36360972854683504, c_lost1=0.3460955758937603,
-        c_lost2=0.047663312777471156, c_buy=0.20697810841881104, c_opp=0.7490302690630336,
-        price=1e16, penalty=0),
-    "k14-c_buy-1.9e92": SystemParams(
-        lam=0.038742300659618104, mu1=4.5425156145660415, mu2=13.461319802260672, capacity=41,
-        threshold=14, c_hold=1.7755414032842408e68, c_lost1=26.361646984436465,
-        c_lost2=3.6818727121068657e33, c_buy=1.9008677551886206e92, c_opp=0.062347213853855186,
-        price=12.397472749256309, penalty=0.00332350915091899),
-}
 
 
 @pytest.mark.parametrize("p", CYCLING.values(), ids=CYCLING)

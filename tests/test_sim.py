@@ -5,7 +5,6 @@ from stockrationing import sim
 from stockrationing import (
     InvalidParameter,
     Policy,
-    StockRationingError,
     SystemParams,
     average_profit,
     chain_record,
@@ -40,9 +39,9 @@ def test_deterministic_given_seed(unit_params):
 
 
 def test_replication_count_guard(unit_params):
-    with pytest.raises(StockRationingError):
+    with pytest.raises(InvalidParameter, match="need at least 2 replications .*, got 1"):
         simulate(unit_params, Policy((0,)), horizon=100.0, replications=1, seed=0)
-    with pytest.raises(StockRationingError):
+    with pytest.raises(InvalidParameter, match="horizon must be positive and finite, got 0.0"):
         simulate(unit_params, Policy((0,)), horizon=0.0, replications=4, seed=0)
 
 

@@ -1,16 +1,15 @@
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
 
 from stockrationing import (
+    InvalidParameter,
     Policy,
-    StockRationingError,
     SystemParams,
-    ThetaOutOfRange,
     average_profit,
-    average_profits,
     chain_record,
     optimal_static_threshold,
     reward_structure,
@@ -44,7 +43,7 @@ class TestGeomSums:
                          threshold=k, c_hold=1, c_lost1=4, c_lost2=1, c_buy=5, c_opp=1,
                          price=15, penalty=3)
         policies = [Policy(bits) for bits in itertools.product((0, 1), repeat=k)]
-        got = average_profits(p, np.array([pol.decisions for pol in policies]))
+        got = chain_record(p, np.array([pol.decisions for pol in policies])).eta(p.penalty)
         for pol, eta in zip(policies, got):
             f = reward_structure(p, pol)
             xi = [1.0]
@@ -72,7 +71,7 @@ class TestBuildStatic:
 
     @pytest.mark.parametrize("theta", [0, 17])
     def test_out_of_range(self, example1_params, theta):
-        with pytest.raises(ThetaOutOfRange):
+        with pytest.raises(InvalidParameter, match=f"theta must lie in 1..16, got {theta}"):
             static_profit_closed_form(example1_params, theta)
 
 
@@ -130,7 +129,7 @@ class TestOptimalStaticThreshold:
         assert theta in (3, 4, 5)
 
     def test_empty_range_is_an_error(self, example1_params):
-        with pytest.raises(StockRationingError, match="empty theta range"):
+        with pytest.raises(InvalidParameter, match="empty theta range"):
             optimal_static_threshold(example1_params, thetas=range(4, 4))
 
     def test_near_tie_goes_to_the_smaller_theta(self, monkeypatch):
@@ -139,8 +138,9 @@ class TestOptimalStaticThreshold:
         # only past the band would stop at theta = 3
         from stockrationing import staticpol
 
-        monkeypatch.setattr(staticpol, "average_profits",
-                            lambda params, rows: np.array([0.0, 0.6e-12, 1.2e-12]))
+        etas = np.array([0.0, 0.6e-12, 1.2e-12])
+        monkeypatch.setattr(staticpol, "chain_record", lambda params, rows:
+                            types.SimpleNamespace(eta=lambda penalty: etas))
         p = SystemParams(lam=1, mu1=1, mu2=1, capacity=3, threshold=2)
         assert optimal_static_threshold(p) == (2, 0.6e-12)
 
