@@ -209,10 +209,17 @@ def _at(params: SystemParams, var: str, value: float) -> SystemParams:
 
 def _sweep(params: SystemParams, policy: Policy | None, var: str, grid) -> list[float]:
     """eta at each grid value: of static threshold theta, or of the policy at
-    that supply rate or penalty."""
+    that supply rate or penalty.  No view of D or F reads P, so a penalty
+    grid reads one record; each value is still checked first."""
     if var == "theta":
         return [static_profit_closed_form(params, theta) for theta in grid]
-    return [average_profit(_at(params, var, value), policy) for value in grid]
+    etas, record = [], None
+    for value in grid:
+        at = _at(params, var, value)
+        if var == "lambda" or record is None:
+            record = chain_record(at, policy)
+        etas.append(record.eta(at.penalty))
+    return etas
 
 
 def cmd_sweep(args) -> int:
@@ -275,13 +282,14 @@ def _table2_rows(spec: dict, params: SystemParams) -> list[dict]:
     deviation scaled by that tolerance.
 
     Column 0 is the boundary margin R + c_lost2, the root of the offset
-    alone where no decision exists; column i is penalty root i of one
-    profile per policy.  An entry of magnitude past `large_magnitude` is
-    held to half a unit in its last of `sig_figs` significant digits.
+    alone where no decision exists; column i is penalty root i of the
+    policy's row in one stack.  An entry of magnitude past `large_magnitude`
+    is held to half a unit in its last of `sig_figs` significant digits.
     """
-    rows = []
-    for name, literal in spec["policies"].items():
-        roots = chain_record(params, _parse_policy(literal, params.threshold)).roots
+    rows, policies = [], spec["policies"]
+    stack = chain_record(params, np.array([_parse_policy(literal, params.threshold).as_array()
+                                           for literal in policies.values()]))
+    for name, roots in zip(policies, stack.roots):
         for i, want in enumerate(spec["reference"][name]):
             got = params.price + params.c_lost2 if i == 0 else float(roots[i - 1])
             tol = spec["abs_tolerance"]
@@ -340,17 +348,18 @@ def _check(name: str, spec: dict, params: SystemParams, policy: Policy | None,
             return ok, (f"eta nondecreasing over {spec['sweep']['var']} grid "
                         f"({etas[0]:.3f} .. {etas[-1]:.3f})")
         case "affine":
-            var, grid = spec["sweep"]["var"], spec["sweep"]["grid"]
+            grid = spec["sweep"]["grid"]
             coeffs = np.polyfit(grid, etas, 1)
             resid = float(np.max(np.abs(np.asarray(etas) - np.polyval(coeffs, grid))))
-            f_coef = chain_record(params, policy).f_coef
+            record = chain_record(params, policy)    # pi and F do not read P
             # eta = D - P*F by construction, so each is also held to pi @ f
-            gap = max(abs(eta - float(chain_record(q, policy).pi
-                                      @ reward_structure(q, policy))) / max(1.0, abs(eta))
-                      for q, eta in zip((_at(params, var, v) for v in grid), etas))
+            gap = max(abs(eta - float(record.pi @ reward_structure(params.with_penalty(v),
+                                                                   policy))) / max(1.0, abs(eta))
+                      for v, eta in zip(grid, etas))
             return resid < 1e-9 and gap <= 1e-9, (
                 f"eta(P) affine for fixed policy: max residual {resid:.2e}, slope "
-                f"{coeffs[0]:.6g} against -F = {-f_coef + 0.0:.6g}, worst gap to pi @ f {gap:.2e}")
+                f"{coeffs[0]:.6g} against -F = {-record.f_coef + 0.0:.6g}, worst gap to pi @ f "
+                f"{gap:.2e}")
         case "within_tolerance":
             worst, (lo, hi) = max(row["scaled_dev"] for row in rows), spec["price_search"]
             found = f"all {len(rows)} entries within tolerance" if worst <= 1 else "closest match"

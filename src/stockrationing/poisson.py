@@ -19,28 +19,25 @@ until ROADMAP item 2 deletes them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InvalidParameter, Policy, SystemParams
+from .model import Policy, SystemParams
 from .chain import ChainRecord, _reader_record
 
 
 @dataclass(frozen=True)
 class PoissonSolution:
-    """Potential vector with the free uniform shift it was built with.
+    """The special potential g (g(0) = 0) of one policy, with its views.
 
     g_diff[i-1] holds G(i) = g(i-1) - g(i) for i = 1..N, and residual is the
-    infinity norm of (-B g) - (f - eta*e); both are taken on the special
-    solution, so no shift moves them.  offset_b is the reward margin
+    infinity norm of (-B g) - (f - eta*e).  offset_b is the reward margin
     R + c_lost2 - P that accompanies G in every comparison formula.  Kept
     only for perfbench, which reads these fields, until ROADMAP item 2.
     """
 
     g: np.ndarray
-    shift: float
     residual: float
     eta: float
     offset_b: float
@@ -53,25 +50,14 @@ def potential_for_reward(record: ChainRecord) -> np.ndarray:
     return record.g
 
 
-def solve_poisson(params: SystemParams, policy: Policy, shift: float = 0.0) -> PoissonSolution:
-    """General solution of the policy-based Poisson equation.
-
-    Returns the special solution (zero first entry) plus a uniform shift,
-    which is g(0); it moves every entry of g equally, so G and the residual
-    are read off the special solution.  A shift that is not finite raises
-    InvalidParameter.  Kept only as an entry point that perfbench traces,
-    until ROADMAP item 2 deletes it.
+def solve_poisson(params: SystemParams, policy: Policy) -> PoissonSolution:
+    """The special solution (g(0) = 0) of the policy-based Poisson equation.
+    Kept only as an entry point that perfbench traces, until ROADMAP item 2
+    deletes it; `stockrationing solve --shift` moves g alone.
     """
-    if not math.isfinite(shift):
-        raise InvalidParameter(f"shift must be finite, got {shift!r}")
     record = _reader_record(params, policy)
-    g = potential_for_reward(record)
-    # The g(0)-direction vector (1, v(d_1) * inv(-reduced B) @ e_1) is the
-    # all-ones vector identically: the reduced matrix maps ones to
-    # v(d_1) * e_1 because all other row sums vanish.
     return PoissonSolution(
-        g=g + shift if shift != 0.0 else g,
-        shift=shift,
+        g=potential_for_reward(record),
         residual=record.residual,
         eta=record.eta(params.penalty),
         offset_b=params.price + params.c_lost2 - params.penalty,

@@ -35,6 +35,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +50,6 @@ from stockrationing import (
     service_rates,
 )
 from stockrationing.chain import SIGN_ZERO_BAND
-from stockrationing.poisson import PoissonSolution
 from stockrationing.sim import CHUNK, WARMUP_FRACTION, _replication_rng
 
 
@@ -171,7 +171,15 @@ class InconsistentTermination(StockRationingError):
 TERMINAL_RTOL = 1e-6
 
 
-def solve_poisson_normalized(params: SystemParams, policy: Policy) -> PoissonSolution:
+class NormalizedPotential(NamedTuple):
+    """A potential whose stationary mean is eta, and G(i) = g(i-1) - g(i) on 1..N."""
+
+    g: np.ndarray
+    eta: float
+    g_diff: np.ndarray
+
+
+def solve_poisson_normalized(params: SystemParams, policy: Policy) -> NormalizedPotential:
     """Potential normalized so that its stationary mean equals eta.
 
     Adding the rank-one term e*pi to -B makes the system nonsingular; the
@@ -186,16 +194,7 @@ def solve_poisson_normalized(params: SystemParams, policy: Policy) -> PoissonSol
         g = np.linalg.solve(a, f)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
-    g_diff = g[:-1] - g[1:]
-    residual = factor_residual(params, policy, g_diff, f, eta)
-    return PoissonSolution(
-        g=g,
-        shift=float(g[0]),
-        residual=residual,
-        eta=eta,
-        offset_b=params.price + params.c_lost2 - params.penalty,
-        g_diff=g_diff,
-    )
+    return NormalizedPotential(g, eta, g[:-1] - g[1:])
 
 
 def realization_factors_recurrence(

@@ -203,8 +203,9 @@ def test_criterion_05_poisson_residual():
     while solved < 150:
         p = random_params(rng, k_max=200, n_max=200)
         pol = random_policy(rng, p.threshold)
-        sol = solve_poisson(p, pol, shift=float(rng.uniform(-3, 3)) + float(rng.uniform(-3, 3)))
-        g_scale = float(np.max(np.abs(sol.g)))
+        sol = chain_record(p, pol)
+        shift = float(rng.uniform(-3, 3)) + float(rng.uniform(-3, 3))    # g(0), as solve --shift
+        g_scale = float(np.max(np.abs(sol.g + shift)))
         rate = p.lam + p.mu1 + p.mu2
         # supplementary scale-aware bound on every instance: evaluating the
         # residual itself rounds at eps * rate * |g|, so a correctly rounded

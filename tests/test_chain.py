@@ -163,6 +163,13 @@ class TestProfitLinearForm:
         for pen in pens:
             direct = float(exact_profit(p.with_penalty(pen), bits))
             assert direct == pytest.approx(form.eta(pen), rel=1e-10, abs=1e-10)
+            # No view of D, F, pi or the margins reads P, so one record answers
+            # every penalty: the CLI's penalty sweep and affine check rest on it.
+            at = chain_record(p.with_penalty(pen), pol)
+            assert (at.d_coef.hex(), at.f_coef.hex()) == (form.d_coef.hex(), form.f_coef.hex())
+            for name in ("pi", "num", "den", "roots"):
+                np.testing.assert_array_equal(getattr(at, name), getattr(form, name), strict=True)
+            assert at.eta(pen).hex() == form.eta(pen).hex()
 
 
 def test_profit_split_is_the_policy_record(example1_params):
@@ -478,7 +485,7 @@ def test_one_solve_sequence_builds_one_head_and_one_cut_pass(example1_params, mo
     # equal by value, not the same objects: still the kept record
     same = SystemParams(**vars(example1_params)), Policy(pol.decisions)
     penalty_roots(*same)
-    solve_poisson(*same, shift=2.0)
+    solve_poisson(*same)
     assert (len(heads), len(cut_passes), len(pis), len(gs)) == (1, 1, 1, 1)
 
 

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stockrationing import Policy, StockRationingError, SystemParams, chain_record, cli
+from stockrationing import Policy, StockRationingError, SystemParams, chain, chain_record, cli
 from stockrationing.cli import main
+
+from conftest import counting
 
 EX1 = {
     "params": {
@@ -501,12 +503,30 @@ class TestReproduce:
     def test_example4_affine_check_fails_on_a_shifted_profit(self, monkeypatch):
         # a profit off by an affine term still fits a line; the stationary
         # mean of each penalty's reward vector catches it
-        profit = cli.average_profit
-        monkeypatch.setattr(cli, "average_profit",
-                            lambda params, policy: profit(params, policy) + 1e-6 * params.penalty)
+        eta = chain.ChainRecord.eta
+        monkeypatch.setattr(chain.ChainRecord, "eta",
+                            lambda record, penalty: eta(record, penalty) + 1e-6 * penalty)
         ok, lines, _, _ = cli.reproduce("example4")
         assert not ok
         assert lines[0].startswith("[FAIL]") and "worst gap to pi @ f" in lines[0]
+
+    def test_penalty_grids_read_one_record_and_table2_one_stack_per_price(
+            self, config_path, capsys, monkeypatch):
+        # D, F, pi and the margins do not read P: example4's sweep and its
+        # affine check take one record each, a penalty sweep one, and table2
+        # one stack of its three policies at each end of the price range and
+        # at the calibrated price.
+        heads = counting(monkeypatch, "_head_weights")
+        counts = {}
+        sweep = ["sweep", "--config", config_path(EX1), "--var", "penalty", "--grid", "0:50:11",
+                 "--policy", "ones"]
+        for name, argv in (("example4", ["reproduce", "example4"]),
+                           ("table2", ["reproduce", "table2"]), ("penalty sweep", sweep)):
+            heads.clear()
+            main(argv)
+            counts[name] = len(heads)
+        capsys.readouterr()
+        assert counts == {"example4": 2, "table2": 3, "penalty sweep": 1}
 
     def test_unknown_check_is_a_fixture_fault_not_a_usage_error(self, monkeypatch):
         # only a broken packaged fixture can name an unknown check, so it
