@@ -12,7 +12,8 @@ below, so that relative paths read the same on both sides.  An `{out}` in an
 invocation becomes a file name in that directory.  The list covers every
 command's help, every command, every `reproduce` target with and without
 `--out`, sweeps over each variable with and without `--with-theta-star`,
-`solve --shift` at 2.5, 1e20, inf and nan, and the rejected inputs.
+`solve --shift` at 2.5, 1e20, inf and nan and, space-separated from the
+flag, at -1e20 and -3e2, and the rejected inputs, `--penalty -1e2` among them.
 
 A difference is any in stdout, in stderr after each tree's and working
 directory's path is masked, in the exit code, or in the bytes of the `--out`
@@ -80,6 +81,10 @@ INVOCATIONS = [
     _cmd("solve", "ex1", "--policy", "ones", "--shift=inf"),
     _cmd("solve", "ex1", "--policy", "ones", "--shift=nan", "--format", "csv"),
     _cmd("solve", "ex1", "--policy", "ones", "--shift", "2.5", "--out", "{out}"),
+    # a negative value written with an exponent, space-separated from its flag
+    _cmd("solve", "ex1", "--policy", "ones", "--shift", "-1e20"),
+    _cmd("solve", "ex1", "--policy", "ones", "--shift", "-3e2", "--format", "csv"),
+    _cmd("solve", "ex1", "--policy", "ones", "--penalty", "-1e2"),
     # optimize
     _cmd("optimize", "ex1"),
     _cmd("optimize", "ex1", "--oracle"),

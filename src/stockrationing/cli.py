@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -26,12 +27,12 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .chain import average_profit, chain_record
+from .chain import _first_best, average_profit, chain_record
 from .model import (ENUMERATION_CAP, PARAM_JSON_KEYS, Policy, StockRationingError, SystemParams,
                     reward_structure)
 from .optimizer import ORACLE_MATCH_TOL, brute_force_optimal, global_optimal
 from .sim import simulate
-from .staticpol import optimal_static_threshold, static_profit_closed_form
+from .staticpol import _threshold_rows, optimal_static_threshold
 
 
 class UsageError(StockRationingError):
@@ -207,12 +208,12 @@ def _at(params: SystemParams, var: str, value: float) -> SystemParams:
     return replace(params, **{"lam" if var == "lambda" else "penalty": value})
 
 
-def _sweep(params: SystemParams, policy: Policy | None, var: str, grid) -> list[float]:
-    """eta at each grid value: of static threshold theta, or of the policy at
-    that supply rate or penalty.  No view of D or F reads P, so a penalty
-    grid reads one record; each value is still checked first."""
+def _sweep(params: SystemParams, policy: Policy | np.ndarray | None, var: str, grid) -> list:
+    """eta at each grid value: of static threshold theta, or of the policy or each
+    row of a decision stack at that supply rate or penalty.  No view of D or F
+    reads P, so a theta or penalty grid reads one record; each value is checked."""
     if var == "theta":
-        return [static_profit_closed_form(params, theta) for theta in grid]
+        return chain_record(params, _threshold_rows(params, grid)).eta(params.penalty).tolist()
     etas, record = [], None
     for value in grid:
         at = _at(params, var, value)
@@ -240,8 +241,9 @@ def cmd_sweep(args) -> int:
     rows = [[value, eta] for value, eta in zip(grid, _sweep(params, policy, var, grid))]
     if args.with_theta_star and var != "theta":
         header.append("theta_star")
-        for row in rows:
-            row.append(optimal_static_threshold(_at(params, var, row[0]))[0])
+        stack = _threshold_rows(params, range(1, params.threshold + 2))
+        for row, etas in zip(rows, _sweep(params, stack, var, grid)):
+            row.append(1 + _first_best(etas))
     _emit_csv(args, header, rows)
     return 0
 
@@ -320,7 +322,8 @@ def _table2_price(spec: dict, params: SystemParams) -> float:
     i, j = np.triu_indices(len(s), 1)
     apart = s[i] != s[j]
     cross = (c[j] - c[i])[apart] / (s[i] - s[j])[apart]
-    prices = np.unique(np.concatenate(([lo, hi], cross[(cross > lo) & (cross < hi)])))
+    # sorted distinct prices, not by np.unique, which imports numpy.ma on first use
+    prices = np.array(sorted({lo, hi, *cross[(cross > lo) & (cross < hi)].tolist()}), float)
     worst = np.max(np.abs(np.outer(prices, s) + c), axis=1)
     return float(prices[np.argmin(worst)])
 
@@ -466,6 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", help="write the result rows as CSV to this path")
     p_rep.set_defaults(func=cmd_reproduce)
 
+    # argparse reads "-1e20" as an option; every negative float literal is a value
+    number = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+    for command in sub.choices.values():
+        command._negative_number_matcher = number
     return parser
 
 

@@ -95,7 +95,8 @@ def _walk_table(pup: np.ndarray) -> _WalkTable:
     nxt, as a list.
     """
     n_states = len(pup)
-    cuts = np.unique(pup[(pup > 0.0) & (pup < 1.0)])
+    # sorted distinct cuts, not by np.unique, which imports numpy.ma on first use
+    cuts = np.array(sorted(set(pup[(pup > 0.0) & (pup < 1.0)].tolist())), float)
     n_cat = len(cuts) + 1
     m = next(m for m in BLOCK_SIZES if n_states * n_cat**m <= TABLE_ENTRIES or m == 1)
     place = n_cat ** np.arange(m - 1, -1, -1)

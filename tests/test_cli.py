@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -97,13 +100,16 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert "shift" in err
 
-    def test_huge_shift_moves_g_alone(self, config_path, capsys):
+    @pytest.mark.parametrize("shift", ["1e20", "-1e20"])
+    def test_huge_shift_moves_g_alone(self, config_path, capsys, shift):
+        # "-1e20" is read as a value, though argparse's own pattern for a
+        # negative number has no exponent
         cfg = dict(EX1, params=dict(EX1["params"], capacity_n=40))
         base_args = ["solve", "--config", config_path(cfg), "--policy", "ones"]
         _, out, _ = run_cli(base_args, capsys)
-        _, shifted_out, _ = run_cli(base_args + ["--shift", "1e20"], capsys)
+        _, shifted_out, _ = run_cli(base_args + ["--shift", shift], capsys)
         base, shifted = json.loads(out), json.loads(shifted_out)
-        assert shifted["g"] == [g + 1e20 for g in base["g"]]
+        assert shifted["g"] == [g + float(shift) for g in base["g"]]
         assert (shifted["g_diff"], shifted["poisson_residual"]) == (base["g_diff"],
                                                                     base["poisson_residual"])
         assert {**shifted, "g": base["g"], "shift": 0.0} == base
@@ -453,6 +459,20 @@ class TestSimulate:
         assert out == ""
         assert "seed" in err and "Traceback" not in err
 
+    def test_simulate_and_table2_leave_numpy_ma_unloaded(self, config_path):
+        # np.unique imports numpy.ma on its first call, which a fresh
+        # process pays for in time and memory; neither command takes that route
+        code = ("import sys; from stockrationing.cli import main; "
+                f"main(['simulate', '--config', {config_path(SMALL)!r}, '--policy', 'zeros', "
+                "'--horizon', '500', '--replications', '3']); main(['reproduce', 'table2']); "
+                "print('numpy.ma' in sys.modules)")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.splitlines()[-1] == "False"
+
     def test_per_rep_csv(self, config_path, capsys):
         code, out, _ = run_cli(
             ["simulate", "--config", config_path(SMALL), "--policy", "ones",
@@ -510,23 +530,31 @@ class TestReproduce:
         assert not ok
         assert lines[0].startswith("[FAIL]") and "worst gap to pi @ f" in lines[0]
 
-    def test_penalty_grids_read_one_record_and_table2_one_stack_per_price(
+    def test_sweeps_read_one_record_or_stack_per_parameter_set(
             self, config_path, capsys, monkeypatch):
         # D, F, pi and the margins do not read P: example4's sweep and its
         # affine check take one record each, a penalty sweep one, and table2
         # one stack of its three policies at each end of the price range and
-        # at the calibrated price.
+        # at the calibrated price.  A theta grid is one stack of thresholds,
+        # which --with-theta-star adds once to a penalty sweep; example2's two
+        # cases take one stack each for the sweep and for the static optimum,
+        # and strict_gap one record.
         heads = counting(monkeypatch, "_head_weights")
         counts = {}
         sweep = ["sweep", "--config", config_path(EX1), "--var", "penalty", "--grid", "0:50:11",
                  "--policy", "ones"]
         for name, argv in (("example4", ["reproduce", "example4"]),
-                           ("table2", ["reproduce", "table2"]), ("penalty sweep", sweep)):
+                           ("table2", ["reproduce", "table2"]), ("penalty sweep", sweep),
+                           ("theta sweep", ["sweep", "--config", config_path(EX1), "--var",
+                                            "theta"]),
+                           ("with theta*", sweep + ["--with-theta-star"]),
+                           ("example2", ["reproduce", "example2"])):
             heads.clear()
             main(argv)
             counts[name] = len(heads)
         capsys.readouterr()
-        assert counts == {"example4": 2, "table2": 3, "penalty sweep": 1}
+        assert counts == {"example4": 2, "table2": 3, "penalty sweep": 1, "theta sweep": 1,
+                          "with theta*": 2, "example2": 5}
 
     def test_unknown_check_is_a_fixture_fault_not_a_usage_error(self, monkeypatch):
         # only a broken packaged fixture can name an unknown check, so it
